@@ -12,16 +12,15 @@ __version__ = "0.1.0"
 from .corpus import (CorpusRecord, Label, LoadReport, corpus_digest,
                      header_frequencies, load_labeled_dir, load_trec_index,
                      top_k_fields)
-from .evaluation import (EvalReport, ImportanceReport, StackSpec, balance,
-                         compute_metrics, fit_model, grid_search, kfold_cv,
-                         make_scores, permutation_importance, render_table,
-                         roc_points, select_top_m, stratified_split)
+from .evaluation import (EvalReport, ImportanceReport, balance,
+                         compute_metrics, grid_search, kfold_cv, make_scores,
+                         permutation_importance, render_table, roc_points,
+                         select_top_m, stratified_split)
 from .features import (CHAIN_BY_THEN_FROM, CHAIN_FROM_THEN_BY,
                        DOMAIN_MATCH_ONLY, FULL, FeatureDescriptor,
                        FeatureSchema, ScalerParams, apply_scaler, extract,
-                       extract_matrix, fit_scaler, fit_schema, load_schema,
-                       prune_single_valued, save_schema, subset_scaler,
-                       subset_schema)
+                       extract_matrix, fit_scaler, fit_schema,
+                       prune_single_valued, subset_scaler, subset_schema)
 from .headers import (DateStamp, EmailHeader, HeaderField, ParsedAddress,
                       ReceivedHop, extract_domain, parse_address_list,
                       parse_date, parse_headers, parse_received,

@@ -58,9 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("run", help="run the four-phase pipeline")
     _config_flags(sub)
     sub.add_argument("--phase", choices=sorted(_PHASES), default="all")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="accepted for compatibility; results never "
-                          "depend on it")
     sub.set_defaults(func=_cmd_run)
 
     sub = commands.add_parser("classify",
@@ -115,9 +112,6 @@ def _cmd_headers_report(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
-    if args.threads is not None:
-        log.info("--threads %d accepted; execution is single-threaded and "
-                 "results are identical for any value", args.threads)
     try:
         manifest = run_phases(cfg, _PHASES[args.phase])
     except Exception as exc:

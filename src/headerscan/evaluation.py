@@ -9,6 +9,7 @@ the confusion matrix.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import logging
@@ -16,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learners import ModelSpec, Score, derive_seed, train, train_stack
+from .learners import ModelSpec, Score, derive_seed, out_of_fold
 from .learners.base import stratified_fold_ids
 
 __all__ = [
-    "EvalReport", "ImportanceReport", "StackSpec", "RenderedTable",
+    "EvalReport", "ImportanceReport", "RenderedTable",
     "make_scores", "compute_metrics", "roc_points",
-    "stratified_split", "fit_model", "kfold_cv", "grid_search", "balance",
+    "stratified_split", "kfold_cv", "grid_search", "balance",
     "permutation_importance", "select_top_m", "render_table",
     "render_importance_table",
 ]
@@ -41,6 +42,8 @@ class EvalReport:
     auc: float | None
     confusion: tuple[int, int, int, int]  # tp, fp, fn, tn
     per_fold: tuple | None = None
+    # kfold_cv only: every row's held-out decision value, in row order
+    oof_values: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -50,18 +53,6 @@ class ImportanceReport:
     std_drop: tuple[float, ...]
     repeats: int
     baseline_accuracy: float
-
-
-@dataclass(frozen=True)
-class StackSpec:
-    """Stand-in for ModelSpec when cross-validating a stacked ensemble."""
-
-    base_specs: tuple[ModelSpec, ...]
-    meta_spec: ModelSpec
-
-    @property
-    def algorithm(self) -> str:
-        return "stack"
 
 
 def make_scores(decision_values: np.ndarray, one_class: bool = False) -> list[Score]:
@@ -175,24 +166,10 @@ def stratified_split(X, y, test_fraction: float, seed: int):
     return train, test
 
 
-def fit_model(spec, X, y, seed: int):
-    """Train a ModelSpec or StackSpec; stack base and meta seeds derive
-    from the given seed so two specs never share a random stream."""
-    if isinstance(spec, StackSpec):
-        bases = [ModelSpec(b.algorithm, b.hyperparameters,
-                           derive_seed(seed, "base", i))
-                 for i, b in enumerate(spec.base_specs)]
-        meta = ModelSpec("logreg", spec.meta_spec.hyperparameters,
-                         derive_seed(seed, "meta"))
-        return train_stack(bases, meta, X, y)
-    reseeded = ModelSpec(spec.algorithm, spec.hyperparameters, seed)
-    return train(reseeded, X, y)
-
-
-def kfold_cv(spec, X, y, k: int, seed: int) -> EvalReport:
-    """Stratified k-fold CV for a ModelSpec or StackSpec. Per-fold model
-    seeds derive from (spec.seed, fold), so evaluation order does not
-    matter."""
+def kfold_cv(spec: ModelSpec, X, y, k: int, seed: int) -> EvalReport:
+    """Stratified k-fold CV on the fold plan derived from seed. Per-fold
+    model seeds derive from (spec.seed, fold), so evaluation order does
+    not matter."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if k < 2:
@@ -200,35 +177,25 @@ def kfold_cv(spec, X, y, k: int, seed: int) -> EvalReport:
     _, counts = np.unique(y, return_counts=True)
     if len(counts) < 2 or counts.min() < k:
         raise ValueError(f"each class needs at least k={k} examples")
-    base_seed = spec.meta_spec.seed if isinstance(spec, StackSpec) else spec.seed
     fold_of = stratified_fold_ids(y, k, derive_seed(seed, "folds"))
-    pooled_dv = np.empty(len(y))
-    pooled_pred = np.empty(len(y), dtype=bool)
-    per_fold = []
-    for f in range(k):
-        held = fold_of == f
-        model = fit_model(spec, X[~held], y[~held], derive_seed(base_seed, "fold", f))
-        dv = model.decision_values(X[held])
-        scores = make_scores(dv)
-        per_fold.append(compute_metrics(scores, y[held]))
-        pooled_dv[held] = dv
-        pooled_pred[held] = dv >= 0.0
-    scores = [Score(decision_value=float(v), is_anomalous=bool(p))
-              for v, p in zip(pooled_dv, pooled_pred)]
-    pooled = compute_metrics(scores, y)
-    return EvalReport(pooled.accuracy, pooled.precision, pooled.recall,
-                      pooled.f1, pooled.auc, pooled.confusion,
-                      per_fold=tuple(per_fold))
+    dv = out_of_fold(spec, X, y, fold_of)
+    per_fold = tuple(compute_metrics(make_scores(dv[fold_of == f]),
+                                     y[fold_of == f]) for f in range(k))
+    pooled = compute_metrics(make_scores(dv), y)
+    return dataclasses.replace(pooled, per_fold=per_fold,
+                               oof_values=tuple(dv.tolist()))
 
 
 def grid_search(algorithm: str, grid: dict, X, y, k: int, seed: int):
-    """Evaluate every Cartesian-product cell with kfold_cv.
+    """Evaluate every Cartesian-product cell with kfold_cv, all cells on
+    the one fold plan derived from seed.
 
     Cells enumerate with the first grid key slowest (dict insertion
     order). Best cell: highest pooled accuracy, then highest F1, then
-    earliest enumeration. Cell seeds derive from the cell's contents,
-    so reordering the grid cannot change any cell's result. An empty
-    grid evaluates the single all-defaults cell.
+    earliest enumeration. Cell seeds derive from the algorithm and the
+    cell's contents, so reordering the grid cannot change any cell's
+    result and two algorithms searched with one seed never share a
+    model seed. An empty grid evaluates the single all-defaults cell.
     """
     keys = list(grid)
     cells = [dict(zip(keys, combo))
@@ -237,7 +204,8 @@ def grid_search(algorithm: str, grid: dict, X, y, k: int, seed: int):
     best_report = None
     results = []
     for hp in cells:
-        cell_seed = derive_seed(seed, "cell", json.dumps(hp, sort_keys=True, default=str))
+        cell_seed = derive_seed(seed, "cell", algorithm,
+                                json.dumps(hp, sort_keys=True, default=str))
         spec = ModelSpec(algorithm, hp, cell_seed)
         report = kfold_cv(spec, X, y, k, seed)
         results.append((hp, report))

@@ -9,7 +9,6 @@ a persisted schema is bit-identical at train and classify time.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
@@ -44,9 +43,6 @@ __all__ = [
     "schema_from_dict",
     "scaler_to_dict",
     "scaler_from_dict",
-    "save_schema",
-    "load_schema",
-    "export_matrix_csv",
     "FULL",
     "DOMAIN_MATCH_ONLY",
     "CHAIN_BY_THEN_FROM",
@@ -427,31 +423,3 @@ def scaler_from_dict(doc: dict) -> ScalerParams:
         mean=np.asarray(doc["mean"], dtype=np.float64),
         stddev=np.asarray(doc["stddev"], dtype=np.float64),
     )
-
-
-def save_schema(path: str, schema: FeatureSchema, scaler: ScalerParams | None = None) -> None:
-    doc = {"format_version": 1, "schema": schema_to_dict(schema)}
-    if scaler is not None:
-        doc["scaler"] = scaler_to_dict(scaler)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def load_schema(path: str) -> tuple[FeatureSchema, ScalerParams | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != 1:
-        raise ValueError("unsupported schema document version")
-    scaler = scaler_from_dict(doc["scaler"]) if "scaler" in doc else None
-    return schema_from_dict(doc["schema"]), scaler
-
-
-def export_matrix_csv(path: str, matrix: np.ndarray, labels, schema: FeatureSchema) -> None:
-    """Feature matrix as CSV: one column per feature plus a final label."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(schema.names + ["label"])
-        for row, label in zip(matrix, labels):
-            text = getattr(label, "value", label)
-            writer.writerow([repr(float(v)) for v in row] + [text])

@@ -21,13 +21,13 @@ from .linear import LinearSVMModel, LogRegModel, train_linear_svm, train_logreg
 from .mlp import MLPModel, loss_and_grad, train_mlp
 from .neighbors import KNNModel, train_knn
 from .ocsvm import KKTAudit, OneClassSVMModel, train_one_class_svm
-from .stack import StackModel, train_stack
+from .stack import StackModel, fit_stack_meta, out_of_fold, train_stack
 from .tree import DecisionTreeModel, train_decision_tree
 
 __all__ = [
     "ALGORITHMS", "ModelSpec", "Score", "ConvergenceError",
     "derive_seed", "rng_for", "stratified_fold_ids", "validate_spec",
-    "train", "train_one_class", "train_stack",
+    "train", "train_one_class", "train_stack", "out_of_fold", "fit_stack_meta",
     "predict", "predict_one_class", "decision_values",
     "default_grid", "DEFAULT_GRIDS",
     "Bundle", "save_bundle", "load_bundle", "bundle_bytes",

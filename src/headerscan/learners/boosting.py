@@ -8,7 +8,8 @@ import numpy as np
 
 from .base import ModelSpec, check_training_inputs
 from .linear import sigmoid
-from .tree import LEAF, TreeArrays, apply_tree, build_tree, tree_from_doc, tree_to_doc
+from .tree import (TreeArrays, apply_tree, build_tree, leaf_ids, tree_from_doc,
+                   tree_to_doc)
 
 __all__ = ["GradBoostModel", "train_grad_boost", "AdaBoostModel", "train_adaboost"]
 
@@ -46,19 +47,6 @@ class GradBoostModel:
                    [tree_from_doc(t) for t in doc["trees"]], converged, fingerprint)
 
 
-def _leaf_ids(tree: TreeArrays, X: np.ndarray) -> np.ndarray:
-    n = len(X)
-    node = np.zeros(n, dtype=np.int64)
-    active = tree.feature[node] != LEAF
-    while active.any():
-        rows = np.flatnonzero(active)
-        cur = node[rows]
-        goes_left = X[rows, tree.feature[cur]] <= tree.threshold[cur]
-        node[rows] = np.where(goes_left, tree.left[cur], tree.right[cur])
-        active[rows] = tree.feature[node[rows]] != LEAF
-    return node
-
-
 def train_grad_boost(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
                      schema_fingerprint: str | None = None) -> GradBoostModel:
     """Boost shallow regression trees on the log-loss gradient. Each
@@ -78,7 +66,7 @@ def train_grad_boost(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
         hess = p * (1.0 - p)
         tree = build_tree(X, residual, criterion="sse",
                           max_depth=hp["max_depth"], min_samples_leaf=1)
-        ids = _leaf_ids(tree, X)
+        ids = leaf_ids(tree, X)
         for leaf in np.unique(ids):
             rows = ids == leaf
             tree.value[leaf] = float(residual[rows].sum() / max(hess[rows].sum(), 1e-12))

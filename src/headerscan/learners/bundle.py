@@ -126,7 +126,35 @@ def save_bundle(path, model, schema: FeatureSchema, scaler: ScalerParams,
         fh.write(bundle_bytes(model, schema, scaler, positive_label))
 
 
+# top-level keys of a bundle and their JSON types
+_BUNDLE_KEYS = {
+    "algorithm": str,
+    "hyperparameters": dict,
+    "seed": int,
+    "schema_fingerprint": str,
+    "convergence_flag": bool,
+    "parameters": dict,
+    "schema": dict,
+    "scaler": dict,
+    "positive_label": str,
+}
+
+
+def _check_scaler(path, scaler: ScalerParams, width: int) -> None:
+    for name in ("mean", "stddev"):
+        values = getattr(scaler, name)
+        if values.shape != (width,):
+            raise ValueError(f"{path}: scaler {name} has shape {values.shape}, "
+                             f"the schema has {width} features")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: scaler {name} is not finite")
+    if not (scaler.stddev > 0.0).all():
+        raise ValueError(f"{path}: scaler stddev must be > 0")
+
+
 def load_bundle(path) -> Bundle:
+    """Read and validate a bundle; any malformed content raises
+    ValueError."""
     with open(path, "rb") as fh:
         try:
             doc = json.loads(fh.read().decode("utf-8"))
@@ -134,9 +162,16 @@ def load_bundle(path) -> Bundle:
             raise ValueError(f"unreadable model file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: not a format_version {FORMAT_VERSION} model file")
-    schema = schema_from_dict(doc["schema"])
-    scaler = scaler_from_dict(doc["scaler"])
-    model = model_from_doc(doc)
+    for key, kind in _BUNDLE_KEYS.items():
+        if not isinstance(doc.get(key), kind):
+            raise ValueError(f"{path}: {key!r} missing or not a {kind.__name__}")
+    try:
+        schema = schema_from_dict(doc["schema"])
+        scaler = scaler_from_dict(doc["scaler"])
+        model = model_from_doc(doc)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed model file: {exc!r}") from exc
+    _check_scaler(path, scaler, len(schema.descriptors))
     if model.schema_fingerprint != schema.fingerprint:
         raise ValueError("model fingerprint does not match the embedded schema")
     return Bundle(model, schema, scaler, doc["positive_label"])

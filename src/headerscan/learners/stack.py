@@ -2,6 +2,8 @@
 
 Meta-features are produced out-of-fold so the meta-learner never sees a
 base decision value computed by a model that trained on that row.
+out_of_fold is the one fold loop: kfold_cv builds its reports from it
+too, so the pipeline's stacks reuse the grid search's held-out columns.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .base import (ModelSpec, check_training_inputs, derive_seed,
                    stratified_fold_ids, validate_spec)
 from .linear import LogRegModel, train_logreg
 
-__all__ = ["StackModel", "train_stack"]
+__all__ = ["StackModel", "out_of_fold", "fit_stack_meta", "train_stack"]
 
 _STACK_FOLDS = 5
 
@@ -54,31 +56,54 @@ class StackModel:
         return cls(spec, bases, meta, converged, fingerprint)
 
 
-def train_stack(base_specs: list[ModelSpec], meta_spec: ModelSpec,
-                X: np.ndarray, y: np.ndarray,
-                schema_fingerprint: str | None = None) -> StackModel:
+def out_of_fold(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
+                fold_of: np.ndarray) -> np.ndarray:
+    """Held-out decision values for every row: fold f's rows are scored
+    by a model trained on the other folds with seed
+    derive_seed(spec.seed, "fold", f)."""
     from . import train  # dispatch table lives in the package root
 
-    if len(base_specs) < 2:
+    dv = np.empty(len(y))
+    for fold in np.unique(fold_of):
+        held = fold_of == fold
+        model = train(ModelSpec(spec.algorithm, spec.hyperparameters,
+                                derive_seed(spec.seed, "fold", int(fold))),
+                      X[~held], y[~held])
+        dv[held] = model.decision_values(X[held])
+    return dv
+
+
+def _checked_meta(n_bases: int, meta_spec: ModelSpec) -> ModelSpec:
+    if n_bases < 2:
         raise ValueError("stacking needs at least 2 base specs")
     if meta_spec.algorithm != "logreg":
         raise ValueError("meta-learner must be logreg")
-    meta_spec = validate_spec(meta_spec)
-    check_training_inputs(X, y)
+    return validate_spec(meta_spec)
 
-    n = len(y)
-    seed = derive_seed(meta_spec.seed, "stack", "folds")
-    fold_of = stratified_fold_ids(y, _STACK_FOLDS, seed)
-    meta_X = np.zeros((n, len(base_specs)))
-    for fold in range(_STACK_FOLDS):
-        holdout = fold_of == fold
-        if not holdout.any():
-            continue
-        for b, spec in enumerate(base_specs):
-            model = train(spec, X[~holdout], y[~holdout])
-            meta_X[holdout, b] = model.decision_values(X[holdout])
 
+def fit_stack_meta(base_models: list, meta_X: np.ndarray, y: np.ndarray,
+                   meta_spec: ModelSpec,
+                   schema_fingerprint: str | None = None) -> StackModel:
+    """Fit the logistic meta-learner on out-of-fold base decision values
+    (one column per base, in base order) over bases already refit on
+    all rows."""
+    meta_spec = _checked_meta(len(base_models), meta_spec)
     meta = train_logreg(meta_spec, meta_X, y)
-    bases = [train(spec, X, y) for spec in base_specs]
     stack_spec = ModelSpec("stack", {}, meta_spec.seed)
-    return StackModel(stack_spec, bases, meta, meta.converged, schema_fingerprint)
+    return StackModel(stack_spec, list(base_models), meta, meta.converged,
+                      schema_fingerprint)
+
+
+def train_stack(base_specs: list[ModelSpec], meta_spec: ModelSpec,
+                X: np.ndarray, y: np.ndarray,
+                schema_fingerprint: str | None = None) -> StackModel:
+    from . import train
+
+    _checked_meta(len(base_specs), meta_spec)
+    check_training_inputs(X, y)
+    fold_of = stratified_fold_ids(
+        y, _STACK_FOLDS, derive_seed(meta_spec.seed, "stack", "folds"))
+    meta_X = np.column_stack([out_of_fold(spec, X, y, fold_of)
+                              for spec in base_specs])
+    bases = [train(spec, X, y) for spec in base_specs]
+    return fit_stack_meta(bases, meta_X, y, meta_spec, schema_fingerprint)

@@ -16,7 +16,7 @@ import numpy as np
 from .base import ModelSpec, check_training_inputs
 
 __all__ = ["TreeArrays", "DecisionTreeModel", "train_decision_tree",
-           "build_tree", "apply_tree"]
+           "build_tree", "leaf_ids", "apply_tree"]
 
 LEAF = -1
 
@@ -145,8 +145,8 @@ def build_tree(X: np.ndarray, target: np.ndarray, *, criterion: str,
     )
 
 
-def apply_tree(tree: TreeArrays, X: np.ndarray) -> np.ndarray:
-    """Leaf values for every row, walking all rows level-by-level."""
+def leaf_ids(tree: TreeArrays, X: np.ndarray) -> np.ndarray:
+    """Leaf node index for every row, walking all rows level-by-level."""
     n = len(X)
     node = np.zeros(n, dtype=np.int64)
     active = tree.feature[node] != LEAF
@@ -156,7 +156,12 @@ def apply_tree(tree: TreeArrays, X: np.ndarray) -> np.ndarray:
         goes_left = X[rows, tree.feature[cur]] <= tree.threshold[cur]
         node[rows] = np.where(goes_left, tree.left[cur], tree.right[cur])
         active[rows] = tree.feature[node[rows]] != LEAF
-    return tree.value[node]
+    return node
+
+
+def apply_tree(tree: TreeArrays, X: np.ndarray) -> np.ndarray:
+    """Leaf values for every row."""
+    return tree.value[leaf_ids(tree, X)]
 
 
 def tree_to_doc(tree: TreeArrays) -> dict:

@@ -34,8 +34,8 @@ from .features import (CHAIN_BY_THEN_FROM, CHAIN_FROM_THEN_BY,
                        DOMAIN_MATCH_ONLY, FULL, apply_scaler, extract_matrix,
                        fit_scaler, fit_schema, prune_single_valued,
                        subset_scaler, subset_schema)
-from .learners import (ModelSpec, decision_values, default_grid, save_bundle,
-                       train, train_one_class, train_stack)
+from .learners import (ModelSpec, decision_values, default_grid,
+                       fit_stack_meta, save_bundle, train, train_one_class)
 from .learners.base import derive_seed, rng_for, stratified_fold_ids
 from .synthetic import generate_emails, to_records
 
@@ -119,7 +119,6 @@ class RunConfig:
     grids: dict = field(default_factory=dict)
     one_class_grid: dict | None = None
     stacking: tuple = DEFAULT_STACKS
-    threads: int = 1
 
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
@@ -206,7 +205,7 @@ def load_config(path: str, seed: int | None = None,
                      f"{key} not found: {kwargs[key]}")
 
     for key, low in (("k", 1), ("importance_repeats", 1), ("top_m", 1),
-                     ("cv_folds", 2), ("threads", 1)):
+                     ("cv_folds", 2)):
         if key in doc:
             _require(_is_int(doc[key]) and doc[key] >= low,
                      f"{key} must be an integer >= {low}")
@@ -439,16 +438,18 @@ def _binary_phase(records, positive: Label, phase_no: int, feature_set: str,
             X, ytr, schema, scaler, cfg, ps, out_dir, phase_no, entry)
     entry["schema_fingerprint"] = schema.fingerprint
 
+    # one fold plan for every algorithm, so the winning cells' held-out
+    # columns line up row for row and feed the stacks' meta-learners
     grid_entry: dict = {}
     models: dict[str, object] = {}
-    best_hp: dict[str, dict] = {}
+    oof: dict[str, tuple] = {}
     for algo in BINARY_ALGORITHMS:
         grid = cfg.grids[algo] if algo in cfg.grids else default_grid(algo)
         spec, cells = grid_search(algo, grid, X, ytr, cfg.cv_folds,
-                                  derive_seed(ps, "grid", algo))
+                                  derive_seed(ps, "grid"))
         cv_report = next(r for hp, r in cells
                          if hp == spec.hyperparameters)
-        best_hp[algo] = spec.hyperparameters
+        oof[algo] = cv_report.oof_values
         models[algo] = train(
             ModelSpec(algo, spec.hyperparameters,
                       derive_seed(ps, "refit", algo)),
@@ -483,10 +484,10 @@ def _binary_phase(records, positive: Label, phase_no: int, feature_set: str,
     stack_rows = []
     stack_entry: dict = {}
     for i, combo in enumerate(cfg.stacking):
-        bases = [ModelSpec(a, best_hp[a], derive_seed(ps, "stack", i, a))
-                 for a in combo]
         meta = ModelSpec("logreg", {}, derive_seed(ps, "stack", i, "meta"))
-        model = train_stack(bases, meta, X, ytr, schema.fingerprint)
+        model = fit_stack_meta([models[a] for a in combo],
+                               np.column_stack([oof[a] for a in combo]),
+                               ytr, meta, schema.fingerprint)
         report = compute_metrics(make_scores(decision_values(model, Xb)), yb)
         name = ", ".join(SHORT_NAMES[a] for a in combo)
         stack_entry[name] = report_to_dict(report)

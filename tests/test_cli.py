@@ -24,8 +24,7 @@ def cli_run(tmp_path_factory):
 def test_run_prints_summary(cli_run, capsys):
     config_path, out = cli_run
     # the fixture already ran; rerun one phase to capture its output
-    assert main(["run", "--config", config_path, "--phase", "3",
-                 "--threads", "4"]) == 0
+    assert main(["run", "--config", config_path, "--phase", "3"]) == 0
     stdout = capsys.readouterr().out
     assert "phase 3: best one_class_svm" in stdout
     assert "manifest.json" in stdout
@@ -152,6 +151,15 @@ def test_classify_error_exits(cli_run, tmp_path, capsys):
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(doc))
     assert main(["classify", "--model", str(tampered), str(email)]) == 2
+
+    # bundles with no scaler, or one that would divide by zero
+    for mutate in (lambda d: d.pop("scaler"),
+                   lambda d: d["scaler"].update(
+                       stddev=[0.0] * len(d["scaler"]["stddev"]))):
+        doc = json.load(open(model))
+        mutate(doc)
+        tampered.write_text(json.dumps(doc))
+        assert main(["classify", "--model", str(tampered), str(email)]) == 2
 
     assert main(["classify", "--model", model,
                  str(tmp_path / "missing.eml")]) == 2

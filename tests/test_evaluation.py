@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from headerscan.evaluation import (EvalReport, StackSpec, balance,
-                                   compute_metrics, grid_search, kfold_cv,
-                                   make_scores, permutation_importance,
-                                   render_table, roc_points, select_top_m,
-                                   stratified_split)
-from headerscan.learners import ModelSpec, Score
+from headerscan.evaluation import (EvalReport, balance, compute_metrics,
+                                   grid_search, kfold_cv, make_scores,
+                                   permutation_importance, render_table,
+                                   roc_points, select_top_m, stratified_split)
+from headerscan.learners import ModelSpec, Score, derive_seed, train
 from headerscan.learners.base import stratified_fold_ids
 from headerscan.learners.linear import LogRegModel
 
@@ -181,12 +180,24 @@ def test_kfold_rejects_small_classes():
         kfold_cv(ModelSpec("knn", {}, 0), X, y, 1, seed=0)
 
 
-def test_kfold_accepts_stack_spec():
-    X, y = blob_data(n_per=30)
-    spec = StackSpec((ModelSpec("knn", {"k": 3}, 0), ModelSpec("gaussian_nb", {}, 0)),
-                     ModelSpec("logreg", {}, 0))
-    r = kfold_cv(spec, X, y, 3, seed=6)
-    assert r.accuracy == 1.0
+def test_kfold_matches_a_plain_fold_loop():
+    # one model per fold, trained on the other folds with the fold's
+    # derived seed and scored on its own rows
+    X, y = blob_data(n_per=40, gap=1.0, seed=8)
+    spec = ModelSpec("random_forest", {"n_trees": 5}, 3)
+    r = kfold_cv(spec, X, y, 4, seed=9)
+    fold_of = stratified_fold_ids(y, 4, derive_seed(9, "folds"))
+    dv = np.empty(len(y))
+    for f in range(4):
+        held = fold_of == f
+        model = train(ModelSpec("random_forest", {"n_trees": 5},
+                                derive_seed(3, "fold", f)), X[~held], y[~held])
+        dv[held] = model.decision_values(X[held])
+        assert r.per_fold[f] == compute_metrics(make_scores(dv[held]), y[held])
+    assert r.oof_values == tuple(dv.tolist())
+    pooled = compute_metrics(make_scores(dv), y)
+    assert (r.accuracy, r.f1, r.auc, r.confusion) == (
+        pooled.accuracy, pooled.f1, pooled.auc, pooled.confusion)
 
 
 # --- grid search ----------------------------------------------------------

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import csv
 import random
 
 import numpy as np
@@ -13,14 +12,11 @@ from headerscan.features import (
     DOMAIN_MATCH_ONLY,
     FULL,
     apply_scaler,
-    export_matrix_csv,
     extract,
     extract_matrix,
     fit_scaler,
     fit_schema,
-    load_schema,
     prune_single_valued,
-    save_schema,
     schema_from_dict,
     schema_to_dict,
     subset_schema,
@@ -277,31 +273,10 @@ def test_subset_schema_unknown_name():
         subset_schema(schema, ["nope"])
 
 
-def test_schema_roundtrip_dict_and_file(tmp_path):
+def test_schema_roundtrip_dict_and_file():
     schema = fit_schema(BASIC, k=10)
     again = schema_from_dict(schema_to_dict(schema))
     assert again == schema
-    matrix = extract_matrix(BASIC, schema)
-    scaler = fit_scaler(matrix)
-    path = str(tmp_path / "schema.json")
-    save_schema(path, schema, scaler)
-    loaded, loaded_scaler = load_schema(path)
-    assert loaded == schema
-    assert np.array_equal(loaded_scaler.mean, scaler.mean)
     # train/serve consistency: extraction against the persisted schema
     for rec in BASIC:
-        assert np.array_equal(extract(rec, loaded), extract(rec, schema))
-
-
-def test_matrix_csv_export(tmp_path):
-    schema = fit_schema(BASIC, k=10)
-    matrix = extract_matrix(BASIC, schema)
-    path = str(tmp_path / "m.csv")
-    export_matrix_csv(path, matrix, [r.label for r in BASIC], schema)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == schema.names + ["label"]
-    assert len(rows) == 1 + len(BASIC)
-    assert rows[1][-1] == "ham"
-    got = np.array([[float(v) for v in row[:-1]] for row in rows[1:]])
-    assert np.array_equal(got, matrix)
+        assert np.array_equal(extract(rec, again), extract(rec, schema))

@@ -119,6 +119,32 @@ def test_stacking_rows(full_run):
     assert cfg.stacking == DEFAULT_STACKS
 
 
+def test_stacking_adds_no_base_fits(tmp_path, monkeypatch):
+    # stacks reuse the grid search's held-out columns and refit models,
+    # so phase 1 trains only the grid folds, the refits and the
+    # importance models
+    import headerscan.learners
+    import headerscan.pipeline
+
+    calls = []
+    original = headerscan.learners.train
+
+    def counting_train(spec, *args, **kwargs):
+        calls.append(spec.algorithm)
+        return original(spec, *args, **kwargs)
+
+    monkeypatch.setattr(headerscan.learners, "train", counting_train)
+    monkeypatch.setattr(headerscan.pipeline, "train", counting_train)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(small_config(tmp_path / "out")))
+    cfg = load_config(str(config_path))
+    manifest = run_phases(cfg, [1])
+    cells = sum(len(entry["cells"])
+                for entry in manifest["phases"]["1"]["grid"].values())
+    assert cells == 9
+    assert len(calls) == cells * cfg.cv_folds + 9 + 3
+
+
 def test_tables_agree_with_manifest(full_run):
     cfg, manifest = full_run
     csv_path = os.path.join(cfg.output_dir, "reports", "phase1_binary.csv")
@@ -219,6 +245,7 @@ def test_load_config_validation(tmp_path):
         lambda d: d.update(grids={"linear_svm": {"C": []}}),
         lambda d: d.update(stacking=[["random_forest"]]),
         lambda d: d.update(one_class_grid={"nu": [0.1]}),
+        lambda d: d.update(threads=2),
     ):
         doc = json.loads(json.dumps(good))
         mutate(doc)
