@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
 import sys
 
@@ -147,6 +148,8 @@ def _cmd_classify(args) -> int:
         score = predict_one_class(bundle.model, vector, fingerprint)
     else:
         score = predict(bundle.model, vector, fingerprint)
+    if not math.isfinite(score.decision_value):
+        raise ValueError(f"{args.email}: decision value is not finite")
     label = bundle.positive_label if score.is_anomalous else "ham"
     print(f"{label}\t{score.decision_value!r}\t{fingerprint}")
     return 10 if score.is_anomalous else 0

@@ -80,7 +80,6 @@ def _depth_ok(value) -> bool:
 _HYPER_DOMAINS: dict[str, dict] = {
     "logreg": {
         "lam": (1e-3, lambda v: isinstance(v, (int, float)) and v >= 0, ">= 0"),
-        "lr": (None, lambda v: v is None or _positive(v), "> 0 or None for auto"),
         "max_epochs": (5000, lambda v: isinstance(v, int) and v >= 1, ">= 1"),
         "tol": (1e-6, _positive, "> 0"),
     },

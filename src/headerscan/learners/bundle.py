@@ -50,6 +50,8 @@ def encode_array(a: np.ndarray) -> dict:
 def decode_array(doc: dict) -> np.ndarray:
     raw = base64.b64decode(doc["data"])
     a = np.frombuffer(raw, dtype=_DTYPES[doc["dtype"]])
+    if doc["dtype"] == "f8" and not np.isfinite(a).all():
+        raise ValueError("array holds NaN or Inf")
     return a.reshape(doc["shape"]).copy()
 
 
@@ -169,9 +171,18 @@ def load_bundle(path) -> Bundle:
         schema = schema_from_dict(doc["schema"])
         scaler = scaler_from_dict(doc["scaler"])
         model = model_from_doc(doc)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed model file: {exc!r}") from exc
-    _check_scaler(path, scaler, len(schema.descriptors))
+    width = len(schema.descriptors)
+    _check_scaler(path, scaler, width)
     if model.schema_fingerprint != schema.fingerprint:
         raise ValueError("model fingerprint does not match the embedded schema")
+    # parameters that disagree with the schema fail here, not at scoring
+    try:
+        probe = model.decision_values(np.zeros((1, width)))
+        if probe.shape != (1,) or not np.isfinite(probe).all():
+            raise ValueError(f"got {probe!r}, not one finite value")
+    except (ValueError, IndexError) as exc:
+        raise ValueError(f"{path}: model cannot score a {width}-feature "
+                         f"row: {exc}") from exc
     return Bundle(model, schema, scaler, doc["positive_label"])

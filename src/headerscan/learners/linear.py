@@ -1,4 +1,4 @@
-"""Logistic regression and linear SVM trained by gradient methods."""
+"""Logistic regression by Newton's method, linear SVM by subgradient descent."""
 
 from __future__ import annotations
 
@@ -17,7 +17,9 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class LogRegModel:
+class LinearModel:
+    """Weights and bias of a linear scorer, and their bundle codec."""
+
     spec: ModelSpec
     weights: np.ndarray
     bias: float
@@ -25,108 +27,93 @@ class LogRegModel:
     loss_history: np.ndarray
     schema_fingerprint: str | None = None
 
+    def _params_doc(self) -> dict:
+        from .bundle import encode_array
+
+        return {
+            "weights": encode_array(self.weights),
+            "bias": self.bias,
+            "loss_final": float(self.loss_history[-1]) if len(self.loss_history) else 0.0,
+        }
+
+    @classmethod
+    def _from_params(cls, doc, spec, converged, fingerprint):
+        from .bundle import decode_array
+
+        return cls(
+            spec=spec,
+            weights=decode_array(doc["weights"]),
+            bias=float(doc["bias"]),
+            converged=converged,
+            loss_history=np.array([doc.get("loss_final", 0.0)]),
+            schema_fingerprint=fingerprint,
+        )
+
+
+class LogRegModel(LinearModel):
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         return self.probabilities(X) - 0.5
 
     def probabilities(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(X @ self.weights + self.bias)
 
-    def _params_doc(self) -> dict:
-        from .bundle import encode_array
-
-        return {
-            "weights": encode_array(self.weights),
-            "bias": self.bias,
-            "loss_final": float(self.loss_history[-1]) if len(self.loss_history) else 0.0,
-        }
-
-    @classmethod
-    def _from_params(cls, doc, spec, converged, fingerprint):
-        from .bundle import decode_array
-
-        return cls(
-            spec=spec,
-            weights=decode_array(doc["weights"]),
-            bias=float(doc["bias"]),
-            converged=converged,
-            loss_history=np.array([doc.get("loss_final", 0.0)]),
-            schema_fingerprint=fingerprint,
-        )
-
-
-def _logistic_loss(z: np.ndarray, y: np.ndarray) -> float:
-    # mean of softplus(z) - y*z, stable for any magnitude
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
-
 
 def train_logreg(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
                  schema_fingerprint: str | None = None) -> LogRegModel:
-    """Full-batch gradient descent on mean cross-entropy plus (lam/2)||w||^2.
+    """Newton's method on mean cross-entropy plus (lam/2)||w||^2, with
+    the bias unpenalised.
 
-    The default step size 1/L uses the Lipschitz bound
-    L = ||X||_F^2 / (4n) + lam, which guarantees the recorded loss never
-    increases. Stops when the gradient infinity norm drops below tol.
+    Each step solves the (d+1)x(d+1) Hessian system, whose 1e-12 ridge
+    keeps it solvable when lam=0 meets separable data or collinear
+    columns, and is halved until the objective does not rise: the
+    objective after each accepted step, kept in loss_history, never
+    increases. converged is True exactly when the gradient's infinity
+    norm falls below tol; otherwise the solver stops after max_epochs
+    steps, or when 50 halvings cannot keep the objective from rising.
     """
     check_training_inputs(X, y)
     hp = spec.hyperparameters
     lam, tol, max_epochs = hp["lam"], hp["tol"], hp["max_epochs"]
     n, d = X.shape
-    lr = hp["lr"]
-    if lr is None:
-        lr = 1.0 / (float(np.sum(X * X)) / (4.0 * n) + lam + 1e-12)
-
-    w = np.zeros(d)
-    b = 0.0
+    A = np.hstack([X, np.ones((n, 1))])
     yf = y.astype(float)
+    signs = 2.0 * yf - 1.0
+    penalty = np.append(np.full(d, float(lam)), 0.0)
+
+    def objective(theta: np.ndarray) -> float:
+        # softplus(-sign*z) is the cross-entropy, stable for any |z|
+        return (float(np.mean(np.logaddexp(0.0, -signs * (A @ theta))))
+                + 0.5 * lam * float(theta[:d] @ theta[:d]))
+
+    theta = np.zeros(d + 1)
+    loss = objective(theta)
     history = []
-    converged = False
-    for _ in range(max_epochs):
-        z = X @ w + b
-        history.append(_logistic_loss(z, yf) + 0.5 * lam * float(w @ w))
-        p = sigmoid(z)
-        gw = X.T @ (p - yf) / n + lam * w
-        gb = float(np.mean(p - yf))
-        if max(float(np.max(np.abs(gw))) if d else 0.0, abs(gb)) < tol:
-            converged = True
+    for step_no in range(max_epochs + 1):
+        p = sigmoid(A @ theta)
+        grad = A.T @ (p - yf) / n + penalty * theta
+        converged = float(np.max(np.abs(grad))) < tol
+        if converged or step_no == max_epochs:
             break
-        w -= lr * gw
-        b -= lr * gb
-    return LogRegModel(spec, w, b, converged, np.array(history), schema_fingerprint)
+        hessian = (A.T * (p * (1.0 - p) / n)) @ A + np.diag(penalty + 1e-12)
+        direction = np.linalg.solve(hessian, grad)
+        t = 1.0
+        for _ in range(50):
+            trial = theta - t * direction
+            trial_loss = objective(trial)
+            if trial_loss <= loss:
+                break
+            t *= 0.5
+        else:
+            break
+        theta, loss = trial, trial_loss
+        history.append(loss)
+    return LogRegModel(spec, theta[:d].copy(), float(theta[d]), converged,
+                       np.array(history), schema_fingerprint)
 
 
-@dataclass
-class LinearSVMModel:
-    spec: ModelSpec
-    weights: np.ndarray
-    bias: float
-    converged: bool
-    loss_history: np.ndarray
-    schema_fingerprint: str | None = None
-
+class LinearSVMModel(LinearModel):
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         return X @ self.weights + self.bias
-
-    def _params_doc(self) -> dict:
-        from .bundle import encode_array
-
-        return {
-            "weights": encode_array(self.weights),
-            "bias": self.bias,
-            "loss_final": float(self.loss_history[-1]) if len(self.loss_history) else 0.0,
-        }
-
-    @classmethod
-    def _from_params(cls, doc, spec, converged, fingerprint):
-        from .bundle import decode_array
-
-        return cls(
-            spec=spec,
-            weights=decode_array(doc["weights"]),
-            bias=float(doc["bias"]),
-            converged=converged,
-            loss_history=np.array([doc.get("loss_final", 0.0)]),
-            schema_fingerprint=fingerprint,
-        )
 
 
 def svm_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, C: float) -> float:

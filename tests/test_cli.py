@@ -4,10 +4,14 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 
 from headerscan.cli import main
 from headerscan.corpus import Label
+from headerscan.learners import (LinearSVMModel, LogRegModel, ModelSpec,
+                                 load_bundle, save_bundle)
+from headerscan.learners.bundle import encode_array
 from headerscan.synthetic import generate_emails
 from tests.test_pipeline import small_config
 
@@ -159,6 +163,30 @@ def test_classify_error_exits(cli_run, tmp_path, capsys):
         doc = json.load(open(model))
         mutate(doc)
         tampered.write_text(json.dumps(doc))
+        assert main(["classify", "--model", str(tampered), str(email)]) == 2
+
+    # a logreg bundle (phase 1's best model need not be one) whose weights
+    # are NaN, or one element short of the schema's width
+    bundle = load_bundle(model)
+    width = len(bundle.schema.descriptors)
+    logreg = LogRegModel(spec=ModelSpec("logreg", {}, 0),
+                         weights=np.zeros(width), bias=-1.0, converged=True,
+                         loss_history=np.array([]),
+                         schema_fingerprint=bundle.schema.fingerprint)
+    for weights in (np.full(width, np.nan), np.zeros(width - 1)):
+        save_bundle(tampered, logreg, bundle.schema, bundle.scaler, "spam")
+        assert main(["classify", "--model", str(tampered), str(email)]) == 0
+        doc = json.load(open(tampered))
+        doc["parameters"]["weights"] = encode_array(weights)
+        tampered.write_text(json.dumps(doc))
+        assert main(["classify", "--model", str(tampered), str(email)]) == 2
+    # weights that load (a zero row scores 0) but overflow on a real message
+    huge = LinearSVMModel(spec=ModelSpec("linear_svm", {}, 0),
+                          weights=np.full(width, 1e308), bias=0.0,
+                          converged=True, loss_history=np.array([]),
+                          schema_fingerprint=bundle.schema.fingerprint)
+    save_bundle(tampered, huge, bundle.schema, bundle.scaler, "spam")
+    with np.errstate(over="ignore", invalid="ignore"):
         assert main(["classify", "--model", str(tampered), str(email)]) == 2
 
     assert main(["classify", "--model", model,

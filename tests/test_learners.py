@@ -51,7 +51,8 @@ def test_gaussian_nb_symmetric_midpoint_is_half():
     assert L.predict(m, np.array([0.0])).is_anomalous  # >= 0 tie rule
 
 
-def test_logreg_separable_reaches_perfect_training_accuracy():
+@pytest.mark.parametrize("lam", [1e-4, 0.0])
+def test_logreg_separable_reaches_perfect_training_accuracy(lam):
     rng = np.random.default_rng(4)
     x_ham = rng.uniform(-2.0, -0.5, 10)
     x_anom = rng.uniform(0.5, 2.0, 10)
@@ -59,7 +60,8 @@ def test_logreg_separable_reaches_perfect_training_accuracy():
     assert x_ham.max() < x_anom.min()
     X = np.concatenate([x_ham, x_anom])[:, None]
     y = np.array([0] * 10 + [1] * 10)
-    m = L.train(ModelSpec("logreg", {"lam": 1e-4}, 0), X, y)
+    m = L.train(ModelSpec("logreg", {"lam": lam}, 0), X, y)
+    assert np.isfinite(m.weights).all() and np.isfinite(m.bias)
     assert np.mean((m.decision_values(X) >= 0) == (y == 1)) == 1.0
 
 
@@ -107,7 +109,7 @@ def test_training_is_deterministic(algo):
     spec = ModelSpec(algo, FAST_HP.get(algo, {}), 99)
     a = L.train(spec, X, y)
     b = L.train(spec, X, y)
-    schema, scaler = tiny_schema_scaler(X.shape[1])
+    schema, scaler = tiny_schema_scaler()
     assert bundle_bytes(a, schema, scaler, "spam") == bundle_bytes(b, schema, scaler, "spam")
 
 
@@ -116,7 +118,7 @@ def test_one_class_training_is_deterministic():
     spec = ModelSpec("one_class_svm", {"nu": 0.2}, 5)
     a = L.train_one_class(spec, X)
     b = L.train_one_class(spec, X)
-    schema, scaler = tiny_schema_scaler(X.shape[1])
+    schema, scaler = tiny_schema_scaler()
     assert bundle_bytes(a, schema, scaler, "spam") == bundle_bytes(b, schema, scaler, "spam")
 
 
@@ -147,11 +149,25 @@ def test_mlp_gradient_matches_finite_differences():
             assert max(flat_err) < 1e-4
 
 
-def test_logreg_loss_never_increases():
+@pytest.mark.parametrize("scale", [1.0, 0.05])
+def test_logreg_loss_never_increases(scale):
     X, y = two_blobs(seed=5)
-    X = (X - X.mean(0)) / X.std(0)
+    X = scale * (X - X.mean(0)) / X.std(0)
     m = L.train(ModelSpec("logreg", {"max_epochs": 500}, 0), X, y)
     assert np.all(np.diff(m.loss_history) <= 1e-9)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.05])
+def test_logreg_reaches_stationary_point(scale):
+    # scale 0.05 is the range of stack meta-features, [-0.5, 0.5]
+    X, y = two_blobs(seed=5)
+    X = scale * (X - X.mean(0)) / X.std(0)
+    m = L.train(ModelSpec("logreg", {}, 0), X, y)
+    lam = m.spec.hyperparameters["lam"]
+    p = 1.0 / (1.0 + np.exp(-(X @ m.weights + m.bias)))
+    grad = np.append(X.T @ (p - y) / len(y) + lam * m.weights, np.mean(p - y))
+    assert np.max(np.abs(grad)) < 1e-6
+    assert m.converged
 
 
 def test_svm_epoch_averages_trend_down():
@@ -298,16 +314,19 @@ def test_stack_shapes_and_perfect_bases():
 
 
 def test_stack_is_leak_free():
-    # pure-noise labels: an in-fold kNN k=1 meta-feature would equal the raw
-    # label and let the meta-learner score near 1.0 in training; out-of-fold
-    # features keep it near chance
+    # pure-noise labels: an in-sample kNN k=1 column equals the raw label,
+    # so a meta-learner fit on it leans on kNN heavily; out-of-fold columns
+    # carry no signal and must earn kNN a small weight. (Accuracy on the
+    # training rows shows nothing: any positive kNN weight reproduces them.)
     rng = np.random.default_rng(15)
     X = rng.standard_normal((200, 4))
     y = (rng.random(200) < 0.5).astype(np.int64)
+    meta_spec = ModelSpec("logreg", {}, 2)
     m = L.train_stack([ModelSpec("knn", {"k": 1}, 2), ModelSpec("gaussian_nb", {}, 2)],
-                      ModelSpec("logreg", {}, 2), X, y)
-    acc = np.mean((m.decision_values(X) >= 0) == (y == 1))
-    assert acc < 0.8
+                      meta_spec, X, y)
+    in_sample = np.column_stack([b.decision_values(X) for b in m.base_models])
+    leaky = L.fit_stack_meta(m.base_models, in_sample, y, meta_spec)
+    assert m.meta.weights[0] < 0.25 * leaky.meta.weights[0]
 
 
 def test_stack_rejects_bad_meta_and_short_bases():
@@ -375,6 +394,8 @@ def test_validate_fills_defaults_and_rejects_junk():
         L.validate_spec(ModelSpec("knn", {"neighbors": 3}, 0))
     with pytest.raises(ValueError):
         L.validate_spec(ModelSpec("quantum", {}, 0))
+    with pytest.raises(ValueError):
+        L.validate_spec(ModelSpec("logreg", {"lr": 0.1}, 0))
 
 
 def test_train_rejects_bad_inputs():
@@ -404,7 +425,9 @@ RAW_A = b"From: a@one.example\r\nTo: b@two.example\r\nSubject: x\r\n\r\n"
 RAW_B = b"From: c@three.example\r\nMessage-ID: <1@three.example>\r\n\r\n"
 
 
-def tiny_schema_scaler(n_features):
+def tiny_schema_scaler():
+    """A small fitted schema and scaler. load_bundle scores a row of the
+    schema's width, so models bundled with them train on that width."""
     records = [
         CorpusRecord("a", parse_headers(RAW_A), Label.HAM),
         CorpusRecord("b", parse_headers(RAW_B), Label.SPAM),
@@ -417,9 +440,9 @@ def tiny_schema_scaler(n_features):
 
 @pytest.mark.parametrize("algo", ALL_BINARY)
 def test_bundle_round_trip_bit_identical(tmp_path, algo):
-    X, y = two_blobs(seed=22)
+    schema, scaler = tiny_schema_scaler()
+    X, y = two_blobs(seed=22, d=len(schema.descriptors))
     spec = ModelSpec(algo, FAST_HP.get(algo, {}), 7)
-    schema, scaler = tiny_schema_scaler(X.shape[1])
     m = L.train(spec, X, y, schema_fingerprint=schema.fingerprint)
     path = tmp_path / "model.json"
     save_bundle(path, m, schema, scaler, "spam")
@@ -431,8 +454,8 @@ def test_bundle_round_trip_bit_identical(tmp_path, algo):
 
 
 def test_bundle_round_trip_one_class(tmp_path):
-    X, _ = two_blobs(seed=23)
-    schema, scaler = tiny_schema_scaler(X.shape[1])
+    schema, scaler = tiny_schema_scaler()
+    X, _ = two_blobs(seed=23, d=len(schema.descriptors))
     m = L.train_one_class(ModelSpec("one_class_svm", {"nu": 0.2}, 7), X,
                           schema_fingerprint=schema.fingerprint)
     path = tmp_path / "oc.json"
@@ -443,8 +466,8 @@ def test_bundle_round_trip_one_class(tmp_path):
 
 
 def test_bundle_round_trip_stack(tmp_path):
-    X, y = two_blobs(seed=24)
-    schema, scaler = tiny_schema_scaler(X.shape[1])
+    schema, scaler = tiny_schema_scaler()
+    X, y = two_blobs(seed=24, d=len(schema.descriptors))
     m = L.train_stack([ModelSpec("knn", {"k": 3}, 1), ModelSpec("gaussian_nb", {}, 1)],
                       ModelSpec("logreg", {}, 1), X, y,
                       schema_fingerprint=schema.fingerprint)
@@ -456,7 +479,7 @@ def test_bundle_round_trip_stack(tmp_path):
 
 def test_truncated_bundle_is_rejected(tmp_path):
     X, y = two_blobs(seed=25)
-    schema, scaler = tiny_schema_scaler(X.shape[1])
+    schema, scaler = tiny_schema_scaler()
     m = L.train(ModelSpec("gaussian_nb", {}, 0), X, y,
                 schema_fingerprint=schema.fingerprint)
     path = tmp_path / "model.json"
@@ -469,7 +492,7 @@ def test_truncated_bundle_is_rejected(tmp_path):
 
 def test_bundle_fingerprint_mismatch_is_rejected(tmp_path):
     X, y = two_blobs(seed=26)
-    schema, scaler = tiny_schema_scaler(X.shape[1])
+    schema, scaler = tiny_schema_scaler()
     m = L.train(ModelSpec("gaussian_nb", {}, 0), X, y,
                 schema_fingerprint="0123456789abcdef")
     path = tmp_path / "model.json"
@@ -486,9 +509,24 @@ def test_bundle_fingerprint_mismatch_is_rejected(tmp_path):
         load_bundle(path)
 
 
+@pytest.mark.parametrize("weights", [lambda d: np.full(d, np.nan),
+                                     lambda d: np.zeros(d - 1)],
+                         ids=["nan", "one-short"])
+def test_bundle_parameters_must_fit_the_schema(tmp_path, weights):
+    schema, scaler = tiny_schema_scaler()
+    m = LogRegModel(spec=ModelSpec("logreg", {}, 0),
+                    weights=weights(len(schema.descriptors)), bias=0.0,
+                    converged=True, loss_history=np.array([]),
+                    schema_fingerprint=schema.fingerprint)
+    path = tmp_path / "model.json"
+    save_bundle(path, m, schema, scaler, "spam")
+    with pytest.raises(ValueError, match="model.json"):
+        load_bundle(path)
+
+
 def test_bundle_envelope_keys(tmp_path):
     X, y = two_blobs(seed=27)
-    schema, scaler = tiny_schema_scaler(X.shape[1])
+    schema, scaler = tiny_schema_scaler()
     m = L.train(ModelSpec("logreg", {}, 0), X, y,
                 schema_fingerprint=schema.fingerprint)
     path = tmp_path / "model.json"
