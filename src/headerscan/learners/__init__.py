@@ -72,9 +72,12 @@ def train_one_class(spec: ModelSpec, X: np.ndarray,
 
 
 def decision_values(model, X: np.ndarray) -> np.ndarray:
+    """Score a 2-D matrix; a NaN or Inf entry raises ValueError."""
     X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
     if X.ndim != 2:
         raise ValueError("expected a 2-D matrix")
+    if not np.isfinite(X).all():
+        raise ValueError("NaN or Inf in feature matrix")
     return model.decision_values(X)
 
 

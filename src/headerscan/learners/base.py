@@ -80,12 +80,9 @@ def _depth_ok(value) -> bool:
 _HYPER_DOMAINS: dict[str, dict] = {
     "logreg": {
         "lam": (1e-3, lambda v: isinstance(v, (int, float)) and v >= 0, ">= 0"),
-        "max_epochs": (5000, lambda v: isinstance(v, int) and v >= 1, ">= 1"),
-        "tol": (1e-6, _positive, "> 0"),
     },
     "linear_svm": {
         "C": (1.0, _positive, "> 0"),
-        "epochs": (30, lambda v: isinstance(v, int) and v >= 1, ">= 1"),
     },
     "decision_tree": {
         "max_depth": (None, _depth_ok, ">= 1 or None"),

@@ -176,7 +176,12 @@ def load_bundle(path) -> Bundle:
     width = len(schema.descriptors)
     _check_scaler(path, scaler, width)
     if model.schema_fingerprint != schema.fingerprint:
-        raise ValueError("model fingerprint does not match the embedded schema")
+        raise ValueError(f"{path}: model fingerprint does not match the "
+                         f"embedded schema")
+    for base in getattr(model, "base_models", ()):
+        if base.schema_fingerprint not in (None, schema.fingerprint):
+            raise ValueError(f"{path}: a stack base was trained against a "
+                             f"different feature schema")
     # parameters that disagree with the schema fail here, not at scoring
     try:
         probe = model.decision_values(np.zeros((1, width)))

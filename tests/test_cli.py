@@ -10,7 +10,7 @@ import pytest
 from headerscan.cli import main
 from headerscan.corpus import Label
 from headerscan.learners import (LinearSVMModel, LogRegModel, ModelSpec,
-                                 load_bundle, save_bundle)
+                                 StackModel, load_bundle, save_bundle)
 from headerscan.learners.bundle import encode_array
 from headerscan.synthetic import generate_emails
 from tests.test_pipeline import small_config
@@ -180,6 +180,17 @@ def test_classify_error_exits(cli_run, tmp_path, capsys):
         doc["parameters"]["weights"] = encode_array(weights)
         tampered.write_text(json.dumps(doc))
         assert main(["classify", "--model", str(tampered), str(email)]) == 2
+    # a stack whose base carries a foreign schema fingerprint
+    meta = LogRegModel(spec=ModelSpec("logreg", {}, 0), weights=np.ones(2),
+                       bias=0.0, converged=True, loss_history=np.array([]))
+    stack = StackModel(ModelSpec("stack", {}, 0), [logreg, logreg], meta,
+                       schema_fingerprint=bundle.schema.fingerprint)
+    save_bundle(tampered, stack, bundle.schema, bundle.scaler, "spam")
+    assert main(["classify", "--model", str(tampered), str(email)]) == 0
+    doc = json.load(open(tampered))
+    doc["parameters"]["bases"][1]["schema_fingerprint"] = "deadbeef"
+    tampered.write_text(json.dumps(doc))
+    assert main(["classify", "--model", str(tampered), str(email)]) == 2
     # weights that load (a zero row scores 0) but overflow on a real message
     huge = LinearSVMModel(spec=ModelSpec("linear_svm", {}, 0),
                           weights=np.full(width, 1e308), bias=0.0,
