@@ -237,7 +237,7 @@ def balance(y, seed: int) -> np.ndarray:
 
 
 def permutation_importance(model, X_test, y_test, repeats: int = 10,
-                           seed: int = 0, one_class: bool = False,
+                           seed: int = 0,
                            feature_names: list[str] | None = None,
                            fingerprint: str | None = None) -> ImportanceReport:
     """Mean accuracy drop per feature when only that column is shuffled.
@@ -257,8 +257,7 @@ def permutation_importance(model, X_test, y_test, repeats: int = 10,
         feature_names = [f"f{j}" for j in range(d)]
 
     def accuracy(mat):
-        dv = model.decision_values(mat)
-        predicted = (dv < 0.0) if one_class else (dv >= 0.0)
+        predicted = model.decision_values(mat) >= 0.0
         return float(np.mean(predicted == (y_test == 1)))
 
     baseline = accuracy(X_test)

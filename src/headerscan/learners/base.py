@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 __all__ = [
     "ALGORITHMS",
     "ModelSpec",
+    "Model",
     "Score",
     "ConvergenceError",
     "derive_seed",
     "rng_for",
     "validate_spec",
+    "check_hyperparameters",
     "check_training_inputs",
     "stratified_fold_ids",
 ]
@@ -39,6 +42,17 @@ class ModelSpec:
     algorithm: str
     hyperparameters: dict
     seed: int
+
+
+@runtime_checkable
+class Model(Protocol):
+    """A trained model: the bundle envelope's fields and a scorer."""
+
+    spec: ModelSpec
+    converged: bool
+    schema_fingerprint: str | None
+
+    def decision_values(self, X: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -130,13 +144,22 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
     unknown = set(spec.hyperparameters) - set(domains)
     if unknown:
         raise ValueError(f"{spec.algorithm}: unknown hyperparameters {sorted(unknown)}")
-    merged = {}
-    for name, (default, check, doc) in domains.items():
-        value = spec.hyperparameters.get(name, default)
-        if not check(value):
-            raise ValueError(f"{spec.algorithm}.{name}={value!r} outside domain ({doc})")
-        merged[name] = value
-    return ModelSpec(spec.algorithm, merged, int(spec.seed))
+    merged = {name: spec.hyperparameters.get(name, default)
+              for name, (default, _, _) in domains.items()}
+    spec = ModelSpec(spec.algorithm, merged, int(spec.seed))
+    check_hyperparameters(spec)
+    return spec
+
+
+def check_hyperparameters(spec: ModelSpec) -> None:
+    """Raise ValueError unless every hyperparameter of spec's algorithm
+    is present and in its domain; other keys are not looked at."""
+    hp = spec.hyperparameters
+    for name, (_, check, doc) in _HYPER_DOMAINS[spec.algorithm].items():
+        if name not in hp:
+            raise ValueError(f"{spec.algorithm}.{name} is missing")
+        if not check(hp[name]):
+            raise ValueError(f"{spec.algorithm}.{name}={hp[name]!r} outside domain ({doc})")
 
 
 def check_training_inputs(X: np.ndarray, y: np.ndarray | None = None) -> None:

@@ -39,22 +39,6 @@ class GaussianNBModel:
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         return self.probabilities(X) - 0.5
 
-    def _params_doc(self) -> dict:
-        from .bundle import encode_array
-
-        return {
-            "log_priors": encode_array(self.log_priors),
-            "means": encode_array(self.means),
-            "variances": encode_array(self.variances),
-        }
-
-    @classmethod
-    def _from_params(cls, doc, spec, converged, fingerprint):
-        from .bundle import decode_array
-
-        return cls(spec, decode_array(doc["log_priors"]), decode_array(doc["means"]),
-                   decode_array(doc["variances"]), converged, fingerprint)
-
 
 def train_gaussian_nb(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
                       schema_fingerprint: str | None = None) -> GaussianNBModel:

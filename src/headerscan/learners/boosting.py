@@ -8,8 +8,7 @@ import numpy as np
 
 from .base import ModelSpec, check_training_inputs
 from .linear import sigmoid
-from .tree import (TreeArrays, apply_tree, build_tree, leaf_ids, tree_from_doc,
-                   tree_to_doc)
+from .tree import TreeArrays, apply_tree, build_tree, leaf_ids
 
 __all__ = ["GradBoostModel", "train_grad_boost", "AdaBoostModel", "train_adaboost"]
 
@@ -34,17 +33,6 @@ class GradBoostModel:
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         return self.probabilities(X) - 0.5
-
-    def _params_doc(self) -> dict:
-        return {
-            "base_score": self.base_score,
-            "trees": [tree_to_doc(t) for t in self.trees],
-        }
-
-    @classmethod
-    def _from_params(cls, doc, spec, converged, fingerprint):
-        return cls(spec, float(doc["base_score"]),
-                   [tree_from_doc(t) for t in doc["trees"]], converged, fingerprint)
 
 
 def train_grad_boost(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
@@ -85,28 +73,15 @@ class AdaBoostModel:
     converged: bool = True
     schema_fingerprint: str | None = None
 
+    def __post_init__(self):
+        # numpy would read a negative feature index from the end of the row
+        if (self.features < 0).any():
+            raise ValueError("AdaBoost stump on a negative feature index")
+
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         votes = np.where(X[:, self.features] > self.thresholds, self.polarities, -self.polarities)
         total = float(self.alphas.sum())
         return (votes @ self.alphas) / (total if total > 0 else 1.0)
-
-    def _params_doc(self) -> dict:
-        from .bundle import encode_array
-
-        return {
-            "features": encode_array(self.features),
-            "thresholds": encode_array(self.thresholds),
-            "polarities": encode_array(self.polarities),
-            "alphas": encode_array(self.alphas),
-        }
-
-    @classmethod
-    def _from_params(cls, doc, spec, converged, fingerprint):
-        from .bundle import decode_array
-
-        return cls(spec, decode_array(doc["features"]), decode_array(doc["thresholds"]),
-                   decode_array(doc["polarities"]), decode_array(doc["alphas"]),
-                   converged, fingerprint)
 
 
 def _best_stump(X: np.ndarray, ys: np.ndarray, w: np.ndarray):

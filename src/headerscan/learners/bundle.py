@@ -1,19 +1,33 @@
-"""Model persistence: a versioned JSON envelope holding every learned
-parameter as a base64 little-endian array, plus the feature schema and
-scaler the model was trained against. Round-trips are bit-exact.
+"""Model persistence: a versioned JSON envelope holding a model's spec,
+convergence flag and schema fingerprint, its learned parameters, and
+the feature schema and scaler it was trained against. Round-trips are
+bit-exact.
+
+This module is the only codec. A model's parameters are its dataclass
+fields other than the envelope's and the training diagnostic
+`loss_history`, each written by one rule: an ndarray as a base64
+little-endian record (encode_array), a list item by item, a nested
+model as a nested model document, any other dataclass as an object of
+its fields, and a scalar as is. Decoding reverses each rule by the
+field's type annotation; scalars are cast by theirs. Parameter keys a
+class does not declare are ignored.
 """
 
 from __future__ import annotations
 
 import base64
+import dataclasses
+import functools
 import json
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..features import (FeatureSchema, ScalerParams, scaler_from_dict,
                         scaler_to_dict, schema_from_dict, schema_to_dict)
-from .base import ModelSpec
+from .base import Model, ModelSpec, check_hyperparameters
+from .tree import TreeArrays, check_tree
 
 __all__ = [
     "FORMAT_VERSION",
@@ -56,15 +70,9 @@ def decode_array(doc: dict) -> np.ndarray:
 
 
 def _registry() -> dict:
-    from .bayes import GaussianNBModel
-    from .boosting import AdaBoostModel, GradBoostModel
-    from .forest import RandomForestModel
-    from .linear import LinearSVMModel, LogRegModel
-    from .mlp import MLPModel
-    from .neighbors import KNNModel
-    from .ocsvm import OneClassSVMModel
-    from .stack import StackModel
-    from .tree import DecisionTreeModel
+    from . import (AdaBoostModel, DecisionTreeModel, GaussianNBModel,
+                   GradBoostModel, KNNModel, LinearSVMModel, LogRegModel,
+                   MLPModel, OneClassSVMModel, RandomForestModel, StackModel)
 
     return {
         "logreg": LogRegModel,
@@ -81,6 +89,60 @@ def _registry() -> dict:
     }
 
 
+# envelope fields, written outside "parameters", and loss_history,
+# which only describes training
+_NOT_PARAMETERS = frozenset({"spec", "converged", "schema_fingerprint",
+                             "loss_history"})
+
+
+@functools.cache
+def _parameter_fields(cls) -> tuple:
+    """(name, annotation) of each persisted field of a dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls)
+                 if f.name not in _NOT_PARAMETERS)
+
+
+def _encode_fields(obj) -> dict:
+    return {name: _encode(getattr(obj, name))
+            for name, _ in _parameter_fields(type(obj))}
+
+
+def _encode(value):
+    if isinstance(value, np.ndarray):
+        return encode_array(value)
+    if isinstance(value, list):
+        return [_encode(item) for item in value]
+    if isinstance(value, Model):
+        return model_to_doc(value)
+    if dataclasses.is_dataclass(value):
+        return _encode_fields(value)
+    return value
+
+
+def _decode_fields(cls, doc) -> dict:
+    return {name: _decode(hint, doc[name])
+            for name, hint in _parameter_fields(cls)}
+
+
+def _decode(hint, doc):
+    if hint is np.ndarray:
+        return decode_array(doc)
+    if typing.get_origin(hint) is list:
+        if not isinstance(doc, list):
+            raise TypeError(f"expected a list, got {type(doc).__name__}")
+        (item,) = typing.get_args(hint)
+        return [_decode(item, d) for d in doc]
+    if hint is Model or "spec" in getattr(hint, "__dataclass_fields__", {}):
+        model = model_from_doc(doc)
+        if not isinstance(model, hint):
+            raise TypeError(f"expected {hint.__name__}, got {doc['algorithm']}")
+        return model
+    if dataclasses.is_dataclass(hint):
+        return hint(**_decode_fields(hint, doc))
+    return hint(doc)
+
+
 def model_to_doc(model) -> dict:
     return {
         "algorithm": model.spec.algorithm,
@@ -88,15 +150,30 @@ def model_to_doc(model) -> dict:
         "seed": model.spec.seed,
         "schema_fingerprint": model.schema_fingerprint,
         "convergence_flag": bool(model.converged),
-        "parameters": model._params_doc(),
+        "parameters": _encode_fields(model),
     }
 
 
 def model_from_doc(doc: dict):
+    """Decode a model document; hyperparameters missing from or outside
+    their algorithm's domain raise ValueError."""
     cls = _registry()[doc["algorithm"]]
     spec = ModelSpec(doc["algorithm"], doc["hyperparameters"], int(doc["seed"]))
-    return cls._from_params(doc["parameters"], spec, bool(doc["convergence_flag"]),
-                            doc.get("schema_fingerprint"))
+    check_hyperparameters(spec)
+    return cls(spec=spec, converged=bool(doc["convergence_flag"]),
+               schema_fingerprint=doc.get("schema_fingerprint"),
+               **_decode_fields(cls, doc["parameters"]))
+
+
+def _nested(value):
+    """value and everything persisted inside it, depth first."""
+    yield value
+    if isinstance(value, list):
+        for item in value:
+            yield from _nested(item)
+    elif dataclasses.is_dataclass(value):
+        for name, _ in _parameter_fields(type(value)):
+            yield from _nested(getattr(value, name))
 
 
 @dataclass
@@ -112,7 +189,7 @@ def bundle_bytes(model, schema: FeatureSchema, scaler: ScalerParams,
     if (model.schema_fingerprint is not None
             and model.schema_fingerprint != schema.fingerprint):
         raise ValueError("model was trained against a different feature schema")
-    doc = dict(model_to_doc(model))
+    doc = model_to_doc(model)
     doc["format_version"] = FORMAT_VERSION
     doc["schema_fingerprint"] = schema.fingerprint
     doc["schema"] = schema_to_dict(schema)
@@ -171,17 +248,22 @@ def load_bundle(path) -> Bundle:
         schema = schema_from_dict(doc["schema"])
         scaler = scaler_from_dict(doc["scaler"])
         model = model_from_doc(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed model file: {exc!r}") from exc
     width = len(schema.descriptors)
     _check_scaler(path, scaler, width)
-    if model.schema_fingerprint != schema.fingerprint:
-        raise ValueError(f"{path}: model fingerprint does not match the "
-                         f"embedded schema")
-    for base in getattr(model, "base_models", ()):
-        if base.schema_fingerprint not in (None, schema.fingerprint):
-            raise ValueError(f"{path}: a stack base was trained against a "
-                             f"different feature schema")
+    # malformed trees fail here: the probe below could walk one forever.
+    # Only a stack member may lack a fingerprint: the top-level one is a str.
+    try:
+        for part in _nested(model):
+            if isinstance(part, TreeArrays):
+                check_tree(part, width)
+            elif (isinstance(part, Model)
+                  and part.schema_fingerprint not in (None, schema.fingerprint)):
+                raise ValueError(f"{part.spec.algorithm} model was trained "
+                                 f"against a different feature schema")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     # parameters that disagree with the schema fail here, not at scoring
     try:
         probe = model.decision_values(np.zeros((1, width)))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import ModelSpec, check_training_inputs, derive_seed
-from .tree import TreeArrays, apply_tree, build_tree, tree_from_doc, tree_to_doc
+from .tree import TreeArrays, apply_tree, build_tree
 
 __all__ = ["RandomForestModel", "train_random_forest"]
 
@@ -29,17 +29,6 @@ class RandomForestModel:
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         # mean leaf P(anomalous) - 0.5; ties at exactly 0 read anomalous
         return self.probabilities(X) - 0.5
-
-    def _params_doc(self) -> dict:
-        return {
-            "trees": [tree_to_doc(t) for t in self.trees],
-            "tree_seeds": self.tree_seeds,
-        }
-
-    @classmethod
-    def _from_params(cls, doc, spec, converged, fingerprint):
-        return cls(spec, [tree_from_doc(t) for t in doc["trees"]],
-                   [int(s) for s in doc["tree_seeds"]], converged, fingerprint)
 
 
 def train_random_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray,

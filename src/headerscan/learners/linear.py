@@ -9,7 +9,7 @@ for logistic regression" (JMLR 2008), halving in place of a trust region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,36 +28,14 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LinearModel:
-    """Weights and bias of a linear scorer, and their bundle codec."""
+    """Weights and bias of a linear scorer."""
 
     spec: ModelSpec
     weights: np.ndarray
     bias: float
     converged: bool
-    loss_history: np.ndarray
+    loss_history: np.ndarray = field(default_factory=lambda: np.array([]))
     schema_fingerprint: str | None = None
-
-    def _params_doc(self) -> dict:
-        from .bundle import encode_array
-
-        return {
-            "weights": encode_array(self.weights),
-            "bias": self.bias,
-            "loss_final": float(self.loss_history[-1]) if len(self.loss_history) else 0.0,
-        }
-
-    @classmethod
-    def _from_params(cls, doc, spec, converged, fingerprint):
-        from .bundle import decode_array
-
-        return cls(
-            spec=spec,
-            weights=decode_array(doc["weights"]),
-            bias=float(doc["bias"]),
-            converged=converged,
-            loss_history=np.array([doc.get("loss_final", 0.0)]),
-            schema_fingerprint=fingerprint,
-        )
 
 
 def _newton(X: np.ndarray, y: np.ndarray, lam: float, loss):

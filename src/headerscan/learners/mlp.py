@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class MLPModel:
     w2: np.ndarray
     b2: float
     converged: bool
-    loss_history: np.ndarray
+    loss_history: np.ndarray = field(default_factory=lambda: np.array([]))
     schema_fingerprint: str | None = None
 
     def _params(self) -> dict:
@@ -67,24 +67,6 @@ class MLPModel:
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         return self.probabilities(X) - 0.5
-
-    def _params_doc(self) -> dict:
-        from .bundle import encode_array
-
-        return {
-            "W1": encode_array(self.W1),
-            "b1": encode_array(self.b1),
-            "w2": encode_array(self.w2),
-            "b2": self.b2,
-        }
-
-    @classmethod
-    def _from_params(cls, doc, spec, converged, fingerprint):
-        from .bundle import decode_array
-
-        return cls(spec, decode_array(doc["W1"]), decode_array(doc["b1"]),
-                   decode_array(doc["w2"]), float(doc["b2"]), converged,
-                   np.array([]), fingerprint)
 
 
 def train_mlp(spec: ModelSpec, X: np.ndarray, y: np.ndarray,

@@ -19,6 +19,10 @@ class KNNModel:
     converged: bool = True
     schema_fingerprint: str | None = None
 
+    def __post_init__(self):
+        if self.X.ndim != 2 or self.y.shape != (len(self.X),):
+            raise ValueError("kNN needs one label per stored row")
+
     def decision_values(self, Q: np.ndarray) -> np.ndarray:
         """Anomalous vote fraction among the k nearest minus 0.5.
 
@@ -36,18 +40,6 @@ class KNNModel:
             votes = self.y[order].mean(axis=1)
             out[start:start + step] = votes - 0.5
         return out
-
-    def _params_doc(self) -> dict:
-        from .bundle import encode_array
-
-        return {"X": encode_array(self.X), "y": encode_array(self.y.astype(np.int64))}
-
-    @classmethod
-    def _from_params(cls, doc, spec, converged, fingerprint):
-        from .bundle import decode_array
-
-        return cls(spec, decode_array(doc["X"]), decode_array(doc["y"]),
-                   converged, fingerprint)
 
 
 def train_knn(spec: ModelSpec, X: np.ndarray, y: np.ndarray,

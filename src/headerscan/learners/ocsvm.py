@@ -92,35 +92,6 @@ class OneClassSVMModel:
             out[start:start + step] = K @ self.alphas - self.rho
         return out
 
-    def _params_doc(self) -> dict:
-        from .bundle import encode_array
-
-        return {
-            "support_vectors": encode_array(self.support_vectors),
-            "alphas": encode_array(self.alphas),
-            "rho": self.rho,
-            "audit": {
-                "sum_alpha": self.audit.sum_alpha,
-                "max_box_overshoot": self.audit.max_box_overshoot,
-                "max_violation": self.audit.max_violation,
-                "margin_error_fraction": self.audit.margin_error_fraction,
-                "sv_fraction": self.audit.sv_fraction,
-                "n_iterations": self.audit.n_iterations,
-            },
-        }
-
-    @classmethod
-    def _from_params(cls, doc, spec, converged, fingerprint):
-        from .bundle import decode_array
-
-        a = doc["audit"]
-        audit = KKTAudit(float(a["sum_alpha"]), float(a["max_box_overshoot"]),
-                         float(a["max_violation"]), float(a["margin_error_fraction"]),
-                         float(a["sv_fraction"]), int(a["n_iterations"]))
-        return cls(spec, decode_array(doc["support_vectors"]),
-                   decode_array(doc["alphas"]), float(doc["rho"]), audit,
-                   converged, fingerprint)
-
 
 def train_one_class_svm(spec: ModelSpec, X: np.ndarray,
                         schema_fingerprint: str | None = None) -> OneClassSVMModel:

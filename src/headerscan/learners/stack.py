@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import (ModelSpec, check_training_inputs, derive_seed,
+from .base import (Model, ModelSpec, check_training_inputs, derive_seed,
                    stratified_fold_ids, validate_spec)
 from .linear import LogRegModel, train_logreg
 
@@ -24,13 +24,13 @@ _STACK_FOLDS = 5
 @dataclass
 class StackModel:
     spec: ModelSpec          # algorithm "stack"; hyperparameters empty
-    base_models: list        # refit on all of X, in base_specs order
+    bases: list[Model]       # refit on all of X, in base_specs order
     meta: LogRegModel
     converged: bool = True
     schema_fingerprint: str | None = None
 
     def meta_features(self, X: np.ndarray) -> np.ndarray:
-        cols = [m.decision_values(X) for m in self.base_models]
+        cols = [m.decision_values(X) for m in self.bases]
         return np.column_stack(cols)
 
     def probabilities(self, X: np.ndarray) -> np.ndarray:
@@ -38,22 +38,6 @@ class StackModel:
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         return self.probabilities(X) - 0.5
-
-    def _params_doc(self) -> dict:
-        from .bundle import model_to_doc
-
-        return {
-            "bases": [model_to_doc(m) for m in self.base_models],
-            "meta": model_to_doc(self.meta),
-        }
-
-    @classmethod
-    def _from_params(cls, doc, spec, converged, fingerprint):
-        from .bundle import model_from_doc
-
-        bases = [model_from_doc(d) for d in doc["bases"]]
-        meta = model_from_doc(doc["meta"])
-        return cls(spec, bases, meta, converged, fingerprint)
 
 
 def out_of_fold(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
@@ -81,16 +65,16 @@ def _checked_meta(n_bases: int, meta_spec: ModelSpec) -> ModelSpec:
     return validate_spec(meta_spec)
 
 
-def fit_stack_meta(base_models: list, meta_X: np.ndarray, y: np.ndarray,
+def fit_stack_meta(bases: list, meta_X: np.ndarray, y: np.ndarray,
                    meta_spec: ModelSpec,
                    schema_fingerprint: str | None = None) -> StackModel:
     """Fit the logistic meta-learner on out-of-fold base decision values
     (one column per base, in base order) over bases already refit on
     all rows."""
-    meta_spec = _checked_meta(len(base_models), meta_spec)
+    meta_spec = _checked_meta(len(bases), meta_spec)
     meta = train_logreg(meta_spec, meta_X, y)
     stack_spec = ModelSpec("stack", {}, meta_spec.seed)
-    return StackModel(stack_spec, list(base_models), meta, meta.converged,
+    return StackModel(stack_spec, list(bases), meta, meta.converged,
                       schema_fingerprint)
 
 

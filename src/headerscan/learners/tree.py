@@ -16,7 +16,7 @@ import numpy as np
 from .base import ModelSpec, check_training_inputs
 
 __all__ = ["TreeArrays", "DecisionTreeModel", "train_decision_tree",
-           "build_tree", "leaf_ids", "apply_tree"]
+           "build_tree", "check_tree", "leaf_ids", "apply_tree"]
 
 LEAF = -1
 
@@ -28,10 +28,6 @@ class TreeArrays:
     left: np.ndarray      # int64 child index
     right: np.ndarray     # int64 child index
     value: np.ndarray     # float64 leaf payload
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
 
 
 def _best_split(X: np.ndarray, target: np.ndarray, rows: np.ndarray,
@@ -145,6 +141,25 @@ def build_tree(X: np.ndarray, target: np.ndarray, *, criterion: str,
     )
 
 
+def check_tree(tree: TreeArrays, width: int) -> None:
+    """Raise ValueError unless tree is five equal-length 1-D arrays with
+    int64 features and children, every split on a feature in 0..width-1,
+    and every child after its parent, so that walks end."""
+    n = len(tree.feature)
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    if n == 0 or any(a.shape != (n,) for a in arrays):
+        raise ValueError("tree arrays are empty or differ in shape")
+    if any(a.dtype != np.int64 for a in (tree.feature, tree.left, tree.right)):
+        raise ValueError("tree features and children must be int64")
+    inner = np.flatnonzero(tree.feature != LEAF)
+    feature = tree.feature[inner]
+    if ((feature < 0) | (feature >= width)).any():
+        raise ValueError(f"tree splits on a feature outside 0..{width - 1}")
+    for child in (tree.left[inner], tree.right[inner]):
+        if ((child <= inner) | (child >= n)).any():
+            raise ValueError("tree child index does not point forward")
+
+
 def leaf_ids(tree: TreeArrays, X: np.ndarray) -> np.ndarray:
     """Leaf node index for every row, walking all rows level-by-level."""
     n = len(X)
@@ -164,30 +179,6 @@ def apply_tree(tree: TreeArrays, X: np.ndarray) -> np.ndarray:
     return tree.value[leaf_ids(tree, X)]
 
 
-def tree_to_doc(tree: TreeArrays) -> dict:
-    from .bundle import encode_array
-
-    return {
-        "feature": encode_array(tree.feature),
-        "threshold": encode_array(tree.threshold),
-        "left": encode_array(tree.left),
-        "right": encode_array(tree.right),
-        "value": encode_array(tree.value),
-    }
-
-
-def tree_from_doc(doc: dict) -> TreeArrays:
-    from .bundle import decode_array
-
-    return TreeArrays(
-        feature=decode_array(doc["feature"]),
-        threshold=decode_array(doc["threshold"]),
-        left=decode_array(doc["left"]),
-        right=decode_array(doc["right"]),
-        value=decode_array(doc["value"]),
-    )
-
-
 @dataclass
 class DecisionTreeModel:
     spec: ModelSpec
@@ -197,13 +188,6 @@ class DecisionTreeModel:
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         return apply_tree(self.tree, X) - 0.5
-
-    def _params_doc(self) -> dict:
-        return {"tree": tree_to_doc(self.tree)}
-
-    @classmethod
-    def _from_params(cls, doc, spec, converged, fingerprint):
-        return cls(spec, tree_from_doc(doc["tree"]), converged, fingerprint)
 
 
 def train_decision_tree(spec: ModelSpec, X: np.ndarray, y: np.ndarray,

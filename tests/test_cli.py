@@ -10,7 +10,8 @@ import pytest
 from headerscan.cli import main
 from headerscan.corpus import Label
 from headerscan.learners import (LinearSVMModel, LogRegModel, ModelSpec,
-                                 StackModel, load_bundle, save_bundle)
+                                 StackModel, load_bundle, save_bundle, train,
+                                 train_one_class)
 from headerscan.learners.bundle import encode_array
 from headerscan.synthetic import generate_emails
 from tests.test_pipeline import small_config
@@ -169,7 +170,7 @@ def test_classify_error_exits(cli_run, tmp_path, capsys):
     # are NaN, or one element short of the schema's width
     bundle = load_bundle(model)
     width = len(bundle.schema.descriptors)
-    logreg = LogRegModel(spec=ModelSpec("logreg", {}, 0),
+    logreg = LogRegModel(spec=ModelSpec("logreg", {"lam": 1e-3}, 0),
                          weights=np.zeros(width), bias=-1.0, converged=True,
                          loss_history=np.array([]),
                          schema_fingerprint=bundle.schema.fingerprint)
@@ -181,8 +182,9 @@ def test_classify_error_exits(cli_run, tmp_path, capsys):
         tampered.write_text(json.dumps(doc))
         assert main(["classify", "--model", str(tampered), str(email)]) == 2
     # a stack whose base carries a foreign schema fingerprint
-    meta = LogRegModel(spec=ModelSpec("logreg", {}, 0), weights=np.ones(2),
-                       bias=0.0, converged=True, loss_history=np.array([]))
+    meta = LogRegModel(spec=ModelSpec("logreg", {"lam": 1e-3}, 0),
+                       weights=np.ones(2), bias=0.0, converged=True,
+                       loss_history=np.array([]))
     stack = StackModel(ModelSpec("stack", {}, 0), [logreg, logreg], meta,
                        schema_fingerprint=bundle.schema.fingerprint)
     save_bundle(tampered, stack, bundle.schema, bundle.scaler, "spam")
@@ -191,8 +193,33 @@ def test_classify_error_exits(cli_run, tmp_path, capsys):
     doc["parameters"]["bases"][1]["schema_fingerprint"] = "deadbeef"
     tampered.write_text(json.dumps(doc))
     assert main(["classify", "--model", str(tampered), str(email)]) == 2
+    # damage that could hang classify (a tree child pointing back) or made
+    # it exit 1 with a traceback, and a meta-learner with a foreign
+    # fingerprint
+    rng = np.random.default_rng(3)
+    X, y = rng.standard_normal((40, width)), np.arange(40) % 2
+    fp = bundle.schema.fingerprint
+    for damaged, damage in [
+        (train(ModelSpec("random_forest", {"n_trees": 2}, 0), X, y, fp),
+         lambda d: d["parameters"]["trees"][0].update(
+             right=encode_array(np.array([0])))),
+        (train(ModelSpec("knn", {}, 0), X, y, fp),
+         lambda d: d["hyperparameters"].pop("k")),
+        (train(ModelSpec("grad_boost", {"n_trees": 2}, 0), X, y, fp),
+         lambda d: d["hyperparameters"].update(learning_rate="x")),
+        (train_one_class(ModelSpec("one_class_svm", {}, 0), X, fp),
+         lambda d: d["hyperparameters"].pop("gamma")),
+        (stack, lambda d: d["parameters"]["meta"].update(
+            schema_fingerprint="deadbeef")),
+    ]:
+        save_bundle(tampered, damaged, bundle.schema, bundle.scaler, "spam")
+        assert main(["classify", "--model", str(tampered), str(email)]) in (0, 10)
+        doc = json.load(open(tampered))
+        damage(doc)
+        tampered.write_text(json.dumps(doc))
+        assert main(["classify", "--model", str(tampered), str(email)]) == 2
     # weights that load (a zero row scores 0) but overflow on a real message
-    huge = LinearSVMModel(spec=ModelSpec("linear_svm", {}, 0),
+    huge = LinearSVMModel(spec=ModelSpec("linear_svm", {"C": 1.0}, 0),
                           weights=np.full(width, 1e308), bias=0.0,
                           converged=True, loss_history=np.array([]),
                           schema_fingerprint=bundle.schema.fingerprint)

@@ -10,7 +10,8 @@ from headerscan.corpus import CorpusRecord, Label
 from headerscan.features import fit_schema, fit_scaler
 from headerscan.headers import parse_headers
 from headerscan.learners import ModelSpec
-from headerscan.learners.bundle import bundle_bytes, load_bundle, save_bundle
+from headerscan.learners.bundle import (bundle_bytes, decode_array, encode_array,
+                                       load_bundle, save_bundle)
 from headerscan.learners.linear import LogRegModel
 from headerscan.learners.mlp import init_params, loss_and_grad
 from headerscan.learners.tree import LEAF, TreeArrays, apply_tree
@@ -308,7 +309,7 @@ def test_stack_shapes_and_perfect_bases():
              ModelSpec("knn", {"k": 3}, 1),
              ModelSpec("linear_svm", {}, 1)]
     m = L.train_stack(bases, ModelSpec("logreg", {}, 1), X, y)
-    assert len(m.base_models) == 3
+    assert len(m.bases) == 3
     assert m.meta.weights.shape == (3,)
     assert np.mean((m.decision_values(X) >= 0) == (y == 1)) == 1.0
 
@@ -324,8 +325,8 @@ def test_stack_is_leak_free():
     meta_spec = ModelSpec("logreg", {}, 2)
     m = L.train_stack([ModelSpec("knn", {"k": 1}, 2), ModelSpec("gaussian_nb", {}, 2)],
                       meta_spec, X, y)
-    in_sample = np.column_stack([b.decision_values(X) for b in m.base_models])
-    leaky = L.fit_stack_meta(m.base_models, in_sample, y, meta_spec)
+    in_sample = np.column_stack([b.decision_values(X) for b in m.bases])
+    leaky = L.fit_stack_meta(m.bases, in_sample, y, meta_spec)
     assert m.meta.weights[0] < 0.25 * leaky.meta.weights[0]
 
 
@@ -458,19 +459,65 @@ def tiny_schema_scaler():
     return schema, scaler
 
 
+# the parameter keys each kind has always written (logreg and linear_svm
+# no longer write loss_final), and those of a tree and an SMO audit
+PARAMETER_KEYS = {
+    "logreg": {"weights", "bias"},
+    "linear_svm": {"weights", "bias"},
+    "decision_tree": {"tree"},
+    "random_forest": {"trees", "tree_seeds"},
+    "grad_boost": {"base_score", "trees"},
+    "gaussian_nb": {"log_priors", "means", "variances"},
+    "knn": {"X", "y"},
+    "mlp": {"W1", "b1", "w2", "b2"},
+    "adaboost": {"features", "thresholds", "polarities", "alphas"},
+    "stack": {"bases", "meta"},
+    "one_class_svm": {"support_vectors", "alphas", "rho", "audit"},
+}
+TREE_KEYS = {"feature", "threshold", "left", "right", "value"}
+AUDIT_KEYS = {"sum_alpha", "max_box_overshoot", "max_violation",
+              "margin_error_fraction", "sv_fraction", "n_iterations"}
+
+
+def check_parameter_keys(doc):
+    params = doc["parameters"]
+    assert set(params) == PARAMETER_KEYS[doc["algorithm"]], doc["algorithm"]
+    trees = params.get("trees", []) + ([params["tree"]] if "tree" in params else [])
+    assert all(set(tree) == TREE_KEYS for tree in trees)
+    if "audit" in params:
+        assert set(params["audit"]) == AUDIT_KEYS
+    nested = params.get("bases", []) + ([params["meta"]] if "meta" in params else [])
+    for doc in nested:
+        check_parameter_keys(doc)
+
+
+def assert_round_trip(path, m, schema, scaler, X):
+    """Bundle m and load it back: same scores, the pinned parameter keys,
+    and identical bytes when saved again, also from a file carrying a
+    parameter key the model does not declare (old linear bundles'
+    loss_final)."""
+    save_bundle(path, m, schema, scaler, "spam")
+    blob = path.read_bytes()
+    loaded = load_bundle(path)
+    assert loaded.positive_label == "spam"
+    assert loaded.schema.fingerprint == schema.fingerprint
+    assert np.array_equal(loaded.model.decision_values(X), m.decision_values(X))
+    assert bundle_bytes(loaded.model, schema, scaler, "spam") == blob
+    doc = json.loads(blob)
+    check_parameter_keys(doc)
+    doc["parameters"]["loss_final"] = 0.25
+    path.write_text(json.dumps(doc))
+    assert bundle_bytes(load_bundle(path).model, schema, scaler, "spam") == blob
+    return loaded
+
+
 @pytest.mark.parametrize("algo", ALL_BINARY)
 def test_bundle_round_trip_bit_identical(tmp_path, algo):
     schema, scaler = tiny_schema_scaler()
     X, y = two_blobs(seed=22, d=len(schema.descriptors))
     spec = ModelSpec(algo, FAST_HP.get(algo, {}), 7)
     m = L.train(spec, X, y, schema_fingerprint=schema.fingerprint)
-    path = tmp_path / "model.json"
-    save_bundle(path, m, schema, scaler, "spam")
-    loaded = load_bundle(path)
-    assert loaded.positive_label == "spam"
-    assert loaded.schema.fingerprint == schema.fingerprint
-    got = loaded.model.decision_values(X)
-    assert np.array_equal(got, m.decision_values(X))
+    assert_round_trip(tmp_path / "model.json", m, schema, scaler, X)
 
 
 def test_bundle_round_trip_one_class(tmp_path):
@@ -478,10 +525,7 @@ def test_bundle_round_trip_one_class(tmp_path):
     X, _ = two_blobs(seed=23, d=len(schema.descriptors))
     m = L.train_one_class(ModelSpec("one_class_svm", {"nu": 0.2}, 7), X,
                           schema_fingerprint=schema.fingerprint)
-    path = tmp_path / "oc.json"
-    save_bundle(path, m, schema, scaler, "spam")
-    loaded = load_bundle(path)
-    assert np.array_equal(loaded.model.decision_values(X), m.decision_values(X))
+    loaded = assert_round_trip(tmp_path / "oc.json", m, schema, scaler, X)
     assert loaded.model.audit == m.audit
 
 
@@ -491,10 +535,7 @@ def test_bundle_round_trip_stack(tmp_path):
     m = L.train_stack([ModelSpec("knn", {"k": 3}, 1), ModelSpec("gaussian_nb", {}, 1)],
                       ModelSpec("logreg", {}, 1), X, y,
                       schema_fingerprint=schema.fingerprint)
-    path = tmp_path / "stack.json"
-    save_bundle(path, m, schema, scaler, "spam")
-    loaded = load_bundle(path)
-    assert np.array_equal(loaded.model.decision_values(X), m.decision_values(X))
+    assert_round_trip(tmp_path / "stack.json", m, schema, scaler, X)
 
 
 def test_truncated_bundle_is_rejected(tmp_path):
@@ -534,7 +575,7 @@ def test_bundle_fingerprint_mismatch_is_rejected(tmp_path):
                          ids=["nan", "one-short"])
 def test_bundle_parameters_must_fit_the_schema(tmp_path, weights):
     schema, scaler = tiny_schema_scaler()
-    m = LogRegModel(spec=ModelSpec("logreg", {}, 0),
+    m = LogRegModel(spec=ModelSpec("logreg", {"lam": 1e-3}, 0),
                     weights=weights(len(schema.descriptors)), bias=0.0,
                     converged=True, loss_history=np.array([]),
                     schema_fingerprint=schema.fingerprint)
@@ -542,6 +583,148 @@ def test_bundle_parameters_must_fit_the_schema(tmp_path, weights):
     save_bundle(path, m, schema, scaler, "spam")
     with pytest.raises(ValueError, match="model.json"):
         load_bundle(path)
+
+
+ALL_KINDS = ALL_BINARY + ["stack", "one_class_svm"]
+
+
+def bundled(tmp_path, kind):
+    """A bundle of one model of the given kind at the tiny schema's width:
+    (path, parsed document, width)."""
+    schema, scaler = tiny_schema_scaler()
+    X, y = two_blobs(n_per=20, seed=28, d=len(schema.descriptors))
+    fp = schema.fingerprint
+    if kind == "stack":
+        m = L.train_stack([ModelSpec("random_forest", {"n_trees": 3}, 1),
+                           ModelSpec("knn", {"k": 3}, 1)],
+                          ModelSpec("logreg", {}, 1), X, y, fp)
+    elif kind == "one_class_svm":
+        m = L.train_one_class(ModelSpec("one_class_svm", {}, 1), X[y == 0], fp)
+    else:
+        hp = {"n_trees": 3} if kind in ("random_forest", "grad_boost") else {}
+        m = L.train(ModelSpec(kind, {**FAST_HP.get(kind, {}), **hp}, 1), X, y, fp)
+    path = tmp_path / f"{kind}.json"
+    save_bundle(path, m, schema, scaler, "spam")
+    return path, json.loads(path.read_text()), len(schema.descriptors)
+
+
+def _right_points_back(doc):
+    right = decode_array(doc["parameters"]["trees"][0]["right"])
+    right[0] = 0
+    doc["parameters"]["trees"][0]["right"] = encode_array(right)
+
+
+def _split_past_width(doc):
+    # the all-zeros probe row goes left at the root and never reaches
+    # node 2, whose split names a feature the schema does not have
+    tree = {"feature": [0, LEAF, 10_000, LEAF, LEAF],
+            "threshold": [0.5, 0.0, 0.0, 0.0, 0.0],
+            "left": [1, LEAF, 3, LEAF, LEAF],
+            "right": [2, LEAF, 4, LEAF, LEAF],
+            "value": [0.0, 0.0, 0.0, 0.0, 1.0]}
+    doc["parameters"]["tree"] = {name: encode_array(np.array(values))
+                                 for name, values in tree.items()}
+
+
+def _stumps_on_feature_minus_one(doc):
+    features = decode_array(doc["parameters"]["features"])
+    doc["parameters"]["features"] = encode_array(np.full_like(features, -1))
+
+
+def _labels_one_short(doc):
+    y = doc["parameters"]["y"]
+    doc["parameters"]["y"] = encode_array(decode_array(y)[:-1])
+
+
+# damage that hung classify (the forest probe looped forever) or ended
+# it with a traceback, at once or on some messages, before load_bundle
+# checked it
+DAMAGE = {
+    "forest-right-is-[0]": ("random_forest", lambda d: d["parameters"]
+                            ["trees"][0].update(right=encode_array(np.array([0])))),
+    "forest-child-points-back": ("random_forest", _right_points_back),
+    "tree-split-past-width": ("decision_tree", _split_past_width),
+    "knn-labels-one-short": ("knn", _labels_one_short),
+    "adaboost-negative-feature": ("adaboost", _stumps_on_feature_minus_one),
+    "knn-without-k": ("knn", lambda d: d["hyperparameters"].pop("k")),
+    "grad-boost-learning-rate-x":
+        ("grad_boost", lambda d: d["hyperparameters"].update(learning_rate="x")),
+    "one-class-without-gamma":
+        ("one_class_svm", lambda d: d["hyperparameters"].pop("gamma")),
+    "stack-base-without-k":
+        ("stack", lambda d: d["parameters"]["bases"][1]["hyperparameters"].pop("k")),
+    "stack-base-seed-infinity":
+        ("stack", lambda d: d["parameters"]["bases"][0].update(seed=float("inf"))),
+    "stack-meta-fingerprint":
+        ("stack", lambda d: d["parameters"]["meta"].update(schema_fingerprint="deadbeef")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGE))
+def test_damaged_bundle_is_rejected(tmp_path, case):
+    kind, damage = DAMAGE[case]
+    path, doc, _ = bundled(tmp_path, kind)
+    damage(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"{kind}.json"):
+        load_bundle(path)
+
+
+def _containers(node):
+    """(container, key) for every value below node in a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield node, key
+        yield from _containers(value)
+
+
+def _damaged(doc):
+    """Yield doc once for each way of damaging one value under its
+    parameters or hyperparameters: deleting it, or replacing it with
+    junk or, for an array record, a wrong-dtype or one-short array. The
+    value is restored before the next yield."""
+    targets = [*_containers(doc["parameters"]), *_containers(doc["hyperparameters"])]
+    for node, key in targets:
+        value = node[key]
+        junk = [None, "x", [1.0, 2.0], {"x": 1}, 1e308]
+        if isinstance(value, dict) and "dtype" in value:
+            a = decode_array(value)
+            junk += [encode_array(a.astype(np.int64 if a.dtype == np.float64
+                                           else np.float64)),
+                     encode_array(a[:-1])]
+        for replacement in junk:
+            node[key] = replacement
+            yield doc
+        if isinstance(node, list):
+            node.pop(key)
+            yield doc
+            node.insert(key, value)
+        else:
+            del node[key]
+            yield doc
+            node[key] = value
+
+
+def test_bundle_mutation_fuzz(tmp_path):
+    """Every damaged bundle is either refused with ValueError or loads
+    and scores seeded random rows to finite values."""
+    rows = np.random.default_rng(20261018)
+    outcomes = {"rejected": 0, "scored": 0}
+    for kind in ALL_KINDS:
+        path, doc, width = bundled(tmp_path, kind)
+        for case, damaged in enumerate(_damaged(doc)):
+            path.write_text(json.dumps(damaged))
+            with np.errstate(all="ignore"):
+                try:
+                    bundle = load_bundle(path)
+                except ValueError:
+                    outcomes["rejected"] += 1
+                    continue
+                dv = L.decision_values(bundle.model, rows.standard_normal((8, width)))
+            assert dv.shape == (8,) and np.isfinite(dv).all(), (kind, case)
+            outcomes["scored"] += 1
+    assert min(outcomes.values()) > 0
 
 
 def test_bundle_envelope_keys(tmp_path):
