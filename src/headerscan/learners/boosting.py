@@ -8,13 +8,13 @@ import numpy as np
 
 from .base import ModelSpec, check_training_inputs
 from .linear import sigmoid
-from .tree import TreeArrays, apply_tree, build_tree, leaf_ids
+from .tree import TreeArrays, TreeEnsemble, build_tree, leaf_ids
 
 __all__ = ["GradBoostModel", "train_grad_boost", "AdaBoostModel", "train_adaboost"]
 
 
 @dataclass
-class GradBoostModel:
+class GradBoostModel(TreeEnsemble):
     spec: ModelSpec
     base_score: float          # initial log-odds F0
     trees: list[TreeArrays]    # leaves hold Newton steps
@@ -22,11 +22,8 @@ class GradBoostModel:
     schema_fingerprint: str | None = None
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
-        F = np.full(len(X), self.base_score)
         lr = self.spec.hyperparameters["learning_rate"]
-        for tree in self.trees:
-            F += lr * apply_tree(tree, X)
-        return F
+        return self.leaf_sum(X, np.full(len(X), self.base_score), lr)
 
     def probabilities(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.raw_scores(X))
@@ -54,7 +51,7 @@ def train_grad_boost(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
         hess = p * (1.0 - p)
         tree = build_tree(X, residual, criterion="sse",
                           max_depth=hp["max_depth"], min_samples_leaf=1)
-        ids = leaf_ids(tree, X)
+        ids = leaf_ids(tree, X)[0]
         for leaf in np.unique(ids):
             rows = ids == leaf
             tree.value[leaf] = float(residual[rows].sum() / max(hess[rows].sum(), 1e-12))

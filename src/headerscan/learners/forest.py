@@ -7,13 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import ModelSpec, check_training_inputs, derive_seed
-from .tree import TreeArrays, apply_tree, build_tree
+from .tree import TreeArrays, TreeEnsemble, build_tree
 
 __all__ = ["RandomForestModel", "train_random_forest"]
 
 
 @dataclass
-class RandomForestModel:
+class RandomForestModel(TreeEnsemble):
     spec: ModelSpec
     trees: list[TreeArrays]
     tree_seeds: list[int]
@@ -21,10 +21,7 @@ class RandomForestModel:
     schema_fingerprint: str | None = None
 
     def probabilities(self, X: np.ndarray) -> np.ndarray:
-        acc = np.zeros(len(X))
-        for tree in self.trees:
-            acc += apply_tree(tree, X)
-        return acc / len(self.trees)
+        return self.leaf_sum(X, np.zeros(len(X))) / len(self.trees)
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         # mean leaf P(anomalous) - 0.5; ties at exactly 0 read anomalous
@@ -39,13 +36,9 @@ def train_random_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
     check_training_inputs(X, y)
     hp = spec.hyperparameters
     n, d = X.shape
-    if hp["max_features"] == "sqrt":
-        mtry = max(1, int(np.sqrt(d)))
-    else:
-        mtry = d
+    mtry = max(1, int(np.sqrt(d))) if hp["max_features"] == "sqrt" else d
     target = y.astype(np.float64)
-    trees = []
-    seeds = []
+    trees, seeds = [], []
     for t in range(hp["n_trees"]):
         seed = derive_seed(spec.seed, "forest", t)
         seeds.append(seed)

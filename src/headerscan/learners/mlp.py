@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base import ModelSpec, check_training_inputs, rng_for
-from .linear import sigmoid
+from .linear import _TOL, sigmoid
 
 __all__ = ["MLPModel", "train_mlp", "init_params", "loss_and_grad"]
 
@@ -72,7 +72,8 @@ class MLPModel:
 def train_mlp(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
               schema_fingerprint: str | None = None) -> MLPModel:
     """Mini-batch gradient descent; batches reshuffled each epoch from
-    the spec seed. Records the full-batch loss once per epoch."""
+    the spec seed. Records the full-batch loss once per epoch; converged
+    is the final full-batch gradient test of linear._newton."""
     check_training_inputs(X, y)
     hp = spec.hyperparameters
     n, d = X.shape
@@ -93,5 +94,7 @@ def train_mlp(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
             params["b2"] = params["b2"] - lr * grads["b2"]
         z2 = _forward(params, X)[2]
         history.append(float(np.mean(np.logaddexp(0.0, z2) - yf * z2)))
+    grads = loss_and_grad(params, X, yf)[1].values()
+    converged = max(float(np.max(np.abs(g))) for g in grads) < _TOL
     return MLPModel(spec, params["W1"], params["b1"], params["w2"],
-                    float(params["b2"]), True, np.array(history), schema_fingerprint)
+                    float(params["b2"]), converged, np.array(history), schema_fingerprint)

@@ -5,20 +5,27 @@ Nodes live in parallel arrays so trees serialize without recursion.
 A sample goes left iff x[feature] <= threshold. Leaves have feature -1
 and carry a value: P(anomalous) for classification, a real prediction
 for regression.
+
+One walker, `leaf_ids`, scores every tree: an ensemble's trees form one
+flat node array, each tree's children offset by its root index (a single
+tree has roots [0]), and one level loop advances every unfinished (tree,
+row) pair of a block of rows. check_tree's forward children end walks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .base import ModelSpec, check_training_inputs
 
-__all__ = ["TreeArrays", "DecisionTreeModel", "train_decision_tree",
+__all__ = ["TreeArrays", "TreeEnsemble", "DecisionTreeModel", "train_decision_tree",
            "build_tree", "check_tree", "leaf_ids", "apply_tree"]
 
 LEAF = -1
+BLOCK_ROWS = 1024  # rows per walk; (tree, row) arrays hold n_trees x this
 
 
 @dataclass
@@ -160,23 +167,48 @@ def check_tree(tree: TreeArrays, width: int) -> None:
             raise ValueError("tree child index does not point forward")
 
 
-def leaf_ids(tree: TreeArrays, X: np.ndarray) -> np.ndarray:
-    """Leaf node index for every row, walking all rows level-by-level."""
-    n = len(X)
-    node = np.zeros(n, dtype=np.int64)
-    active = tree.feature[node] != LEAF
-    while active.any():
-        rows = np.flatnonzero(active)
-        cur = node[rows]
-        goes_left = X[rows, tree.feature[cur]] <= tree.threshold[cur]
-        node[rows] = np.where(goes_left, tree.left[cur], tree.right[cur])
-        active[rows] = tree.feature[node[rows]] != LEAF
-    return node
+def leaf_ids(tree: TreeArrays, X: np.ndarray, roots=(0,)) -> np.ndarray:
+    """Leaf index of every (tree, row) pair, shape (len(roots), len(X))."""
+    out = np.empty((len(roots), len(X)), dtype=np.int64)
+    for start in range(0, len(X), BLOCK_ROWS):
+        block = X[start:start + BLOCK_ROWS]
+        node = np.repeat(roots, len(block))  # pair p: tree p // len(block)
+        active = np.flatnonzero(tree.feature[node] != LEAF)
+        while len(active):
+            cur = node[active]
+            goes_left = block[active % len(block), tree.feature[cur]] <= tree.threshold[cur]
+            node[active] = nxt = np.where(goes_left, tree.left[cur], tree.right[cur])
+            active = active[tree.feature[nxt] != LEAF]
+        out[:, start:start + BLOCK_ROWS] = node.reshape(len(roots), -1)
+    return out
 
 
 def apply_tree(tree: TreeArrays, X: np.ndarray) -> np.ndarray:
     """Leaf values for every row."""
-    return tree.value[leaf_ids(tree, X)]
+    return tree.value[leaf_ids(tree, X)[0]]
+
+
+class TreeEnsemble:
+    """Mixin for a model dataclass with a `trees` list. The flat arrays are
+    built on first use, after load_bundle's check_tree, and never persisted."""
+
+    @functools.cached_property
+    def _flat(self) -> tuple[TreeArrays, np.ndarray]:
+        sizes = [len(t.feature) for t in self.trees]
+        roots = np.cumsum([0, *sizes[:-1]])
+        flat = TreeArrays(*(np.concatenate([getattr(t, f.name) for t in self.trees])
+                            for f in fields(TreeArrays)))
+        shift = np.where(flat.feature == LEAF, 0, np.repeat(roots, sizes))
+        flat.left += shift
+        flat.right += shift
+        return flat, roots
+
+    def leaf_sum(self, X: np.ndarray, F: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """F plus scale times each tree's leaf values, added in tree order."""
+        flat, roots = self._flat
+        for values in flat.value[leaf_ids(flat, X, roots)]:
+            F += scale * values
+        return F
 
 
 @dataclass

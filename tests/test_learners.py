@@ -11,10 +11,10 @@ from headerscan.features import fit_schema, fit_scaler
 from headerscan.headers import parse_headers
 from headerscan.learners import ModelSpec
 from headerscan.learners.bundle import (bundle_bytes, decode_array, encode_array,
-                                       load_bundle, save_bundle)
-from headerscan.learners.linear import LogRegModel
+                                       load_bundle, model_from_doc, save_bundle)
+from headerscan.learners.linear import LogRegModel, sigmoid
 from headerscan.learners.mlp import init_params, loss_and_grad
-from headerscan.learners.tree import LEAF, TreeArrays, apply_tree
+from headerscan.learners.tree import BLOCK_ROWS, LEAF, DecisionTreeModel, TreeArrays, apply_tree
 from headerscan.learners.forest import RandomForestModel
 
 
@@ -150,6 +150,26 @@ def test_mlp_gradient_matches_finite_differences():
             assert max(flat_err) < 1e-4
 
 
+def full_batch_gradient_norm(m, X, y):
+    """Largest entry of the mean cross-entropy's gradient over all rows,
+    derived here apart from mlp.py."""
+    z1 = X @ m.W1 + m.b1
+    a1 = np.maximum(z1, 0.0)
+    r = (1.0 / (1.0 + np.exp(-(a1 @ m.w2 + m.b2))) - y) / len(X)
+    dz1 = np.outer(r, m.w2) * (z1 > 0.0)
+    return max(np.abs(g).max() for g in (X.T @ dz1, dz1.sum(axis=0), a1.T @ r, r.sum()))
+
+
+def test_mlp_converged_is_the_full_batch_gradient_test():
+    X, y = two_blobs(n_per=100, d=10, seed=31)
+    m = L.train(ModelSpec("mlp", {}, 1), X, y)
+    assert full_batch_gradient_norm(m, X, y) >= 1e-6 and not m.converged
+    # zero features and balanced labels: the gradient is exactly 0 throughout
+    X0, y0 = np.zeros((4, 3)), np.array([0, 1, 0, 1])
+    m = L.train(ModelSpec("mlp", {"batch_size": 4}, 1), X0, y0)
+    assert full_batch_gradient_norm(m, X0, y0) < 1e-6 and m.converged
+
+
 LINEAR_CASES = pytest.mark.parametrize(
     "algo,hp", [("logreg", {}), ("linear_svm", {"C": 0.1}),
                 ("linear_svm", {"C": 1.0}), ("linear_svm", {"C": 10.0})],
@@ -228,6 +248,35 @@ def test_gaussian_nb_matches_closed_form():
     assert abs(got - want) < 1e-9
 
 
+def reference_leaf_ids(tree, X):
+    """Leaf index of every row, one tree at a time: the per-tree walk
+    that the flat walker of tree.py replaced."""
+    node = np.zeros(len(X), dtype=np.int64)
+    active = tree.feature[node] != LEAF
+    while active.any():
+        rows = np.flatnonzero(active)
+        cur = node[rows]
+        goes_left = X[rows, tree.feature[cur]] <= tree.threshold[cur]
+        node[rows] = np.where(goes_left, tree.left[cur], tree.right[cur])
+        active[rows] = tree.feature[node[rows]] != LEAF
+    return node
+
+
+def reference_decision_values(m, X):
+    """decision_values of a tree model, summing its trees in tree order."""
+    if isinstance(m, DecisionTreeModel):
+        return m.tree.value[reference_leaf_ids(m.tree, X)] - 0.5
+    if isinstance(m, RandomForestModel):
+        acc = np.zeros(len(X))
+        for tree in m.trees:
+            acc += tree.value[reference_leaf_ids(tree, X)]
+        return acc / len(m.trees) - 0.5
+    F = np.full(len(X), m.base_score)
+    for tree in m.trees:
+        F += m.spec.hyperparameters["learning_rate"] * tree.value[reference_leaf_ids(tree, X)]
+    return sigmoid(F) - 0.5
+
+
 def test_tree_memorizes_distinct_points():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((120, 4))
@@ -259,16 +308,7 @@ def test_tree_min_samples_leaf_is_respected():
     X = rng.standard_normal((80, 3))
     y = (rng.random(80) < 0.5).astype(np.int64)
     m = L.train(ModelSpec("decision_tree", {"min_samples_leaf": 5}, 0), X, y)
-    node = np.zeros(len(X), dtype=np.int64)
-    tree = m.tree
-    active = tree.feature[node] != LEAF
-    while active.any():
-        rows = np.flatnonzero(active)
-        cur = node[rows]
-        goes_left = X[rows, tree.feature[cur]] <= tree.threshold[cur]
-        node[rows] = np.where(goes_left, tree.left[cur], tree.right[cur])
-        active[rows] = tree.feature[node[rows]] != LEAF
-    _, counts = np.unique(node, return_counts=True)
+    _, counts = np.unique(reference_leaf_ids(m.tree, X), return_counts=True)
     assert counts.min() >= 5
 
 
@@ -538,6 +578,36 @@ def test_bundle_round_trip_stack(tmp_path):
     assert_round_trip(tmp_path / "stack.json", m, schema, scaler, X)
 
 
+WALKS = [("random_forest", {"n_trees": n, "max_depth": depth, "max_features": mf,
+                             "min_samples_leaf": leaf})
+         for n in (1, 100) for depth in (None, 8) for mf in ("sqrt", "all")
+         for leaf in (1, 5)]
+WALKS += [("grad_boost", {}), ("decision_tree", {})]
+
+
+@pytest.mark.parametrize("algo,hp", WALKS, ids=["-".join([a, *map(str, hp.values())])
+                                               for a, hp in WALKS])
+def test_flat_walk_matches_per_tree_walk(tmp_path, algo, hp):
+    """Bit for bit, in process and read back from a bundle, on 0 rows, 1
+    row and more rows than one walk block."""
+    schema, scaler = tiny_schema_scaler()
+    d = len(schema.descriptors)
+    X, y = two_blobs(n_per=30, seed=29, d=d)
+    m = L.train(ModelSpec(algo, hp, 5), X, y, schema_fingerprint=schema.fingerprint)
+    save_bundle(tmp_path / "m.json", m, schema, scaler, "spam")
+    loaded = load_bundle(tmp_path / "m.json").model
+    rows = np.random.default_rng(30).standard_normal((2 * BLOCK_ROWS + 3, d))
+    # row k sits exactly on split k's threshold, so ties at <= are walked
+    trees = getattr(m, "trees", None) or [m.tree]
+    splits = [(f, th) for t in trees for f, th in zip(t.feature, t.threshold) if f != LEAF]
+    for k, (f, th) in enumerate(splits[:len(rows)]):
+        rows[k, f] = th
+    for Q in (rows[:0], rows[:1], rows):
+        want = reference_decision_values(m, Q).tobytes()
+        assert m.decision_values(Q).tobytes() == want
+        assert loaded.decision_values(Q).tobytes() == want
+
+
 def test_truncated_bundle_is_rejected(tmp_path):
     X, y = two_blobs(seed=25)
     schema, scaler = tiny_schema_scaler()
@@ -626,6 +696,15 @@ def _split_past_width(doc):
                                  for name, values in tree.items()}
 
 
+def _second_tree_points_into_first(doc):
+    # offset by its root in the flat forest, child -1 of the second
+    # tree's root would be the first tree's last node
+    tree = doc["parameters"]["trees"][1]
+    left = decode_array(tree["left"])
+    left[0] = -1
+    tree["left"] = encode_array(left)
+
+
 def _stumps_on_feature_minus_one(doc):
     features = decode_array(doc["parameters"]["features"])
     doc["parameters"]["features"] = encode_array(np.full_like(features, -1))
@@ -643,6 +722,8 @@ DAMAGE = {
     "forest-right-is-[0]": ("random_forest", lambda d: d["parameters"]
                             ["trees"][0].update(right=encode_array(np.array([0])))),
     "forest-child-points-back": ("random_forest", _right_points_back),
+    "forest-child-points-into-first-tree": ("random_forest", _second_tree_points_into_first),
+    "grad-boost-without-trees": ("grad_boost", lambda d: d["parameters"].update(trees=[])),
     "tree-split-past-width": ("decision_tree", _split_past_width),
     "knn-labels-one-short": ("knn", _labels_one_short),
     "adaboost-negative-feature": ("adaboost", _stumps_on_feature_minus_one),
@@ -668,6 +749,12 @@ def test_damaged_bundle_is_rejected(tmp_path, case):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"{kind}.json"):
         load_bundle(path)
+
+
+def test_flat_forest_waits_for_the_tree_check(tmp_path):
+    _, doc, _ = bundled(tmp_path, "random_forest")
+    _second_tree_points_into_first(doc)
+    assert "_flat" not in vars(model_from_doc(doc))
 
 
 def _containers(node):
