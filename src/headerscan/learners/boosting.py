@@ -8,7 +8,7 @@ import numpy as np
 
 from .base import ModelSpec, check_training_inputs
 from .linear import sigmoid
-from .tree import TreeArrays, TreeEnsemble, build_tree, leaf_ids
+from .tree import TreeArrays, TreeEnsemble, build_tree, leaf_ids, sorted_cuts
 
 __all__ = ["GradBoostModel", "train_grad_boost", "AdaBoostModel", "train_adaboost"]
 
@@ -74,6 +74,9 @@ class AdaBoostModel:
         # numpy would read a negative feature index from the end of the row
         if (self.features < 0).any():
             raise ValueError("AdaBoost stump on a negative feature index")
+        # polarity 0 would vote 0, which reads anomalous
+        if not ((np.abs(self.polarities) == 1.0).all() and (self.alphas > 0).all()):
+            raise ValueError("AdaBoost polarities must be +1 or -1 and alphas > 0")
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         votes = np.where(X[:, self.features] > self.thresholds, self.polarities, -self.polarities)
@@ -81,70 +84,54 @@ class AdaBoostModel:
         return (votes @ self.alphas) / (total if total > 0 else 1.0)
 
 
-def _best_stump(X: np.ndarray, ys: np.ndarray, w: np.ndarray):
-    """Minimize weighted error over (feature, midpoint threshold,
-    polarity). The stump predicts `polarity` on x > threshold and
-    -polarity otherwise; a below-minimum threshold (constant stump) is
-    a candidate too. Ties: lowest feature, then lowest threshold,
-    polarity +1 preferred."""
-    n, d = X.shape
-    best = None  # (err, feature, threshold, polarity)
-    for f in range(d):
-        xs = X[:, f]
-        order = np.argsort(xs, kind="stable")
-        xv = xs[order]
-        wy = (w * (ys > 0))[order]   # weight mass of positives
-        wn = (w * (ys < 0))[order]
-        total_pos = float(wy.sum())
-        total_neg = float(wn.sum())
-        cum_pos = np.concatenate(([0.0], np.cumsum(wy)))
-        cum_neg = np.concatenate(([0.0], np.cumsum(wn)))
-        # candidate boundaries: below all points, then between distinct values
-        cuts = [0] + [int(i) + 1 for i in np.flatnonzero(xv[:-1] < xv[1:])]
-        for pos in cuts:
-            if pos == 0:
-                th = float(xv[0]) - 1.0
-            else:
-                th = (float(xv[pos - 1]) + float(xv[pos])) / 2.0
-            # polarity +1: predict +1 on the right of th
-            err_plus = cum_pos[pos] + (total_neg - cum_neg[pos])
-            for polarity, err in ((1.0, err_plus), (-1.0, total_pos + total_neg - err_plus)):
-                if best is None or err < best[0] - 1e-15:
-                    best = (float(err), f, th, polarity)
-    return best
-
-
 def train_adaboost(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
                    schema_fingerprint: str | None = None) -> AdaBoostModel:
     """Classic discrete AdaBoost with alpha = 0.5*ln((1-eps)/eps),
-    eps floored at 1e-12. Halts early when no stump beats error 0.5."""
+    eps floored at 1e-12. Halts early when no stump beats error 0.5.
+
+    A stump predicts polarity where x > threshold and -polarity
+    elsewhere. X is sorted and its candidate stumps are listed once: per
+    feature, the constant stump at the column's minimum - 1, then each
+    cut by ascending threshold. Each round reweights and takes the first
+    candidate in (feature, threshold, +1 then -1) order whose weighted
+    error is within 1e-15 of the minimum."""
     check_training_inputs(X, y)
     rounds = spec.hyperparameters["rounds"]
-    n = len(y)
+    n, d = X.shape
     ys = 2.0 * y.astype(np.float64) - 1.0
     w = np.full(n, 1.0 / n)
-    features, thresholds, polarities, alphas = [], [], [], []
+    order, xv, valid, mid = sorted_cuts(X)
+    order = np.ascontiguousarray(order.T)  # (features, rows)
+    # stump (f, pos): x <= threshold on the first pos sorted rows of f;
+    # pos 0 is the constant stump at the column's minimum - 1
+    cand_f, cand_pos = np.nonzero(np.vstack([np.ones((1, d), dtype=bool), valid]).T)
+    cand_th = np.vstack([xv[:1] - 1.0, mid])[cand_pos, cand_f]
+    sides = np.stack([ys > 0, ys < 0])[:, order].astype(np.float64, order="C")
+    cum = np.zeros((2, d, n + 1))
+    picked, alphas = [], []
     for _ in range(rounds):
-        err, f, th, pol = _best_stump(X, ys, w)
+        # C-contiguous, so its row sums are pairwise like a 1-D sum();
+        # their order decides ties between mirrored columns
+        mass = w[order] * sides
+        total_pos, total_neg = mass.sum(axis=2)[:, cand_f]
+        np.cumsum(mass, axis=2, out=cum[:, :, 1:])
+        cum_pos, cum_neg = cum[:, cand_f, cand_pos]
+        err_plus = cum_pos + (total_neg - cum_neg)
+        errs = np.stack([err_plus, total_pos + total_neg - err_plus], axis=1).ravel()
+        k = int(np.argmax(errs - 1e-15 <= errs.min()))  # stump k // 2, polarity by k % 2
+        err = float(errs[k])
         if err >= 0.5:
             break
         eps = max(err, 1e-12)
         alpha = 0.5 * np.log((1.0 - eps) / eps)
-        pred = np.where(X[:, f] > th, pol, -pol)
+        pol = 1.0 - 2.0 * (k % 2)
+        pred = np.where(X[:, cand_f[k // 2]] > cand_th[k // 2], pol, -pol)
         w *= np.exp(-alpha * ys * pred)
         w /= w.sum()
-        features.append(f)
-        thresholds.append(th)
-        polarities.append(pol)
+        picked.append(k)
         alphas.append(float(alpha))
         if err <= 1e-12:
             break  # perfect stump; further rounds cannot change the vote
-    return AdaBoostModel(
-        spec,
-        np.array(features, dtype=np.int64),
-        np.array(thresholds, dtype=np.float64),
-        np.array(polarities, dtype=np.float64),
-        np.array(alphas, dtype=np.float64),
-        True,
-        schema_fingerprint,
-    )
+    k = np.array(picked, dtype=np.int64)
+    return AdaBoostModel(spec, cand_f[k // 2], cand_th[k // 2], 1.0 - 2.0 * (k % 2),
+                         np.array(alphas, dtype=np.float64), True, schema_fingerprint)

@@ -20,6 +20,11 @@ class RandomForestModel(TreeEnsemble):
     converged: bool = True
     schema_fingerprint: str | None = None
 
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.tree_seeds) != len(self.trees):
+            raise ValueError(f"{len(self.trees)} trees, but {len(self.tree_seeds)} tree seeds")
+
     def probabilities(self, X: np.ndarray) -> np.ndarray:
         return self.leaf_sum(X, np.zeros(len(X))) / len(self.trees)
 
@@ -31,8 +36,7 @@ class RandomForestModel(TreeEnsemble):
 def train_random_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
                         schema_fingerprint: str | None = None) -> RandomForestModel:
     """Each tree gets its own generator seeded from (spec.seed, tree index);
-    it draws the bootstrap rows first, then the per-node feature bags, so
-    serial and parallel training agree."""
+    it draws the bootstrap rows first, then the per-node feature bags."""
     check_training_inputs(X, y)
     hp = spec.hyperparameters
     n, d = X.shape

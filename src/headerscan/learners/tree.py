@@ -10,6 +10,10 @@ One walker, `leaf_ids`, scores every tree: an ensemble's trees form one
 flat node array, each tree's children offset by its root index (a single
 tree has roots [0]), and one level loop advances every unfinished (tree,
 row) pair of a block of rows. check_tree's forward children end walks.
+
+One scan, `sorted_cuts`, lists the candidate cuts of every split search,
+tree nodes and AdaBoost stumps alike: a stable per-column sort, cut at
+the midpoints between distinct neighbours.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from .base import ModelSpec, check_training_inputs
 
 __all__ = ["TreeArrays", "TreeEnsemble", "DecisionTreeModel", "train_decision_tree",
-           "build_tree", "check_tree", "leaf_ids", "apply_tree"]
+           "build_tree", "check_tree", "leaf_ids", "apply_tree", "sorted_cuts"]
 
 LEAF = -1
 BLOCK_ROWS = 1024  # rows per walk; (tree, row) arrays hold n_trees x this
@@ -37,18 +41,24 @@ class TreeArrays:
     value: np.ndarray     # float64 leaf payload
 
 
-def _best_split(X: np.ndarray, target: np.ndarray, rows: np.ndarray,
+def sorted_cuts(xs: np.ndarray):
+    """Stable sort of each column of xs: (order, sorted values xv, valid,
+    mid). valid[i, j] iff xv[i, j] < xv[i+1, j], a cut at mid[i, j]."""
+    order = np.argsort(xs, axis=0, kind="stable")
+    xv = np.take_along_axis(xs, order, axis=0)
+    return order, xv, xv[:-1] < xv[1:], (xv[:-1] + xv[1:]) / 2.0
+
+
+def _best_split(X: np.ndarray, t: np.ndarray, rows: np.ndarray,
                 features: np.ndarray, min_leaf: int, criterion: str):
     """Scan candidate features for the best midpoint split.
 
     Returns (feature, threshold, score) or None. Scores are impurity
-    sums to minimize, computed for every candidate feature at once.
-    argmin's first-occurrence rule over ascending feature order and
-    ascending cut positions enforces the lowest-feature,
-    lowest-threshold tie rule. Splits that cannot beat the parent
-    score are rejected.
+    sums to minimize, computed for every candidate feature at once. The
+    first minimum in (feature, cut) order wins: the lowest feature, then
+    the lowest threshold. Splits that cannot beat the parent score are
+    rejected.
     """
-    t = target[rows]
     n = len(rows)
     total = float(t.sum())
     if criterion == "gini":
@@ -57,11 +67,8 @@ def _best_split(X: np.ndarray, target: np.ndarray, rows: np.ndarray,
     else:
         parent = float(t @ t) - total * total / n
 
-    xs = X[np.ix_(rows, features)]
-    order = np.argsort(xs, axis=0, kind="stable")
-    xv = np.take_along_axis(xs, order, axis=0)
+    order, _, valid, mid = sorted_cuts(X[np.ix_(rows, features)])
     tv = t[order]
-    valid = xv[:-1] < xv[1:]  # row i = split after sorted position i
     ln = np.arange(1, n, dtype=np.float64)[:, None]
     rn = n - ln
     if min_leaf > 1:
@@ -77,16 +84,11 @@ def _best_split(X: np.ndarray, target: np.ndarray, rows: np.ndarray,
         sse_r = (float(t @ t) - csq) - (total - csum) ** 2 / rn
         score = sse_l + sse_r
     score[~valid] = np.inf
-    pos = np.argmin(score, axis=0)
-    cols = np.arange(len(features))
-    col_best = score[pos, cols]
-    j = int(np.argmin(col_best))
-    best_score = float(col_best[j])
+    j, p = divmod(int(np.argmin(score.T)), n - 1)
+    best_score = float(score[p, j])
     if not best_score < parent - 1e-12:
         return None
-    p = int(pos[j])
-    th = (float(xv[p, j]) + float(xv[p + 1, j])) / 2.0
-    return (int(features[j]), th, best_score)
+    return (int(features[j]), float(mid[p, j]), best_score)
 
 
 def build_tree(X: np.ndarray, target: np.ndarray, *, criterion: str,
@@ -113,19 +115,19 @@ def build_tree(X: np.ndarray, target: np.ndarray, *, criterion: str,
         threshold.append(0.0)
         left.append(LEAF)
         right.append(LEAF)
-        value.append(float(np.mean(target[rows])))
+        t = target[rows]
+        value.append(float(np.mean(t)))
         if max_depth is not None and depth >= max_depth:
             continue
         if len(rows) < 2 * min_samples_leaf or len(rows) < 2:
             continue
-        t = target[rows]
         if criterion == "gini" and (t == t[0]).all():
             continue
         if max_features is not None and max_features < d:
             cand = np.sort(rng.choice(d, size=max_features, replace=False))
         else:
             cand = np.arange(d)
-        found = _best_split(X, target, rows, cand, min_samples_leaf, criterion)
+        found = _best_split(X, t, rows, cand, min_samples_leaf, criterion)
         if found is None:
             continue
         f, th, _ = found
@@ -191,6 +193,11 @@ def apply_tree(tree: TreeArrays, X: np.ndarray) -> np.ndarray:
 class TreeEnsemble:
     """Mixin for a model dataclass with a `trees` list. The flat arrays are
     built on first use, after load_bundle's check_tree, and never persisted."""
+
+    def __post_init__(self):
+        n_trees = self.spec.hyperparameters["n_trees"]
+        if len(self.trees) != n_trees:
+            raise ValueError(f"{len(self.trees)} trees, but n_trees is {n_trees}")
 
     @functools.cached_property
     def _flat(self) -> tuple[TreeArrays, np.ndarray]:

@@ -7,7 +7,7 @@ import pytest
 
 import headerscan.learners as L
 from headerscan.corpus import CorpusRecord, Label
-from headerscan.features import fit_schema, fit_scaler
+from headerscan.features import apply_scaler, extract_matrix, fit_schema, fit_scaler
 from headerscan.headers import parse_headers
 from headerscan.learners import ModelSpec
 from headerscan.learners.bundle import (bundle_bytes, decode_array, encode_array,
@@ -16,6 +16,7 @@ from headerscan.learners.linear import LogRegModel, sigmoid
 from headerscan.learners.mlp import init_params, loss_and_grad
 from headerscan.learners.tree import BLOCK_ROWS, LEAF, DecisionTreeModel, TreeArrays, apply_tree
 from headerscan.learners.forest import RandomForestModel
+from headerscan.synthetic import generate_emails, to_records
 
 
 def two_blobs(n_per=40, d=5, seed=0, gap=2.0):
@@ -333,6 +334,110 @@ def test_adaboost_separable_perfect():
     X, y = two_blobs(seed=12, gap=6.0)
     m = L.train(ModelSpec("adaboost", {"rounds": 10}, 0), X, y)
     assert np.mean((m.decision_values(X) >= 0) == (y == 1)) == 1.0
+
+
+def test_adaboost_identical_columns_take_the_lower_feature():
+    rng = np.random.default_rng(14)
+    col = rng.standard_normal(40)
+    X = np.column_stack([rng.standard_normal(40), col, col])
+    m = L.train(ModelSpec("adaboost", {"rounds": 1}, 0), X, (col > 0).astype(np.int64))
+    assert m.features.tolist() == [1]
+
+
+def test_adaboost_equal_error_cuts_take_the_lower_threshold():
+    # cut 0.5 with polarity +1 and cut 2.5 with polarity -1 both miss
+    # one row in four
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    m = L.train(ModelSpec("adaboost", {"rounds": 1}, 0), X, np.array([0, 1, 1, 0]))
+    assert m.thresholds.tolist() == [0.5] and m.polarities.tolist() == [1.0]
+
+
+def test_adaboost_constant_column_gives_the_constant_stump():
+    X = np.full((4, 1), 2.0)
+    m = L.train(ModelSpec("adaboost", {"rounds": 5}, 0), X, np.array([1, 1, 1, 0]))
+    assert m.features.tolist() == [0]
+    assert m.thresholds.tolist() == [1.0] and m.polarities.tolist() == [1.0]
+
+
+def reference_stump(X, ys, w):
+    """The per-feature, per-cut stump search that train_adaboost's one
+    sorted scan replaced: (error, feature, threshold, polarity)."""
+    n, d = X.shape
+    best = None  # (err, feature, threshold, polarity)
+    for f in range(d):
+        xs = X[:, f]
+        order = np.argsort(xs, kind="stable")
+        xv = xs[order]
+        wy = (w * (ys > 0))[order]   # weight mass of positives
+        wn = (w * (ys < 0))[order]
+        total_pos = float(wy.sum())
+        total_neg = float(wn.sum())
+        cum_pos = np.concatenate(([0.0], np.cumsum(wy)))
+        cum_neg = np.concatenate(([0.0], np.cumsum(wn)))
+        # candidate boundaries: below all points, then between distinct values
+        cuts = [0] + [int(i) + 1 for i in np.flatnonzero(xv[:-1] < xv[1:])]
+        for pos in cuts:
+            if pos == 0:
+                th = float(xv[0]) - 1.0
+            else:
+                th = (float(xv[pos - 1]) + float(xv[pos])) / 2.0
+            # polarity +1: predict +1 on the right of th
+            err_plus = cum_pos[pos] + (total_neg - cum_neg[pos])
+            for polarity, err in ((1.0, err_plus), (-1.0, total_pos + total_neg - err_plus)):
+                if best is None or err < best[0] - 1e-15:
+                    best = (float(err), f, th, polarity)
+    return best
+
+
+def reference_adaboost(X, y, rounds):
+    """train_adaboost's rounds over reference_stump: (features,
+    thresholds, polarities, alphas)."""
+    ys = 2.0 * y.astype(np.float64) - 1.0
+    w = np.full(len(y), 1.0 / len(y))
+    stumps = []
+    for _ in range(rounds):
+        err, f, th, pol = reference_stump(X, ys, w)
+        if err >= 0.5:
+            break
+        eps = max(err, 1e-12)
+        alpha = 0.5 * np.log((1.0 - eps) / eps)
+        w *= np.exp(-alpha * ys * np.where(X[:, f] > th, pol, -pol))
+        w /= w.sum()
+        stumps.append((f, th, pol, float(alpha)))
+        if err <= 1e-12:
+            break
+    f, th, pol, alpha = zip(*stumps)
+    return (np.array(f, dtype=np.int64), np.array(th), np.array(pol), np.array(alpha))
+
+
+def header_matrix():
+    """Standardised one-hot header features of synthetic mail, with
+    mirrored columns (a binary field's =0 and =1 indicators)."""
+    records = to_records(generate_emails(300, 0.5, seed=41))
+    schema = fit_schema(records, k=40, one_hot=True)
+    M = extract_matrix(records, schema)
+    y = np.array([r.label is not Label.HAM for r in records], dtype=np.int64)
+    return apply_scaler(M, fit_scaler(M)), y
+
+
+def continuous_matrix():
+    rng = np.random.default_rng(42)
+    X = rng.standard_normal((400, 8))
+    return X, (X[:, 0] + 0.5 * rng.standard_normal(400) > 0).astype(np.int64)
+
+
+@pytest.mark.parametrize("data", [header_matrix, continuous_matrix])
+def test_adaboost_matches_the_per_cut_stump_search(data):
+    X, y = data()
+    if data is header_matrix:
+        one_hot = X > X.mean(axis=0)
+        assert any((one_hot[:, a] == ~one_hot[:, b]).all() and X[:, a].std() > 0
+                   for a in range(X.shape[1]) for b in range(a + 1, X.shape[1]))
+    m = L.train(ModelSpec("adaboost", {"rounds": 100}, 0), X, y)
+    want = reference_adaboost(X, y, 100)
+    assert len(want[0]) == 100
+    got = (m.features, m.thresholds, m.polarities, m.alphas)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_grad_boost_base_score_is_log_odds():
@@ -705,9 +810,15 @@ def _second_tree_points_into_first(doc):
     tree["left"] = encode_array(left)
 
 
-def _stumps_on_feature_minus_one(doc):
-    features = decode_array(doc["parameters"]["features"])
-    doc["parameters"]["features"] = encode_array(np.full_like(features, -1))
+def _filled(key, value):
+    def damage(doc):
+        a = decode_array(doc["parameters"][key])
+        doc["parameters"][key] = encode_array(np.full_like(a, value))
+    return damage
+
+
+def _drop_first(key):
+    return lambda doc: doc["parameters"][key].pop(0)
 
 
 def _labels_one_short(doc):
@@ -715,18 +826,24 @@ def _labels_one_short(doc):
     doc["parameters"]["y"] = encode_array(decode_array(y)[:-1])
 
 
-# damage that hung classify (the forest probe looped forever) or ended
-# it with a traceback, at once or on some messages, before load_bundle
-# checked it
+# damage that hung classify (the forest probe looped forever), ended it
+# with a traceback, at once or on some messages, or scored with a wrong
+# vote, before load_bundle checked it
 DAMAGE = {
     "forest-right-is-[0]": ("random_forest", lambda d: d["parameters"]
                             ["trees"][0].update(right=encode_array(np.array([0])))),
     "forest-child-points-back": ("random_forest", _right_points_back),
     "forest-child-points-into-first-tree": ("random_forest", _second_tree_points_into_first),
     "grad-boost-without-trees": ("grad_boost", lambda d: d["parameters"].update(trees=[])),
+    "grad-boost-one-tree-short": ("grad_boost", _drop_first("trees")),
+    "forest-one-tree-short": ("random_forest", _drop_first("trees")),
+    "forest-one-seed-short": ("random_forest", _drop_first("tree_seeds")),
+    "forest-n-trees-4": ("random_forest", lambda d: d["hyperparameters"].update(n_trees=4)),
+    "adaboost-polarity-0": ("adaboost", _filled("polarities", 0.0)),
+    "adaboost-alpha-0": ("adaboost", _filled("alphas", 0.0)),
     "tree-split-past-width": ("decision_tree", _split_past_width),
     "knn-labels-one-short": ("knn", _labels_one_short),
-    "adaboost-negative-feature": ("adaboost", _stumps_on_feature_minus_one),
+    "adaboost-negative-feature": ("adaboost", _filled("features", -1)),
     "knn-without-k": ("knn", lambda d: d["hyperparameters"].pop("k")),
     "grad-boost-learning-rate-x":
         ("grad_boost", lambda d: d["hyperparameters"].update(learning_rate="x")),
