@@ -5,6 +5,9 @@ Positive class is always the anomaly (spam or phishing). Aggregate CV
 metrics come from the confusion matrix pooled across folds; AUC pools
 the per-fold decision values instead, since it is not a function of
 the confusion matrix.
+
+grid_search is the one model-selection loop of all four phases; its
+cells are scored by kfold_cv or, for the one-class SVM, one_class_cv.
 """
 
 from __future__ import annotations
@@ -17,13 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learners import ModelSpec, Score, derive_seed, out_of_fold
+from .learners import (ModelSpec, Score, check_fingerprint, decision_values,
+                       derive_seed, out_of_fold, rng_for, train_one_class)
 from .learners.base import stratified_fold_ids
 
 __all__ = [
     "EvalReport", "ImportanceReport", "RenderedTable",
     "make_scores", "compute_metrics", "roc_points",
-    "stratified_split", "kfold_cv", "grid_search", "balance",
+    "stratified_split", "kfold_cv", "one_class_cv", "grid_search", "balance",
     "permutation_importance", "select_top_m", "render_table",
     "render_importance_table",
 ]
@@ -186,9 +190,44 @@ def kfold_cv(spec: ModelSpec, X, y, k: int, seed: int) -> EvalReport:
                                oof_values=tuple(dv.tolist()))
 
 
+def one_class_cv(spec: ModelSpec, X, y, k: int, seed: int) -> EvalReport:
+    """k-fold validation of a model trained on ham (y == 0) alone.
+
+    Ham falls into k folds on the plan derived from seed, and the
+    anomalies (y == 1) form a pool in a seeded order. Fold f trains on
+    the other folds' ham with seed derive_seed(spec.seed, "fold", f) and
+    scores its own ham plus pool[f::k], both cut to the same length, so
+    every fold is balanced like the final test."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    ham, anomalies = np.flatnonzero(y == 0), np.flatnonzero(y == 1)
+    if len(ham) < 2 * k or len(anomalies) == 0:
+        raise ValueError(f"one-class folds need at least {2 * k} ham rows "
+                         "and one anomaly")
+    fold_of = stratified_fold_ids(np.zeros(len(ham), dtype=np.int64), k,
+                                  derive_seed(seed, "oc-folds"))
+    pool = anomalies[rng_for(seed, "oc-valpool").permutation(len(anomalies))]
+    dv_parts, y_parts = [], []
+    for f in range(k):
+        held_ham = ham[fold_of == f]
+        held_anom = np.sort(pool[f::k])
+        m = min(len(held_ham), len(held_anom))
+        model = train_one_class(
+            ModelSpec(spec.algorithm, spec.hyperparameters,
+                      derive_seed(spec.seed, "fold", f)),
+            X[ham[fold_of != f]])
+        for rows, label in ((held_ham[:m], 0), (held_anom[:m], 1)):
+            dv_parts.append(decision_values(model, X[rows]))
+            y_parts.append(np.full(m, label, dtype=np.int64))
+    return compute_metrics(
+        make_scores(np.concatenate(dv_parts), one_class=True),
+        np.concatenate(y_parts))
+
+
 def grid_search(algorithm: str, grid: dict, X, y, k: int, seed: int):
-    """Evaluate every Cartesian-product cell with kfold_cv, all cells on
-    the one fold plan derived from seed.
+    """Evaluate every Cartesian-product cell, all cells on the one fold
+    plan derived from seed: with one_class_cv for the one-class SVM and
+    with kfold_cv for every other algorithm.
 
     Cells enumerate with the first grid key slowest (dict insertion
     order). Best cell: highest pooled accuracy, then highest F1, then
@@ -197,22 +236,17 @@ def grid_search(algorithm: str, grid: dict, X, y, k: int, seed: int):
     result and two algorithms searched with one seed never share a
     model seed. An empty grid evaluates the single all-defaults cell.
     """
+    cv = one_class_cv if algorithm == "one_class_svm" else kfold_cv
     keys = list(grid)
-    cells = [dict(zip(keys, combo))
-             for combo in itertools.product(*(grid[k] for k in keys))]
-    best_spec = None
-    best_report = None
-    results = []
-    for hp in cells:
-        cell_seed = derive_seed(seed, "cell", algorithm,
-                                json.dumps(hp, sort_keys=True, default=str))
-        spec = ModelSpec(algorithm, hp, cell_seed)
-        report = kfold_cv(spec, X, y, k, seed)
-        results.append((hp, report))
-        if best_report is None or (report.accuracy, report.f1) > (
-                best_report.accuracy, best_report.f1):
-            best_spec, best_report = spec, report
-    return best_spec, results
+    scored = []
+    for combo in itertools.product(*(grid[key] for key in keys)):
+        hp = dict(zip(keys, combo))
+        spec = ModelSpec(algorithm, hp, derive_seed(
+            seed, "cell", algorithm, json.dumps(hp, sort_keys=True, default=str)))
+        scored.append((spec, cv(spec, X, y, k, seed)))
+    # max keeps the first of equal keys: the earliest cell wins a tie
+    best_spec, _ = max(scored, key=lambda sr: (sr[1].accuracy, sr[1].f1))
+    return best_spec, [(spec.hyperparameters, report) for spec, report in scored]
 
 
 def balance(y, seed: int) -> np.ndarray:
@@ -247,9 +281,7 @@ def permutation_importance(model, X_test, y_test, repeats: int = 10,
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if (fingerprint is not None and model.schema_fingerprint is not None
-            and fingerprint != model.schema_fingerprint):
-        raise ValueError("feature schema fingerprint does not match the model")
+    check_fingerprint(model, fingerprint)
     X_test = np.asarray(X_test, dtype=np.float64)
     y_test = np.asarray(y_test, dtype=np.int64)
     n, d = X_test.shape

@@ -9,6 +9,7 @@ a persisted schema is bit-identical at train and classify time.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -101,45 +102,29 @@ class ScalerParams:
     stddev: np.ndarray
 
 
-def _descriptor_dict(d: FeatureDescriptor) -> dict:
+def _content(schema: FeatureSchema) -> dict:
+    """Everything a schema says, as persisted, except its fingerprint."""
     return {
-        "name": d.name,
-        "category": d.category,
-        "encoding": d.encoding,
-        "missing_code": d.missing_code,
-        "kind": d.kind,
-        "param": d.param,
-        "onehot_value": d.onehot_value,
-        "group_id": d.group_id,
+        "descriptors": [dataclasses.asdict(d) for d in schema.descriptors],
+        "mode_timezone": schema.mode_timezone,
+        "mode_msgid_domain": schema.mode_msgid_domain,
+        "top_fields": list(schema.top_fields),
+        "feature_set": schema.feature_set,
+        "chain_direction": schema.chain_direction,
     }
 
 
-def _fingerprint(descriptors, mode_tz, mode_msgid, top_fields, feature_set, chain) -> str:
-    payload = json.dumps(
-        {
-            "descriptors": [_descriptor_dict(d) for d in descriptors],
-            "mode_timezone": mode_tz,
-            "mode_msgid_domain": mode_msgid,
-            "top_fields": list(top_fields),
-            "feature_set": feature_set,
-            "chain_direction": chain,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
+def _fingerprinted(schema: FeatureSchema) -> FeatureSchema:
+    payload = json.dumps(_content(schema), sort_keys=True,
+                         separators=(",", ":")).encode()
+    return dataclasses.replace(
+        schema, fingerprint=hashlib.sha256(payload).hexdigest()[:16])
 
 
-def _build_schema(descriptors, mode_tz, mode_msgid, top_fields, feature_set, chain):
-    return FeatureSchema(
-        descriptors=tuple(descriptors),
-        mode_timezone=mode_tz,
-        mode_msgid_domain=mode_msgid,
-        top_fields=tuple(top_fields),
-        feature_set=feature_set,
-        chain_direction=chain,
-        fingerprint=_fingerprint(descriptors, mode_tz, mode_msgid, top_fields, feature_set, chain),
-    )
+def _keep(schema: FeatureSchema, indices) -> FeatureSchema:
+    """The schema restricted to the given descriptor positions."""
+    kept = tuple(schema.descriptors[i] for i in indices)
+    return _fingerprinted(dataclasses.replace(schema, descriptors=kept))
 
 
 def _mode(counter: Counter[str]) -> str:
@@ -218,11 +203,9 @@ def fit_schema(
         if domain is not None:
             msgid_counts[domain] += 1
 
-    descriptors = _catalog(top, one_hot, feature_set)
-    return _build_schema(
-        descriptors, _mode(tz_counts), _mode(msgid_counts), top,
-        feature_set, chain_direction,
-    )
+    return _fingerprinted(FeatureSchema(
+        tuple(_catalog(top, one_hot, feature_set)), _mode(tz_counts),
+        _mode(msgid_counts), tuple(top), feature_set, chain_direction, ""))
 
 
 def _address_count(header: EmailHeader, name: str) -> int:
@@ -353,19 +336,13 @@ def prune_single_valued(
     schema: FeatureSchema, matrix: np.ndarray
 ) -> tuple[FeatureSchema, np.ndarray, list[str]]:
     """Drop features that are constant on the training matrix."""
-    keep = [i for i in range(matrix.shape[1])
-            if not np.all(matrix[:, i] == matrix[0, i])]
-    dropped = [schema.descriptors[i].name for i in range(matrix.shape[1])
-               if i not in set(keep)]
+    varies = (matrix != matrix[:1]).any(axis=0)
+    keep = np.flatnonzero(varies).tolist()
+    dropped = [d.name for d, v in zip(schema.descriptors, varies) if not v]
     if dropped:
         log.info("dropping %d single-valued feature(s): %s",
                  len(dropped), ", ".join(dropped))
-    kept = [schema.descriptors[i] for i in keep]
-    new_schema = _build_schema(
-        kept, schema.mode_timezone, schema.mode_msgid_domain,
-        schema.top_fields, schema.feature_set, schema.chain_direction,
-    )
-    return new_schema, matrix[:, keep], dropped
+    return _keep(schema, keep), matrix[:, keep], dropped
 
 
 def subset_schema(
@@ -377,12 +354,7 @@ def subset_schema(
     if unknown:
         raise KeyError(f"unknown feature names: {sorted(unknown)}")
     indices = [i for i, d in enumerate(schema.descriptors) if d.name in wanted]
-    kept = [schema.descriptors[i] for i in indices]
-    new_schema = _build_schema(
-        kept, schema.mode_timezone, schema.mode_msgid_domain,
-        schema.top_fields, schema.feature_set, schema.chain_direction,
-    )
-    return new_schema, indices
+    return _keep(schema, indices), indices
 
 
 def subset_scaler(params: ScalerParams, indices: list[int]) -> ScalerParams:
@@ -392,23 +364,14 @@ def subset_scaler(params: ScalerParams, indices: list[int]) -> ScalerParams:
 # ------------------------------------------------------------ persistence
 
 def schema_to_dict(schema: FeatureSchema) -> dict:
-    return {
-        "descriptors": [_descriptor_dict(d) for d in schema.descriptors],
-        "mode_timezone": schema.mode_timezone,
-        "mode_msgid_domain": schema.mode_msgid_domain,
-        "top_fields": list(schema.top_fields),
-        "feature_set": schema.feature_set,
-        "chain_direction": schema.chain_direction,
-        "fingerprint": schema.fingerprint,
-    }
+    return {**_content(schema), "fingerprint": schema.fingerprint}
 
 
 def schema_from_dict(doc: dict) -> FeatureSchema:
-    descriptors = [FeatureDescriptor(**d) for d in doc["descriptors"]]
-    schema = _build_schema(
-        descriptors, doc["mode_timezone"], doc["mode_msgid_domain"],
-        doc["top_fields"], doc["feature_set"], doc["chain_direction"],
-    )
+    schema = _fingerprinted(FeatureSchema(
+        tuple(FeatureDescriptor(**d) for d in doc["descriptors"]),
+        doc["mode_timezone"], doc["mode_msgid_domain"],
+        tuple(doc["top_fields"]), doc["feature_set"], doc["chain_direction"], ""))
     if schema.fingerprint != doc["fingerprint"]:
         raise ValueError("schema fingerprint mismatch: document corrupted")
     return schema

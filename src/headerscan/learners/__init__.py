@@ -28,7 +28,7 @@ __all__ = [
     "ALGORITHMS", "ModelSpec", "Score", "ConvergenceError",
     "derive_seed", "rng_for", "stratified_fold_ids", "validate_spec",
     "train", "train_one_class", "train_stack", "out_of_fold", "fit_stack_meta",
-    "predict", "predict_one_class", "decision_values",
+    "predict", "predict_one_class", "decision_values", "check_fingerprint",
     "default_grid", "DEFAULT_GRIDS",
     "Bundle", "save_bundle", "load_bundle", "bundle_bytes",
     "model_to_doc", "model_from_doc",
@@ -81,7 +81,8 @@ def decision_values(model, X: np.ndarray) -> np.ndarray:
     return model.decision_values(X)
 
 
-def _check_fingerprint(model, fingerprint):
+def check_fingerprint(model, fingerprint: str | None) -> None:
+    """Refuse a schema fingerprint other than the model's; None passes."""
     if (fingerprint is not None and model.schema_fingerprint is not None
             and fingerprint != model.schema_fingerprint):
         raise ValueError("feature schema fingerprint does not match the model")
@@ -89,14 +90,14 @@ def _check_fingerprint(model, fingerprint):
 
 def predict(model, x: np.ndarray, fingerprint: str | None = None) -> Score:
     """Score one standardized feature vector with a binary model."""
-    _check_fingerprint(model, fingerprint)
+    check_fingerprint(model, fingerprint)
     dv = float(decision_values(model, np.asarray(x, dtype=np.float64)[None, :])[0])
     return Score(decision_value=dv, is_anomalous=dv >= 0.0)
 
 
 def predict_one_class(model, x: np.ndarray, fingerprint: str | None = None) -> Score:
     """Score one vector with the one-class SVM: Inlier iff >= 0."""
-    _check_fingerprint(model, fingerprint)
+    check_fingerprint(model, fingerprint)
     dv = float(decision_values(model, np.asarray(x, dtype=np.float64)[None, :])[0])
     return Score(decision_value=dv, is_anomalous=dv < 0.0)
 

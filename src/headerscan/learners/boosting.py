@@ -71,6 +71,9 @@ class AdaBoostModel:
     schema_fingerprint: str | None = None
 
     def __post_init__(self):
+        # no stumps would score every row 0, which reads anomalous
+        if len(self.alphas) == 0:
+            raise ValueError("AdaBoost model without stumps")
         # numpy would read a negative feature index from the end of the row
         if (self.features < 0).any():
             raise ValueError("AdaBoost stump on a negative feature index")
@@ -87,7 +90,9 @@ class AdaBoostModel:
 def train_adaboost(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
                    schema_fingerprint: str | None = None) -> AdaBoostModel:
     """Classic discrete AdaBoost with alpha = 0.5*ln((1-eps)/eps),
-    eps floored at 1e-12. Halts early when no stump beats error 0.5.
+    eps floored at 1e-12. Halts early when no stump beats error 0.5;
+    raises ValueError if even the first round has none, as a model
+    without stumps would call every row anomalous.
 
     A stump predicts polarity where x > threshold and -polarity
     elsewhere. X is sorted and its candidate stumps are listed once: per
@@ -121,6 +126,9 @@ def train_adaboost(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
         k = int(np.argmax(errs - 1e-15 <= errs.min()))  # stump k // 2, polarity by k % 2
         err = float(errs[k])
         if err >= 0.5:
+            if not picked:
+                raise ValueError("AdaBoost: no stump beats chance on the "
+                                 "training data")
             break
         eps = max(err, 1e-12)
         alpha = 0.5 * np.log((1.0 - eps) / eps)

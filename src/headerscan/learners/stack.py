@@ -2,8 +2,10 @@
 
 Meta-features are produced out-of-fold so the meta-learner never sees a
 base decision value computed by a model that trained on that row.
-out_of_fold is the one fold loop: kfold_cv builds its reports from it
-too, so the pipeline's stacks reuse the grid search's held-out columns.
+out_of_fold is the one fold loop of the binary learners: kfold_cv
+builds its reports from it too, so the pipeline's stacks reuse the grid
+search's held-out columns. (The one-class SVM trains on ham alone, so
+its folds are evaluation.one_class_cv's.)
 """
 
 from __future__ import annotations

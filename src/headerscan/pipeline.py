@@ -14,7 +14,6 @@ seed, so rerunning the same config rewrites byte-identical artifacts
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import logging
 import os
@@ -36,7 +35,7 @@ from .features import (CHAIN_BY_THEN_FROM, CHAIN_FROM_THEN_BY,
                        subset_scaler, subset_schema)
 from .learners import (ModelSpec, decision_values, default_grid,
                        fit_stack_meta, save_bundle, train, train_one_class)
-from .learners.base import derive_seed, rng_for, stratified_fold_ids
+from .learners.base import derive_seed
 from .synthetic import generate_emails, to_records
 
 __all__ = [
@@ -413,6 +412,36 @@ def _importance_stage(X, y, schema, scaler, cfg: RunConfig, ps: int,
     return X[:, keep], schema2, subset_scaler(scaler, keep)
 
 
+def _balanced_test(test_records, yte, schema, scaler, ps: int):
+    """The test split, extracted, standardized and class-balanced."""
+    Xte = apply_scaler(extract_matrix(test_records, schema), scaler)
+    bal = np.sort(balance(yte, derive_seed(ps, "test-balance")))
+    return Xte[bal], yte[bal]
+
+
+def _grid_record(spec: ModelSpec, cells, key: str):
+    """The manifest block of one grid search, with the winning cell's
+    report under key, and that report."""
+    report = next(r for hp, r in cells if hp == spec.hyperparameters)
+    return {"best_hyperparameters": spec.hyperparameters,
+            key: report_to_dict(report, include_folds=True),
+            "cells": [{"hyperparameters": hp, "accuracy": r.accuracy}
+                      for hp, r in cells]}, report
+
+
+def _save_best(best: tuple, yb, schema, scaler, positive: Label,
+               out_dir: str, phase_no: int, entry: dict) -> None:
+    """Save and record the winner: (name, model, test scores, report)."""
+    name, model, scores, report = best
+    model_rel = f"models/phase{phase_no}.model.json"
+    save_bundle(os.path.join(out_dir, model_rel), model, schema, scaler,
+                positive.value)
+    entry["best"] = {"name": name, "test": report_to_dict(report),
+                     "model_file": model_rel}
+    entry["roc_file"] = _write_roc(out_dir, f"roc/phase{phase_no}.csv",
+                                   scores, yb)
+
+
 def _binary_phase(records, positive: Label, phase_no: int, feature_set: str,
                   cfg: RunConfig, out_dir: str, select: bool,
                   balance_first: bool) -> dict:
@@ -447,36 +476,26 @@ def _binary_phase(records, positive: Label, phase_no: int, feature_set: str,
         grid = cfg.grids[algo] if algo in cfg.grids else default_grid(algo)
         spec, cells = grid_search(algo, grid, X, ytr, cfg.cv_folds,
                                   derive_seed(ps, "grid"))
-        cv_report = next(r for hp, r in cells
-                         if hp == spec.hyperparameters)
+        grid_entry[algo], cv_report = _grid_record(spec, cells, "cv")
         oof[algo] = cv_report.oof_values
         models[algo] = train(
             ModelSpec(algo, spec.hyperparameters,
                       derive_seed(ps, "refit", algo)),
             X, ytr, schema.fingerprint)
-        grid_entry[algo] = {
-            "best_hyperparameters": spec.hyperparameters,
-            "cv": report_to_dict(cv_report, include_folds=True),
-            "cells": [{"hyperparameters": hp, "accuracy": r.accuracy}
-                      for hp, r in cells],
-        }
     entry["grid"] = grid_entry
 
-    test_matrix = extract_matrix(test_records, schema)
-    Xte = apply_scaler(test_matrix, scaler)
-    bal = np.sort(balance(yte, derive_seed(ps, "test-balance")))
-    Xb, yb = Xte[bal], yte[bal]
-    entry["counts"]["balanced_test"] = len(bal)
+    Xb, yb = _balanced_test(test_records, yte, schema, scaler, ps)
+    entry["counts"]["balanced_test"] = len(yb)
 
     rows = []
     test_entry: dict = {}
-    candidates: list[tuple[str, object, EvalReport]] = []
+    candidates = []  # (name, model, scores, report)
     for algo in BINARY_ALGORITHMS:
-        report = compute_metrics(
-            make_scores(decision_values(models[algo], Xb)), yb)
+        scores = make_scores(decision_values(models[algo], Xb))
+        report = compute_metrics(scores, yb)
         test_entry[algo] = report_to_dict(report)
         rows.append((DISPLAY_NAMES[algo], report))
-        candidates.append((algo, models[algo], report))
+        candidates.append((algo, models[algo], scores, report))
     entry["test"] = test_entry
     entry["tables"]["binary"] = _write_table(
         out_dir, f"reports/phase{phase_no}_binary", render_table(rows, "binary"))
@@ -488,42 +507,26 @@ def _binary_phase(records, positive: Label, phase_no: int, feature_set: str,
         model = fit_stack_meta([models[a] for a in combo],
                                np.column_stack([oof[a] for a in combo]),
                                ytr, meta, schema.fingerprint)
-        report = compute_metrics(make_scores(decision_values(model, Xb)), yb)
+        scores = make_scores(decision_values(model, Xb))
+        report = compute_metrics(scores, yb)
         name = ", ".join(SHORT_NAMES[a] for a in combo)
         stack_entry[name] = report_to_dict(report)
         stack_rows.append((name, report))
-        candidates.append((name, model, report))
+        candidates.append((name, model, scores, report))
     entry["stacking"] = stack_entry
     entry["tables"]["stacking"] = _write_table(
         out_dir, f"reports/phase{phase_no}_stacking",
         render_table(stack_rows, "stacking"))
 
-    best_name, best_model, best_report = candidates[0]
-    for name, model, report in candidates[1:]:
-        if (report.accuracy, report.f1) > (best_report.accuracy,
-                                           best_report.f1):
-            best_name, best_model, best_report = name, model, report
-    model_rel = f"models/phase{phase_no}.model.json"
-    save_bundle(os.path.join(out_dir, model_rel), best_model, schema, scaler,
-                positive.value)
-    entry["best"] = {"name": best_name,
-                     "test": report_to_dict(best_report),
-                     "model_file": model_rel}
-    entry["roc_file"] = _write_roc(
-        out_dir, f"roc/phase{phase_no}.csv",
-        make_scores(decision_values(best_model, Xb)), yb)
+    # max keeps the first of equal keys: a tie goes to the earlier row
+    best = max(candidates, key=lambda c: (c[3].accuracy, c[3].f1))
+    _save_best(best, yb, schema, scaler, positive, out_dir, phase_no, entry)
     return entry
 
 
 def _resolve_gamma(values, d: int) -> list[float]:
     # "auto" stands for 1/d, resolved once the column count is known
-    out = []
-    for v in values:
-        if v == "auto":
-            out.append(1.0 / d)
-        else:
-            out.append(float(v))
-    return out
+    return [1.0 / d if v == "auto" else float(v) for v in values]
 
 
 def _one_class_phase(records, positive: Label, phase_no: int, cfg: RunConfig,
@@ -534,8 +537,6 @@ def _one_class_phase(records, positive: Label, phase_no: int, cfg: RunConfig,
         records, y, cfg.test_fraction, derive_seed(ps, "split"))
     ham_records = [r for r, flag in zip(train_records, ytr) if flag == 0]
     anom_records = [r for r, flag in zip(train_records, ytr) if flag == 1]
-    if len(ham_records) < 2 * cfg.cv_folds or not anom_records:
-        raise ValueError("not enough training data for one-class folds")
 
     schema, scaler, Xh, dropped = _fit_features(ham_records, cfg, FULL)
     Xa = apply_scaler(extract_matrix(anom_records, schema), scaler)
@@ -545,54 +546,17 @@ def _one_class_phase(records, positive: Label, phase_no: int, cfg: RunConfig,
     grid = {"nu": [float(v) for v in raw_grid["nu"]],
             "gamma": _resolve_gamma(raw_grid["gamma"], d)}
 
-    # model selection on the training half only: every fold holds out one
-    # slice of ham plus a disjoint, equally sized slice of the anomaly
-    # pool, so validation accuracy is balanced like the final test
-    k = cfg.cv_folds
-    fold_of = stratified_fold_ids(np.zeros(len(Xh), dtype=np.int64), k,
-                                  derive_seed(ps, "oc-folds"))
-    pool = rng_for(ps, "oc-valpool").permutation(len(Xa))
-    gseed = derive_seed(ps, "grid", "one_class_svm")
-    keys = list(grid)
-    cells = [dict(zip(keys, combo))
-             for combo in itertools.product(*(grid[key] for key in keys))]
-    best_hp = None
-    best_report = None
-    cell_entries = []
-    for hp in cells:
-        cell_seed = derive_seed(gseed, "cell",
-                                json.dumps(hp, sort_keys=True, default=str))
-        dv_parts, y_parts = [], []
-        for f in range(k):
-            held_ham = np.flatnonzero(fold_of == f)
-            held_anom = np.sort(pool[f::k])
-            m = min(len(held_ham), len(held_anom))
-            held_ham, held_anom = held_ham[:m], held_anom[:m]
-            spec = ModelSpec("one_class_svm", hp,
-                             derive_seed(cell_seed, "fold", f))
-            model = train_one_class(spec, Xh[fold_of != f],
-                                    schema.fingerprint)
-            dv_parts.append(decision_values(model, Xh[held_ham]))
-            dv_parts.append(decision_values(model, Xa[held_anom]))
-            y_parts.append(np.zeros(m, dtype=np.int64))
-            y_parts.append(np.ones(m, dtype=np.int64))
-        report = compute_metrics(
-            make_scores(np.concatenate(dv_parts), one_class=True),
-            np.concatenate(y_parts))
-        cell_entries.append({"hyperparameters": hp,
-                             "accuracy": report.accuracy})
-        if best_report is None or (report.accuracy, report.f1) > (
-                best_report.accuracy, best_report.f1):
-            best_hp, best_report = hp, report
-
+    # model selection on the training half only: the anomalies are a
+    # validation pool, never training rows (see one_class_cv)
+    spec, cells = grid_search("one_class_svm", grid, np.vstack([Xh, Xa]),
+                              [0] * len(Xh) + [1] * len(Xa), cfg.cv_folds, ps)
+    grid_block, _ = _grid_record(spec, cells, "validation")
     model = train_one_class(
-        ModelSpec("one_class_svm", best_hp, derive_seed(ps, "refit")),
+        ModelSpec("one_class_svm", spec.hyperparameters,
+                  derive_seed(ps, "refit")),
         Xh, schema.fingerprint)
 
-    test_matrix = extract_matrix(test_records, schema)
-    Xte = apply_scaler(test_matrix, scaler)
-    bal = np.sort(balance(yte, derive_seed(ps, "test-balance")))
-    Xb, yb = Xte[bal], yte[bal]
+    Xb, yb = _balanced_test(test_records, yte, schema, scaler, ps)
     scores = make_scores(decision_values(model, Xb), one_class=True)
     test_report = compute_metrics(scores, yb)
 
@@ -601,29 +565,19 @@ def _one_class_phase(records, positive: Label, phase_no: int, cfg: RunConfig,
         "counts": {"train_ham": len(ham_records),
                    "validation_pool": len(anom_records),
                    "test": len(test_records),
-                   "balanced_test": len(bal)},
+                   "balanced_test": len(yb)},
         "feature_count": d,
         "dropped_single_valued": list(dropped),
         "schema_fingerprint": schema.fingerprint,
-        "grid": {"one_class_svm": {
-            "best_hyperparameters": best_hp,
-            "validation": report_to_dict(best_report),
-            "cells": cell_entries,
-        }},
+        "grid": {"one_class_svm": grid_block},
         "test": {"one_class_svm": report_to_dict(test_report)},
         "tables": {},
     }
     entry["tables"]["oneclass"] = _write_table(
         out_dir, f"reports/phase{phase_no}_oneclass",
         render_table([(ONECLASS_COLUMN[phase_no], test_report)], "oneclass"))
-    model_rel = f"models/phase{phase_no}.model.json"
-    save_bundle(os.path.join(out_dir, model_rel), model, schema, scaler,
-                positive.value)
-    entry["best"] = {"name": "one_class_svm",
-                     "test": report_to_dict(test_report),
-                     "model_file": model_rel}
-    entry["roc_file"] = _write_roc(out_dir, f"roc/phase{phase_no}.csv",
-                                   scores, yb)
+    _save_best(("one_class_svm", model, scores, test_report), yb, schema,
+               scaler, positive, out_dir, phase_no, entry)
     return entry
 
 

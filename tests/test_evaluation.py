@@ -1,13 +1,19 @@
 """Metric arithmetic, CV partitions, grid search, importance, tables."""
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 
+import headerscan.evaluation as evaluation
 from headerscan.evaluation import (EvalReport, balance, compute_metrics,
                                    grid_search, kfold_cv, make_scores,
-                                   permutation_importance, render_table,
-                                   roc_points, select_top_m, stratified_split)
-from headerscan.learners import ModelSpec, Score, derive_seed, train
+                                   one_class_cv, permutation_importance,
+                                   render_table, roc_points, select_top_m,
+                                   stratified_split)
+from headerscan.learners import (ModelSpec, Score, decision_values, derive_seed,
+                                 rng_for, train, train_one_class)
 from headerscan.learners.base import stratified_fold_ids
 from headerscan.learners.linear import LogRegModel
 
@@ -249,6 +255,117 @@ def test_grid_empty_runs_defaults():
     best, results = grid_search("gaussian_nb", {}, X, y, 4, seed=11)
     assert len(results) == 1
     assert best.hyperparameters == {}
+
+
+# --- one-class validation -------------------------------------------------
+
+
+def one_class_data(n_ham=80, n_anom=30, gap=2.5, seed=21):
+    """Ham around the origin and anomalies gap away, in row order."""
+    rng = np.random.default_rng(seed)
+    X = np.vstack([rng.normal(0.0, 1.0, (n_ham, 3)),
+                   rng.normal(gap, 1.0, (n_anom, 3))])
+    return X, np.array([0] * n_ham + [1] * n_anom)
+
+
+@pytest.mark.parametrize("n_anom", [30, 100])
+def test_one_class_cv_folds(monkeypatch, n_anom):
+    X, y = one_class_data(n_anom=n_anom)
+    row_of = {row.tobytes(): i for i, row in enumerate(X)}
+
+    def rows(M):
+        return {row_of[row.tobytes()] for row in M}
+
+    trained, scored = [], []
+    real_train, real_score = evaluation.train_one_class, evaluation.decision_values
+    monkeypatch.setattr(evaluation, "train_one_class",
+                        lambda spec, M: trained.append(rows(M)) or real_train(spec, M))
+    monkeypatch.setattr(evaluation, "decision_values",
+                        lambda model, M: scored.append(rows(M)) or real_score(model, M))
+    report = one_class_cv(ModelSpec("one_class_svm", {}, 3), X, y, 4, seed=5)
+
+    ham, anomalies = set(np.flatnonzero(y == 0)), set(np.flatnonzero(y == 1))
+    held_ham, held_anom = scored[0::2], scored[1::2]
+    assert len(trained) == len(held_ham) == len(held_anom) == 4
+    for f in range(4):
+        assert trained[f] <= ham  # no fold model sees an anomaly
+        assert not trained[f] & held_ham[f]
+        assert held_ham[f] <= ham and held_anom[f] <= anomalies
+        assert len(held_ham[f]) == len(held_anom[f]) > 0
+    # every anomaly slice is its own; each fold trains on all other ham
+    assert len(set().union(*held_anom)) == sum(map(len, held_anom))
+    for f in range(4):
+        others = set().union(*(held_ham[g] for g in range(4) if g != f))
+        assert others <= trained[f]
+    assert sum(report.confusion) == 2 * sum(map(len, held_ham))
+
+
+def test_one_class_cv_needs_2k_ham_and_an_anomaly():
+    spec = ModelSpec("one_class_svm", {}, 0)
+    for n_ham, n_anom in ((7, 5), (40, 0)):
+        X, y = one_class_data(n_ham=n_ham, n_anom=n_anom)
+        with pytest.raises(ValueError):
+            one_class_cv(spec, X, y, 4, seed=0)
+    X, y = one_class_data(n_ham=8, n_anom=1)
+    tp, fp, fn, tn = one_class_cv(spec, X, y, 4, seed=0).confusion
+    assert (tp + fn, fp + tn) == (1, 1)  # one fold scores one pair
+
+
+def reference_one_class_grid(grid, Xh, Xa, k, ps):
+    """The one-class phase's own cell loop from before it went through
+    grid_search: (best hyperparameters, [(hp, report)], best report)."""
+    fold_of = stratified_fold_ids(np.zeros(len(Xh), dtype=np.int64), k,
+                                  derive_seed(ps, "oc-folds"))
+    pool = rng_for(ps, "oc-valpool").permutation(len(Xa))
+    gseed = derive_seed(ps, "grid", "one_class_svm")
+    keys = list(grid)
+    cells = [dict(zip(keys, combo))
+             for combo in itertools.product(*(grid[key] for key in keys))]
+    best_hp = None
+    best_report = None
+    results = []
+    for hp in cells:
+        cell_seed = derive_seed(gseed, "cell",
+                                json.dumps(hp, sort_keys=True, default=str))
+        dv_parts, y_parts = [], []
+        for f in range(k):
+            held_ham = np.flatnonzero(fold_of == f)
+            held_anom = np.sort(pool[f::k])
+            m = min(len(held_ham), len(held_anom))
+            held_ham, held_anom = held_ham[:m], held_anom[:m]
+            spec = ModelSpec("one_class_svm", hp,
+                             derive_seed(cell_seed, "fold", f))
+            model = train_one_class(spec, Xh[fold_of != f])
+            dv_parts.append(decision_values(model, Xh[held_ham]))
+            dv_parts.append(decision_values(model, Xa[held_anom]))
+            y_parts.append(np.zeros(m, dtype=np.int64))
+            y_parts.append(np.ones(m, dtype=np.int64))
+        report = compute_metrics(
+            make_scores(np.concatenate(dv_parts), one_class=True),
+            np.concatenate(y_parts))
+        results.append((hp, report))
+        if best_report is None or (report.accuracy, report.f1) > (
+                best_report.accuracy, best_report.f1):
+            best_hp, best_report = hp, report
+    return best_hp, results, best_report
+
+
+@pytest.mark.parametrize("grid", [
+    {"nu": [0.05, 0.1, 0.2], "gamma": [0.1, 0.5, 1 / 3]},
+    # every cell calls every row anomalous: a four-way tie
+    {"nu": [0.2, 0.1], "gamma": [100.0, 300.0]},
+])
+def test_one_class_grid_matches_the_phase_cell_loop(grid):
+    X, y = one_class_data()
+    ps = derive_seed(7, "phase", 3)
+    best, cells = grid_search("one_class_svm", grid, X, y, 4, ps)
+    want_hp, want_cells, want_report = reference_one_class_grid(
+        grid, X[y == 0], X[y == 1], 4, ps)
+    assert best.hyperparameters == want_hp
+    assert cells == want_cells
+    assert next(r for hp, r in cells if hp == want_hp) == want_report
+    keys = [(r.accuracy, r.f1) for _, r in cells]
+    assert len(set(keys)) < len(keys)  # the pick had a tie to break
 
 
 # --- balance --------------------------------------------------------------

@@ -280,3 +280,19 @@ def test_schema_roundtrip_dict_and_file():
     # train/serve consistency: extraction against the persisted schema
     for rec in BASIC:
         assert np.array_equal(extract(rec, again), extract(rec, schema))
+
+
+def test_fingerprints_are_pinned():
+    # schema_from_dict refuses a bundle whose fingerprint no longer
+    # matches its schema, so these values must never change
+    schema = fit_schema(BASIC, k=10, one_hot=True)
+    pruned, _, dropped = prune_single_valued(schema, extract_matrix(BASIC, schema))
+    sub, _ = subset_schema(pruned, pruned.names[::3])
+    domain = fit_schema(BASIC, feature_set=DOMAIN_MATCH_ONLY)
+    assert (len(schema.names), len(pruned.names), len(sub.names)) == (34, 9, 3)
+    assert dropped[:3] == ["missing:date", "missing:from", "missing:to"]
+    assert [s.fingerprint for s in (schema, pruned, sub, domain)] == [
+        "af32e24667520b8e", "7560fc160135315c", "6d26ef2cd48bd40d",
+        "ba74101d7dd25923"]
+    for s in (schema, pruned, sub, domain):
+        assert schema_from_dict(schema_to_dict(s)) == s

@@ -359,6 +359,14 @@ def test_adaboost_constant_column_gives_the_constant_stump():
     assert m.thresholds.tolist() == [1.0] and m.polarities.tolist() == [1.0]
 
 
+def test_adaboost_without_a_useful_stump_refuses_to_train():
+    # every stump misses half the weight; a model without stumps would
+    # score every row 0, which reads anomalous
+    X = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="no stump"):
+        L.train(ModelSpec("adaboost", {"rounds": 5}, 0), X, np.array([0, 1, 1, 0]))
+
+
 def reference_stump(X, ys, w):
     """The per-feature, per-cut stump search that train_adaboost's one
     sorted scan replaced: (error, feature, threshold, polarity)."""
@@ -817,6 +825,11 @@ def _filled(key, value):
     return damage
 
 
+def _no_stumps(doc):
+    for key in ("features", "thresholds", "polarities", "alphas"):
+        doc["parameters"][key] = encode_array(decode_array(doc["parameters"][key])[:0])
+
+
 def _drop_first(key):
     return lambda doc: doc["parameters"][key].pop(0)
 
@@ -841,6 +854,7 @@ DAMAGE = {
     "forest-n-trees-4": ("random_forest", lambda d: d["hyperparameters"].update(n_trees=4)),
     "adaboost-polarity-0": ("adaboost", _filled("polarities", 0.0)),
     "adaboost-alpha-0": ("adaboost", _filled("alphas", 0.0)),
+    "adaboost-no-stumps": ("adaboost", _no_stumps),
     "tree-split-past-width": ("decision_tree", _split_past_width),
     "knn-labels-one-short": ("knn", _labels_one_short),
     "adaboost-negative-feature": ("adaboost", _filled("features", -1)),
