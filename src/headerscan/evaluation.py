@@ -197,7 +197,8 @@ def one_class_cv(spec: ModelSpec, X, y, k: int, seed: int) -> EvalReport:
     anomalies (y == 1) form a pool in a seeded order. Fold f trains on
     the other folds' ham with seed derive_seed(spec.seed, "fold", f) and
     scores its own ham plus pool[f::k], both cut to the same length, so
-    every fold is balanced like the final test."""
+    every fold is balanced like the final test. With fewer than k
+    anomalies, the folds left without one are neither fitted nor scored."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     ham, anomalies = np.flatnonzero(y == 0), np.flatnonzero(y == 1)
@@ -208,7 +209,8 @@ def one_class_cv(spec: ModelSpec, X, y, k: int, seed: int) -> EvalReport:
                                   derive_seed(seed, "oc-folds"))
     pool = anomalies[rng_for(seed, "oc-valpool").permutation(len(anomalies))]
     dv_parts, y_parts = [], []
-    for f in range(k):
+    # pool[f::k] is empty from f = len(pool) on: such folds are skipped
+    for f in range(min(k, len(pool))):
         held_ham = ham[fold_of == f]
         held_anom = np.sort(pool[f::k])
         m = min(len(held_ham), len(held_anom))

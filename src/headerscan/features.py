@@ -208,10 +208,6 @@ def fit_schema(
         _mode(msgid_counts), tuple(top), feature_set, chain_direction, ""))
 
 
-def _address_count(header: EmailHeader, name: str) -> int:
-    return sum(len(parse_address_list(v)) for v in header.get_all(name))
-
-
 def _host_domain(host: str | None) -> str | None:
     if host is None:
         return None
@@ -223,16 +219,18 @@ def _base_values(header: EmailHeader, schema: FeatureSchema) -> dict[str, float]
     """Every catalog quantity for one email, keyed by kind[:param]."""
     values: dict[str, float] = {}
     present = set(header.names())
+    from_lists = [parse_address_list(v) for v in header.get_all("from")]
+    msgid_domain = extract_domain(header, "message-id")
+    hops = [parse_received(v) for v in header.get_all("received")]
 
     if schema.feature_set == FULL:
         for f in schema.top_fields:
             values[f"missing:{f}"] = 0.0 if f in present else 1.0
 
-        hops_raw = header.get_all("received")
-        to_n = _address_count(header, "to")
-        cc_n = _address_count(header, "cc")
-        from_n = _address_count(header, "from")
-        values["count:hops"] = float(len(hops_raw))
+        to_n = sum(len(parse_address_list(v)) for v in header.get_all("to"))
+        cc_n = sum(len(parse_address_list(v)) for v in header.get_all("cc"))
+        from_n = sum(len(addresses) for addresses in from_lists)
+        values["count:hops"] = float(len(hops))
         values["count:to"] = float(to_n)
         values["count:cc"] = float(cc_n)
         values["count:recipients"] = float(to_n + cc_n + from_n)
@@ -252,18 +250,18 @@ def _base_values(header: EmailHeader, schema: FeatureSchema) -> dict[str, float]
         else:
             values["ct_html"] = 1.0 if ct.strip().lower().startswith("text/html") else 0.0
 
-        msgid_domain = extract_domain(header, "message-id")
         if msgid_domain is None:
             values["msgid_mode"] = 2.0
         else:
             values["msgid_mode"] = 0.0 if msgid_domain == schema.mode_msgid_domain else 1.0
 
-    hops = [parse_received(v) for v in header.get_all("received")]
-
-    domains: dict[str, str | None] = {}
-    for name in ("from", "return-path", "reply-to", "message-id"):
-        domains[name] = extract_domain(header, name)
-    domains["received-from"] = _host_domain(hops[0].from_host) if hops else None
+    # as extract_domain reads it: the first From field's first address
+    first_from = from_lists[0] if from_lists else []
+    domains = {"from": (first_from[0].domain or None) if first_from else None,
+               "return-path": extract_domain(header, "return-path"),
+               "reply-to": extract_domain(header, "reply-to"),
+               "message-id": msgid_domain,
+               "received-from": _host_domain(hops[0].from_host) if hops else None}
 
     for a, b in _COMPARISON_PAIRS:
         da, db = domains[a], domains[b]

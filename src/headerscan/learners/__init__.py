@@ -109,22 +109,17 @@ DEFAULT_GRIDS: dict[str, dict] = {
     "random_forest": {"n_trees": [100], "max_depth": [None, 20]},
     "gaussian_nb": {},
     "knn": {"k": [1, 3, 5, 7]},
-    "mlp": {"hidden": [16, 64], "lr": [0.01, 0.001]},
+    "mlp": {"hidden": [16, 64], "lr": [0.01]},
     "grad_boost": {"n_trees": [100], "learning_rate": [0.1]},
     "adaboost": {"rounds": [100]},
+    "one_class_svm": {"nu": [0.05, 0.1, 0.2], "gamma": [0.1, 0.5, "auto"]},
 }
 
 
-def default_grid(algorithm: str, n_features: int | None = None) -> dict:
+def default_grid(algorithm: str) -> dict:
     """Hyperparameter grid searched when the config does not override.
-    The one-class grid needs the feature count for its gamma = 1/d cell."""
-    if algorithm == "one_class_svm":
-        gammas = [0.1, 0.5]
-        if n_features:
-            g = 1.0 / n_features
-            if g not in gammas:
-                gammas.append(g)
-        return {"nu": [0.05, 0.1, 0.2], "gamma": gammas}
+    The one-class gamma "auto" stands for 1/d; the pipeline resolves it
+    once the feature count is known."""
     if algorithm not in DEFAULT_GRIDS:
         raise ValueError(f"no default grid for {algorithm}")
     return {k: list(v) for k, v in DEFAULT_GRIDS[algorithm].items()}

@@ -90,7 +90,8 @@ def _depth_ok(value) -> bool:
     return value is None or (isinstance(value, int) and value >= 1)
 
 
-# name -> (default, validator, description of the constraint)
+# name -> (default, validator, description of the constraint); solver
+# settings are constants of their learner's module, not hyperparameters
 _HYPER_DOMAINS: dict[str, dict] = {
     "logreg": {
         "lam": (1e-3, lambda v: isinstance(v, (int, float)) and v >= 0, ">= 0"),
@@ -120,8 +121,6 @@ _HYPER_DOMAINS: dict[str, dict] = {
     "mlp": {
         "hidden": (16, lambda v: isinstance(v, int) and v >= 1, ">= 1"),
         "lr": (0.01, _positive, "> 0"),
-        "epochs": (100, lambda v: isinstance(v, int) and v >= 1, ">= 1"),
-        "batch_size": (32, lambda v: isinstance(v, int) and v >= 1, ">= 1"),
     },
     "adaboost": {
         "rounds": (100, lambda v: isinstance(v, int) and v >= 1, ">= 1"),
@@ -130,8 +129,6 @@ _HYPER_DOMAINS: dict[str, dict] = {
     "one_class_svm": {
         "nu": (0.1, lambda v: isinstance(v, (int, float)) and 0 < v <= 1, "in (0, 1]"),
         "gamma": (0.5, _positive, "> 0"),
-        "tol": (1e-3, _positive, "> 0"),
-        "max_iter": (None, lambda v: v is None or (isinstance(v, int) and v >= 1), ">= 1 or None"),
     },
 }
 

@@ -156,7 +156,8 @@ def model_to_doc(model) -> dict:
 
 def model_from_doc(doc: dict):
     """Decode a model document; hyperparameters missing from or outside
-    their algorithm's domain raise ValueError."""
+    their algorithm's domain raise ValueError. Other keys, such as a
+    removed solver setting, are kept but never read."""
     cls = _registry()[doc["algorithm"]]
     spec = ModelSpec(doc["algorithm"], doc["hyperparameters"], int(doc["seed"]))
     check_hyperparameters(spec)

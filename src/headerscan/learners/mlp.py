@@ -11,6 +11,8 @@ from .linear import _TOL, sigmoid
 
 __all__ = ["MLPModel", "train_mlp", "init_params", "loss_and_grad"]
 
+_EPOCHS, _BATCH = 100, 32
+
 
 def init_params(d: int, hidden: int, rng: np.random.Generator) -> dict:
     """Glorot uniform in +/- sqrt(6/(fan_in + fan_out)); zero biases."""
@@ -71,9 +73,9 @@ class MLPModel:
 
 def train_mlp(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
               schema_fingerprint: str | None = None) -> MLPModel:
-    """Mini-batch gradient descent; batches reshuffled each epoch from
-    the spec seed. Records the full-batch loss once per epoch; converged
-    is the final full-batch gradient test of linear._newton."""
+    """_EPOCHS epochs of gradient descent in _BATCH-row batches, reshuffled
+    each epoch from the spec seed. Records the full-batch loss once per
+    epoch; converged is the final full-batch gradient test of linear._newton."""
     check_training_inputs(X, y)
     hp = spec.hyperparameters
     n, d = X.shape
@@ -81,12 +83,12 @@ def train_mlp(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
     params = init_params(d, hp["hidden"], rng)
     shuffle_rng = rng_for(spec.seed, "mlp", "shuffle")
     yf = y.astype(np.float64)
-    lr, bs = hp["lr"], hp["batch_size"]
+    lr = hp["lr"]
     history = []
-    for _ in range(hp["epochs"]):
+    for _ in range(_EPOCHS):
         order = shuffle_rng.permutation(n)
-        for start in range(0, n, bs):
-            rows = order[start:start + bs]
+        for start in range(0, n, _BATCH):
+            rows = order[start:start + _BATCH]
             _, grads = loss_and_grad(params, X[rows], yf[rows])
             params["W1"] = params["W1"] - lr * grads["W1"]
             params["b1"] = params["b1"] - lr * grads["b1"]

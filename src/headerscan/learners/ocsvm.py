@@ -16,6 +16,8 @@ from .base import ConvergenceError, ModelSpec, check_training_inputs
 __all__ = ["OneClassSVMModel", "KKTAudit", "train_one_class_svm", "rbf_kernel"]
 
 _FULL_KERNEL_MAX = 4096
+_TOL = 1e-3  # KKT tolerance, LIBSVM's default (Fan, Chen & Lin, JMLR 2005)
+_ITERS_PER_ROW = 200  # SMO iteration cap: _ITERS_PER_ROW * max(n, 1000)
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -60,7 +62,7 @@ class KKTAudit:
     """Solver self-check captured at convergence.
 
     margin_error_fraction counts training points whose decision value
-    is below -tol: at an exact optimum every free support vector sits
+    is below -_TOL: at an exact optimum every free support vector sits
     at decision 0, so only violations beyond the solver's resolution
     count as errors. With that reading the nu-property bounds
     (margin errors <= nu <= SV fraction) hold structurally."""
@@ -99,16 +101,15 @@ def train_one_class_svm(spec: ModelSpec, X: np.ndarray,
 
     Gradient g = K a is kept incrementally. The pair is i = argmin g
     over {a < C} (can grow) and j = argmax g over {a > 0} (can shrink);
-    the gap g_j - g_i is the KKT violation and must fall below tol.
-    Starting point: the first floor(nu*n) coefficients at the box bound
+    the gap g_j - g_i is the KKT violation and must fall below _TOL
+    within the iteration cap, or ConvergenceError is raised. Starting
+    point: the first floor(nu*n) coefficients at the box bound
     C = 1/(nu*n), the next one at the fractional remainder.
     """
     check_training_inputs(X)
-    hp = spec.hyperparameters
-    nu, gamma, tol = hp["nu"], hp["gamma"], hp["tol"]
+    nu, gamma = spec.hyperparameters["nu"], spec.hyperparameters["gamma"]
     n = len(X)
     C = 1.0 / (nu * n)
-    max_iter = hp["max_iter"] if hp["max_iter"] is not None else max(200_000, 200 * n)
 
     alpha = np.zeros(n)
     nb = int(np.floor(nu * n))
@@ -123,7 +124,7 @@ def train_one_class_svm(spec: ModelSpec, X: np.ndarray,
 
     violation = np.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _ITERS_PER_ROW * max(n, 1000) + 1):
         can_grow = alpha < C
         can_shrink = alpha > 0.0
         if not can_grow.any() or not can_shrink.any():
@@ -132,7 +133,7 @@ def train_one_class_svm(spec: ModelSpec, X: np.ndarray,
         i = int(np.argmin(np.where(can_grow, g, np.inf)))
         j = int(np.argmax(np.where(can_shrink, g, -np.inf)))
         violation = g[j] - g[i]
-        if violation < tol:
+        if violation < _TOL:
             break
         ki = kernel.row(i)
         kj = kernel.row(j)
@@ -167,7 +168,7 @@ def train_one_class_svm(spec: ModelSpec, X: np.ndarray,
         sum_alpha=float(np.sum(alpha)),
         max_box_overshoot=float(max(np.max(-alpha), np.max(alpha - C), 0.0)),
         max_violation=float(violation),
-        margin_error_fraction=float(np.mean(g - rho < -tol)),
+        margin_error_fraction=float(np.mean(g - rho < -_TOL)),
         sv_fraction=float(np.mean(sv)),
         n_iterations=iterations,
     )

@@ -413,10 +413,11 @@ def _importance_stage(X, y, schema, scaler, cfg: RunConfig, ps: int,
 
 
 def _balanced_test(test_records, yte, schema, scaler, ps: int):
-    """The test split, extracted, standardized and class-balanced."""
-    Xte = apply_scaler(extract_matrix(test_records, schema), scaler)
+    """The test split, class-balanced by label, then extracted and
+    standardized."""
     bal = np.sort(balance(yte, derive_seed(ps, "test-balance")))
-    return Xte[bal], yte[bal]
+    Xb = extract_matrix([test_records[i] for i in bal], schema)
+    return apply_scaler(Xb, scaler), yte[bal]
 
 
 def _grid_record(spec: ModelSpec, cells, key: str):
@@ -525,8 +526,9 @@ def _binary_phase(records, positive: Label, phase_no: int, feature_set: str,
 
 
 def _resolve_gamma(values, d: int) -> list[float]:
-    # "auto" stands for 1/d, resolved once the column count is known
-    return [1.0 / d if v == "auto" else float(v) for v in values]
+    # "auto" stands for 1/d; a value listed twice is searched once
+    return list(dict.fromkeys(1.0 / d if v == "auto" else float(v)
+                              for v in values))
 
 
 def _one_class_phase(records, positive: Label, phase_no: int, cfg: RunConfig,
@@ -542,7 +544,7 @@ def _one_class_phase(records, positive: Label, phase_no: int, cfg: RunConfig,
     Xa = apply_scaler(extract_matrix(anom_records, schema), scaler)
     d = Xh.shape[1]
 
-    raw_grid = cfg.one_class_grid or default_grid("one_class_svm", d)
+    raw_grid = cfg.one_class_grid or default_grid("one_class_svm")
     grid = {"nu": [float(v) for v in raw_grid["nu"]],
             "gamma": _resolve_gamma(raw_grid["gamma"], d)}
 

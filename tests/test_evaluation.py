@@ -350,6 +350,22 @@ def reference_one_class_grid(grid, Xh, Xa, k, ps):
     return best_hp, results, best_report
 
 
+def test_one_class_cv_fits_no_fold_without_an_anomaly(monkeypatch):
+    # k = 4 and a pool of one: only fold 0 has an anomaly to score
+    X, y = one_class_data(n_ham=8, n_anom=1)
+    fits = []
+    real_train = evaluation.train_one_class
+    monkeypatch.setattr(evaluation, "train_one_class",
+                        lambda spec, M: fits.append(len(M)) or real_train(spec, M))
+    report = one_class_cv(ModelSpec("one_class_svm", {"nu": 0.1, "gamma": 0.5}, 0),
+                          X, y, 4, seed=0)
+    assert fits == [6]
+    # the old loop, which fitted all four folds, gives the same report
+    _, _, want = reference_one_class_grid({"nu": [0.1], "gamma": [0.5]},
+                                          X[y == 0], X[y == 1], 4, 0)
+    assert report == want
+
+
 @pytest.mark.parametrize("grid", [
     {"nu": [0.05, 0.1, 0.2], "gamma": [0.1, 0.5, 1 / 3]},
     # every cell calls every row anomalous: a four-way tie

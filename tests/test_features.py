@@ -152,6 +152,12 @@ def test_recipient_counts():
     assert _value(schema, vec, "to_count") == 2.0
     assert _value(schema, vec, "cc_count") == 1.0
     assert _value(schema, vec, "recipient_count") == 4.0
+    # two From fields, the first without an address: one From address,
+    # and no From domain, since the domain is the first field's
+    h = _rec(9, b"From: undisclosed\r\nFrom: a@x.org\r\nMessage-ID: <1@x.org>\r\n\r\n")
+    vec = extract(h, schema)
+    assert _value(schema, vec, "recipient_count") == 1.0
+    assert _value(schema, vec, "domain_match:from:message-id") == 2.0
 
 
 def test_field_counts():

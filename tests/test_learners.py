@@ -9,7 +9,7 @@ import headerscan.learners as L
 from headerscan.corpus import CorpusRecord, Label
 from headerscan.features import apply_scaler, extract_matrix, fit_schema, fit_scaler
 from headerscan.headers import parse_headers
-from headerscan.learners import ModelSpec
+from headerscan.learners import ModelSpec, ocsvm
 from headerscan.learners.bundle import (bundle_bytes, decode_array, encode_array,
                                        load_bundle, model_from_doc, save_bundle)
 from headerscan.learners.linear import LogRegModel, sigmoid
@@ -102,7 +102,7 @@ ALL_BINARY = ["logreg", "linear_svm", "decision_tree", "random_forest",
               "grad_boost", "gaussian_nb", "knn", "mlp", "adaboost"]
 
 FAST_HP = {"random_forest": {"n_trees": 10}, "grad_boost": {"n_trees": 10},
-           "adaboost": {"rounds": 10}, "mlp": {"epochs": 20}}
+           "adaboost": {"rounds": 10}}
 
 
 @pytest.mark.parametrize("algo", ALL_BINARY)
@@ -167,7 +167,7 @@ def test_mlp_converged_is_the_full_batch_gradient_test():
     assert full_batch_gradient_norm(m, X, y) >= 1e-6 and not m.converged
     # zero features and balanced labels: the gradient is exactly 0 throughout
     X0, y0 = np.zeros((4, 3)), np.array([0, 1, 0, 1])
-    m = L.train(ModelSpec("mlp", {"batch_size": 4}, 1), X0, y0)
+    m = L.train(ModelSpec("mlp", {}, 1), X0, y0)
     assert full_batch_gradient_norm(m, X0, y0) < 1e-6 and m.converged
 
 
@@ -528,11 +528,12 @@ def test_ocsvm_decision_zero_reads_inlier():
     assert not L.predict_one_class(m, np.array([0.0, 0.0])).is_anomalous
 
 
-def test_ocsvm_nonconvergence_raises_with_residual():
+def test_ocsvm_nonconvergence_raises_with_residual(monkeypatch):
     rng = np.random.default_rng(19)
     X = rng.standard_normal((60, 2))
+    monkeypatch.setattr(ocsvm, "_ITERS_PER_ROW", 0)
     with pytest.raises(L.ConvergenceError) as err:
-        L.train_one_class(ModelSpec("one_class_svm", {"nu": 0.5, "max_iter": 1}, 0), X)
+        L.train_one_class(ModelSpec("one_class_svm", {"nu": 0.5}, 0), X)
     assert err.value.residual > 0
 
 
@@ -550,7 +551,10 @@ def test_validate_fills_defaults_and_rejects_junk():
         L.validate_spec(ModelSpec("quantum", {}, 0))
     for algo, junk in (("logreg", {"lr": 0.1}), ("logreg", {"tol": 1e-6}),
                        ("logreg", {"max_epochs": 10}),
-                       ("linear_svm", {"epochs": 30})):
+                       ("linear_svm", {"epochs": 30}),
+                       ("mlp", {"epochs": 20}), ("mlp", {"batch_size": 4}),
+                       ("one_class_svm", {"tol": 1e-3}),
+                       ("one_class_svm", {"max_iter": 5})):
         with pytest.raises(ValueError):
             L.validate_spec(ModelSpec(algo, junk, 0))
 
@@ -689,6 +693,31 @@ def test_bundle_round_trip_stack(tmp_path):
                       ModelSpec("logreg", {}, 1), X, y,
                       schema_fingerprint=schema.fingerprint)
     assert_round_trip(tmp_path / "stack.json", m, schema, scaler, X)
+
+
+# solver settings that were hyperparameters, with the values every bundle
+# written before they became module constants carries
+REMOVED_KEYS = {"mlp": {"epochs": 100, "batch_size": 32},
+                "one_class_svm": {"tol": 1e-3, "max_iter": None}}
+
+
+@pytest.mark.parametrize("algo", sorted(REMOVED_KEYS))
+def test_bundle_with_removed_solver_settings_loads(tmp_path, algo):
+    schema, scaler = tiny_schema_scaler()
+    X, y = two_blobs(seed=25, d=len(schema.descriptors))
+    spec = ModelSpec(algo, {}, 7)
+    if algo == "mlp":
+        m = L.train(spec, X, y, schema_fingerprint=schema.fingerprint)
+    else:
+        m = L.train_one_class(spec, X, schema_fingerprint=schema.fingerprint)
+    doc = json.loads(bundle_bytes(m, schema, scaler, "spam"))
+    doc["hyperparameters"].update(REMOVED_KEYS[algo])
+    old = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    path = tmp_path / "old.json"
+    path.write_bytes(old)
+    loaded = load_bundle(path).model
+    assert np.array_equal(loaded.decision_values(X), m.decision_values(X))
+    assert bundle_bytes(loaded, schema, scaler, "spam") == old
 
 
 WALKS = [("random_forest", {"n_trees": n, "max_depth": depth, "max_features": mf,
