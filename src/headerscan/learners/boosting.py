@@ -44,13 +44,13 @@ def train_grad_boost(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
     pbar = min(max(float(np.mean(yf)), 1e-12), 1.0 - 1e-12)
     F0 = float(np.log(pbar / (1.0 - pbar)))
     F = np.full(len(yf), F0)
-    trees = []
+    trees, root = [], np.arange(len(yf))
     for _ in range(hp["n_trees"]):
         p = sigmoid(F)
         residual = yf - p
         hess = p * (1.0 - p)
-        tree = build_tree(X, residual, criterion="sse",
-                          max_depth=hp["max_depth"], min_samples_leaf=1)
+        [tree] = build_tree(X, residual, [root], criterion="sse",
+                            max_depth=hp["max_depth"], min_samples_leaf=1)
         ids = leaf_ids(tree, X)[0]
         for leaf in np.unique(ids):
             rows = ids == leaf

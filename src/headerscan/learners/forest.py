@@ -41,18 +41,11 @@ def train_random_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
     hp = spec.hyperparameters
     n, d = X.shape
     mtry = max(1, int(np.sqrt(d))) if hp["max_features"] == "sqrt" else d
-    target = y.astype(np.float64)
-    trees, seeds = [], []
-    for t in range(hp["n_trees"]):
-        seed = derive_seed(spec.seed, "forest", t)
-        seeds.append(seed)
-        rng = np.random.default_rng(seed)
-        rows = rng.integers(0, n, size=n)
-        trees.append(build_tree(
-            X[rows], target[rows], criterion="gini",
-            max_depth=hp["max_depth"],
-            min_samples_leaf=hp["min_samples_leaf"],
-            max_features=mtry if mtry < d else None,
-            rng=rng,
-        ))
+    seeds = [derive_seed(spec.seed, "forest", t) for t in range(hp["n_trees"])]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    trees = build_tree(
+        X, y.astype(np.float64), [rng.integers(0, n, size=n) for rng in rngs],
+        criterion="gini", max_depth=hp["max_depth"],
+        min_samples_leaf=hp["min_samples_leaf"],
+        max_features=mtry if mtry < d else None, rngs=rngs)
     return RandomForestModel(spec, trees, seeds, True, schema_fingerprint)

@@ -11,6 +11,12 @@ flat node array, each tree's children offset by its root index (a single
 tree has roots [0]), and one level loop advances every unfinished (tree,
 row) pair of a block of rows. check_tree's forward children end walks.
 
+One grower, `build_tree`, grows all of a forest's trees in lockstep:
+each step takes the next pre-order node of every unfinished tree (so
+draws and node numbering are those of growing each tree alone) and scans
+the nodes to split in batches, their rows padded with +inf values to the
+longest, each batch within SCAN_CELLS padded cells.
+
 One scan, `sorted_cuts`, lists the candidate cuts of every split search,
 tree nodes and AdaBoost stumps alike: a stable per-column sort, cut at
 the midpoints between distinct neighbours.
@@ -19,6 +25,7 @@ the midpoints between distinct neighbours.
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -30,6 +37,7 @@ __all__ = ["TreeArrays", "TreeEnsemble", "DecisionTreeModel", "train_decision_tr
 
 LEAF = -1
 BLOCK_ROWS = 1024  # rows per walk; (tree, row) arrays hold n_trees x this
+SCAN_CELLS = 1 << 13  # padded (node, row, candidate) cells per split scan
 
 
 @dataclass
@@ -45,109 +53,131 @@ def sorted_cuts(xs: np.ndarray):
     """Stable sort of each column of xs: (order, sorted values xv, valid,
     mid). valid[i, j] iff xv[i, j] < xv[i+1, j], a cut at mid[i, j]."""
     order = np.argsort(xs, axis=0, kind="stable")
-    xv = np.take_along_axis(xs, order, axis=0)
+    xv = xs[order, np.arange(xs.shape[1])]
     return order, xv, xv[:-1] < xv[1:], (xv[:-1] + xv[1:]) / 2.0
 
 
-def _best_split(X: np.ndarray, t: np.ndarray, rows: np.ndarray,
-                features: np.ndarray, min_leaf: int, criterion: str):
-    """Scan candidate features for the best midpoint split.
-
-    Returns (feature, threshold, score) or None. Scores are impurity
-    sums to minimize, computed for every candidate feature at once. The
-    first minimum in (feature, cut) order wins: the lowest feature, then
-    the lowest threshold. Splits that cannot beat the parent score are
-    rejected.
-    """
-    n = len(rows)
-    total = float(t.sum())
-    if criterion == "gini":
-        # sum over children of n_c * Gini_c / 2 = p(n_c - p)/n_c
-        parent = total * (n - total) / n
+def _scan(X, target, rows, cands, totals, squares, min_leaf: int, criterion: str):
+    """Per node of a group: (feature or LEAF, threshold, left rows, right
+    rows, left label sum for "gini"). Rows are padded to the longest node
+    with +inf values and 0 targets, which sort last and are masked out of
+    the cuts. cands is (nodes, candidates), or None for every column. The
+    first minimum in (feature, cut) order wins if it beats the parent by
+    1e-12."""
+    # one node (each grad_boost step) takes scalar and 1-D shortcuts
+    m, lens = len(rows), [len(r) for r in rows]
+    width = max(lens)
+    padded = min(lens) < width
+    if padded:
+        real = np.arange(width) < np.array(lens)[:, None]
+        R = np.zeros((m, width), dtype=np.int64)
+        R[real] = np.concatenate(rows)
     else:
-        parent = float(t @ t) - total * total / n
-
-    order, _, valid, mid = sorted_cuts(X[np.ix_(rows, features)])
-    tv = t[order]
-    ln = np.arange(1, n, dtype=np.float64)[:, None]
+        real, R = True, rows[0][None] if m == 1 else np.stack(rows)
+    G = X[R.T] if cands is None else X[R.T[:, :, None], cands]
+    k, T = G.shape[2], target[R]
+    if padded:
+        G[~real.T] = np.inf
+        T[~real] = 0.0
+    G = G.reshape(width, m * k)  # one column per (node, candidate)
+    order, _, valid, mid = sorted_cuts(G)
+    tv = T[0][order] if m == 1 else T[np.arange(m).repeat(k), order]
+    ln = np.arange(1, width, dtype=np.float64)[:, None]
+    n, total = (lens[0], totals[0]) if m == 1 else (np.repeat(lens, k), np.repeat(totals, k))
     rn = n - ln
-    if min_leaf > 1:
+    if min_leaf > 1 or padded:
         valid &= (ln >= min_leaf) & (rn >= min_leaf)
-    if not valid.any():
-        return None
+        np.maximum(rn, 1.0, out=rn)  # rn <= 0 only at cuts masked here
     csum = np.cumsum(tv, axis=0)[:-1]
     if criterion == "gini":
+        # sum over children of n_c * Gini_c / 2 = p(n_c - p)/n_c
         score = csum * (ln - csum) / ln + (total - csum) * (rn - (total - csum)) / rn
+        parents = [t * (n - t) / n for t, n in zip(totals, lens)]
     else:
+        square = squares[0] if m == 1 else np.repeat(squares, k)
         csq = np.cumsum(tv * tv, axis=0)[:-1]
         sse_l = csq - csum * csum / ln
-        sse_r = (float(t @ t) - csq) - (total - csum) ** 2 / rn
+        sse_r = (square - csq) - (total - csum) ** 2 / rn
         score = sse_l + sse_r
-    score[~valid] = np.inf
-    j, p = divmod(int(np.argmin(score.T)), n - 1)
-    best_score = float(score[p, j])
-    if not best_score < parent - 1e-12:
-        return None
-    return (int(features[j]), float(mid[p, j]), best_score)
+        parents = [q - t * t / n for t, q, n in zip(totals, squares, lens)]
+    np.putmask(score, ~valid, np.inf)
+    flat = score.T.reshape(m, -1)  # per node, (feature, cut) order
+    best = flat.argmin(axis=1)
+    j, p = np.divmod(best, width - 1)
+    col = j + np.arange(0, m * k, k)
+    threshold = mid[p, col]
+    goes_left = (G[:, col] <= threshold).T
+    rows_l, rows_r = R[goes_left], R[~goes_left & real]
+    sums_l = (T * goes_left).sum(axis=1).tolist() if criterion == "gini" else [None] * m
+    feature = (j if cands is None else cands[np.arange(m), j]).tolist()
+    found, a, c = [], 0, 0
+    for f, th, low, parent, size, nl, s in zip(feature, threshold.tolist(), flat[np.arange(m), best].tolist(),
+                                               parents, lens, goes_left.sum(axis=1).tolist(), sums_l):
+        found.append((f if low < parent - 1e-12 else LEAF, th,
+                      rows_l[a:a + nl], rows_r[c:c + size - nl], s))
+        a, c = a + nl, c + size - nl
+    return found
 
 
-def build_tree(X: np.ndarray, target: np.ndarray, *, criterion: str,
+def build_tree(X: np.ndarray, target: np.ndarray, roots, *, criterion: str,
                max_depth: int | None, min_samples_leaf: int,
-               max_features: int | None = None,
-               rng: np.random.Generator | None = None) -> TreeArrays:
-    """Grow a tree depth-first. target is the 0/1 label vector for
-    "gini" and the regression target for "sse". When max_features is
-    given, each node draws that many candidate features from rng."""
-    n, d = X.shape
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    # explicit pre-order stack; (rows, depth, parent index, went left)
-    stack = [(np.arange(n), 0, -1, False)]
-    while stack:
-        rows, depth, parent, went_left = stack.pop()
-        idx = len(feature)
-        if parent >= 0:
-            if went_left:
-                left[parent] = idx
-            else:
-                right[parent] = idx
-        feature.append(LEAF)
-        threshold.append(0.0)
-        left.append(LEAF)
-        right.append(LEAF)
-        t = target[rows]
-        value.append(float(np.mean(t)))
-        if max_depth is not None and depth >= max_depth:
-            continue
-        if len(rows) < 2 * min_samples_leaf or len(rows) < 2:
-            continue
-        if criterion == "gini" and (t == t[0]).all():
-            continue
-        if max_features is not None and max_features < d:
-            cand = np.sort(rng.choice(d, size=max_features, replace=False))
-        else:
-            cand = np.arange(d)
-        found = _best_split(X, t, rows, cand, min_samples_leaf, criterion)
-        if found is None:
-            continue
-        f, th, _ = found
-        mask = X[rows, f] <= th
-        rows_l, rows_r = rows[mask], rows[~mask]
-        if len(rows_l) == 0 or len(rows_r) == 0:
-            continue
-        feature[idx] = f
-        threshold[idx] = th
-        # right pushed first so the left subtree lays out immediately
-        # after its parent, matching recursive pre-order
-        stack.append((rows_r, depth + 1, idx, False))
-        stack.append((rows_l, depth + 1, idx, True))
-    return TreeArrays(
-        feature=np.array(feature, dtype=np.int64),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        value=np.array(value, dtype=np.float64),
-    )
+               max_features: int | None = None, rngs=None) -> list[TreeArrays]:
+    """Grow one tree per entry of roots, an array of rows of X (repeats
+    allowed, as in a bootstrap sample), all in lockstep. target is the
+    0/1 label vector for "gini" and the regression target for "sse".
+    When max_features is given, each node of tree i draws that many
+    candidate features from rngs[i]. Each step scans its nodes to split
+    longest first, in groups whose padded cells stay within SCAN_CELLS;
+    a larger node is scanned alone.
+    """
+    X, d = np.asarray(X, dtype=np.float64), X.shape[1]
+    draw = max_features is not None and max_features < d
+    width = max_features if draw else d
+    trees = [array("d") for _ in roots]  # per node: feature, threshold, left, right, value
+    # explicit pre-order stacks; (rows, depth, parent index, went left,
+    # label sum for "gini", known from the parent's split)
+    stacks = [[(np.asarray(rows), 0, -1, False, None)] for rows in roots]
+    while any(stacks):
+        todo = []
+        for i, stack in enumerate(stacks):
+            if not stack:
+                continue
+            rows, depth, parent, went_left, total = stack.pop()
+            nodes, size = trees[i], len(rows)
+            if parent >= 0:
+                nodes[5 * parent + (2 if went_left else 3)] = len(nodes) // 5
+            if total is None:
+                t = target[rows]
+                total = float(t.sum())
+            nodes.extend((LEAF, 0.0, LEAF, LEAF, total / size))
+            if ((max_depth is not None and depth >= max_depth)
+                    or size < 2 * min_samples_leaf or size < 2
+                    or (criterion == "gini" and total in (0.0, size))):
+                continue
+            cand = np.sort(rngs[i].choice(d, size=width, replace=False)) if draw else None
+            square = float(t @ t) if criterion == "sse" else None
+            todo.append((size, i, len(nodes) // 5 - 1, depth, rows, cand, total, square))
+        todo.sort(key=lambda node: -node[0])
+        while todo:
+            end = max(1, SCAN_CELLS // (todo[0][0] * width))
+            _, tree_of, idx_of, depth_of, rows, cands, totals, squares = zip(*todo[:end])
+            del todo[:end]
+            found = _scan(X, target, rows, np.array(cands) if draw else None,
+                          totals, squares, min_samples_leaf, criterion)
+            for i, idx, depth, total, (f, th, rows_l, rows_r, sum_l) in zip(
+                    tree_of, idx_of, depth_of, totals, found):
+                if f == LEAF or len(rows_l) == 0 or len(rows_r) == 0:
+                    continue
+                trees[i][5 * idx], trees[i][5 * idx + 1] = f, th
+                # right pushed first so the left subtree lays out
+                # immediately after its parent, matching recursive
+                # pre-order; sse sums are taken afresh in each node
+                stacks[i].append((rows_r, depth + 1, idx, False,
+                                  None if sum_l is None else total - sum_l))
+                stacks[i].append((rows_l, depth + 1, idx, True, sum_l))
+    return [TreeArrays(*(column.astype(dtype) for column, dtype in zip(
+        np.frombuffer(nodes).reshape(-1, 5).T, (np.int64, np.float64, np.int64, np.int64, np.float64))))
+        for nodes in trees]
 
 
 def check_tree(tree: TreeArrays, width: int) -> None:
@@ -233,7 +263,7 @@ def train_decision_tree(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
                         schema_fingerprint: str | None = None) -> DecisionTreeModel:
     check_training_inputs(X, y)
     hp = spec.hyperparameters
-    tree = build_tree(X, y.astype(np.float64), criterion="gini",
-                      max_depth=hp["max_depth"],
-                      min_samples_leaf=hp["min_samples_leaf"])
+    [tree] = build_tree(X, y.astype(np.float64), [np.arange(len(X))], criterion="gini",
+                        max_depth=hp["max_depth"],
+                        min_samples_leaf=hp["min_samples_leaf"])
     return DecisionTreeModel(spec, tree, True, schema_fingerprint)

@@ -14,6 +14,7 @@ seed, so rerunning the same config rewrites byte-identical artifacts
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import logging
 import os
@@ -34,7 +35,8 @@ from .features import (CHAIN_BY_THEN_FROM, CHAIN_FROM_THEN_BY,
                        fit_scaler, fit_schema, prune_single_valued,
                        subset_scaler, subset_schema)
 from .learners import (ModelSpec, decision_values, default_grid,
-                       fit_stack_meta, save_bundle, train, train_one_class)
+                       fit_stack_meta, save_bundle, train, train_one_class,
+                       validate_spec)
 from .learners.base import derive_seed
 from .synthetic import generate_emails, to_records
 
@@ -126,6 +128,15 @@ _CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
+
+
+def _check_cells(name: str, algorithm: str, grid: dict) -> None:
+    # every cell must pass validate_spec now, not when its phase runs
+    for combo in itertools.product(*grid.values()):
+        try:
+            validate_spec(ModelSpec(algorithm, dict(zip(grid, combo)), 0))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
 
 
 def _is_int(value) -> bool:
@@ -232,12 +243,16 @@ def load_config(path: str, seed: int | None = None,
             _require(isinstance(grid, dict)
                      and all(isinstance(v, list) and v for v in grid.values()),
                      f"grids.{algo} must map parameters to non-empty lists")
+            _check_cells(f"grids.{algo}", algo, grid)
         kwargs["grids"] = grids
     if "one_class_grid" in doc:
         grid = doc["one_class_grid"]
         _require(isinstance(grid, dict) and set(grid) == {"nu", "gamma"}
                  and all(isinstance(v, list) and v for v in grid.values()),
                  "one_class_grid must carry non-empty nu and gamma lists")
+        # gamma "auto" is 1/d, known once the features are
+        _check_cells("one_class_grid", "one_class_svm", {
+            "nu": grid["nu"], "gamma": [1.0 if g == "auto" else g for g in grid["gamma"]]})
         kwargs["one_class_grid"] = grid
     if "stacking" in doc:
         combos = doc["stacking"]

@@ -45,6 +45,18 @@ def test_phase_one_artifacts(tmp_path):
     assert os.listdir(tmp_path / "out" / "models") == ["phase1.model.json"]
 
 
+@pytest.mark.parametrize("bad", [
+    {"grids": {"mlp": {"hidden": [8], "epochs": [20]}}},
+    {"one_class_grid": {"nu": [0.1], "gamma": ["auto", "fast"]}},
+], ids=["mlp-epochs", "gamma-fast"])
+def test_run_rejects_a_bad_grid_before_any_output(tmp_path, capsys, bad):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(small_config(tmp_path / "out", **bad)))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_ingest_cache(cli_run, capsys):
     config_path, out = cli_run
     assert main(["ingest", "--config", config_path]) == 0

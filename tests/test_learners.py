@@ -1,6 +1,8 @@
 """Learner contracts: worked examples, invariants, and persistence."""
 
+import functools
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from headerscan.corpus import CorpusRecord, Label
 from headerscan.features import apply_scaler, extract_matrix, fit_schema, fit_scaler
 from headerscan.headers import parse_headers
 from headerscan.learners import ModelSpec, ocsvm
+from headerscan.learners import tree as tree_module
+from headerscan.learners.base import derive_seed
 from headerscan.learners.bundle import (bundle_bytes, decode_array, encode_array,
                                        load_bundle, model_from_doc, save_bundle)
 from headerscan.learners.linear import LogRegModel, sigmoid
@@ -446,6 +450,176 @@ def test_adaboost_matches_the_per_cut_stump_search(data):
     assert len(want[0]) == 100
     got = (m.features, m.thresholds, m.polarities, m.alphas)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def reference_best_split(X, t, rows, features, min_leaf, criterion):
+    """The per-node split scan that tree.py's batched scan replaced."""
+    n = len(rows)
+    total = float(t.sum())
+    if criterion == "gini":
+        # sum over children of n_c * Gini_c / 2 = p(n_c - p)/n_c
+        parent = total * (n - total) / n
+    else:
+        parent = float(t @ t) - total * total / n
+
+    xs = X[np.ix_(rows, features)]
+    order = np.argsort(xs, axis=0, kind="stable")
+    xv = np.take_along_axis(xs, order, axis=0)
+    valid, mid = xv[:-1] < xv[1:], (xv[:-1] + xv[1:]) / 2.0
+    tv = t[order]
+    ln = np.arange(1, n, dtype=np.float64)[:, None]
+    rn = n - ln
+    if min_leaf > 1:
+        valid &= (ln >= min_leaf) & (rn >= min_leaf)
+    if not valid.any():
+        return None
+    csum = np.cumsum(tv, axis=0)[:-1]
+    if criterion == "gini":
+        score = csum * (ln - csum) / ln + (total - csum) * (rn - (total - csum)) / rn
+    else:
+        csq = np.cumsum(tv * tv, axis=0)[:-1]
+        sse_l = csq - csum * csum / ln
+        sse_r = (float(t @ t) - csq) - (total - csum) ** 2 / rn
+        score = sse_l + sse_r
+    score[~valid] = np.inf
+    j, p = divmod(int(np.argmin(score.T)), n - 1)
+    best_score = float(score[p, j])
+    if not best_score < parent - 1e-12:
+        return None
+    return (int(features[j]), float(mid[p, j]), best_score)
+
+
+def reference_build_tree(X, target, *, criterion, max_depth, min_samples_leaf,
+                         max_features=None, rng=None):
+    """The one-tree, one-node-at-a-time builder that the lockstep grower
+    replaced."""
+    n, d = X.shape
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    # explicit pre-order stack; (rows, depth, parent index, went left)
+    stack = [(np.arange(n), 0, -1, False)]
+    while stack:
+        rows, depth, parent, went_left = stack.pop()
+        idx = len(feature)
+        if parent >= 0:
+            if went_left:
+                left[parent] = idx
+            else:
+                right[parent] = idx
+        feature.append(LEAF)
+        threshold.append(0.0)
+        left.append(LEAF)
+        right.append(LEAF)
+        t = target[rows]
+        value.append(float(np.mean(t)))
+        if max_depth is not None and depth >= max_depth:
+            continue
+        if len(rows) < 2 * min_samples_leaf or len(rows) < 2:
+            continue
+        if criterion == "gini" and (t == t[0]).all():
+            continue
+        if max_features is not None and max_features < d:
+            cand = np.sort(rng.choice(d, size=max_features, replace=False))
+        else:
+            cand = np.arange(d)
+        found = reference_best_split(X, t, rows, cand, min_samples_leaf, criterion)
+        if found is None:
+            continue
+        f, th, _ = found
+        mask = X[rows, f] <= th
+        rows_l, rows_r = rows[mask], rows[~mask]
+        if len(rows_l) == 0 or len(rows_r) == 0:
+            continue
+        feature[idx] = f
+        threshold[idx] = th
+        # right pushed first so the left subtree lays out immediately
+        # after its parent, matching recursive pre-order
+        stack.append((rows_r, depth + 1, idx, False))
+        stack.append((rows_l, depth + 1, idx, True))
+    return TreeArrays(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        value=np.array(value, dtype=np.float64),
+    )
+
+
+def reference_trees(algo, hp, X, y, seed):
+    """The trees of a model grown one at a time by reference_build_tree,
+    in the training loops of the forest and boosting before lockstep."""
+    hp = L.validate_spec(ModelSpec(algo, hp, seed)).hyperparameters
+    target = y.astype(np.float64)
+    n, d = X.shape
+    if algo == "decision_tree":
+        return [reference_build_tree(X, target, criterion="gini", max_depth=hp["max_depth"],
+                                     min_samples_leaf=hp["min_samples_leaf"])]
+    trees = []
+    if algo == "random_forest":
+        mtry = max(1, int(np.sqrt(d))) if hp["max_features"] == "sqrt" else d
+        for t in range(hp["n_trees"]):
+            rng = np.random.default_rng(derive_seed(seed, "forest", t))
+            rows = rng.integers(0, n, size=n)
+            trees.append(reference_build_tree(
+                X[rows], target[rows], criterion="gini", max_depth=hp["max_depth"],
+                min_samples_leaf=hp["min_samples_leaf"],
+                max_features=mtry if mtry < d else None, rng=rng))
+        return trees
+    pbar = min(max(float(np.mean(target)), 1e-12), 1.0 - 1e-12)
+    F = np.full(n, float(np.log(pbar / (1.0 - pbar))))
+    for _ in range(hp["n_trees"]):
+        p = sigmoid(F)
+        residual = target - p
+        hess = p * (1.0 - p)
+        tree = reference_build_tree(X, residual, criterion="sse",
+                                    max_depth=hp["max_depth"], min_samples_leaf=1)
+        ids = reference_leaf_ids(tree, X)
+        for leaf in np.unique(ids):
+            rows = ids == leaf
+            tree.value[leaf] = float(residual[rows].sum() / max(hess[rows].sum(), 1e-12))
+        F += hp["learning_rate"] * tree.value[ids]
+        trees.append(tree)
+    return trees
+
+
+GROWN = [("random_forest", {"n_trees": 20, "max_features": mf, "max_depth": depth,
+                            "min_samples_leaf": leaf})
+         for mf in ("sqrt", "all") for depth in (None, 1, 3) for leaf in (1, 5)]
+GROWN += [("grad_boost", {"n_trees": 10}), ("decision_tree", {}),
+          ("decision_tree", {"min_samples_leaf": 5})]
+
+
+@functools.lru_cache(maxsize=None)
+def frozen(data):
+    """data() once per session, read-only, as cached results are shared."""
+    arrays = data()
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
+def reference_tree_bytes(data, algo, hp_items):
+    X, y = frozen(data)
+    return [[(a.dtype, a.tobytes()) for a in astuple(t)]
+            for t in reference_trees(algo, dict(hp_items), X, y, 6)]
+
+
+@pytest.mark.parametrize("cells", [1, 2**40])
+@pytest.mark.parametrize("data", [header_matrix, continuous_matrix])
+@pytest.mark.parametrize("algo,hp", GROWN, ids=["-".join([a, *map(str, hp.values())])
+                                               for a, hp in GROWN])
+def test_lockstep_grower_matches_the_per_node_builder(monkeypatch, cells, data, algo, hp):
+    """Byte-identical trees, all five arrays with their dtypes, whether
+    every node is scanned alone or each step is one scan."""
+    X, y = frozen(data)
+    if data is header_matrix:
+        assert max(len(np.unique(col)) for col in X.T) <= 12
+    monkeypatch.setattr(tree_module, "SCAN_CELLS", cells)
+    m = L.train(ModelSpec(algo, hp, 6), X, y)
+    got = [[(a.dtype, a.tobytes()) for a in astuple(t)]
+           for t in getattr(m, "trees", None) or [m.tree]]
+    assert got == reference_tree_bytes(data, algo, tuple(hp.items()))
 
 
 def test_grad_boost_base_score_is_log_odds():

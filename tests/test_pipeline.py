@@ -245,6 +245,10 @@ def test_load_config_validation(tmp_path):
         lambda d: d.update(grids={"linear_svm": {"C": []}}),
         lambda d: d.update(stacking=[["random_forest"]]),
         lambda d: d.update(one_class_grid={"nu": [0.1]}),
+        lambda d: d.update(one_class_grid={"nu": [0.1], "gamma": ["fast"]}),
+        lambda d: d.update(one_class_grid={"nu": [2.0], "gamma": ["auto"]}),
+        lambda d: d.update(grids={"mlp": {"epochs": [20]}}),
+        lambda d: d.update(grids={"random_forest": {"max_features": ["sqrt", "most"]}}),
         lambda d: d.update(threads=2),
     ):
         doc = json.loads(json.dumps(good))
