@@ -7,7 +7,8 @@ the per-fold decision values instead, since it is not a function of
 the confusion matrix.
 
 grid_search is the one model-selection loop of all four phases; its
-cells are scored by kfold_cv or, for the one-class SVM, one_class_cv.
+cells are scored by kfold_cv or, for the one-class SVM, one_class_cv,
+which trains all cells of a fold together.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learners import (ModelSpec, Score, check_fingerprint, decision_values,
-                       derive_seed, out_of_fold, rng_for, train_one_class)
+                       derive_seed, out_of_fold, rng_for,
+                       train_one_class_many)
 from .learners.base import stratified_fold_ids
 
 __all__ = [
@@ -190,15 +192,19 @@ def kfold_cv(spec: ModelSpec, X, y, k: int, seed: int) -> EvalReport:
                                oof_values=tuple(dv.tolist()))
 
 
-def one_class_cv(spec: ModelSpec, X, y, k: int, seed: int) -> EvalReport:
-    """k-fold validation of a model trained on ham (y == 0) alone.
+def one_class_cv(specs: list[ModelSpec], X, y, k: int,
+                 seed: int) -> list[EvalReport]:
+    """k-fold validation of models trained on ham (y == 0) alone: one
+    report per spec, in spec order.
 
     Ham falls into k folds on the plan derived from seed, and the
-    anomalies (y == 1) form a pool in a seeded order. Fold f trains on
-    the other folds' ham with seed derive_seed(spec.seed, "fold", f) and
-    scores its own ham plus pool[f::k], both cut to the same length, so
-    every fold is balanced like the final test. With fewer than k
-    anomalies, the folds left without one are neither fitted nor scored."""
+    anomalies (y == 1) form a pool in a seeded order. Fold f trains each
+    spec on the other folds' ham with seed derive_seed(spec.seed,
+    "fold", f) and scores its own ham plus pool[f::k], both cut to the
+    same length, so every fold is balanced like the final test. All
+    specs of a fold train together (train_one_class_many), so they share
+    the fold's kernel work. With fewer than k anomalies, the folds left
+    without one are neither fitted nor scored."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     ham, anomalies = np.flatnonzero(y == 0), np.flatnonzero(y == 1)
@@ -208,28 +214,30 @@ def one_class_cv(spec: ModelSpec, X, y, k: int, seed: int) -> EvalReport:
     fold_of = stratified_fold_ids(np.zeros(len(ham), dtype=np.int64), k,
                                   derive_seed(seed, "oc-folds"))
     pool = anomalies[rng_for(seed, "oc-valpool").permutation(len(anomalies))]
-    dv_parts, y_parts = [], []
+    dv_parts = [[] for _ in specs]
+    y_parts = []
     # pool[f::k] is empty from f = len(pool) on: such folds are skipped
     for f in range(min(k, len(pool))):
         held_ham = ham[fold_of == f]
         held_anom = np.sort(pool[f::k])
         m = min(len(held_ham), len(held_anom))
-        model = train_one_class(
-            ModelSpec(spec.algorithm, spec.hyperparameters,
-                      derive_seed(spec.seed, "fold", f)),
+        models = train_one_class_many(
+            [ModelSpec(spec.algorithm, spec.hyperparameters,
+                       derive_seed(spec.seed, "fold", f)) for spec in specs],
             X[ham[fold_of != f]])
-        for rows, label in ((held_ham[:m], 0), (held_anom[:m], 1)):
-            dv_parts.append(decision_values(model, X[rows]))
-            y_parts.append(np.full(m, label, dtype=np.int64))
-    return compute_metrics(
-        make_scores(np.concatenate(dv_parts), one_class=True),
-        np.concatenate(y_parts))
+        held = (X[held_ham[:m]], X[held_anom[:m]])
+        for parts, model in zip(dv_parts, models):
+            parts.extend(decision_values(model, rows) for rows in held)
+        y_parts += [np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)]
+    y_all = np.concatenate(y_parts)
+    return [compute_metrics(make_scores(np.concatenate(parts), one_class=True),
+                            y_all) for parts in dv_parts]
 
 
 def grid_search(algorithm: str, grid: dict, X, y, k: int, seed: int):
     """Evaluate every Cartesian-product cell, all cells on the one fold
-    plan derived from seed: with one_class_cv for the one-class SVM and
-    with kfold_cv for every other algorithm.
+    plan derived from seed: with kfold_cv cell by cell or, for the
+    one-class SVM, with one one_class_cv call over all cells.
 
     Cells enumerate with the first grid key slowest (dict insertion
     order). Best cell: highest pooled accuracy, then highest F1, then
@@ -238,14 +246,17 @@ def grid_search(algorithm: str, grid: dict, X, y, k: int, seed: int):
     result and two algorithms searched with one seed never share a
     model seed. An empty grid evaluates the single all-defaults cell.
     """
-    cv = one_class_cv if algorithm == "one_class_svm" else kfold_cv
     keys = list(grid)
-    scored = []
+    specs = []
     for combo in itertools.product(*(grid[key] for key in keys)):
         hp = dict(zip(keys, combo))
-        spec = ModelSpec(algorithm, hp, derive_seed(
-            seed, "cell", algorithm, json.dumps(hp, sort_keys=True, default=str)))
-        scored.append((spec, cv(spec, X, y, k, seed)))
+        specs.append(ModelSpec(algorithm, hp, derive_seed(
+            seed, "cell", algorithm, json.dumps(hp, sort_keys=True, default=str))))
+    if algorithm == "one_class_svm":
+        reports = one_class_cv(specs, X, y, k, seed)
+    else:
+        reports = [kfold_cv(spec, X, y, k, seed) for spec in specs]
+    scored = list(zip(specs, reports))
     # max keeps the first of equal keys: the earliest cell wins a tie
     best_spec, _ = max(scored, key=lambda sr: (sr[1].accuracy, sr[1].f1))
     return best_spec, [(spec.hyperparameters, report) for spec, report in scored]

@@ -145,6 +145,8 @@ def serialize_headers(header: EmailHeader) -> bytes:
 
 def _strip_comments(text: str) -> str:
     """Drop parenthesized comments outside quoted strings (nesting honored)."""
+    if "(" not in text:
+        return text
     out = []
     depth = 0
     in_quote = False
@@ -181,6 +183,8 @@ def _strip_comments(text: str) -> str:
 
 def _split_top_level(text: str, seps: str) -> list[str]:
     """Split on separator chars that sit outside quotes and angle brackets."""
+    if not any(sep in text for sep in seps):
+        return [text]
     parts = []
     buf = []
     in_quote = False

@@ -20,14 +20,15 @@ from .forest import RandomForestModel, train_random_forest
 from .linear import LinearSVMModel, LogRegModel, train_linear_svm, train_logreg
 from .mlp import MLPModel, loss_and_grad, train_mlp
 from .neighbors import KNNModel, train_knn
-from .ocsvm import KKTAudit, OneClassSVMModel, train_one_class_svm
+from .ocsvm import KKTAudit, OneClassSVMModel, train_one_class_svms
 from .stack import StackModel, fit_stack_meta, out_of_fold, train_stack
 from .tree import DecisionTreeModel, train_decision_tree
 
 __all__ = [
     "ALGORITHMS", "ModelSpec", "Score", "ConvergenceError",
     "derive_seed", "rng_for", "stratified_fold_ids", "validate_spec",
-    "train", "train_one_class", "train_stack", "out_of_fold", "fit_stack_meta",
+    "train", "train_one_class", "train_one_class_many", "train_stack",
+    "out_of_fold", "fit_stack_meta",
     "predict", "predict_one_class", "decision_values", "check_fingerprint",
     "default_grid", "DEFAULT_GRIDS",
     "Bundle", "save_bundle", "load_bundle", "bundle_bytes",
@@ -64,11 +65,18 @@ def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
 
 def train_one_class(spec: ModelSpec, X: np.ndarray,
                     schema_fingerprint: str | None = None):
-    spec = validate_spec(spec)
-    if spec.algorithm != "one_class_svm":
+    return train_one_class_many([spec], X, schema_fingerprint)[0]
+
+
+def train_one_class_many(specs: list[ModelSpec], X: np.ndarray,
+                         schema_fingerprint: str | None = None) -> list:
+    """One one-class SVM per spec on the same X, in spec order; each is
+    the model train_one_class gives, but the kernel work is shared."""
+    specs = [validate_spec(spec) for spec in specs]
+    if any(spec.algorithm != "one_class_svm" for spec in specs):
         raise ValueError("train_one_class only accepts one_class_svm specs")
     X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
-    return train_one_class_svm(spec, X, schema_fingerprint)
+    return train_one_class_svms(specs, X, schema_fingerprint)
 
 
 def decision_values(model, X: np.ndarray) -> np.ndarray:

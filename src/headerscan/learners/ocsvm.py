@@ -3,6 +3,11 @@
 Solves  min 1/2 a' K a  s.t.  0 <= a_i <= 1/(nu*n),  sum a = 1.
 The decision function is f(x) = sum_i a_i K(s_i, x) - rho with
 Inlier iff f(x) >= 0.
+
+train_one_class_svms fits a list of specs on one X, as a grid's cells
+do on each validation fold. Specs that share a gamma share its kernel,
+and up to _FULL_KERNEL_MAX rows all kernels come from one distance
+matrix. Each model is bit for bit the one its spec gets alone.
 """
 
 from __future__ import annotations
@@ -13,39 +18,37 @@ import numpy as np
 
 from .base import ConvergenceError, ModelSpec, check_training_inputs
 
-__all__ = ["OneClassSVMModel", "KKTAudit", "train_one_class_svm", "rbf_kernel"]
+__all__ = ["OneClassSVMModel", "KKTAudit", "train_one_class_svms", "rbf_kernel"]
 
 _FULL_KERNEL_MAX = 4096
 _TOL = 1e-3  # KKT tolerance, LIBSVM's default (Fan, Chen & Lin, JMLR 2005)
 _ITERS_PER_ROW = 200  # SMO iteration cap: _ITERS_PER_ROW * max(n, 1000)
 
 
-def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of A and B, clamped at 0."""
     d2 = (np.sum(A * A, axis=1)[:, None]
           - 2.0 * (A @ B.T)
           + np.sum(B * B, axis=1)[None, :])
-    return np.exp(-gamma * np.maximum(d2, 0.0))
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+    return np.exp(-gamma * _sq_dists(A, B))
 
 
 class _KernelRows:
-    """Row access to the RBF kernel matrix; precomputed when small,
-    otherwise computed on demand behind a bounded cache."""
+    """Rows of the RBF kernel matrix computed on demand behind a
+    bounded cache, for training sets above _FULL_KERNEL_MAX rows."""
 
     def __init__(self, X: np.ndarray, gamma: float):
         self.X = X
         self.gamma = gamma
         self.sq = np.sum(X * X, axis=1)
-        n = len(X)
-        if n <= _FULL_KERNEL_MAX:
-            self.full = rbf_kernel(X, X, gamma)
-        else:
-            self.full = None
-            self.cache: dict[int, np.ndarray] = {}
-            self.cache_cap = max(64, int(2e8 // (8 * n)))
+        self.cache: dict[int, np.ndarray] = {}
+        self.cache_cap = max(64, int(2e8 // (8 * len(X))))
 
     def row(self, i: int) -> np.ndarray:
-        if self.full is not None:
-            return self.full[i]
         hit = self.cache.get(i)
         if hit is not None:
             return hit
@@ -95,19 +98,46 @@ class OneClassSVMModel:
         return out
 
 
-def train_one_class_svm(spec: ModelSpec, X: np.ndarray,
-                        schema_fingerprint: str | None = None) -> OneClassSVMModel:
-    """SMO over the most-violating pair.
+def train_one_class_svms(specs: list[ModelSpec], X: np.ndarray,
+                         schema_fingerprint: str | None = None
+                         ) -> list[OneClassSVMModel]:
+    """One model per spec, all trained on X, in spec order.
+
+    Up to _FULL_KERNEL_MAX rows, each distinct gamma's kernel is built
+    from one distance matrix with rbf_kernel's arithmetic, in place into
+    one buffer, the last into the distances themselves; above it, each
+    gamma gets one _KernelRows."""
+    check_training_inputs(X)
+    models: list = [None] * len(specs)
+    gammas = list(dict.fromkeys(spec.hyperparameters["gamma"] for spec in specs))
+    d2 = _sq_dists(X, X) if len(X) <= _FULL_KERNEL_MAX else None
+    K = None
+    for pos, gamma in enumerate(gammas):
+        if d2 is None:
+            row = _KernelRows(X, gamma).row
+        else:
+            out = d2 if pos == len(gammas) - 1 else K
+            K = np.exp(np.multiply(d2, -gamma, out=out), out=out)
+            row = K.__getitem__
+        for s, spec in enumerate(specs):
+            if spec.hyperparameters["gamma"] == gamma:
+                models[s] = _smo(spec, X, row, schema_fingerprint)
+    return models
+
+
+def _smo(spec: ModelSpec, X: np.ndarray, row,
+         schema_fingerprint: str | None) -> OneClassSVMModel:
+    """SMO over the most-violating pair; row(i) is row i of the kernel.
 
     Gradient g = K a is kept incrementally. The pair is i = argmin g
     over {a < C} (can grow) and j = argmax g over {a > 0} (can shrink);
     the gap g_j - g_i is the KKT violation and must fall below _TOL
-    within the iteration cap, or ConvergenceError is raised. Starting
-    point: the first floor(nu*n) coefficients at the box bound
-    C = 1/(nu*n), the next one at the fractional remainder.
+    within the iteration cap, or ConvergenceError is raised. Only a_i
+    and a_j change in a step, so only their entries of the two sets are
+    updated. Starting point: the first floor(nu*n) coefficients at the
+    box bound C = 1/(nu*n), the next one at the fractional remainder.
     """
-    check_training_inputs(X)
-    nu, gamma = spec.hyperparameters["nu"], spec.hyperparameters["gamma"]
+    nu = spec.hyperparameters["nu"]
     n = len(X)
     C = 1.0 / (nu * n)
 
@@ -117,17 +147,18 @@ def train_one_class_svm(spec: ModelSpec, X: np.ndarray,
     if nb < n:
         alpha[nb] = 1.0 - nb * C
 
-    kernel = _KernelRows(X, gamma)
     g = np.zeros(n)
     for i in np.flatnonzero(alpha > 0):
-        g += alpha[i] * kernel.row(i)
+        g += alpha[i] * row(i)
 
+    can_grow = alpha < C
+    can_shrink = alpha > 0.0
+    n_grow = int(np.count_nonzero(can_grow))
+    n_shrink = int(np.count_nonzero(can_shrink))
     violation = np.inf
     iterations = 0
     for iterations in range(1, _ITERS_PER_ROW * max(n, 1000) + 1):
-        can_grow = alpha < C
-        can_shrink = alpha > 0.0
-        if not can_grow.any() or not can_shrink.any():
+        if not n_grow or not n_shrink:
             violation = 0.0
             break
         i = int(np.argmin(np.where(can_grow, g, np.inf)))
@@ -135,8 +166,8 @@ def train_one_class_svm(spec: ModelSpec, X: np.ndarray,
         violation = g[j] - g[i]
         if violation < _TOL:
             break
-        ki = kernel.row(i)
-        kj = kernel.row(j)
+        ki = row(i)
+        kj = row(j)
         q = ki[i] + kj[j] - 2.0 * ki[j]
         room = min(C - alpha[i], alpha[j])
         delta = room if q <= 1e-12 else min(violation / q, room)
@@ -149,6 +180,11 @@ def train_one_class_svm(spec: ModelSpec, X: np.ndarray,
         else:
             alpha[j] -= delta
         g += delta * (ki - kj)
+        for t in (i, j):
+            grow, shrink = bool(alpha[t] < C), bool(alpha[t] > 0.0)
+            n_grow += grow - bool(can_grow[t])
+            n_shrink += shrink - bool(can_shrink[t])
+            can_grow[t], can_shrink[t] = grow, shrink
     else:
         raise ConvergenceError("one-class SVM did not reach the KKT tolerance",
                                residual=float(violation))

@@ -1,21 +1,28 @@
 """Metric arithmetic, CV partitions, grid search, importance, tables."""
 
+import functools
 import itertools
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import headerscan.evaluation as evaluation
+from headerscan.corpus import Label
 from headerscan.evaluation import (EvalReport, balance, compute_metrics,
                                    grid_search, kfold_cv, make_scores,
                                    one_class_cv, permutation_importance,
                                    render_table, roc_points, select_top_m,
                                    stratified_split)
-from headerscan.learners import (ModelSpec, Score, decision_values, derive_seed,
-                                 rng_for, train, train_one_class)
-from headerscan.learners.base import stratified_fold_ids
+from headerscan.features import apply_scaler, extract_matrix, fit_scaler, fit_schema
+from headerscan.learners import (ConvergenceError, KKTAudit, ModelSpec,
+                                 OneClassSVMModel, Score, derive_seed, ocsvm,
+                                 rng_for, train, train_one_class,
+                                 train_one_class_many, validate_spec)
+from headerscan.learners.base import check_training_inputs, stratified_fold_ids
 from headerscan.learners.linear import LogRegModel
+from headerscan.synthetic import generate_emails, to_records
 
 
 def scores_for(pred, y):
@@ -277,12 +284,17 @@ def test_one_class_cv_folds(monkeypatch, n_anom):
         return {row_of[row.tobytes()] for row in M}
 
     trained, scored = [], []
-    real_train, real_score = evaluation.train_one_class, evaluation.decision_values
-    monkeypatch.setattr(evaluation, "train_one_class",
-                        lambda spec, M: trained.append(rows(M)) or real_train(spec, M))
+    real_train, real_score = evaluation.train_one_class_many, evaluation.decision_values
+
+    def train(specs, M):
+        assert len(specs) == 1
+        trained.append(rows(M))
+        return real_train(specs, M)
+
+    monkeypatch.setattr(evaluation, "train_one_class_many", train)
     monkeypatch.setattr(evaluation, "decision_values",
                         lambda model, M: scored.append(rows(M)) or real_score(model, M))
-    report = one_class_cv(ModelSpec("one_class_svm", {}, 3), X, y, 4, seed=5)
+    [report] = one_class_cv([ModelSpec("one_class_svm", {}, 3)], X, y, 4, seed=5)
 
     ham, anomalies = set(np.flatnonzero(y == 0)), set(np.flatnonzero(y == 1))
     held_ham, held_anom = scored[0::2], scored[1::2]
@@ -305,15 +317,164 @@ def test_one_class_cv_needs_2k_ham_and_an_anomaly():
     for n_ham, n_anom in ((7, 5), (40, 0)):
         X, y = one_class_data(n_ham=n_ham, n_anom=n_anom)
         with pytest.raises(ValueError):
-            one_class_cv(spec, X, y, 4, seed=0)
+            one_class_cv([spec], X, y, 4, seed=0)
     X, y = one_class_data(n_ham=8, n_anom=1)
-    tp, fp, fn, tn = one_class_cv(spec, X, y, 4, seed=0).confusion
+    [report] = one_class_cv([spec], X, y, 4, seed=0)
+    tp, fp, fn, tn = report.confusion
     assert (tp + fn, fp + tn) == (1, 1)  # one fold scores one pair
 
 
-def reference_one_class_grid(grid, Xh, Xa, k, ps):
+def reference_rbf_kernel(A, B, gamma):
+    d2 = (np.sum(A * A, axis=1)[:, None]
+          - 2.0 * (A @ B.T)
+          + np.sum(B * B, axis=1)[None, :])
+    return np.exp(-gamma * np.maximum(d2, 0.0))
+
+
+class ReferenceKernelRows:
+    """Row access to the RBF kernel matrix; precomputed when small,
+    otherwise computed on demand behind a bounded cache."""
+
+    def __init__(self, X: np.ndarray, gamma: float):
+        self.X = X
+        self.gamma = gamma
+        self.sq = np.sum(X * X, axis=1)
+        n = len(X)
+        if n <= ocsvm._FULL_KERNEL_MAX:
+            self.full = reference_rbf_kernel(X, X, gamma)
+        else:
+            self.full = None
+            self.cache: dict[int, np.ndarray] = {}
+            self.cache_cap = max(64, int(2e8 // (8 * n)))
+
+    def row(self, i: int) -> np.ndarray:
+        if self.full is not None:
+            return self.full[i]
+        hit = self.cache.get(i)
+        if hit is not None:
+            return hit
+        d2 = self.sq - 2.0 * (self.X @ self.X[i]) + self.sq[i]
+        row = np.exp(-self.gamma * np.maximum(d2, 0.0))
+        if len(self.cache) >= self.cache_cap:
+            self.cache.pop(next(iter(self.cache)))
+        self.cache[i] = row
+        return row
+
+
+def reference_train_one_class_svm(spec: ModelSpec, X: np.ndarray,
+                                  schema_fingerprint: str | None = None) -> OneClassSVMModel:
+    """SMO over the most-violating pair.
+
+    Gradient g = K a is kept incrementally. The pair is i = argmin g
+    over {a < C} (can grow) and j = argmax g over {a > 0} (can shrink);
+    the gap g_j - g_i is the KKT violation and must fall below _TOL
+    within the iteration cap, or ConvergenceError is raised. Starting
+    point: the first floor(nu*n) coefficients at the box bound
+    C = 1/(nu*n), the next one at the fractional remainder.
+    """
+    check_training_inputs(X)
+    nu, gamma = spec.hyperparameters["nu"], spec.hyperparameters["gamma"]
+    n = len(X)
+    C = 1.0 / (nu * n)
+
+    alpha = np.zeros(n)
+    nb = int(np.floor(nu * n))
+    alpha[:nb] = C
+    if nb < n:
+        alpha[nb] = 1.0 - nb * C
+
+    kernel = ReferenceKernelRows(X, gamma)
+    g = np.zeros(n)
+    for i in np.flatnonzero(alpha > 0):
+        g += alpha[i] * kernel.row(i)
+
+    violation = np.inf
+    iterations = 0
+    for iterations in range(1, ocsvm._ITERS_PER_ROW * max(n, 1000) + 1):
+        can_grow = alpha < C
+        can_shrink = alpha > 0.0
+        if not can_grow.any() or not can_shrink.any():
+            violation = 0.0
+            break
+        i = int(np.argmin(np.where(can_grow, g, np.inf)))
+        j = int(np.argmax(np.where(can_shrink, g, -np.inf)))
+        violation = g[j] - g[i]
+        if violation < ocsvm._TOL:
+            break
+        ki = kernel.row(i)
+        kj = kernel.row(j)
+        q = ki[i] + kj[j] - 2.0 * ki[j]
+        room = min(C - alpha[i], alpha[j])
+        delta = room if q <= 1e-12 else min(violation / q, room)
+        if delta == C - alpha[i]:
+            alpha[i] = C
+        else:
+            alpha[i] += delta
+        if delta == alpha[j]:
+            alpha[j] = 0.0
+        else:
+            alpha[j] -= delta
+        g += delta * (ki - kj)
+    else:
+        raise ConvergenceError("one-class SVM did not reach the KKT tolerance",
+                               residual=float(violation))
+
+    free = (alpha > 0.0) & (alpha < C)
+    if free.any():
+        rho = float(np.mean(g[free]))
+    else:
+        at_bound = g[alpha >= C]
+        at_zero = g[alpha <= 0.0]
+        lo = float(np.max(at_bound)) if len(at_bound) else float(np.min(g))
+        hi = float(np.min(at_zero)) if len(at_zero) else float(np.max(g))
+        rho = 0.5 * (lo + hi)
+
+    sv = alpha > 0.0
+    audit = KKTAudit(
+        sum_alpha=float(np.sum(alpha)),
+        max_box_overshoot=float(max(np.max(-alpha), np.max(alpha - C), 0.0)),
+        max_violation=float(violation),
+        margin_error_fraction=float(np.mean(g - rho < -ocsvm._TOL)),
+        sv_fraction=float(np.mean(sv)),
+        n_iterations=iterations,
+    )
+    return OneClassSVMModel(spec, X[sv].copy(), alpha[sv].copy(), rho, audit,
+                            True, schema_fingerprint)
+
+
+def reference_train_one_class(spec, X):
+    """learners.train_one_class as it was, on the copies above."""
+    spec = validate_spec(spec)
+    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
+    return reference_train_one_class_svm(spec, X)
+
+
+def reference_decision_values(model, X):
+    """OneClassSVMModel.decision_values on reference_rbf_kernel."""
+    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
+    gamma = model.spec.hyperparameters["gamma"]
+    out = np.empty(len(X))
+    step = max(1, int(4_000_000 // max(len(model.support_vectors), 1)))
+    for start in range(0, len(X), step):
+        K = reference_rbf_kernel(X[start:start + step], model.support_vectors, gamma)
+        out[start:start + step] = K @ model.alphas - model.rho
+    return out
+
+
+def model_bytes(model):
+    """Everything a fitted one-class SVM holds, as bytes."""
+    audit = [np.float64(v).tobytes() if isinstance(v, float) else v
+             for v in astuple(model.audit)]
+    return (model.spec.hyperparameters, model.support_vectors.shape,
+            model.support_vectors.tobytes(), model.alphas.tobytes(),
+            np.float64(model.rho).tobytes(), audit, model.converged)
+
+
+def reference_one_class_grid(grid, Xh, Xa, k, ps, models=None):
     """The one-class phase's own cell loop from before it went through
-    grid_search: (best hyperparameters, [(hp, report)], best report)."""
+    grid_search, cell by cell on the old solver: (best hyperparameters,
+    [(hp, report)], best report). Each cell's fold models are appended
+    to models, if given, as one list per cell."""
     fold_of = stratified_fold_ids(np.zeros(len(Xh), dtype=np.int64), k,
                                   derive_seed(ps, "oc-folds"))
     pool = rng_for(ps, "oc-valpool").permutation(len(Xa))
@@ -327,7 +488,7 @@ def reference_one_class_grid(grid, Xh, Xa, k, ps):
     for hp in cells:
         cell_seed = derive_seed(gseed, "cell",
                                 json.dumps(hp, sort_keys=True, default=str))
-        dv_parts, y_parts = [], []
+        dv_parts, y_parts, fold_models = [], [], []
         for f in range(k):
             held_ham = np.flatnonzero(fold_of == f)
             held_anom = np.sort(pool[f::k])
@@ -335,15 +496,18 @@ def reference_one_class_grid(grid, Xh, Xa, k, ps):
             held_ham, held_anom = held_ham[:m], held_anom[:m]
             spec = ModelSpec("one_class_svm", hp,
                              derive_seed(cell_seed, "fold", f))
-            model = train_one_class(spec, Xh[fold_of != f])
-            dv_parts.append(decision_values(model, Xh[held_ham]))
-            dv_parts.append(decision_values(model, Xa[held_anom]))
+            model = reference_train_one_class(spec, Xh[fold_of != f])
+            fold_models.append(model)
+            dv_parts.append(reference_decision_values(model, Xh[held_ham]))
+            dv_parts.append(reference_decision_values(model, Xa[held_anom]))
             y_parts.append(np.zeros(m, dtype=np.int64))
             y_parts.append(np.ones(m, dtype=np.int64))
         report = compute_metrics(
             make_scores(np.concatenate(dv_parts), one_class=True),
             np.concatenate(y_parts))
         results.append((hp, report))
+        if models is not None:
+            models.append(fold_models)
         if best_report is None or (report.accuracy, report.f1) > (
                 best_report.accuracy, best_report.f1):
             best_hp, best_report = hp, report
@@ -354,12 +518,13 @@ def test_one_class_cv_fits_no_fold_without_an_anomaly(monkeypatch):
     # k = 4 and a pool of one: only fold 0 has an anomaly to score
     X, y = one_class_data(n_ham=8, n_anom=1)
     fits = []
-    real_train = evaluation.train_one_class
-    monkeypatch.setattr(evaluation, "train_one_class",
-                        lambda spec, M: fits.append(len(M)) or real_train(spec, M))
-    report = one_class_cv(ModelSpec("one_class_svm", {"nu": 0.1, "gamma": 0.5}, 0),
-                          X, y, 4, seed=0)
-    assert fits == [6]
+    real_train = evaluation.train_one_class_many
+    monkeypatch.setattr(evaluation, "train_one_class_many",
+                        lambda specs, M: fits.append((len(specs), len(M)))
+                        or real_train(specs, M))
+    [report] = one_class_cv(
+        [ModelSpec("one_class_svm", {"nu": 0.1, "gamma": 0.5}, 0)], X, y, 4, seed=0)
+    assert fits == [(1, 6)]
     # the old loop, which fitted all four folds, gives the same report
     _, _, want = reference_one_class_grid({"nu": [0.1], "gamma": [0.5]},
                                           X[y == 0], X[y == 1], 4, 0)
@@ -382,6 +547,81 @@ def test_one_class_grid_matches_the_phase_cell_loop(grid):
     assert next(r for hp, r in cells if hp == want_hp) == want_report
     keys = [(r.accuracy, r.f1) for _, r in cells]
     assert len(set(keys)) < len(keys)  # the pick had a tie to break
+
+
+@functools.lru_cache(maxsize=None)
+def header_one_class_data():
+    """Standardised header features of synthetic mail, duplicate rows
+    included, and labels (ham is 0); read-only, as the cache shares it."""
+    records = to_records(generate_emails(240, 0.5, seed=43))
+    schema = fit_schema(records, k=40)
+    M = extract_matrix(records, schema)
+    X = apply_scaler(M, fit_scaler(M))
+    y = np.array([r.label is not Label.HAM for r in records], dtype=np.int64)
+    X.flags.writeable = y.flags.writeable = False
+    return X, y
+
+
+ONE_CLASS_GRIDS = [
+    {"nu": [0.05, 0.1, 0.2], "gamma": [0.1, 0.5, 1 / 3]},
+    {"nu": [0.1, 0.2], "gamma": [0.5, 0.1, 0.5]},  # a gamma listed twice
+    {"gamma": [1 / 3, 0.5, 0.1], "nu": [0.2, 0.05]},  # gamma slowest, reordered
+    {"nu": [0.1], "gamma": [0.5]},
+]
+
+
+@pytest.mark.parametrize("data", [one_class_data, header_one_class_data])
+@pytest.mark.parametrize("grid", ONE_CLASS_GRIDS,
+                         ids=["3x3", "gamma-twice", "gamma-first", "one-cell"])
+def test_one_class_grid_trains_each_cell_as_the_old_solver(monkeypatch, grid, data):
+    """Cells sharing a fold's kernel work get the bytes the old solver
+    gave each cell alone: every report, and every fold model's support
+    vectors, alphas, rho and audit. There is no tolerance."""
+    X, y = data()
+    ps = derive_seed(7, "phase", 3)
+    folds = []  # one list of models, in cell order, per fold
+    real_train = evaluation.train_one_class_many
+    monkeypatch.setattr(evaluation, "train_one_class_many",
+                        lambda specs, M: folds.append(real_train(specs, M))
+                        or folds[-1])
+    best, cells = grid_search("one_class_svm", grid, X, y, 4, ps)
+    want_models = []  # one list of models, in fold order, per cell
+    want_hp, want_cells, _ = reference_one_class_grid(
+        grid, X[y == 0], X[y == 1], 4, ps, want_models)
+    assert best.hyperparameters == want_hp
+    assert [(hp, repr(r)) for hp, r in cells] == [
+        (hp, repr(r)) for hp, r in want_cells]
+    assert [[model_bytes(m) for m in cell] for cell in zip(*folds)] == [
+        [model_bytes(m) for m in cell] for cell in want_models]
+
+
+def test_on_demand_kernel_rows_train_each_spec_as_alone(monkeypatch):
+    """Above _FULL_KERNEL_MAX rows the kernel comes row by row: specs
+    of one gamma share one row cache (evicting here, at 64 rows), and
+    each model is the one its spec gets alone, and the old solver."""
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((150, 4))
+    specs = [ModelSpec("one_class_svm", {"nu": nu, "gamma": gamma}, 0)
+             for gamma in (0.5, 0.1, 0.5) for nu in (0.1, 0.3)]
+    built = []
+
+    class CountedRows(ocsvm._KernelRows):
+        def __init__(self, X, gamma):
+            super().__init__(X, gamma)
+            self.cache_cap = 64
+            built.append(gamma)
+
+    monkeypatch.setattr(ocsvm, "_FULL_KERNEL_MAX", 100)
+    monkeypatch.setattr(ocsvm, "_KernelRows", CountedRows)
+    together = train_one_class_many(specs, X)
+    assert built == [0.5, 0.1]
+    alone = [train_one_class(spec, X) for spec in specs]
+    assert len(built) == 2 + len(specs)
+    old = [reference_train_one_class(spec, X) for spec in specs]
+    for m in together:
+        assert m.converged and m.audit.max_violation < ocsvm._TOL
+    assert [model_bytes(m) for m in together] == [model_bytes(m) for m in alone]
+    assert [model_bytes(m) for m in together] == [model_bytes(m) for m in old]
 
 
 # --- balance --------------------------------------------------------------

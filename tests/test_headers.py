@@ -5,6 +5,9 @@ import string
 
 import pytest
 
+from headerscan import headers
+from headerscan.corpus import CorpusRecord, Label
+from headerscan.features import extract_matrix, fit_schema
 from headerscan.headers import (
     DateStamp,
     EmailHeader,
@@ -16,6 +19,8 @@ from headerscan.headers import (
     parse_received,
     serialize_headers,
 )
+from headerscan.synthetic import generate_emails
+from test_acceptance import _mutate  # the criterion-8 fuzz mutator
 
 
 def test_unfolds_continuation_into_single_field():
@@ -323,3 +328,128 @@ def test_extract_domain_absent_or_hopeless():
 def test_extract_domain_multiple_at_signs():
     h = parse_headers(b"Message-ID: <a@b@real.dom>\r\n\r\n")
     assert extract_domain(h, "message-id") == "real.dom"
+
+
+# ----------------------------------------------------------- fast paths
+
+def reference_strip_comments(text: str) -> str:
+    """Drop parenthesized comments outside quoted strings (nesting honored)."""
+    out = []
+    depth = 0
+    in_quote = False
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if in_quote:
+            out.append(c)
+            if c == "\\" and i + 1 < len(text):
+                out.append(text[i + 1])
+                i += 2
+                continue
+            if c == '"':
+                in_quote = False
+        elif depth > 0:
+            if c == "\\" and i + 1 < len(text):
+                i += 2
+                continue
+            if c == "(":
+                depth += 1
+            elif c == ")":
+                depth -= 1
+        else:
+            if c == '"':
+                in_quote = True
+                out.append(c)
+            elif c == "(":
+                depth += 1
+            else:
+                out.append(c)
+        i += 1
+    return "".join(out)
+
+
+def reference_split_top_level(text: str, seps: str) -> list[str]:
+    """Split on separator chars that sit outside quotes and angle brackets."""
+    parts = []
+    buf = []
+    in_quote = False
+    angle = 0
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if in_quote:
+            buf.append(c)
+            if c == "\\" and i + 1 < len(text):
+                buf.append(text[i + 1])
+                i += 2
+                continue
+            if c == '"':
+                in_quote = False
+        elif c == '"':
+            in_quote = True
+            buf.append(c)
+        elif c == "<":
+            angle += 1
+            buf.append(c)
+        elif c == ">":
+            angle = max(0, angle - 1)
+            buf.append(c)
+        elif angle == 0 and c in seps:
+            parts.append("".join(buf))
+            buf = []
+        else:
+            buf.append(c)
+        i += 1
+    parts.append("".join(buf))
+    return parts
+
+
+TRICKY_VALUES = [
+    "", "plain", " spaced  out ", "\\", "a\\", '"', "(", ")", "<", ">",
+    "a (comment) b", "a (nested (deep) comment) b", "(unclosed comment",
+    "closed) only", r"(escaped \) paren) after", r"a \(not a comment",
+    '"quoted (not a comment)" (comment)', r'"escaped \" quote (x)" y',
+    '"trailing escape \\', '"unclosed (quote', "(a \\", "a, <b \\",
+    "Jane <jane@x.org>, bob@y.org; carol@z.org",
+    "<a@b, c@d>, e@f", "<<a,b>>, c", ">stray, close", "a <b> c> , d",
+    '"Doe, J" <j@x.org>, "Roe; R" <r@y.org>', r'"a \", b" <c>, d',
+    "group: a@b, c@d;", "undisclosed-recipients:;", "x:y:z", "a\\,b",
+    "from mx.example.com (mx [10.0.0.1]) by mail.example.org; Tue, 3 Jan 2023",
+    "Tue, 3 Jan 2023 10:00:00 +0000 (UTC)",
+]
+SEPS = (",;", ":", ",", ";", "")
+
+
+def test_tricky_values_match_the_loops():
+    for text in TRICKY_VALUES:
+        assert headers._strip_comments(text) == reference_strip_comments(text), text
+        for seps in SEPS:
+            assert (headers._split_top_level(text, seps)
+                    == reference_split_top_level(text, seps)), (text, seps)
+
+
+def test_fuzz_corpus_matches_the_loops_and_extracts_the_same(monkeypatch):
+    """The criterion-8 fuzz corpus: every string extraction passes to
+    either function gives the old loop's result, and extract_matrix the
+    same bytes."""
+    base = [e.raw for e in generate_emails(50, 0.5, seed=8)]
+    rng = random.Random(20260816)
+    records = [CorpusRecord(str(case), parse_headers(_mutate(base[case % 50], rng)),
+                            Label.HAM) for case in range(10_000)]
+    schema = fit_schema(records)
+    seen = set()
+    for name, ref in (("_strip_comments", reference_strip_comments),
+                      ("_split_top_level", reference_split_top_level)):
+        monkeypatch.setattr(headers, name, lambda *args, ref=ref: seen.add(args) or ref(*args))
+    want = extract_matrix(records, schema)
+    monkeypatch.undo()
+    got = extract_matrix(records, schema)
+    assert got.tobytes() == want.tobytes()
+    stripped = [args for args in seen if len(args) == 1]
+    assert 1_000 < len(stripped) < len(seen)
+    assert any("(" in text for (text,) in stripped)
+    for args in seen:
+        if len(args) == 1:
+            assert headers._strip_comments(*args) == reference_strip_comments(*args)
+        else:
+            assert headers._split_top_level(*args) == reference_split_top_level(*args)
