@@ -8,13 +8,15 @@ either a single message or an mbox-style concatenation.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import logging
 import os
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .headers import EmailHeader, parse_headers, serialize_headers
+from .headers import (EmailHeader, HeaderFacts, header_facts, parse_headers,
+                      serialize_headers)
 
 log = logging.getLogger(__name__)
 
@@ -46,6 +48,12 @@ class CorpusRecord:
     id: str
     header: EmailHeader
     label: Label
+
+    @functools.cached_property
+    def facts(self) -> HeaderFacts:
+        """The header's schema-free facts, computed on first use and kept,
+        so every schema fit and extraction of this record shares them."""
+        return header_facts(self.header)
 
 
 @dataclass

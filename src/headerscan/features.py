@@ -5,11 +5,21 @@ for how raw headers become numeric vectors: which top-K fields get
 missing-indicators, which corpus modes (timezone, Message-ID domain) are
 compared against, and how ordinal values are encoded.  Extraction against
 a persisted schema is bit-identical at train and classify time.
+
+Extraction has two steps.  ``headers.header_facts`` parses what any
+schema could need from a header (address and field counts, the Date
+zone, the content-type class, the five comparison domains, Received
+chain agreement in both directions); a corpus record computes its facts
+once and keeps them, so schema fits and every phase share them.  The
+projection then turns facts into the schema's row: missing flags for
+its top fields, matches against its modes, its chain direction, and
+one-hot expansion, through an index plan each schema builds once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -19,13 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CorpusRecord, header_frequencies, top_k_fields
-from .headers import (
-    EmailHeader,
-    extract_domain,
-    parse_address_list,
-    parse_date,
-    parse_received,
-)
+from .headers import EmailHeader, HeaderFacts, header_facts
 
 log = logging.getLogger(__name__)
 
@@ -94,6 +98,21 @@ class FeatureSchema:
     @property
     def names(self) -> list[str]:
         return [d.name for d in self.descriptors]
+
+    @functools.cached_property
+    def _projection(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """Each descriptor's position in _values; which descriptors are
+        one-hot (None when none is) and their one-hot values."""
+        position = {f"missing:{f}": i for i, f in enumerate(self.top_fields)}
+        position.update((key, len(self.top_fields) + i)
+                        for i, key in enumerate(_FACT_KEYS))
+        index = np.array([position[_descriptor_key(d)] for d in self.descriptors],
+                         dtype=np.intp)
+        is_onehot = np.array([d.encoding == "onehot" for d in self.descriptors],
+                             dtype=bool)
+        onehot = np.array([d.onehot_value if d.encoding == "onehot" else 0
+                           for d in self.descriptors], dtype=np.float64)
+        return index, (is_onehot if is_onehot.any() else None), onehot
 
 
 @dataclass(frozen=True)
@@ -191,97 +210,61 @@ def fit_schema(
 
     top = top_k_fields(header_frequencies(records), k) if feature_set == FULL else []
 
-    tz_counts: Counter[str] = Counter()
-    msgid_counts: Counter[str] = Counter()
-    for rec in records:
-        value = rec.header.get("date")
-        if value is not None:
-            stamp = parse_date(value)
-            if stamp is not None:
-                tz_counts[stamp.zone_token] += 1
-        domain = extract_domain(rec.header, "message-id")
-        if domain is not None:
-            msgid_counts[domain] += 1
+    facts = [rec.facts for rec in records]
+    tz_counts = Counter(f.date_zone for f in facts if f.date_zone is not None)
+    msgid_counts = Counter(f.msgid_domain for f in facts
+                           if f.msgid_domain is not None)
 
     return _fingerprinted(FeatureSchema(
         tuple(_catalog(top, one_hot, feature_set)), _mode(tz_counts),
         _mode(msgid_counts), tuple(top), feature_set, chain_direction, ""))
 
 
-def _host_domain(host: str | None) -> str | None:
-    if host is None:
-        return None
-    host = host.strip().strip("[]").lower()
-    return host or None
+# The catalog quantities after the missing flags, in _values order.
+_FACT_KEYS = (
+    "count:hops", "count:to", "count:cc", "count:recipients", "count:fields",
+    "count:distinct", "tz_mode", "ct_html", "msgid_mode", "date_parses",
+    *(f"domain_match:{a}:{b}" for a, b in _COMPARISON_PAIRS), "chain",
+)
 
 
-def _base_values(header: EmailHeader, schema: FeatureSchema) -> dict[str, float]:
-    """Every catalog quantity for one email, keyed by kind[:param]."""
-    values: dict[str, float] = {}
+# the HeaderFacts attribute holding each comparison field's domain
+_DOMAIN_OF = {"from": "from_domain", "return-path": "return_path_domain",
+              "reply-to": "reply_to_domain", "message-id": "msgid_domain",
+              "received-from": "received_from_domain"}
+
+
+def _match(a: str | None, b: str | None) -> float:
+    if a is None or b is None:
+        return 2.0
+    return 1.0 if a == b else 0.0
+
+
+def _values(facts: HeaderFacts, header: EmailHeader,
+            schema: FeatureSchema) -> list[float]:
+    """Every catalog quantity for one email: a missing flag per top
+    field, then the _FACT_KEYS quantities."""
     present = set(header.names())
-    from_lists = [parse_address_list(v) for v in header.get_all("from")]
-    msgid_domain = extract_domain(header, "message-id")
-    hops = [parse_received(v) for v in header.get_all("received")]
-
-    if schema.feature_set == FULL:
-        for f in schema.top_fields:
-            values[f"missing:{f}"] = 0.0 if f in present else 1.0
-
-        to_n = sum(len(parse_address_list(v)) for v in header.get_all("to"))
-        cc_n = sum(len(parse_address_list(v)) for v in header.get_all("cc"))
-        from_n = sum(len(addresses) for addresses in from_lists)
-        values["count:hops"] = float(len(hops))
-        values["count:to"] = float(to_n)
-        values["count:cc"] = float(cc_n)
-        values["count:recipients"] = float(to_n + cc_n + from_n)
-        values["count:fields"] = float(len(header.fields))
-        values["count:distinct"] = float(len(present))
-
-        date_value = header.get("date")
-        stamp = parse_date(date_value) if date_value is not None else None
-        values["tz_mode"] = (
-            0.0 if stamp is not None and stamp.zone_token == schema.mode_timezone else 1.0
-        )
-        values["date_parses"] = 1.0 if stamp is not None else 0.0
-
-        ct = header.get("content-type")
-        if ct is None:
-            values["ct_html"] = 2.0
-        else:
-            values["ct_html"] = 1.0 if ct.strip().lower().startswith("text/html") else 0.0
-
-        if msgid_domain is None:
-            values["msgid_mode"] = 2.0
-        else:
-            values["msgid_mode"] = 0.0 if msgid_domain == schema.mode_msgid_domain else 1.0
-
-    # as extract_domain reads it: the first From field's first address
-    first_from = from_lists[0] if from_lists else []
-    domains = {"from": (first_from[0].domain or None) if first_from else None,
-               "return-path": extract_domain(header, "return-path"),
-               "reply-to": extract_domain(header, "reply-to"),
-               "message-id": msgid_domain,
-               "received-from": _host_domain(hops[0].from_host) if hops else None}
-
-    for a, b in _COMPARISON_PAIRS:
-        da, db = domains[a], domains[b]
-        if da is None or db is None:
-            values[f"domain_match:{a}:{b}"] = 2.0
-        else:
-            values[f"domain_match:{a}:{b}"] = 1.0 if da == db else 0.0
-
-    consistent = 1.0
-    for first, second in zip(hops, hops[1:]):
-        if schema.chain_direction == CHAIN_BY_THEN_FROM:
-            left, right = _host_domain(first.by_host), _host_domain(second.from_host)
-        else:
-            left, right = _host_domain(first.from_host), _host_domain(second.by_host)
-        if left is None or right is None:
-            continue  # incomparable pairs are skipped, not mismatches
-        if left != right:
-            consistent = 0.0
-            break
-    values["chain"] = consistent
+    values = [0.0 if f in present else 1.0 for f in schema.top_fields]
+    zone = facts.date_zone
+    msgid = facts.msgid_domain
+    values += (
+        float(facts.hops),
+        float(facts.to),
+        float(facts.cc),
+        float(facts.to + facts.cc + facts.from_addresses),
+        float(facts.fields),
+        float(facts.distinct_fields),
+        0.0 if zone is not None and zone == schema.mode_timezone else 1.0,
+        float(facts.content_type),
+        2.0 if msgid is None else float(msgid != schema.mode_msgid_domain),
+        0.0 if zone is None else 1.0,
+        *(_match(getattr(facts, _DOMAIN_OF[a]), getattr(facts, _DOMAIN_OF[b]))
+          for a, b in _COMPARISON_PAIRS),
+        float(facts.chain_by_then_from
+              if schema.chain_direction == CHAIN_BY_THEN_FROM
+              else facts.chain_from_then_by),
+    )
     return values
 
 
@@ -290,17 +273,20 @@ def _descriptor_key(d: FeatureDescriptor) -> str:
 
 
 def extract(record: CorpusRecord | EmailHeader, schema: FeatureSchema) -> np.ndarray:
-    """Numeric vector for one email, aligned to schema.descriptors."""
-    header = record.header if isinstance(record, CorpusRecord) else record
-    base = _base_values(header, schema)
-    out = np.empty(len(schema.descriptors), dtype=np.float64)
-    for i, d in enumerate(schema.descriptors):
-        value = base[_descriptor_key(d)]
-        if d.encoding == "onehot":
-            out[i] = 1.0 if value == d.onehot_value else 0.0
-        else:
-            out[i] = value
-    return out
+    """Numeric vector for one email, aligned to schema.descriptors.
+
+    A record's facts are computed once and kept on it; a bare header's
+    are computed here.
+    """
+    if isinstance(record, CorpusRecord):
+        header, facts = record.header, record.facts
+    else:
+        header, facts = record, header_facts(record)
+    index, is_onehot, onehot = schema._projection
+    out = np.array(_values(facts, header, schema))[index]
+    if is_onehot is None:
+        return out
+    return np.where(is_onehot, out == onehot, out)
 
 
 def extract_matrix(records: list[CorpusRecord], schema: FeatureSchema) -> np.ndarray:

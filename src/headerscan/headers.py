@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import calendar
 import re
+import sys
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -17,12 +18,14 @@ __all__ = [
     "ParsedAddress",
     "DateStamp",
     "ReceivedHop",
+    "HeaderFacts",
     "parse_headers",
     "serialize_headers",
     "parse_address_list",
     "parse_date",
     "parse_received",
     "extract_domain",
+    "header_facts",
 ]
 
 
@@ -143,41 +146,52 @@ def serialize_headers(header: EmailHeader) -> bytes:
     return ("".join(lines) + "\r\n").encode("latin-1")
 
 
+# The comment stripper's three states, each a search for the next
+# character that can change state: outside quotes and comments only '"'
+# and '(' matter (a backslash there is plain text), inside a quoted
+# string '"' and '\\', inside a comment '(', ')' and '\\'.
+_TOP_STOPS = re.compile(r'["(]')
+_QUOTED_STOPS = re.compile(r'["\\]')
+_COMMENT_STOPS = re.compile(r'[()\\]')
+
+
 def _strip_comments(text: str) -> str:
-    """Drop parenthesized comments outside quoted strings (nesting honored)."""
+    """Drop parenthesized comments outside quoted strings (nesting honored).
+
+    A backslash escapes the next character inside quotes and comments.
+    Unclosed quotes and comments run to the end of the text.
+    """
     if "(" not in text:
         return text
     out = []
-    depth = 0
-    in_quote = False
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if in_quote:
-            out.append(c)
-            if c == "\\" and i + 1 < len(text):
-                out.append(text[i + 1])
-                i += 2
-                continue
-            if c == '"':
-                in_quote = False
-        elif depth > 0:
-            if c == "\\" and i + 1 < len(text):
-                i += 2
-                continue
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-        else:
-            if c == '"':
-                in_quote = True
-                out.append(c)
-            elif c == "(":
-                depth += 1
+    n = len(text)
+    pos = 0  # start of the text not yet copied or dropped
+    while pos < n:
+        m = _TOP_STOPS.search(text, pos)
+        if m is None:
+            out.append(text[pos:])
+            break
+        i = m.start()
+        quoted = text[i] == '"'
+        if not quoted:
+            out.append(text[pos:i])
+        # run to the closing quote or the matching close paren
+        stops = _QUOTED_STOPS if quoted else _COMMENT_STOPS
+        depth, j = 1, i + 1
+        while depth:
+            m = stops.search(text, j)
+            if m is None:
+                j = n
+                break
+            j = m.end()
+            c = text[j - 1]
+            if c == "\\":
+                j += 1  # the escaped character
             else:
-                out.append(c)
-        i += 1
+                depth += 1 if c == "(" else -1
+        if quoted:
+            out.append(text[pos:j])
+        pos = j
     return "".join(out)
 
 
@@ -304,6 +318,7 @@ _DATE_RE = re.compile(
     r"(\d{1,2}):(\d{1,2})(?::(\d{1,2}))?\s+"
     r"([+-]\d{4}|[A-Za-z]{1,5})$"
 )
+_WHITESPACE = re.compile(r"\s+")
 
 
 def parse_date(raw_value: str) -> DateStamp | None:
@@ -314,7 +329,7 @@ def parse_date(raw_value: str) -> DateStamp | None:
     verbatim.  Returns None when the value is not a date.
     """
     text = _strip_comments(raw_value).strip()
-    text = re.sub(r"\s+", " ", text)
+    text = _WHITESPACE.sub(" ", text)
     m = _DATE_RE.match(text)
     if m is None:
         return None
@@ -352,6 +367,24 @@ def _looks_like_ip(token: str) -> bool:
     return bool(re.fullmatch(r"(?:\d{1,3}\.){3}\d{1,3}", token))
 
 
+def _received_clauses(raw_value: str) -> dict[str, str]:
+    """The first token after each clause keyword, read from the text
+    before the final ';' with comments skipped."""
+    semi = raw_value.rfind(";")
+    body = raw_value[:semi] if semi >= 0 else raw_value
+    clauses: dict[str, str] = {}
+    current: str | None = None
+    for token in _strip_comments(body).split():
+        low = token.lower()
+        if low in _RECEIVED_KEYWORDS:
+            current = low
+            continue
+        if current is not None and current not in clauses:
+            clauses[current] = token
+        current = None
+    return clauses
+
+
 def parse_received(raw_value: str) -> ReceivedHop:
     """Best-effort parse of one Received field.
 
@@ -364,25 +397,9 @@ def parse_received(raw_value: str) -> ReceivedHop:
         m.group(1) for m in _IP_LITERAL.finditer(raw_value)
         if _looks_like_ip(m.group(1))
     )
-
-    date = None
-    body = raw_value
     semi = raw_value.rfind(";")
-    if semi >= 0:
-        date = parse_date(raw_value[semi + 1 :])
-        body = raw_value[:semi]
-
-    clauses: dict[str, str] = {}
-    current: str | None = None
-    for token in _strip_comments(body).split():
-        low = token.lower()
-        if low in _RECEIVED_KEYWORDS:
-            current = low
-            continue
-        if current is not None and current not in clauses:
-            clauses[current] = token
-        current = None
-
+    date = parse_date(raw_value[semi + 1 :]) if semi >= 0 else None
+    clauses = _received_clauses(raw_value)
     for_value = clauses.get("for")
     if for_value is not None:
         for_value = for_value.strip("<>") or None
@@ -397,6 +414,9 @@ def parse_received(raw_value: str) -> ReceivedHop:
     )
 
 
+_MSGID_BRACKETS = re.compile(r"<([^<>]*)>")
+
+
 def extract_domain(header: EmailHeader, field_name: str) -> str | None:
     """Domain carried by a named field, lowercased.
 
@@ -408,7 +428,7 @@ def extract_domain(header: EmailHeader, field_name: str) -> str | None:
     if value is None:
         return None
     if field_name == "message-id":
-        m = re.search(r"<([^<>]*)>", value)
+        m = _MSGID_BRACKETS.search(value)
         inner = m.group(1) if m else value.strip()
         at = inner.rfind("@")
         if at < 0:
@@ -419,3 +439,83 @@ def extract_domain(header: EmailHeader, field_name: str) -> str | None:
     if not addresses:
         return None
     return addresses[0].domain or None
+
+
+@dataclass(frozen=True, slots=True)
+class HeaderFacts:
+    """What feature extraction reads from one header, before any schema.
+
+    Domains are lowercased and None when their field is absent or
+    carries none. ``date_zone`` is the first Date field's zone token,
+    None when it does not parse. ``content_type`` is 1 for text/html,
+    0 for any other type and 2 with no Content-Type field. The chain
+    flags say whether each hop's host agrees with the next hop's other
+    host (by then from, or from then by) wherever both are present.
+    """
+
+    hops: int
+    to: int
+    cc: int
+    from_addresses: int
+    fields: int
+    distinct_fields: int
+    date_zone: str | None
+    content_type: int
+    from_domain: str | None
+    return_path_domain: str | None
+    reply_to_domain: str | None
+    msgid_domain: str | None
+    received_from_domain: str | None
+    chain_by_then_from: bool
+    chain_from_then_by: bool
+
+
+def _host_domain(host: str | None) -> str | None:
+    if host is None:
+        return None
+    host = host.strip().strip("[]").lower()
+    return host or None
+
+
+def _shared(text: str | None) -> str | None:
+    """One copy of a string that many headers repeat, such as a zone or
+    a domain, so that facts kept for a whole corpus stay small."""
+    return None if text is None else sys.intern(text)
+
+
+def _agree(left: list, right: list) -> bool:
+    """No pair differs; a pair with a missing host is skipped."""
+    return all(a is None or b is None or a == b for a, b in zip(left, right))
+
+
+def header_facts(header: EmailHeader) -> HeaderFacts:
+    """The schema-free facts of one header (see HeaderFacts)."""
+    from_lists = [parse_address_list(v) for v in header.get_all("from")]
+    # as extract_domain reads it: the first From field's first address
+    first_from = from_lists[0] if from_lists else []
+    # only the from and by hosts: no hop's date or IP literals
+    hops = [_received_clauses(v) for v in header.get_all("received")]
+    froms = [_host_domain(hop.get("from")) for hop in hops]
+    bys = [_host_domain(hop.get("by")) for hop in hops]
+    date_value = header.get("date")
+    stamp = parse_date(date_value) if date_value is not None else None
+    ct = header.get("content-type")
+    return HeaderFacts(
+        hops=len(hops),
+        to=sum(len(parse_address_list(v)) for v in header.get_all("to")),
+        cc=sum(len(parse_address_list(v)) for v in header.get_all("cc")),
+        from_addresses=sum(len(addresses) for addresses in from_lists),
+        fields=len(header.fields),
+        distinct_fields=len(set(header.names())),
+        date_zone=_shared(stamp.zone_token if stamp is not None else None),
+        content_type=(2 if ct is None
+                      else int(ct.strip().lower().startswith("text/html"))),
+        from_domain=_shared((first_from[0].domain or None) if first_from
+                            else None),
+        return_path_domain=_shared(extract_domain(header, "return-path")),
+        reply_to_domain=_shared(extract_domain(header, "reply-to")),
+        msgid_domain=_shared(extract_domain(header, "message-id")),
+        received_from_domain=_shared(froms[0] if froms else None),
+        chain_by_then_from=_agree(bys, froms[1:]),
+        chain_from_then_by=_agree(froms, bys[1:]),
+    )

@@ -290,6 +290,14 @@ def _namespaced(records: list[CorpusRecord], prefix: str) -> list[CorpusRecord]:
             for r in records]
 
 
+def _load_dir(dir_path: str, label: Label) -> list[CorpusRecord]:
+    records, report = load_labeled_dir(dir_path, label)
+    if report.skipped:
+        log.warning("skipped %d of %d files under %s",
+                    report.skipped, report.entries, dir_path)
+    return records
+
+
 def load_datasets(cfg: RunConfig, allow_empty: bool = False) -> Datasets:
     info: dict = {}
     if cfg.trec_index is not None:
@@ -299,8 +307,8 @@ def load_datasets(cfg: RunConfig, allow_empty: bool = False) -> Datasets:
             log.warning("skipped %d of %d index entries",
                         report.skipped, report.entries)
     elif cfg.ham_dir is not None:
-        ham, _ = load_labeled_dir(cfg.ham_dir, Label.HAM)
-        spam, _ = load_labeled_dir(cfg.spam_dir, Label.SPAM)
+        ham = _load_dir(cfg.ham_dir, Label.HAM)
+        spam = _load_dir(cfg.spam_dir, Label.SPAM)
         records = sorted(_namespaced(ham, "ham") + _namespaced(spam, "spam"),
                          key=lambda r: r.id)
         source = "dirs"
@@ -319,7 +327,7 @@ def load_datasets(cfg: RunConfig, allow_empty: bool = False) -> Datasets:
 
     phishing = None
     if cfg.phishing_dir is not None:
-        loaded, _ = load_labeled_dir(cfg.phishing_dir, Label.PHISHING)
+        loaded = _load_dir(cfg.phishing_dir, Label.PHISHING)
         phishing = _namespaced(loaded, "phishing")
     elif cfg.synthetic is not None:
         emails = generate_emails(cfg.synthetic["n"],

@@ -135,6 +135,26 @@ def test_classify_exit_codes(cli_run, tmp_path, capsys):
     assert float(value) >= 0.0
 
 
+def test_classify_computes_the_header_facts_once(cli_run, tmp_path, monkeypatch):
+    from headerscan import features, headers
+
+    _, out = cli_run
+    calls = []
+
+    def counting(header):
+        calls.append(header)
+        return headers.header_facts(header)
+
+    monkeypatch.setattr(features, "header_facts", counting)
+    email = tmp_path / "anom.eml"
+    email.write_bytes(_fixture_emails()[1])
+    for phase in (1, 3):  # phase 1 keeps a binary model or a stack
+        calls.clear()
+        model = os.path.join(out, "models", f"phase{phase}.model.json")
+        assert main(["classify", "--model", model, str(email)]) == 10
+        assert len(calls) == 1
+
+
 def test_classify_stdin(cli_run, capsys, monkeypatch):
     _, out = cli_run
     model = os.path.join(out, "models", "phase3.model.json")

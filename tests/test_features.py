@@ -7,6 +7,7 @@ import pytest
 
 from headerscan.corpus import CorpusRecord, Label
 from headerscan.features import (
+    _COMPARISON_PAIRS,
     CHAIN_BY_THEN_FROM,
     CHAIN_FROM_THEN_BY,
     DOMAIN_MATCH_ONLY,
@@ -21,7 +22,14 @@ from headerscan.features import (
     schema_to_dict,
     subset_schema,
 )
-from headerscan.headers import parse_headers
+from headerscan.headers import (
+    extract_domain,
+    parse_address_list,
+    parse_date,
+    parse_headers,
+    parse_received,
+)
+from headerscan.synthetic import generate_emails
 
 
 def _rec(i: int, raw: bytes, label=Label.HAM) -> CorpusRecord:
@@ -302,3 +310,160 @@ def test_fingerprints_are_pinned():
         "ba74101d7dd25923"]
     for s in (schema, pruned, sub, domain):
         assert schema_from_dict(schema_to_dict(s)) == s
+
+
+
+# ------------------------------------------- facts and projection
+
+def reference_host_domain(host):
+    if host is None:
+        return None
+    host = host.strip().strip("[]").lower()
+    return host or None
+
+
+def reference_base_values(header, schema):
+    """Every catalog quantity for one email, keyed by kind[:param]."""
+    values: dict[str, float] = {}
+    present = set(header.names())
+    from_lists = [parse_address_list(v) for v in header.get_all("from")]
+    msgid_domain = extract_domain(header, "message-id")
+    hops = [parse_received(v) for v in header.get_all("received")]
+
+    if schema.feature_set == FULL:
+        for f in schema.top_fields:
+            values[f"missing:{f}"] = 0.0 if f in present else 1.0
+
+        to_n = sum(len(parse_address_list(v)) for v in header.get_all("to"))
+        cc_n = sum(len(parse_address_list(v)) for v in header.get_all("cc"))
+        from_n = sum(len(addresses) for addresses in from_lists)
+        values["count:hops"] = float(len(hops))
+        values["count:to"] = float(to_n)
+        values["count:cc"] = float(cc_n)
+        values["count:recipients"] = float(to_n + cc_n + from_n)
+        values["count:fields"] = float(len(header.fields))
+        values["count:distinct"] = float(len(present))
+
+        date_value = header.get("date")
+        stamp = parse_date(date_value) if date_value is not None else None
+        values["tz_mode"] = (
+            0.0 if stamp is not None and stamp.zone_token == schema.mode_timezone else 1.0
+        )
+        values["date_parses"] = 1.0 if stamp is not None else 0.0
+
+        ct = header.get("content-type")
+        if ct is None:
+            values["ct_html"] = 2.0
+        else:
+            values["ct_html"] = 1.0 if ct.strip().lower().startswith("text/html") else 0.0
+
+        if msgid_domain is None:
+            values["msgid_mode"] = 2.0
+        else:
+            values["msgid_mode"] = 0.0 if msgid_domain == schema.mode_msgid_domain else 1.0
+
+    # as extract_domain reads it: the first From field's first address
+    first_from = from_lists[0] if from_lists else []
+    domains = {"from": (first_from[0].domain or None) if first_from else None,
+               "return-path": extract_domain(header, "return-path"),
+               "reply-to": extract_domain(header, "reply-to"),
+               "message-id": msgid_domain,
+               "received-from": reference_host_domain(hops[0].from_host) if hops else None}
+
+    for a, b in _COMPARISON_PAIRS:
+        da, db = domains[a], domains[b]
+        if da is None or db is None:
+            values[f"domain_match:{a}:{b}"] = 2.0
+        else:
+            values[f"domain_match:{a}:{b}"] = 1.0 if da == db else 0.0
+
+    consistent = 1.0
+    for first, second in zip(hops, hops[1:]):
+        if schema.chain_direction == CHAIN_BY_THEN_FROM:
+            left, right = reference_host_domain(first.by_host), reference_host_domain(second.from_host)
+        else:
+            left, right = reference_host_domain(first.from_host), reference_host_domain(second.by_host)
+        if left is None or right is None:
+            continue  # incomparable pairs are skipped, not mismatches
+        if left != right:
+            consistent = 0.0
+            break
+    values["chain"] = consistent
+    return values
+
+
+def reference_extract(record, schema):
+    """Numeric vector for one email, aligned to schema.descriptors."""
+    header = record.header if isinstance(record, CorpusRecord) else record
+    base = reference_base_values(header, schema)
+    out = np.empty(len(schema.descriptors), dtype=np.float64)
+    for i, d in enumerate(schema.descriptors):
+        value = base[d.kind if d.param is None else f"{d.kind}:{d.param}"]
+        if d.encoding == "onehot":
+            out[i] = 1.0 if value == d.onehot_value else 0.0
+        else:
+            out[i] = value
+    return out
+
+
+def reference_modes(records):
+    """The timezone and Message-ID domain counts fit_schema takes modes of."""
+    tz_counts, msgid_counts = {}, {}
+    for rec in records:
+        value = rec.header.get("date")
+        if value is not None:
+            stamp = parse_date(value)
+            if stamp is not None:
+                tz_counts[stamp.zone_token] = tz_counts.get(stamp.zone_token, 0) + 1
+        domain = extract_domain(rec.header, "message-id")
+        if domain is not None:
+            msgid_counts[domain] = msgid_counts.get(domain, 0) + 1
+    return [min(c.items(), key=lambda kv: (-kv[1], kv[0]))[0] if c else ""
+            for c in (tz_counts, msgid_counts)]
+
+
+def _mangled(raw: bytes, kind: int, rng: random.Random) -> bytes:
+    """The defects a stream of unseen mail carries: a long Received
+    chain, no Date, bare LF line ends, a header block cut mid-line."""
+    head, sep, body = raw.partition(b"\r\n\r\n")
+    lines = head.split(b"\r\n")
+    if kind == 0:
+        hops = [line for line in lines if line.startswith(b"Received:")]
+        lines = hops[:1] * rng.randint(15, 20) + lines
+    elif kind == 1:
+        lines = [line for line in lines if not line.startswith(b"Date:")]
+    elif kind == 2:
+        return raw.replace(b"\r\n", b"\n")
+    else:
+        return head[:rng.randrange(len(head) // 4, 3 * len(head) // 4)]
+    return b"\r\n".join(lines) + sep + body
+
+
+def _corpus(mangle: bool) -> list[CorpusRecord]:
+    emails = (generate_emails(200, 0.5, seed=12)
+              + generate_emails(100, 1.0, seed=13, anomaly_label=Label.PHISHING))
+    rng = random.Random(14)
+    raws = [_mangled(e.raw, i % 4, rng) if mangle else e.raw
+            for i, e in enumerate(emails)]
+    return [_rec(i, raw, e.label) for i, (raw, e) in enumerate(zip(raws, emails))]
+
+
+@pytest.mark.parametrize("mangle", [False, True], ids=["synthetic", "mangled"])
+@pytest.mark.parametrize("chain", [CHAIN_BY_THEN_FROM, CHAIN_FROM_THEN_BY])
+@pytest.mark.parametrize("one_hot", [False, True], ids=["ordinal", "one-hot"])
+@pytest.mark.parametrize("feature_set", [FULL, DOMAIN_MATCH_ONLY])
+def test_extract_matrix_matches_the_reference_extract(feature_set, one_hot,
+                                                      chain, mangle):
+    records = _corpus(mangle)
+    schema = fit_schema(records, k=30, feature_set=feature_set,
+                        one_hot=one_hot, chain_direction=chain)
+    assert [schema.mode_timezone, schema.mode_msgid_domain] == reference_modes(records)
+    matrix = extract_matrix(records, schema)
+    pruned, _, _ = prune_single_valued(schema, matrix)
+    sub, _ = subset_schema(pruned, pruned.names[::2])
+    for s in (schema, pruned, sub):
+        want = np.array([reference_extract(r, s) for r in records])
+        assert extract_matrix(records, s).tobytes() == want.tobytes()
+        # a bare header (the classify path) projects to the same row
+        for r in records[::37]:
+            assert extract(r.header, s).tobytes() == reference_extract(r, s).tobytes()

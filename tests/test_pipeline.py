@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import logging
 import os
 import shutil
 
 import numpy as np
 import pytest
 
+from headerscan import corpus, features, headers
+from headerscan.corpus import Label
 from headerscan.pipeline import (DEFAULT_STACKS, RunConfig, config_to_dict,
                                  load_config, load_datasets, run_phases)
+from headerscan.synthetic import generate_emails, write_labeled_dirs
 
 SMALL_GRIDS = {
     "logreg": {"lam": [1e-3]},
@@ -263,23 +267,62 @@ def test_load_config_validation(tmp_path):
     assert cfg.output_dir.endswith("elsewhere")
 
 
-def test_labeled_dir_sources(tmp_path):
-    from headerscan.corpus import Label
-    from headerscan.synthetic import generate_emails, write_labeled_dirs
-
-    emails = generate_emails(60, 0.5, seed=4)
+def _labeled_dir_config(tmp_path, n_ham_spam=60, **overrides):
+    emails = generate_emails(n_ham_spam, 0.5, seed=4)
     ham_dir, anom_dir = write_labeled_dirs(emails, str(tmp_path / "corpus"))
     phish = generate_emails(40, 0.5, seed=5, anomaly_label=Label.PHISHING)
     _, phish_dir = write_labeled_dirs(phish, str(tmp_path / "phish"))
+    doc = {"seed": 11, "output_dir": str(tmp_path / "out"),
+           "ham_dir": ham_dir, "spam_dir": anom_dir, "phishing_dir": phish_dir}
+    doc.update(overrides)
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({
-        "seed": 11, "output_dir": str(tmp_path / "out"),
-        "ham_dir": ham_dir, "spam_dir": anom_dir,
-        "phishing_dir": phish_dir,
-    }))
-    datasets = load_datasets(load_config(str(config_path)))
+    config_path.write_text(json.dumps(doc))
+    return load_config(str(config_path))
+
+
+def test_labeled_dir_sources(tmp_path):
+    datasets = load_datasets(_labeled_dir_config(tmp_path))
     assert len(datasets.ham_spam) == 60
     labels = {r.label for r in datasets.ham_spam}
     assert labels == {Label.HAM, Label.SPAM}
     assert len(datasets.phishing) == 20
     assert all(r.id.startswith("phishing/") for r in datasets.phishing)
+
+
+def test_skipped_corpus_files_are_logged(tmp_path, caplog):
+    cfg = _labeled_dir_config(tmp_path)
+    before = load_datasets(cfg).info
+    os.symlink(str(tmp_path / "gone.eml"),
+               os.path.join(cfg.ham_dir, "dangling.eml"))
+    with caplog.at_level(logging.WARNING):
+        after = load_datasets(cfg).info
+    warnings = [r.getMessage() for r in caplog.records
+                if r.name == "headerscan.pipeline"]
+    entries = len(os.listdir(cfg.ham_dir))
+    assert warnings == [f"skipped 1 of {entries} files under {cfg.ham_dir}"]
+    assert after == before  # what the manifest records of the corpora
+
+
+def test_phases_3_and_4_compute_each_records_facts_once(tmp_path, monkeypatch):
+    cfg = _labeled_dir_config(
+        tmp_path, n_ham_spam=80, cv_folds=4,
+        one_class_grid={"nu": [0.1], "gamma": ["auto"]})
+    facts_of, extracted = [], []
+
+    def counting_facts(header):
+        facts_of.append(id(header))
+        return headers.header_facts(header)
+
+    def recording_extract(record, schema):
+        extracted.append(id(record))
+        return extract(record, schema)
+
+    extract = features.extract
+    monkeypatch.setattr(corpus, "header_facts", counting_facts)
+    monkeypatch.setattr(features, "header_facts", counting_facts)
+    monkeypatch.setattr(features, "extract", recording_extract)
+    run_phases(cfg, [3, 4])
+    assert len(facts_of) == len(set(extracted))
+    assert len(set(facts_of)) == len(facts_of)
+    # ham records extracted in both phases were computed once
+    assert len(extracted) > len(set(extracted))
