@@ -13,12 +13,13 @@ import numpy as np
 from .base import (ALGORITHMS, ConvergenceError, ModelSpec, Score, derive_seed,
                    rng_for, stratified_fold_ids, validate_spec)
 from .bayes import GaussianNBModel, train_gaussian_nb
-from .boosting import AdaBoostModel, GradBoostModel, train_adaboost, train_grad_boost
+from .boosting import (AdaBoostModel, GradBoostModel, train_adaboost, train_grad_boost,
+                       train_grad_boosts)
 from .bundle import (Bundle, bundle_bytes, load_bundle, model_from_doc,
                      model_to_doc, save_bundle)
 from .forest import RandomForestModel, train_random_forest
 from .linear import LinearSVMModel, LogRegModel, train_linear_svm, train_logreg
-from .mlp import MLPModel, loss_and_grad, train_mlp
+from .mlp import MLPModel, loss_and_grad, train_mlp, train_mlps
 from .neighbors import KNNModel, train_knn
 from .ocsvm import KKTAudit, OneClassSVMModel, train_one_class_svms
 from .stack import StackModel, fit_stack_meta, out_of_fold, train_stack
@@ -27,7 +28,7 @@ from .tree import DecisionTreeModel, train_decision_tree
 __all__ = [
     "ALGORITHMS", "ModelSpec", "Score", "ConvergenceError",
     "derive_seed", "rng_for", "stratified_fold_ids", "validate_spec",
-    "train", "train_one_class", "train_one_class_many", "train_stack",
+    "train", "train_many", "train_one_class", "train_one_class_many", "train_stack",
     "out_of_fold", "fit_stack_meta",
     "predict", "predict_one_class", "decision_values", "check_fingerprint",
     "default_grid", "DEFAULT_GRIDS",
@@ -50,6 +51,9 @@ _TRAINERS = {
     "adaboost": train_adaboost,
 }
 
+# learners whose batched body fits one model per (spec, row set) together
+_BATCH_TRAINERS = {"grad_boost": train_grad_boosts, "mlp": train_mlps}
+
 
 def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
           schema_fingerprint: str | None = None):
@@ -61,6 +65,23 @@ def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
     X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
     return _TRAINERS[spec.algorithm](spec, X, y, schema_fingerprint)
+
+
+def train_many(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray, row_sets: list,
+               schema_fingerprint: str | None = None) -> list:
+    """One binary model per (spec, ascending row set), in order: model i
+    is the one train(specs[i], X[row_sets[i]], y[row_sets[i]]) gives.
+    The specs share an algorithm with a batched trainer (grad_boost or
+    mlp) and its hyperparameters, and all the models fit together."""
+    specs = [validate_spec(spec) for spec in specs]
+    if specs[0].algorithm not in _BATCH_TRAINERS:
+        raise ValueError(f"{specs[0].algorithm} has no batched trainer")
+    if any((spec.algorithm, spec.hyperparameters)
+           != (specs[0].algorithm, specs[0].hyperparameters) for spec in specs):
+        raise ValueError("models trained together share algorithm and hyperparameters")
+    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y, dtype=np.int64)
+    return _BATCH_TRAINERS[specs[0].algorithm](specs, X, y, row_sets, schema_fingerprint)
 
 
 def train_one_class(spec: ModelSpec, X: np.ndarray,

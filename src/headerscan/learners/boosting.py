@@ -8,9 +8,10 @@ import numpy as np
 
 from .base import ModelSpec, check_training_inputs
 from .linear import sigmoid
-from .tree import TreeArrays, TreeEnsemble, build_tree, leaf_ids, sorted_cuts
+from .tree import TreeArrays, TreeEnsemble, build_tree, sorted_cuts
 
-__all__ = ["GradBoostModel", "train_grad_boost", "AdaBoostModel", "train_adaboost"]
+__all__ = ["GradBoostModel", "train_grad_boost", "train_grad_boosts", "AdaBoostModel",
+           "train_adaboost"]
 
 
 @dataclass
@@ -34,30 +35,52 @@ class GradBoostModel(TreeEnsemble):
 
 def train_grad_boost(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
                      schema_fingerprint: str | None = None) -> GradBoostModel:
-    """Boost shallow regression trees on the log-loss gradient. Each
-    round fits a squared-error tree to the residual y - p, then replaces
-    every leaf with the Newton step sum(residual) / sum(p(1-p))."""
-    check_training_inputs(X, y)
-    hp = spec.hyperparameters
+    return train_grad_boosts([spec], X, y, [np.arange(len(X))], schema_fingerprint)[0]
+
+
+def train_grad_boosts(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray,
+                      row_sets: list, schema_fingerprint: str | None = None
+                      ) -> list[GradBoostModel]:
+    """One model per (spec, rows), in order, each the model
+    train_grad_boost gives on X[rows], y[rows]; the specs share their
+    hyperparameters and rows are ascending.
+
+    Boost shallow regression trees on the log-loss gradient. Each round
+    fits a squared-error tree to the residual y - p, then replaces every
+    leaf with the Newton step sum(residual) / sum(p(1-p)) over its rows.
+    Round r of every model grows in one lockstep build_tree call, each
+    tree rooted at its model's rows of X with its own residual row; F,
+    the residuals and the leaf steps stay per model."""
+    hp = specs[0].hyperparameters
     lr = hp["learning_rate"]
-    yf = y.astype(np.float64)
-    pbar = min(max(float(np.mean(yf)), 1e-12), 1.0 - 1e-12)
-    F0 = float(np.log(pbar / (1.0 - pbar)))
-    F = np.full(len(yf), F0)
-    trees, root = [], np.arange(len(yf))
+    ys = []
+    for rows in row_sets:
+        check_training_inputs(X[rows], y[rows])
+        ys.append(y[rows].astype(np.float64))
+    # per model, a row of len(X) of which only its own rows are read
+    F, residual, hess = (np.zeros((len(row_sets), len(X))) for _ in range(3))
+    base_scores = []
+    for Fi, rows, yf in zip(F, row_sets, ys):
+        pbar = min(max(float(np.mean(yf)), 1e-12), 1.0 - 1e-12)
+        base_scores.append(float(np.log(pbar / (1.0 - pbar))))
+        Fi[rows] = base_scores[-1]
+    trees = [[] for _ in row_sets]
     for _ in range(hp["n_trees"]):
-        p = sigmoid(F)
-        residual = yf - p
-        hess = p * (1.0 - p)
-        [tree] = build_tree(X, residual, [root], criterion="sse",
-                            max_depth=hp["max_depth"], min_samples_leaf=1)
-        ids = leaf_ids(tree, X)[0]
-        for leaf in np.unique(ids):
-            rows = ids == leaf
-            tree.value[leaf] = float(residual[rows].sum() / max(hess[rows].sum(), 1e-12))
-        F += lr * tree.value[ids]
-        trees.append(tree)
-    return GradBoostModel(spec, F0, trees, True, schema_fingerprint)
+        for i, (rows, yf) in enumerate(zip(row_sets, ys)):
+            p = sigmoid(F[i, rows])
+            residual[i, rows] = yf - p
+            hess[i, rows] = p * (1.0 - p)
+        grown, leaves = build_tree(X, residual, row_sets, criterion="sse",
+                                   max_depth=hp["max_depth"], min_samples_leaf=1,
+                                   leaf_rows=True)
+        for i, (tree, tree_leaves) in enumerate(zip(grown, leaves)):
+            for leaf, rows in tree_leaves:
+                step = float(residual[i, rows].sum() / max(hess[i, rows].sum(), 1e-12))
+                tree.value[leaf] = step
+                F[i, rows] += lr * step
+            trees[i].append(tree)
+    return [GradBoostModel(spec, F0, model_trees, True, schema_fingerprint)
+            for spec, F0, model_trees in zip(specs, base_scores, trees)]
 
 
 @dataclass

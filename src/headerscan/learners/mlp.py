@@ -9,7 +9,7 @@ import numpy as np
 from .base import ModelSpec, check_training_inputs, rng_for
 from .linear import _TOL, sigmoid
 
-__all__ = ["MLPModel", "train_mlp", "init_params", "loss_and_grad"]
+__all__ = ["MLPModel", "train_mlp", "train_mlps", "init_params", "loss_and_grad"]
 
 _EPOCHS, _BATCH = 100, 32
 
@@ -27,26 +27,31 @@ def init_params(d: int, hidden: int, rng: np.random.Generator) -> dict:
 
 
 def _forward(params: dict, X: np.ndarray):
-    z1 = X @ params["W1"] + params["b1"]
+    """X is (rows, d), or (models, rows, d) with every parameter stacked
+    on a leading models axis."""
+    z1 = X @ params["W1"] + params["b1"][..., None, :]
     a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ params["w2"] + params["b2"]
+    z2 = (a1 @ params["w2"][..., None])[..., 0] + np.asarray(params["b2"])[..., None]
     return z1, a1, z2
 
 
 def loss_and_grad(params: dict, X: np.ndarray, y: np.ndarray):
-    """Mean binary cross-entropy and its exact gradient.
+    """Mean binary cross-entropy and its exact gradient, per model when
+    X, y and the parameters are stacked on a leading models axis.
 
-    Kept free of training-loop state so the analytic gradient can be
-    checked against finite differences directly."""
-    n = len(X)
+    Stacked products are matmuls and sums run along one axis, never
+    einsum, so each model gets the bits of its own 2-D call. Kept free
+    of training-loop state so the analytic gradient can be checked
+    against finite differences directly."""
+    n = X.shape[-2]
     z1, a1, z2 = _forward(params, X)
-    loss = float(np.mean(np.logaddexp(0.0, z2) - y * z2))
+    loss = np.mean(np.logaddexp(0.0, z2) - y * z2, axis=-1)
     dz2 = (sigmoid(z2) - y) / n
-    gw2 = a1.T @ dz2
-    gb2 = float(dz2.sum())
-    dz1 = np.outer(dz2, params["w2"]) * (z1 > 0.0)
-    gW1 = X.T @ dz1
-    gb1 = dz1.sum(axis=0)
+    gw2 = (np.swapaxes(a1, -1, -2) @ dz2[..., None])[..., 0]
+    gb2 = dz2.sum(axis=-1)
+    dz1 = dz2[..., None] * params["w2"][..., None, :] * (z1 > 0.0)
+    gW1 = np.swapaxes(X, -1, -2) @ dz1
+    gb1 = dz1.sum(axis=-2)
     return loss, {"W1": gW1, "b1": gb1, "w2": gw2, "b2": gb2}
 
 
@@ -73,30 +78,53 @@ class MLPModel:
 
 def train_mlp(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
               schema_fingerprint: str | None = None) -> MLPModel:
-    """_EPOCHS epochs of gradient descent in _BATCH-row batches, reshuffled
+    return train_mlps([spec], X, y, [np.arange(len(X))], schema_fingerprint)[0]
+
+
+def train_mlps(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray,
+               row_sets: list, schema_fingerprint: str | None = None) -> list[MLPModel]:
+    """One model per (spec, rows), in order, each the model train_mlp
+    gives on X[rows], y[rows]; the specs share their hyperparameters.
+
+    _EPOCHS epochs of gradient descent in _BATCH-row batches, reshuffled
     each epoch from the spec seed. Records the full-batch loss once per
-    epoch; converged is the final full-batch gradient test of linear._newton."""
-    check_training_inputs(X, y)
-    hp = spec.hyperparameters
-    n, d = X.shape
-    rng = rng_for(spec.seed, "mlp", "init")
-    params = init_params(d, hp["hidden"], rng)
-    shuffle_rng = rng_for(spec.seed, "mlp", "shuffle")
-    yf = y.astype(np.float64)
+    epoch; converged is the final full-batch gradient test of
+    linear._newton. The models' parameters are stacked, and at each
+    batch start the models whose batches have the same length take one
+    stacked step: all of them but for an epoch's ragged last batch."""
+    hp = specs[0].hyperparameters
     lr = hp["lr"]
-    history = []
-    for _ in range(_EPOCHS):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, _BATCH):
-            rows = order[start:start + _BATCH]
-            _, grads = loss_and_grad(params, X[rows], yf[rows])
-            params["W1"] = params["W1"] - lr * grads["W1"]
-            params["b1"] = params["b1"] - lr * grads["b1"]
-            params["w2"] = params["w2"] - lr * grads["w2"]
-            params["b2"] = params["b2"] - lr * grads["b2"]
-        z2 = _forward(params, X)[2]
-        history.append(float(np.mean(np.logaddexp(0.0, z2) - yf * z2)))
-    grads = loss_and_grad(params, X, yf)[1].values()
-    converged = max(float(np.max(np.abs(g))) for g in grads) < _TOL
-    return MLPModel(spec, params["W1"], params["b1"], params["w2"],
-                    float(params["b2"]), converged, np.array(history), schema_fingerprint)
+    for rows in row_sets:
+        check_training_inputs(X[rows], y[rows])
+    yf = y.astype(np.float64)
+    inits = [init_params(X.shape[1], hp["hidden"], rng_for(spec.seed, "mlp", "init"))
+             for spec in specs]
+    params = {key: np.array([p[key] for p in inits]) for key in inits[0]}
+    shuffles = [rng_for(spec.seed, "mlp", "shuffle") for spec in specs]
+    sizes = np.array([len(rows) for rows in row_sets])
+    history = np.empty((len(specs), _EPOCHS))
+    for epoch in range(_EPOCHS):
+        # each model's rows of X in this epoch's order
+        shuffled = [rows[rng.permutation(len(rows))] for rows, rng in zip(row_sets, shuffles)]
+        for start in range(0, sizes.max(), _BATCH):
+            lengths = np.minimum(sizes - start, _BATCH)
+            for length in np.unique(lengths[lengths > 0]):
+                group = np.flatnonzero(lengths == length)
+                batch = np.stack([shuffled[i][start:start + length] for i in group])
+                if len(group) == len(specs):
+                    group = slice(None)  # views: the update writes in place
+                grads = loss_and_grad({key: v[group] for key, v in params.items()},
+                                      X[batch], yf[batch])[1]
+                for key, v in params.items():
+                    v[group] = v[group] - lr * grads[key]
+        for i, rows in enumerate(row_sets):
+            z2 = _forward({key: v[i] for key, v in params.items()}, X[rows])[2]
+            history[i, epoch] = np.mean(np.logaddexp(0.0, z2) - yf[rows] * z2)
+    models = []
+    for i, (spec, rows) in enumerate(zip(specs, row_sets)):
+        own = {key: v[i].copy() for key, v in params.items()}
+        grads = loss_and_grad(own, X[rows], yf[rows])[1].values()
+        converged = max(float(np.max(np.abs(g))) for g in grads) < _TOL
+        models.append(MLPModel(spec, own["W1"], own["b1"], own["w2"], float(own["b2"]),
+                               converged, history[i].copy(), schema_fingerprint))
+    return models

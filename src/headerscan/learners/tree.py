@@ -11,11 +11,12 @@ flat node array, each tree's children offset by its root index (a single
 tree has roots [0]), and one level loop advances every unfinished (tree,
 row) pair of a block of rows. check_tree's forward children end walks.
 
-One grower, `build_tree`, grows all of a forest's trees in lockstep:
-each step takes the next pre-order node of every unfinished tree (so
-draws and node numbering are those of growing each tree alone) and scans
-the nodes to split in batches, their rows padded with +inf values to the
-longest, each batch within SCAN_CELLS padded cells.
+One grower, `build_tree`, grows all of a forest's trees, or one
+boosting round of every fold, in lockstep: each step takes the next
+pre-order node of every unfinished tree (so draws and node numbering are
+those of growing each tree alone) and scans the nodes to split in
+batches, their rows padded with +inf values to the longest, each batch
+within SCAN_CELLS padded cells.
 
 One scan, `sorted_cuts`, lists the candidate cuts of every split search,
 tree nodes and AdaBoost stumps alike: a stable per-column sort, cut at
@@ -57,14 +58,14 @@ def sorted_cuts(xs: np.ndarray):
     return order, xv, xv[:-1] < xv[1:], (xv[:-1] + xv[1:]) / 2.0
 
 
-def _scan(X, target, rows, cands, totals, squares, min_leaf: int, criterion: str):
+def _scan(X, targets, own, rows, cands, totals, squares, min_leaf: int, criterion: str):
     """Per node of a group: (feature or LEAF, threshold, left rows, right
-    rows, left label sum for "gini"). Rows are padded to the longest node
-    with +inf values and 0 targets, which sort last and are masked out of
-    the cuts. cands is (nodes, candidates), or None for every column. The
-    first minimum in (feature, cut) order wins if it beats the parent by
-    1e-12."""
-    # one node (each grad_boost step) takes scalar and 1-D shortcuts
+    rows, left label sum for "gini"). Node i's targets are
+    targets[own[i]]. Rows are padded to the longest node with +inf values
+    and 0 targets, which sort last and are masked out of the cuts. cands
+    is (nodes, candidates), or None for every column. The first minimum
+    in (feature, cut) order wins if it beats the parent by 1e-12."""
+    # one node (a lone tree's step) takes scalar and 1-D shortcuts
     m, lens = len(rows), [len(r) for r in rows]
     width = max(lens)
     padded = min(lens) < width
@@ -75,7 +76,7 @@ def _scan(X, target, rows, cands, totals, squares, min_leaf: int, criterion: str
     else:
         real, R = True, rows[0][None] if m == 1 else np.stack(rows)
     G = X[R.T] if cands is None else X[R.T[:, :, None], cands]
-    k, T = G.shape[2], target[R]
+    k, T = G.shape[2], targets[np.array(own)[:, None], R]
     if padded:
         G[~real.T] = np.inf
         T[~real] = 0.0
@@ -121,19 +122,26 @@ def _scan(X, target, rows, cands, totals, squares, min_leaf: int, criterion: str
 
 def build_tree(X: np.ndarray, target: np.ndarray, roots, *, criterion: str,
                max_depth: int | None, min_samples_leaf: int,
-               max_features: int | None = None, rngs=None) -> list[TreeArrays]:
+               max_features: int | None = None, rngs=None, leaf_rows: bool = False):
     """Grow one tree per entry of roots, an array of rows of X (repeats
     allowed, as in a bootstrap sample), all in lockstep. target is the
-    0/1 label vector for "gini" and the regression target for "sse".
-    When max_features is given, each node of tree i draws that many
-    candidate features from rngs[i]. Each step scans its nodes to split
-    longest first, in groups whose padded cells stay within SCAN_CELLS;
-    a larger node is scanned alone.
+    0/1 label vector for "gini" and the regression target for "sse",
+    shared by every tree, or one such row of len(X) per tree. When
+    max_features is given, each node of tree i draws that many candidate
+    features from rngs[i]. Each step scans its nodes to split longest
+    first, in groups whose padded cells stay within SCAN_CELLS; a larger
+    node is scanned alone.
+
+    Returns the trees; with leaf_rows, also per tree a list of (leaf
+    index, the root's rows that reach it, in root order).
     """
     X, d = np.asarray(X, dtype=np.float64), X.shape[1]
+    targets = target.reshape(-1, len(X))
+    own = range(len(roots)) if len(targets) > 1 else [0] * len(roots)
     draw = max_features is not None and max_features < d
     width = max_features if draw else d
     trees = [array("d") for _ in roots]  # per node: feature, threshold, left, right, value
+    leaves = [[] for _ in roots] if leaf_rows else None
     # explicit pre-order stacks; (rows, depth, parent index, went left,
     # label sum for "gini", known from the parent's split)
     stacks = [[(np.asarray(rows), 0, -1, False, None)] for rows in roots]
@@ -147,12 +155,14 @@ def build_tree(X: np.ndarray, target: np.ndarray, roots, *, criterion: str,
             if parent >= 0:
                 nodes[5 * parent + (2 if went_left else 3)] = len(nodes) // 5
             if total is None:
-                t = target[rows]
+                t = targets[own[i]][rows]
                 total = float(t.sum())
             nodes.extend((LEAF, 0.0, LEAF, LEAF, total / size))
             if ((max_depth is not None and depth >= max_depth)
                     or size < 2 * min_samples_leaf or size < 2
                     or (criterion == "gini" and total in (0.0, size))):
+                if leaf_rows:
+                    leaves[i].append((len(nodes) // 5 - 1, rows))
                 continue
             cand = np.sort(rngs[i].choice(d, size=width, replace=False)) if draw else None
             square = float(t @ t) if criterion == "sse" else None
@@ -160,13 +170,16 @@ def build_tree(X: np.ndarray, target: np.ndarray, roots, *, criterion: str,
         todo.sort(key=lambda node: -node[0])
         while todo:
             end = max(1, SCAN_CELLS // (todo[0][0] * width))
-            _, tree_of, idx_of, depth_of, rows, cands, totals, squares = zip(*todo[:end])
+            _, tree_of, idx_of, depth_of, rows_of, cands, totals, squares = zip(*todo[:end])
             del todo[:end]
-            found = _scan(X, target, rows, np.array(cands) if draw else None,
+            found = _scan(X, targets, [own[i] for i in tree_of], rows_of,
+                          np.array(cands) if draw else None,
                           totals, squares, min_samples_leaf, criterion)
-            for i, idx, depth, total, (f, th, rows_l, rows_r, sum_l) in zip(
-                    tree_of, idx_of, depth_of, totals, found):
+            for i, idx, depth, rows, total, (f, th, rows_l, rows_r, sum_l) in zip(
+                    tree_of, idx_of, depth_of, rows_of, totals, found):
                 if f == LEAF or len(rows_l) == 0 or len(rows_r) == 0:
+                    if leaf_rows:
+                        leaves[i].append((idx, rows))
                     continue
                 trees[i][5 * idx], trees[i][5 * idx + 1] = f, th
                 # right pushed first so the left subtree lays out
@@ -175,9 +188,10 @@ def build_tree(X: np.ndarray, target: np.ndarray, roots, *, criterion: str,
                 stacks[i].append((rows_r, depth + 1, idx, False,
                                   None if sum_l is None else total - sum_l))
                 stacks[i].append((rows_l, depth + 1, idx, True, sum_l))
-    return [TreeArrays(*(column.astype(dtype) for column, dtype in zip(
+    grown = [TreeArrays(*(column.astype(dtype) for column, dtype in zip(
         np.frombuffer(nodes).reshape(-1, 5).T, (np.int64, np.float64, np.int64, np.int64, np.float64))))
         for nodes in trees]
+    return (grown, leaves) if leaf_rows else grown
 
 
 def check_tree(tree: TreeArrays, width: int) -> None:

@@ -12,6 +12,7 @@ from headerscan.corpus import CorpusRecord, Label
 from headerscan.features import apply_scaler, extract_matrix, fit_schema, fit_scaler
 from headerscan.headers import parse_headers
 from headerscan.learners import ModelSpec, ocsvm
+from headerscan.learners import mlp as mlp_module
 from headerscan.learners import tree as tree_module
 from headerscan.learners.base import derive_seed
 from headerscan.learners.bundle import (bundle_bytes, decode_array, encode_array,
@@ -622,6 +623,54 @@ def test_lockstep_grower_matches_the_per_node_builder(monkeypatch, cells, data, 
     assert got == reference_tree_bytes(data, algo, tuple(hp.items()))
 
 
+@functools.lru_cache(maxsize=None)
+def reference_alone_bytes(data, criterion, depth):
+    """Trees grown alone by reference_build_tree on each root of
+    per_tree_case, and their leaves' rows from the per-tree walk."""
+    X, _ = frozen(data)
+    roots, targets = per_tree_case(data, criterion)
+    out = []
+    for rows, t in zip(roots, targets):
+        tree = reference_build_tree(X[rows], t[rows], criterion=criterion,
+                                    max_depth=depth, min_samples_leaf=1)
+        ids = reference_leaf_ids(tree, X[rows])
+        out.append(([(a.dtype, a.tobytes()) for a in astuple(tree)],
+                    {int(leaf): rows[ids == leaf].tobytes() for leaf in np.unique(ids)}))
+    return out
+
+
+def per_tree_case(data, criterion):
+    """Four trees rooted at four folds' training rows, each with its own
+    target: relabelled labels for "gini", residual-like values for "sse"."""
+    _, y = frozen(data)
+    rng = np.random.default_rng(24)
+    fold_of = L.stratified_fold_ids(y, 4, 24)
+    roots = [np.flatnonzero(fold_of != f) for f in range(4)]
+    if criterion == "gini":
+        flips = rng.random((4, len(y))) < np.array([0.0, 0.05, 0.1, 0.2])[:, None]
+        return roots, (y ^ flips).astype(np.float64)
+    return roots, y - sigmoid(rng.standard_normal((4, len(y))))
+
+
+@pytest.mark.parametrize("cells", [1, 2**40])
+@pytest.mark.parametrize("data", [header_matrix, continuous_matrix])
+@pytest.mark.parametrize("criterion,depth", [("sse", 3), ("sse", 6), ("gini", None)])
+def test_per_tree_targets_match_trees_grown_alone(monkeypatch, cells, data, criterion, depth):
+    """One lockstep call with a target row per tree grows, byte for byte,
+    the trees each root and target grow alone, and hands back each
+    leaf's rows as the walk finds them."""
+    X, _ = frozen(data)
+    roots, targets = per_tree_case(data, criterion)
+    monkeypatch.setattr(tree_module, "SCAN_CELLS", cells)
+    trees, leaves = tree_module.build_tree(X, targets, roots, criterion=criterion,
+                                           max_depth=depth, min_samples_leaf=1,
+                                           leaf_rows=True)
+    got = [([(a.dtype, a.tobytes()) for a in astuple(tree)],
+            {leaf: rows.tobytes() for leaf, rows in tree_leaves})
+           for tree, tree_leaves in zip(trees, leaves)]
+    assert got == reference_alone_bytes(data, criterion, depth)
+
+
 def test_grad_boost_base_score_is_log_odds():
     X, y = two_blobs(seed=13)
     m = L.train(ModelSpec("grad_boost", {"n_trees": 5}, 0), X, y)
@@ -664,6 +713,149 @@ def test_stack_rejects_bad_meta_and_short_bases():
     with pytest.raises(ValueError):
         L.train_stack([ModelSpec("knn", {}, 0), ModelSpec("gaussian_nb", {}, 0)],
                       ModelSpec("knn", {}, 0), X, y)
+
+
+# --- batched fold fitting -------------------------------------------------
+
+
+def reference_grad_boost(spec, X, y):
+    """train_grad_boost alone on X, y, as before fold models fitted
+    together: reference_trees' boosting loop."""
+    pbar = min(max(float(np.mean(y)), 1e-12), 1.0 - 1e-12)
+    trees = reference_trees("grad_boost", spec.hyperparameters, X, y, spec.seed)
+    return L.GradBoostModel(spec, float(np.log(pbar / (1.0 - pbar))), trees, True, None)
+
+
+def reference_forward(params, X):
+    z1 = X @ params["W1"] + params["b1"]
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ params["w2"] + params["b2"]
+    return z1, a1, z2
+
+
+def reference_mlp_grad(params, X, y):
+    n = len(X)
+    z1, a1, z2 = reference_forward(params, X)
+    dz2 = (sigmoid(z2) - y) / n
+    dz1 = np.outer(dz2, params["w2"]) * (z1 > 0.0)
+    return {"W1": X.T @ dz1, "b1": dz1.sum(axis=0), "w2": a1.T @ dz2, "b2": float(dz2.sum())}
+
+
+def reference_mlp(spec, X, y):
+    """train_mlp alone on X, y, as before fold models fitted together:
+    one 2-D gradient step per batch."""
+    hp = spec.hyperparameters
+    n, d = X.shape
+    params = init_params(d, hp["hidden"], L.rng_for(spec.seed, "mlp", "init"))
+    shuffle_rng = L.rng_for(spec.seed, "mlp", "shuffle")
+    yf = y.astype(np.float64)
+    history = []
+    for _ in range(mlp_module._EPOCHS):
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, mlp_module._BATCH):
+            rows = order[start:start + mlp_module._BATCH]
+            grads = reference_mlp_grad(params, X[rows], yf[rows])
+            for key in params:
+                params[key] = params[key] - hp["lr"] * grads[key]
+        z2 = reference_forward(params, X)[2]
+        history.append(float(np.mean(np.logaddexp(0.0, z2) - yf * z2)))
+    converged = max(float(np.max(np.abs(g)))
+                    for g in reference_mlp_grad(params, X, yf).values()) < mlp_module._TOL
+    return L.MLPModel(spec, params["W1"], params["b1"], params["w2"], float(params["b2"]),
+                      converged, np.array(history))
+
+
+def reference_fold_values(m, X):
+    if isinstance(m, L.MLPModel):
+        return sigmoid(reference_forward(m._params(), X)[2]) - 0.5
+    return reference_decision_values(m, X)
+
+
+def outlier_matrix():
+    """Two separated classes with three rows in the other class's region:
+    a fold that holds such rows out grows shallower trees."""
+    rng = np.random.default_rng(25)
+    y = (np.arange(83) % 2).astype(np.int64)
+    X = rng.random((83, 3)) + 2.0 * y[:, None]
+    y[:3] = 1 - y[:3]
+    return X, y
+
+
+def tree_depth(tree):
+    depth = np.zeros(len(tree.feature), dtype=np.int64)
+    for i in np.flatnonzero(tree.feature != LEAF):
+        depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+    return int(depth.max())
+
+
+FOLD_LEARNERS = [("grad_boost", {"n_trees": 20}), ("mlp", {"hidden": 16}),
+                 ("mlp", {"hidden": 64})]
+
+
+# fold sizes differ by one row: training sets of 41/42, 74/75 and 64/65
+# rows, whose last batches hold 9/10, 10/11 and 0/1 rows
+@pytest.mark.parametrize("n,k", [(83, 2), (83, 10), (73, 9)])
+@pytest.mark.parametrize("data", [header_matrix, continuous_matrix, outlier_matrix])
+@pytest.mark.parametrize("algo,hp", FOLD_LEARNERS,
+                         ids=[f"{a}-{v}" for a, hp in FOLD_LEARNERS for v in hp.values()])
+def test_batched_fold_fits_match_the_per_fold_loop(n, k, data, algo, hp):
+    """Fold models fitted together are, byte for byte, the models the
+    2-D reference trainers fit one fold at a time, and out_of_fold's
+    held-out values are theirs."""
+    X, y = (a[:n] for a in frozen(data))
+    spec = ModelSpec(algo, hp, 8)
+    fold_of = L.stratified_fold_ids(y, k, 5)
+    specs = [L.validate_spec(ModelSpec(algo, hp, derive_seed(8, "fold", f))) for f in range(k)]
+    rows = [np.flatnonzero(fold_of != f) for f in range(k)]
+    assert len({len(r) for r in rows}) == 2
+    reference = reference_grad_boost if algo == "grad_boost" else reference_mlp
+    want = [reference(s, X[r], y[r]) for s, r in zip(specs, rows)]
+    got = L.train_many(specs, X, y, rows)
+    schema, scaler = tiny_schema_scaler()
+    assert ([bundle_bytes(m, schema, scaler, "spam") for m in got]
+            == [bundle_bytes(m, schema, scaler, "spam") for m in want])
+    dv = np.empty(n)
+    for f, m in enumerate(want):
+        dv[fold_of == f] = reference_fold_values(m, X[fold_of == f])
+    assert L.out_of_fold(spec, X, y, fold_of).tobytes() == dv.tobytes()
+    if algo == "grad_boost" and data is outlier_matrix:
+        assert any(len({tree_depth(m.trees[r]) for m in got}) > 1 for r in range(20))
+
+
+def _single_class_fold(X, y, hp):
+    """Fold 2 holds every anomalous row, so it trains on ham alone."""
+    ham = np.flatnonzero(y == 0)
+    fold_of = np.full(len(y), 2)
+    fold_of[ham[: len(ham) // 2]], fold_of[ham[len(ham) // 2:]] = 0, 1
+    return X, hp, fold_of
+
+
+def _out_of_domain(X, y, hp):
+    return X, {key: -1 for key in hp}, L.stratified_fold_ids(y, 3, 0)
+
+
+def _nan_row(X, y, hp):
+    X = X.copy()
+    X[5, 0] = np.nan
+    return X, hp, L.stratified_fold_ids(y, 3, 0)
+
+
+REFUSALS = {"single-class": _single_class_fold, "hyperparameter": _out_of_domain,
+            "nan": _nan_row}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+@pytest.mark.parametrize("algo,hp", [("grad_boost", {"n_trees": 3}), ("mlp", {"lr": 0.01})])
+def test_batched_fold_fits_refuse_as_the_per_fold_loop_does(case, algo, hp):
+    X, y = two_blobs(seed=23)
+    X, hp, fold_of = REFUSALS[case](X, y, hp)
+    with pytest.raises(ValueError) as want:
+        for f in range(3):
+            L.train(ModelSpec(algo, hp, derive_seed(9, "fold", f)),
+                    X[fold_of != f], y[fold_of != f])
+    with pytest.raises(ValueError) as got:
+        L.out_of_fold(ModelSpec(algo, hp, 9), X, y, fold_of)
+    assert str(got.value) == str(want.value)
 
 
 # --- one-class SVM --------------------------------------------------------

@@ -125,19 +125,25 @@ def test_stacking_rows(full_run):
 
 def test_stacking_adds_no_base_fits(tmp_path, monkeypatch):
     # stacks reuse the grid search's held-out columns and refit models,
-    # so phase 1 trains only the grid folds, the refits and the
-    # importance models
+    # so phase 1 trains only the grid folds (one at a time, or together
+    # through train_many), the refits and the importance models
     import headerscan.learners
     import headerscan.pipeline
 
     calls = []
     original = headerscan.learners.train
+    original_many = headerscan.learners.train_many
 
     def counting_train(spec, *args, **kwargs):
         calls.append(spec.algorithm)
         return original(spec, *args, **kwargs)
 
+    def counting_train_many(specs, *args, **kwargs):
+        calls.extend(spec.algorithm for spec in specs)
+        return original_many(specs, *args, **kwargs)
+
     monkeypatch.setattr(headerscan.learners, "train", counting_train)
+    monkeypatch.setattr(headerscan.learners, "train_many", counting_train_many)
     monkeypatch.setattr(headerscan.pipeline, "train", counting_train)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(small_config(tmp_path / "out")))
