@@ -77,16 +77,14 @@ def make_scores(decision_values: np.ndarray, one_class: bool = False) -> list[Sc
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of their group's ranks."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
     sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
+    sizes = np.diff(starts, append=len(values))
+    ends = starts + sizes - 1
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, sizes)
     return ranks
 
 

@@ -11,6 +11,7 @@ import calendar
 import re
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = [
     "HeaderField",
@@ -29,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HeaderField:
+class HeaderField(NamedTuple):
     """One header field: canonical lowercase name, unfolded value, position."""
 
     name: str
@@ -107,35 +107,28 @@ def parse_headers(raw: bytes | str) -> EmailHeader:
     fields: list[HeaderField] = []
     malformed = 0
     cur_name: str | None = None
-    cur_value: str | None = None
-
-    def flush() -> None:
-        nonlocal cur_name, cur_value
-        if cur_name is not None:
-            fields.append(
-                HeaderField(cur_name, cur_value.strip(" \t"), len(fields))
-            )
-        cur_name = None
-        cur_value = None
-
+    cur_value = ""
     for line in _LINE_SPLIT.split(text):
         if line == "":
             break  # header/body boundary
         if line[0] in " \t":
             if cur_name is None:
                 malformed += 1
-                continue
-            cur_value += " " + line.lstrip(" \t")
+            else:
+                cur_value += " " + line.lstrip(" \t")
             continue
-        flush()
+        if cur_name is not None:
+            fields.append(HeaderField(cur_name, cur_value.strip(" \t"), len(fields)))
+            cur_name = None
         idx = line.find(":")
         name = line[:idx].strip(" \t") if idx >= 0 else ""
-        if idx < 0 or not name:
+        if not name:
             malformed += 1
             continue
         cur_name = name.lower()
         cur_value = line[idx + 1 :]
-    flush()
+    if cur_name is not None:
+        fields.append(HeaderField(cur_name, cur_value.strip(" \t"), len(fields)))
     return EmailHeader(fields, malformed)
 
 

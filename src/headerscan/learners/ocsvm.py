@@ -129,17 +129,22 @@ def _smo(spec: ModelSpec, X: np.ndarray, row,
          schema_fingerprint: str | None) -> OneClassSVMModel:
     """SMO over the most-violating pair; row(i) is row i of the kernel.
 
-    Gradient g = K a is kept incrementally. The pair is i = argmin g
-    over {a < C} (can grow) and j = argmax g over {a > 0} (can shrink);
-    the gap g_j - g_i is the KKT violation and must fall below _TOL
-    within the iteration cap, or ConvergenceError is raised. Only a_i
-    and a_j change in a step, so only their entries of the two sets are
-    updated. Starting point: the first floor(nu*n) coefficients at the
-    box bound C = 1/(nu*n), the next one at the fractional remainder.
+    The pair is i = argmin g over {a < C} (can grow) and j = argmax g
+    over {a > 0} (can shrink), with g = K a; the gap g_j - g_i is the KKT
+    violation and must fall below _TOL within the iteration cap, or
+    ConvergenceError is raised. Start: the first floor(nu*n) coefficients
+    at the box bound C = 1/(nu*n), the next at the fractional remainder.
+
+    H (2, n) holds g over the grow set and -g over the shrink set, +inf
+    elsewhere, so one H.argmin(axis=1) gives (i, j) and an all-inf row an
+    empty set. A step delta * (K_i - K_j) is formed in one buffer, added
+    to g and H[0] and subtracted from H[1]; then only entries i and j of
+    H are reset from g. The coefficients a are a list until the loop ends.
     """
     nu = spec.hyperparameters["nu"]
     n = len(X)
     C = 1.0 / (nu * n)
+    inf = np.inf
 
     alpha = np.zeros(n)
     nb = int(np.floor(nu * n))
@@ -151,24 +156,23 @@ def _smo(spec: ModelSpec, X: np.ndarray, row,
     for i in np.flatnonzero(alpha > 0):
         g += alpha[i] * row(i)
 
-    can_grow = alpha < C
-    can_shrink = alpha > 0.0
-    n_grow = int(np.count_nonzero(can_grow))
-    n_shrink = int(np.count_nonzero(can_shrink))
-    violation = np.inf
+    H = np.array([np.where(alpha < C, g, inf), np.where(alpha > 0.0, -g, inf)])
+    grow, shrink = H
+    step = np.empty(n)
+    alpha = alpha.tolist()
+    violation = inf
     iterations = 0
     for iterations in range(1, _ITERS_PER_ROW * max(n, 1000) + 1):
-        if not n_grow or not n_shrink:
+        i, j = H.argmin(axis=1).tolist()
+        gi = grow.item(i)
+        if gi == inf or shrink.item(j) == inf:
             violation = 0.0
             break
-        i = int(np.argmin(np.where(can_grow, g, np.inf)))
-        j = int(np.argmax(np.where(can_shrink, g, -np.inf)))
-        violation = g[j] - g[i]
+        violation = g.item(j) - gi
         if violation < _TOL:
             break
-        ki = row(i)
-        kj = row(j)
-        q = ki[i] + kj[j] - 2.0 * ki[j]
+        ki, kj = row(i), row(j)
+        q = ki.item(i) + kj.item(j) - 2.0 * ki.item(j)
         room = min(C - alpha[i], alpha[j])
         delta = room if q <= 1e-12 else min(violation / q, room)
         if delta == C - alpha[i]:
@@ -179,16 +183,20 @@ def _smo(spec: ModelSpec, X: np.ndarray, row,
             alpha[j] = 0.0
         else:
             alpha[j] -= delta
-        g += delta * (ki - kj)
+        np.subtract(ki, kj, out=step)
+        step *= delta
+        g += step
+        grow += step
+        shrink -= step
         for t in (i, j):
-            grow, shrink = bool(alpha[t] < C), bool(alpha[t] > 0.0)
-            n_grow += grow - bool(can_grow[t])
-            n_shrink += shrink - bool(can_shrink[t])
-            can_grow[t], can_shrink[t] = grow, shrink
+            gt = g.item(t)
+            grow[t] = gt if alpha[t] < C else inf
+            shrink[t] = -gt if alpha[t] > 0.0 else inf
     else:
         raise ConvergenceError("one-class SVM did not reach the KKT tolerance",
                                residual=float(violation))
 
+    alpha = np.array(alpha)
     free = (alpha > 0.0) & (alpha < C)
     if free.any():
         rho = float(np.mean(g[free]))

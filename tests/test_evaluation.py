@@ -98,6 +98,33 @@ def test_auc_pair_counting_equals_trapezoid():
         assert abs(r.auc - trapezoid) < 1e-12
 
 
+def reference_midranks(values: np.ndarray) -> np.ndarray:
+    """evaluation._midranks as it was: a loop over the tie groups."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_midranks_match_the_group_loop():
+    rng = np.random.default_rng(14)
+    cases = [np.round(rng.standard_normal(500), 0),  # heavy ties
+             rng.standard_normal(500),  # no ties
+             np.full(37, -0.25), np.array([3.0]), np.array([]),
+             np.array([0.0, -0.0, np.inf, 1.0, np.inf, -np.inf, np.nan, np.nan, 1.0])]
+    cases += [rng.integers(0, k, size=n).astype(float)
+              for k in (1, 2, 3, 50) for n in (2, 3, 101)]
+    for values in cases:
+        assert evaluation._midranks(values).tobytes() == reference_midranks(values).tobytes()
+
+
 def test_roc_endpoints():
     scores = make_scores(np.array([0.3, -0.2, 0.8]))
     pts = roc_points(scores, [1, 0, 1])
@@ -622,6 +649,76 @@ def test_on_demand_kernel_rows_train_each_spec_as_alone(monkeypatch):
         assert m.converged and m.audit.max_violation < ocsvm._TOL
     assert [model_bytes(m) for m in together] == [model_bytes(m) for m in alone]
     assert [model_bytes(m) for m in together] == [model_bytes(m) for m in old]
+
+
+class IterationCap(int):
+    """An ocsvm._ITERS_PER_ROW for which the cap _ITERS_PER_ROW * max(n,
+    1000) is the int itself, so that it can fall mid-run on a small X."""
+
+    def __mul__(self, rows):
+        return int(self)
+
+
+def smo_pair_gaps(spec, X):
+    """q = K_ii + K_jj - 2 K_ij of each step's pair of a full-kernel fit,
+    read from the rows the solver asks for after its starting gradient."""
+    K = ocsvm.rbf_kernel(X, X, spec.hyperparameters["gamma"])
+    asked = []
+    ocsvm._smo(spec, X, lambda i: asked.append(i) or K[i], None)
+    nu, n = spec.hyperparameters["nu"], len(X)
+    starts = min(n, int(np.floor(nu * n)) + (nu * n % 1 > 0))
+    pairs = zip(asked[starts::2], asked[starts + 1::2])
+    return [K[i, i] + K[j, j] - 2.0 * K[i, j] for i, j in pairs]
+
+
+def smo_edge_data(name):
+    rng = np.random.default_rng(29)
+    X = rng.standard_normal((40, 3))
+    if name == "nu-1":  # every coefficient starts at the box: no step
+        return X, {"nu": 1.0, "gamma": 0.5}
+    if name == "nu-n-integer":  # no fractional starting coefficient
+        return X, {"nu": 0.25, "gamma": 0.5}
+    # far from the origin, the kernel cannot tell some distinct rows
+    # apart (K_ij = K_ii = K_jj = 1) though their gradients differ
+    return 1e8 + X, {"nu": 0.5, "gamma": 1.0}
+
+
+@pytest.mark.parametrize("full_kernel_max", [ocsvm._FULL_KERNEL_MAX, 0],
+                         ids=["full-kernel", "kernel-rows"])
+@pytest.mark.parametrize("name", ["nu-1", "nu-n-integer", "indistinct-rows"])
+def test_smo_edge_paths_match_the_old_solver(monkeypatch, full_kernel_max, name):
+    X, hp = smo_edge_data(name)
+    spec = ModelSpec("one_class_svm", hp, 0)
+    gaps = smo_pair_gaps(spec, X)
+    if name == "nu-1":
+        assert gaps == []
+    elif name == "nu-n-integer":
+        assert hp["nu"] * len(X) == 10 and len(gaps) > 5
+    else:  # some steps go the full room to the box
+        assert 0 < sum(q <= 1e-12 for q in gaps) < len(gaps)
+    monkeypatch.setattr(ocsvm, "_FULL_KERNEL_MAX", full_kernel_max)
+    got = train_one_class(spec, X)
+    assert model_bytes(got) == model_bytes(reference_train_one_class(spec, X))
+    if full_kernel_max:  # the run smo_pair_gaps watched
+        assert got.audit.n_iterations == len(gaps) + 1
+
+
+@pytest.mark.parametrize("full_kernel_max", [ocsvm._FULL_KERNEL_MAX, 0],
+                         ids=["full-kernel", "kernel-rows"])
+def test_smo_cap_mid_run_raises_the_old_residual(monkeypatch, full_kernel_max):
+    X, _ = smo_edge_data("nu-n-integer")
+    spec = ModelSpec("one_class_svm", {"nu": 0.1, "gamma": 5.0}, 0)
+    steps = len(smo_pair_gaps(spec, X))
+    assert steps > 20
+    monkeypatch.setattr(ocsvm, "_FULL_KERNEL_MAX", full_kernel_max)
+    monkeypatch.setattr(ocsvm, "_ITERS_PER_ROW", IterationCap(steps - 10))
+    with pytest.raises(ConvergenceError) as got:
+        train_one_class(spec, X)
+    with pytest.raises(ConvergenceError) as want:
+        reference_train_one_class(spec, X)
+    assert np.float64(got.value.residual).tobytes() == np.float64(
+        want.value.residual).tobytes()
+    assert ocsvm._TOL <= got.value.residual < np.inf
 
 
 # --- balance --------------------------------------------------------------
