@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,10 @@ class KNNModel:
         if self.X.ndim != 2 or self.y.shape != (len(self.X),):
             raise ValueError("kNN needs one label per stored row")
 
+    @functools.cached_property
+    def _sq(self) -> np.ndarray:  # built on first use, never persisted
+        return np.sum(self.X * self.X, axis=1)
+
     def decision_values(self, Q: np.ndarray) -> np.ndarray:
         """Anomalous vote fraction among the k nearest minus 0.5.
 
@@ -32,10 +37,9 @@ class KNNModel:
         out = np.empty(len(Q))
         # chunked so the distance matrix stays modest
         step = max(1, int(4_000_000 // max(len(self.y), 1)))
-        sq = np.sum(self.X * self.X, axis=1)
         for start in range(0, len(Q), step):
             q = Q[start:start + step]
-            d2 = sq[None, :] - 2.0 * (q @ self.X.T) + np.sum(q * q, axis=1)[:, None]
+            d2 = self._sq[None, :] - 2.0 * (q @ self.X.T) + np.sum(q * q, axis=1)[:, None]
             order = np.argsort(d2, axis=1, kind="stable")[:, :k]
             votes = self.y[order].mean(axis=1)
             out[start:start + step] = votes - 0.5

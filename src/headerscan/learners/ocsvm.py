@@ -12,6 +12,7 @@ matrix. Each model is bit for bit the one its spec gets alone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +26,12 @@ _TOL = 1e-3  # KKT tolerance, LIBSVM's default (Fan, Chen & Lin, JMLR 2005)
 _ITERS_PER_ROW = 200  # SMO iteration cap: _ITERS_PER_ROW * max(n, 1000)
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of A and B, clamped at 0."""
+def _sq_dists(A: np.ndarray, B: np.ndarray, b_sq: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances between the rows of A and B, clamped at 0; b_sq
+    is B's squared row norms, if known."""
     d2 = (np.sum(A * A, axis=1)[:, None]
           - 2.0 * (A @ B.T)
-          + np.sum(B * B, axis=1)[None, :])
+          + (np.sum(B * B, axis=1) if b_sq is None else b_sq)[None, :])
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -88,12 +90,16 @@ class OneClassSVMModel:
     converged: bool = True
     schema_fingerprint: str | None = None
 
+    @functools.cached_property
+    def _sv_sq(self) -> np.ndarray:  # built on first use, never persisted
+        return np.sum(self.support_vectors * self.support_vectors, axis=1)
+
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         gamma = self.spec.hyperparameters["gamma"]
         out = np.empty(len(X))
         step = max(1, int(4_000_000 // max(len(self.support_vectors), 1)))
         for start in range(0, len(X), step):
-            K = rbf_kernel(X[start:start + step], self.support_vectors, gamma)
+            K = np.exp(-gamma * _sq_dists(X[start:start + step], self.support_vectors, self._sv_sq))
             out[start:start + step] = K @ self.alphas - self.rho
         return out
 

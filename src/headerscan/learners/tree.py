@@ -9,7 +9,9 @@ for regression.
 One walker, `leaf_ids`, scores every tree: an ensemble's trees form one
 flat node array, each tree's children offset by its root index (a single
 tree has roots [0]), and one level loop advances every unfinished (tree,
-row) pair of a block of rows. check_tree's forward children end walks.
+row) pair of a block of rows; check_tree's forward children end walks.
+An ensemble sums each block's leaves with one sequential accumulate
+along the tree axis, in tree order, so no array outgrows a block.
 
 One grower, `build_tree`, grows all of a forest's trees, or one
 boosting round of every fold, in lockstep: each step takes the next
@@ -255,10 +257,15 @@ class TreeEnsemble:
         return flat, roots
 
     def leaf_sum(self, X: np.ndarray, F: np.ndarray, scale: float = 1.0) -> np.ndarray:
-        """F plus scale times each tree's leaf values, added in tree order."""
+        """F plus scale times each tree's leaf values, in place, added in
+        tree order: per block of rows, the last row of np.add.accumulate
+        over [F; scale * values] along the tree axis. A reduce would sum a
+        one-row block's contiguous column pairwise, with other bits."""
         flat, roots = self._flat
-        for values in flat.value[leaf_ids(flat, X, roots)]:
-            F += scale * values
+        for start in range(0, len(X), BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            terms = np.vstack((F[block], scale * flat.value[leaf_ids(flat, X[block], roots)]))
+            F[block] = np.add.accumulate(terms, axis=0)[-1]
         return F
 
 

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -1087,21 +1088,28 @@ def test_bundle_with_removed_solver_settings_loads(tmp_path, algo):
 
 
 WALKS = [("random_forest", {"n_trees": n, "max_depth": depth, "max_features": mf,
-                             "min_samples_leaf": leaf})
+                             "min_samples_leaf": leaf}, 60)
          for n in (1, 100) for depth in (None, 8) for mf in ("sqrt", "all")
          for leaf in (1, 5)]
-WALKS += [("grad_boost", {}), ("decision_tree", {})]
+# the first 45 rows hold 30 ham and 15 anomalous, so grad_boost's base
+# score is not 0
+WALKS += [("grad_boost", {}, 60), ("grad_boost", {"learning_rate": 0.3}, 45),
+          ("decision_tree", {}, 60)]
 
 
-@pytest.mark.parametrize("algo,hp", WALKS, ids=["-".join([a, *map(str, hp.values())])
-                                               for a, hp in WALKS])
-def test_flat_walk_matches_per_tree_walk(tmp_path, algo, hp):
+@pytest.mark.parametrize("algo,hp,n", WALKS, ids=[
+    "-".join([a, *map(str, hp.values()), *([f"{n}rows"] if n != 60 else [])])
+    for a, hp, n in WALKS])
+def test_flat_walk_matches_per_tree_walk(tmp_path, algo, hp, n):
     """Bit for bit, in process and read back from a bundle, on 0 rows, 1
-    row and more rows than one walk block."""
+    row, one walk block and a row either side of it, and more rows than
+    two blocks."""
     schema, scaler = tiny_schema_scaler()
     d = len(schema.descriptors)
     X, y = two_blobs(n_per=30, seed=29, d=d)
-    m = L.train(ModelSpec(algo, hp, 5), X, y, schema_fingerprint=schema.fingerprint)
+    m = L.train(ModelSpec(algo, hp, 5), X[:n], y[:n], schema_fingerprint=schema.fingerprint)
+    if n != 60:
+        assert m.base_score != 0.0
     save_bundle(tmp_path / "m.json", m, schema, scaler, "spam")
     loaded = load_bundle(tmp_path / "m.json").model
     rows = np.random.default_rng(30).standard_normal((2 * BLOCK_ROWS + 3, d))
@@ -1110,10 +1118,102 @@ def test_flat_walk_matches_per_tree_walk(tmp_path, algo, hp):
     splits = [(f, th) for t in trees for f, th in zip(t.feature, t.threshold) if f != LEAF]
     for k, (f, th) in enumerate(splits[:len(rows)]):
         rows[k, f] = th
-    for Q in (rows[:0], rows[:1], rows):
+    for size in (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, len(rows)):
+        Q = rows[:size]
         want = reference_decision_values(m, Q).tobytes()
         assert m.decision_values(Q).tobytes() == want
         assert loaded.decision_values(Q).tobytes() == want
+
+
+def test_leaf_sum_adds_to_the_given_array_in_place():
+    X, y = two_blobs(seed=31)
+    m = L.train(ModelSpec("grad_boost", {"n_trees": 7}, 5), X, y)
+    Q = np.random.default_rng(32).standard_normal((BLOCK_ROWS + 5, X.shape[1]))
+    F = np.random.default_rng(33).standard_normal(len(Q))
+    want = F.copy()
+    for tree in m.trees:
+        want += 0.1 * tree.value[reference_leaf_ids(tree, Q)]
+    assert m.leaf_sum(Q, F, 0.1) is F
+    assert F.tobytes() == want.tobytes()
+
+
+def test_leaf_sum_memory_stays_within_blocks():
+    """A 100-tree forest scoring 32 blocks of rows never holds a (trees,
+    rows) float64 matrix: its peak stays below the size of one."""
+    X, y = two_blobs(n_per=30, seed=34)
+    m = L.train(ModelSpec("random_forest", {"n_trees": 100}, 5), X, y)
+    Q = np.random.default_rng(35).standard_normal((32 * BLOCK_ROWS, X.shape[1]))
+    m.decision_values(Q[:1])  # builds the flat arrays outside the trace
+    tracemalloc.start()
+    try:
+        m.decision_values(Q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * len(Q) * 8
+
+
+def reference_knn_decision_values(self, Q):
+    """KNNModel.decision_values before it kept the stored rows' norms."""
+    k = min(self.spec.hyperparameters["k"], len(self.y))
+    out = np.empty(len(Q))
+    # chunked so the distance matrix stays modest
+    step = max(1, int(4_000_000 // max(len(self.y), 1)))
+    sq = np.sum(self.X * self.X, axis=1)
+    for start in range(0, len(Q), step):
+        q = Q[start:start + step]
+        d2 = sq[None, :] - 2.0 * (q @ self.X.T) + np.sum(q * q, axis=1)[:, None]
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        votes = self.y[order].mean(axis=1)
+        out[start:start + step] = votes - 0.5
+    return out
+
+
+def reference_one_class_decision_values(self, X):
+    """OneClassSVMModel.decision_values before it kept the support
+    vectors' norms, with the rbf_kernel and _sq_dists of then."""
+    def _sq_dists(A, B):
+        d2 = (np.sum(A * A, axis=1)[:, None]
+              - 2.0 * (A @ B.T)
+              + np.sum(B * B, axis=1)[None, :])
+        return np.maximum(d2, 0.0, out=d2)
+
+    def rbf_kernel(A, B, gamma):
+        return np.exp(-gamma * _sq_dists(A, B))
+
+    gamma = self.spec.hyperparameters["gamma"]
+    out = np.empty(len(X))
+    step = max(1, int(4_000_000 // max(len(self.support_vectors), 1)))
+    for start in range(0, len(X), step):
+        K = rbf_kernel(X[start:start + step], self.support_vectors, gamma)
+        out[start:start + step] = K @ self.alphas - self.rho
+    return out
+
+
+def test_stored_norms_keep_every_decision_value():
+    """kNN and one-class scores keep their bits with the stored rows'
+    norms computed once, on 0 rows, 1 row and 2,500 rows (three chunks
+    against 4,000 stored rows), and the norms stay out of bundles."""
+    rng = np.random.default_rng(36)
+    schema, scaler = tiny_schema_scaler()
+    d = len(schema.descriptors)
+    rows = rng.standard_normal((4000, d))
+    knn = L.KNNModel(ModelSpec("knn", {"k": 5}, 0), rows,
+                     (rng.random(4000) < 0.3).astype(np.int64), True, schema.fingerprint)
+    X, _ = two_blobs(n_per=30, seed=37, d=d)
+    one_class = L.train_one_class(ModelSpec("one_class_svm", {"nu": 0.5, "gamma": 0.1}, 0), X,
+                                  schema_fingerprint=schema.fingerprint)
+    big = ocsvm.OneClassSVMModel(one_class.spec, rows, rng.random(4000) / 2000.0, 0.3,
+                                 one_class.audit, True, schema.fingerprint)
+    Q = rng.standard_normal((2500, d))
+    Q[1] = rows[1]  # a zero distance
+    for m, reference in ((knn, reference_knn_decision_values),
+                         (one_class, reference_one_class_decision_values),
+                         (big, reference_one_class_decision_values)):
+        before = bundle_bytes(m, schema, scaler, "spam")
+        for size in (0, 1, len(Q)):
+            assert m.decision_values(Q[:size]).tobytes() == reference(m, Q[:size]).tobytes()
+        assert bundle_bytes(m, schema, scaler, "spam") == before
 
 
 def test_truncated_bundle_is_rejected(tmp_path):
