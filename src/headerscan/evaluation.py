@@ -7,8 +7,10 @@ the per-fold decision values instead, since it is not a function of
 the confusion matrix.
 
 grid_search is the one model-selection loop of all four phases; its
-cells are scored by kfold_cv or, for the one-class SVM, one_class_cv,
-which trains all cells of a fold together.
+cells are scored by kfold_cv or, for the one-class SVM, one_class_cv.
+Both get their fold models from learners.train_grid: kfold_cv one
+cell's folds at a time (through out_of_fold), one_class_cv all cells
+and folds in one call, so that a fold's cells train together.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learners import (ModelSpec, Score, check_fingerprint, decision_values,
-                       derive_seed, out_of_fold, rng_for,
-                       train_one_class_many)
+                       derive_seed, out_of_fold, rng_for, train_grid)
 from .learners.base import stratified_fold_ids
 
 __all__ = [
@@ -129,21 +130,12 @@ def roc_points(scores: list[Score], y) -> np.ndarray:
     n_pos = max(int(pos.sum()), 1)
     n_neg = max(int((~pos).sum()), 1)
     order = np.argsort(-dv, kind="stable")
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and dv[order[j + 1]] == dv[order[i]]:
-            j += 1
-        for idx in order[i:j + 1]:
-            if pos[idx]:
-                tp += 1
-            else:
-                fp += 1
-        points.append((fp / n_neg, tp / n_pos))
-        i = j + 1
-    return np.array(points)
+    s = dv[order]
+    # the last sorted row of each tie group (none when there are no rows)
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], len(s) > 0))
+    tp = np.cumsum(pos[order])[ends]
+    fp = ends + 1 - tp
+    return np.vstack([[0.0, 0.0], np.column_stack([fp / n_neg, tp / n_pos])])
 
 
 def stratified_split(X, y, test_fraction: float, seed: int):
@@ -199,10 +191,12 @@ def one_class_cv(specs: list[ModelSpec], X, y, k: int,
     anomalies (y == 1) form a pool in a seeded order. Fold f trains each
     spec on the other folds' ham with seed derive_seed(spec.seed,
     "fold", f) and scores its own ham plus pool[f::k], both cut to the
-    same length, so every fold is balanced like the final test. All
-    specs of a fold train together (train_one_class_many), so they share
-    the fold's kernel work. With fewer than k anomalies, the folds left
-    without one are neither fitted nor scored."""
+    same length, so every fold is balanced like the final test. The
+    fold models come from one cells x folds train_grid call, which
+    trains a fold's specs together, so they share the fold's kernel
+    work, and holds one fold's models at a time. With fewer than k
+    anomalies, the folds left without one are neither fitted nor
+    scored."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     ham, anomalies = np.flatnonzero(y == 0), np.flatnonzero(y == 1)
@@ -212,22 +206,19 @@ def one_class_cv(specs: list[ModelSpec], X, y, k: int,
     fold_of = stratified_fold_ids(np.zeros(len(ham), dtype=np.int64), k,
                                   derive_seed(seed, "oc-folds"))
     pool = anomalies[rng_for(seed, "oc-valpool").permutation(len(anomalies))]
-    dv_parts = [[] for _ in specs]
-    y_parts = []
     # pool[f::k] is empty from f = len(pool) on: such folds are skipped
-    for f in range(min(k, len(pool))):
-        held_ham = ham[fold_of == f]
-        held_anom = np.sort(pool[f::k])
+    folds = range(min(k, len(pool)))
+    held = []
+    for f in folds:
+        held_ham, held_anom = ham[fold_of == f], np.sort(pool[f::k])
         m = min(len(held_ham), len(held_anom))
-        models = train_one_class_many(
-            [ModelSpec(spec.algorithm, spec.hyperparameters,
-                       derive_seed(spec.seed, "fold", f)) for spec in specs],
-            X[ham[fold_of != f]])
-        held = (X[held_ham[:m]], X[held_anom[:m]])
-        for parts, model in zip(dv_parts, models):
-            parts.extend(decision_values(model, rows) for rows in held)
-        y_parts += [np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)]
-    y_all = np.concatenate(y_parts)
+        held.append((held_ham[:m], held_anom[:m]))
+    grid = [[ModelSpec(spec.algorithm, spec.hyperparameters,
+                       derive_seed(spec.seed, "fold", f)) for f in folds] for spec in specs]
+    dv_parts = [[] for _ in specs]
+    for c, f, model in train_grid(grid, X, None, [ham[fold_of != f] for f in folds]):
+        dv_parts[c].extend(decision_values(model, X[rows]) for rows in held[f])
+    y_all = np.concatenate([np.repeat([0, 1], len(held_ham)) for held_ham, _ in held])
     return [compute_metrics(make_scores(np.concatenate(parts), one_class=True),
                             y_all) for parts in dv_parts]
 

@@ -1,5 +1,12 @@
 """From-scratch learners on numpy, all driven by a single ModelSpec.
 
+train_grid is the one entry point that fits models: a cells x folds
+table of specs of one algorithm, each cell one set of hyperparameters
+and each fold one row set. The table's shape is what a learner may
+share: grad_boost and the MLP fit a cell's folds together, the
+one-class SVM a fold's cells; the other learners fit one model at a
+time. train and train_one_class are its 1 x 1 grids over all rows.
+
 Decision-value convention: every binary model emits decision values
 where >= 0 reads anomalous (probability minus 0.5 for probabilistic
 models, the margin for the SVM, vote fraction minus 0.5 for forest and
@@ -13,13 +20,12 @@ import numpy as np
 from .base import (ALGORITHMS, ConvergenceError, ModelSpec, Score, derive_seed,
                    rng_for, stratified_fold_ids, validate_spec)
 from .bayes import GaussianNBModel, train_gaussian_nb
-from .boosting import (AdaBoostModel, GradBoostModel, train_adaboost, train_grad_boost,
-                       train_grad_boosts)
+from .boosting import AdaBoostModel, GradBoostModel, train_adaboost, train_grad_boosts
 from .bundle import (Bundle, bundle_bytes, load_bundle, model_from_doc,
                      model_to_doc, save_bundle)
 from .forest import RandomForestModel, train_random_forest
 from .linear import LinearSVMModel, LogRegModel, train_linear_svm, train_logreg
-from .mlp import MLPModel, loss_and_grad, train_mlp, train_mlps
+from .mlp import MLPModel, loss_and_grad, train_mlps
 from .neighbors import KNNModel, train_knn
 from .ocsvm import KKTAudit, OneClassSVMModel, train_one_class_svms
 from .stack import StackModel, fit_stack_meta, out_of_fold, train_stack
@@ -28,7 +34,7 @@ from .tree import DecisionTreeModel, train_decision_tree
 __all__ = [
     "ALGORITHMS", "ModelSpec", "Score", "ConvergenceError",
     "derive_seed", "rng_for", "stratified_fold_ids", "validate_spec",
-    "train", "train_many", "train_one_class", "train_one_class_many", "train_stack",
+    "train", "train_one_class", "train_grid", "train_stack",
     "out_of_fold", "fit_stack_meta",
     "predict", "predict_one_class", "decision_values", "check_fingerprint",
     "default_grid", "DEFAULT_GRIDS",
@@ -39,65 +45,79 @@ __all__ = [
     "MLPModel", "OneClassSVMModel", "StackModel", "KKTAudit", "loss_and_grad",
 ]
 
+# learners fitted one model per spec; grad_boost, the MLP and the
+# one-class SVM fit a grid row or column together in train_grid
 _TRAINERS = {
     "logreg": train_logreg,
     "linear_svm": train_linear_svm,
     "decision_tree": train_decision_tree,
     "random_forest": train_random_forest,
-    "grad_boost": train_grad_boost,
     "gaussian_nb": train_gaussian_nb,
     "knn": train_knn,
-    "mlp": train_mlp,
     "adaboost": train_adaboost,
 }
-
-# learners whose batched body fits one model per (spec, row set) together
-_BATCH_TRAINERS = {"grad_boost": train_grad_boosts, "mlp": train_mlps}
 
 
 def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
           schema_fingerprint: str | None = None):
-    """Train a binary model. Use train_one_class for the one-class SVM
-    and train_stack for stacking."""
-    spec = validate_spec(spec)
-    if spec.algorithm not in _TRAINERS:
-        raise ValueError(f"{spec.algorithm} is not a binary train() algorithm")
-    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.int64)
-    return _TRAINERS[spec.algorithm](spec, X, y, schema_fingerprint)
-
-
-def train_many(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray, row_sets: list,
-               schema_fingerprint: str | None = None) -> list:
-    """One binary model per (spec, ascending row set), in order: model i
-    is the one train(specs[i], X[row_sets[i]], y[row_sets[i]]) gives.
-    The specs share an algorithm with a batched trainer (grad_boost or
-    mlp) and its hyperparameters, and all the models fit together."""
-    specs = [validate_spec(spec) for spec in specs]
-    if specs[0].algorithm not in _BATCH_TRAINERS:
-        raise ValueError(f"{specs[0].algorithm} has no batched trainer")
-    if any((spec.algorithm, spec.hyperparameters)
-           != (specs[0].algorithm, specs[0].hyperparameters) for spec in specs):
-        raise ValueError("models trained together share algorithm and hyperparameters")
-    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.int64)
-    return _BATCH_TRAINERS[specs[0].algorithm](specs, X, y, row_sets, schema_fingerprint)
+    """Train a binary model on all of X. Use train_one_class for the
+    one-class SVM and train_stack for stacking."""
+    return next(train_grid([[spec]], X, y, [np.arange(len(X))], schema_fingerprint))[2]
 
 
 def train_one_class(spec: ModelSpec, X: np.ndarray,
                     schema_fingerprint: str | None = None):
-    return train_one_class_many([spec], X, schema_fingerprint)[0]
+    """Train a one-class SVM on all of X."""
+    return next(train_grid([[spec]], X, None, [np.arange(len(X))], schema_fingerprint))[2]
 
 
-def train_one_class_many(specs: list[ModelSpec], X: np.ndarray,
-                         schema_fingerprint: str | None = None) -> list:
-    """One one-class SVM per spec on the same X, in spec order; each is
-    the model train_one_class gives, but the kernel work is shared."""
-    specs = [validate_spec(spec) for spec in specs]
-    if any(spec.algorithm != "one_class_svm" for spec in specs):
-        raise ValueError("train_one_class only accepts one_class_svm specs")
+def train_grid(specs: list[list[ModelSpec]], X: np.ndarray, y: np.ndarray | None,
+               row_sets: list, schema_fingerprint: str | None = None):
+    """Fit a cells x folds table of specs of one algorithm, yielding
+    (c, f, model): specs[c][f] trained on X[row_sets[f]], y[row_sets[f]]
+    (y is None for the one-class SVM), each model byte for byte the one
+    its spec gets alone. A cell's specs share their hyperparameters and
+    row sets are strictly ascending.
+
+    The one-class SVM fits each fold's cells together, sharing the
+    fold's kernel work, and yields fold by fold, cell by cell. The
+    others yield cell by cell, fold by fold: grad_boost and the MLP fit
+    each cell's folds together, the rest fit one model per yield."""
+    specs = [[validate_spec(spec) for spec in cell] for cell in specs]
+    algorithm = specs[0][0].algorithm
+    for cell in specs:
+        if len(cell) != len(row_sets):
+            raise ValueError("every cell needs one spec per row set")
+        if any(spec.algorithm != algorithm for spec in cell):
+            raise ValueError("a grid trains one algorithm")
+        if any(spec.hyperparameters != cell[0].hyperparameters for spec in cell):
+            raise ValueError("a cell's specs share their hyperparameters")
+    if (algorithm == "one_class_svm") != (y is None):
+        raise ValueError("one_class_svm, and only it, trains without labels")
+    if algorithm == "stack":
+        raise ValueError("stacks train with train_stack")
     X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
-    return train_one_class_svms(specs, X, schema_fingerprint)
+    if y is None:
+        for f, rows in enumerate(row_sets):
+            models = train_one_class_svms([cell[f] for cell in specs], _take(X, rows),
+                                          schema_fingerprint)
+            yield from ((c, f, model) for c, model in enumerate(models))
+        return
+    y = np.asarray(y, dtype=np.int64)
+    batched = {"grad_boost": train_grad_boosts, "mlp": train_mlps}.get(algorithm)
+    for c, cell in enumerate(specs):
+        if batched is None:
+            models = (_TRAINERS[algorithm](spec, _take(X, rows), _take(y, rows),
+                                           schema_fingerprint)
+                      for spec, rows in zip(cell, row_sets))
+        else:
+            models = batched(cell, X, y, row_sets, schema_fingerprint)
+        yield from ((c, f, model) for f, model in enumerate(models))
+
+
+def _take(A: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A[rows]; a row set of every row gives A itself, not a copy."""
+    return A if len(rows) == len(A) else A[rows]
 
 
 def decision_values(model, X: np.ndarray) -> np.ndarray:

@@ -182,7 +182,6 @@ def stratified_fold_ids(y: np.ndarray, k: int, seed: int) -> np.ndarray:
     for cls in np.unique(y):
         idx = np.flatnonzero(y == cls)
         rng.shuffle(idx)
-        for j, row in enumerate(idx):
-            ids[row] = (offset + j) % k
+        ids[idx] = (offset + np.arange(len(idx))) % k
         offset += len(idx)
     return ids

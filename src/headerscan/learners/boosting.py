@@ -10,8 +10,7 @@ from .base import ModelSpec, check_training_inputs
 from .linear import sigmoid
 from .tree import TreeArrays, TreeEnsemble, build_tree, sorted_cuts
 
-__all__ = ["GradBoostModel", "train_grad_boost", "train_grad_boosts", "AdaBoostModel",
-           "train_adaboost"]
+__all__ = ["GradBoostModel", "train_grad_boosts", "AdaBoostModel", "train_adaboost"]
 
 
 @dataclass
@@ -33,16 +32,11 @@ class GradBoostModel(TreeEnsemble):
         return self.probabilities(X) - 0.5
 
 
-def train_grad_boost(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
-                     schema_fingerprint: str | None = None) -> GradBoostModel:
-    return train_grad_boosts([spec], X, y, [np.arange(len(X))], schema_fingerprint)[0]
-
-
 def train_grad_boosts(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray,
                       row_sets: list, schema_fingerprint: str | None = None
                       ) -> list[GradBoostModel]:
-    """One model per (spec, rows), in order, each the model
-    train_grad_boost gives on X[rows], y[rows]; the specs share their
+    """One model per (spec, rows), in order, each the model its spec
+    gets alone on X[rows], y[rows]; the specs share their
     hyperparameters and rows are ascending.
 
     Boost shallow regression trees on the log-loss gradient. Each round

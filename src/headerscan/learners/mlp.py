@@ -9,7 +9,7 @@ import numpy as np
 from .base import ModelSpec, check_training_inputs, rng_for
 from .linear import _TOL, sigmoid
 
-__all__ = ["MLPModel", "train_mlp", "train_mlps", "init_params", "loss_and_grad"]
+__all__ = ["MLPModel", "train_mlps", "init_params", "loss_and_grad"]
 
 _EPOCHS, _BATCH = 100, 32
 
@@ -76,15 +76,10 @@ class MLPModel:
         return self.probabilities(X) - 0.5
 
 
-def train_mlp(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
-              schema_fingerprint: str | None = None) -> MLPModel:
-    return train_mlps([spec], X, y, [np.arange(len(X))], schema_fingerprint)[0]
-
-
 def train_mlps(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray,
                row_sets: list, schema_fingerprint: str | None = None) -> list[MLPModel]:
-    """One model per (spec, rows), in order, each the model train_mlp
-    gives on X[rows], y[rows]; the specs share their hyperparameters.
+    """One model per (spec, rows), in order, each the model its spec
+    gets alone on X[rows], y[rows]; the specs share their hyperparameters.
 
     _EPOCHS epochs of gradient descent in _BATCH-row batches, reshuffled
     each epoch from the spec seed. Records the full-batch loss once per

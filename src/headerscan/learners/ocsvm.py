@@ -4,10 +4,11 @@ Solves  min 1/2 a' K a  s.t.  0 <= a_i <= 1/(nu*n),  sum a = 1.
 The decision function is f(x) = sum_i a_i K(s_i, x) - rho with
 Inlier iff f(x) >= 0.
 
-train_one_class_svms fits a list of specs on one X, as a grid's cells
-do on each validation fold. Specs that share a gamma share its kernel,
-and up to _FULL_KERNEL_MAX rows all kernels come from one distance
-matrix. Each model is bit for bit the one its spec gets alone.
+train_one_class_svms fits a list of specs on one X: train_grid hands it
+all of a grid's cells for one fold's rows. Specs that share a gamma
+share its kernel, and up to _FULL_KERNEL_MAX rows all kernels come from
+one distance matrix. Each model is bit for bit the one its spec gets
+alone.
 """
 
 from __future__ import annotations

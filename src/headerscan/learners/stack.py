@@ -4,11 +4,12 @@ Meta-features are produced out-of-fold so the meta-learner never sees a
 base decision value computed by a model that trained on that row.
 out_of_fold gives every binary learner's held-out values: kfold_cv
 builds its reports from it too, so the pipeline's stacks reuse the grid
-search's held-out columns. grad_boost and the MLP fit a cell's fold
-models together, each bit for bit the model it would get alone (one
-lockstep tree per boosting round, one stacked gradient step per batch);
-the other learners fit one fold at a time. (The one-class SVM trains on
-ham alone, so its folds are evaluation.one_class_cv's.)
+search's held-out columns. Its fold models come from one 1 x k
+train_grid call, so grad_boost and the MLP fit them together, each bit
+for bit the model it would get alone (one lockstep tree per boosting
+round, one stacked gradient step per batch), and the other learners
+fit one fold at a time. (The one-class SVM trains on ham alone, so its
+folds are evaluation.one_class_cv's.)
 """
 
 from __future__ import annotations
@@ -49,22 +50,16 @@ def out_of_fold(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
                 fold_of: np.ndarray) -> np.ndarray:
     """Held-out decision values for every row: fold f's rows are scored
     by a model trained on the other folds with seed
-    derive_seed(spec.seed, "fold", f). grad_boost and the MLP fit every
-    fold's model together (train_many); other learners fit one fold at
-    a time."""
-    from . import _BATCH_TRAINERS, train, train_many  # the package root dispatches
+    derive_seed(spec.seed, "fold", f), all from one 1 x k train_grid."""
+    from . import train_grid  # the package root dispatches
 
     folds = np.unique(fold_of)
     specs = [ModelSpec(spec.algorithm, spec.hyperparameters,
                        derive_seed(spec.seed, "fold", int(fold))) for fold in folds]
     held = [fold_of == fold for fold in folds]
-    if spec.algorithm in _BATCH_TRAINERS:
-        models = train_many(specs, X, y, [np.flatnonzero(~h) for h in held])
-    else:
-        models = (train(s, X[~h], y[~h]) for s, h in zip(specs, held))
     dv = np.empty(len(y))
-    for h, model in zip(held, models):
-        dv[h] = model.decision_values(X[h])
+    for _, f, model in train_grid([specs], X, y, [np.flatnonzero(~h) for h in held]):
+        dv[held[f]] = model.decision_values(X[held[f]])
     return dv
 
 

@@ -18,8 +18,8 @@ from headerscan.evaluation import (EvalReport, balance, compute_metrics,
 from headerscan.features import apply_scaler, extract_matrix, fit_scaler, fit_schema
 from headerscan.learners import (ConvergenceError, KKTAudit, ModelSpec,
                                  OneClassSVMModel, Score, derive_seed, ocsvm,
-                                 rng_for, train, train_one_class,
-                                 train_one_class_many, validate_spec)
+                                 rng_for, train, train_grid, train_one_class,
+                                 validate_spec)
 from headerscan.learners.base import check_training_inputs, stratified_fold_ids
 from headerscan.learners.linear import LogRegModel
 from headerscan.synthetic import generate_emails, to_records
@@ -132,6 +132,53 @@ def test_roc_endpoints():
     assert tuple(pts[-1]) == (1.0, 1.0)
 
 
+def reference_roc_points(scores, y):
+    """evaluation.roc_points as it was: a loop over the tie groups."""
+    y = np.asarray(y, dtype=np.int64)
+    dv = np.array([s.decision_value for s in scores])
+    pos = y == 1
+    n_pos = max(int(pos.sum()), 1)
+    n_neg = max(int((~pos).sum()), 1)
+    order = np.argsort(-dv, kind="stable")
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and dv[order[j + 1]] == dv[order[i]]:
+            j += 1
+        for idx in order[i:j + 1]:
+            if pos[idx]:
+                tp += 1
+            else:
+                fp += 1
+        points.append((fp / n_neg, tp / n_pos))
+        i = j + 1
+    return np.array(points)
+
+
+def test_roc_points_match_the_group_loop():
+    rng = np.random.default_rng(16)
+    cases = [(np.array([]), np.array([], dtype=np.int64)),
+             (np.full(9, 0.5), np.array([1, 0] * 4 + [1])),  # all equal
+             (np.array([0.0, -0.0, 0.0, -0.0, 1.0]), np.array([1, 0, 0, 1, 1])),
+             (np.array([3.0]), np.array([0]))]
+    for n in rng.integers(1, 401, size=120):
+        values = rng.standard_normal(n)
+        if n % 3 == 0:  # heavy ties
+            values = np.round(values, 0)
+        elif n % 3 == 1:  # ties with signed zeros among them
+            values = np.where(rng.random(n) < 0.5, np.round(values, 1),
+                              rng.choice([0.0, -0.0], size=n))
+        cases.append((values, rng.integers(0, 2, size=n)))
+    for values, y in cases:
+        for one_class in (False, True):
+            scores = make_scores(values, one_class=one_class)
+            got, want = roc_points(scores, y), reference_roc_points(scores, y)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_one_class_score_adapter():
     scores = make_scores(np.array([0.5, 0.0, -0.5]), one_class=True)
     assert [s.is_anomalous for s in scores] == [False, False, True]
@@ -185,6 +232,32 @@ def test_fold_ids_partition_and_stratify():
     for f in range(10):
         held = ids == f
         assert abs((y[held] == 1).sum() - 4) <= 1  # 40/10 per fold
+
+
+def reference_fold_ids(y, k, seed):
+    """stratified_fold_ids as it was: one row at a time."""
+    y = np.asarray(y)
+    ids = np.empty(len(y), dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    offset = 0
+    for cls in np.unique(y):
+        idx = np.flatnonzero(y == cls)
+        rng.shuffle(idx)
+        for j, row in enumerate(idx):
+            ids[row] = (offset + j) % k
+        offset += len(idx)
+    return ids
+
+
+def test_fold_ids_match_the_row_loop():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n, k = int(rng.integers(1, 300)), int(rng.integers(2, 12))
+        y = rng.integers(0, int(rng.integers(1, 4)), size=n)
+        seed = int(rng.integers(0, 2**63 - 1))
+        got = stratified_fold_ids(y, k, seed)
+        assert got.dtype == np.int64
+        assert got.tobytes() == reference_fold_ids(y, k, seed).tobytes()
 
 
 def blob_data(n_per=50, gap=6.0, seed=0):
@@ -311,14 +384,14 @@ def test_one_class_cv_folds(monkeypatch, n_anom):
         return {row_of[row.tobytes()] for row in M}
 
     trained, scored = [], []
-    real_train, real_score = evaluation.train_one_class_many, evaluation.decision_values
+    real_train, real_score = evaluation.train_grid, evaluation.decision_values
 
-    def train(specs, M):
+    def train(specs, M, y, row_sets):
         assert len(specs) == 1
-        trained.append(rows(M))
-        return real_train(specs, M)
+        trained.extend(rows(M[r]) for r in row_sets)
+        return real_train(specs, M, y, row_sets)
 
-    monkeypatch.setattr(evaluation, "train_one_class_many", train)
+    monkeypatch.setattr(evaluation, "train_grid", train)
     monkeypatch.setattr(evaluation, "decision_values",
                         lambda model, M: scored.append(rows(M)) or real_score(model, M))
     [report] = one_class_cv([ModelSpec("one_class_svm", {}, 3)], X, y, 4, seed=5)
@@ -545,10 +618,11 @@ def test_one_class_cv_fits_no_fold_without_an_anomaly(monkeypatch):
     # k = 4 and a pool of one: only fold 0 has an anomaly to score
     X, y = one_class_data(n_ham=8, n_anom=1)
     fits = []
-    real_train = evaluation.train_one_class_many
-    monkeypatch.setattr(evaluation, "train_one_class_many",
-                        lambda specs, M: fits.append((len(specs), len(M)))
-                        or real_train(specs, M))
+    real_train = evaluation.train_grid
+    monkeypatch.setattr(evaluation, "train_grid",
+                        lambda specs, M, y, row_sets: fits.extend(
+                            (len(specs), len(r)) for r in row_sets)
+                        or real_train(specs, M, y, row_sets))
     [report] = one_class_cv(
         [ModelSpec("one_class_svm", {"nu": 0.1, "gamma": 0.5}, 0)], X, y, 4, seed=0)
     assert fits == [(1, 6)]
@@ -607,10 +681,15 @@ def test_one_class_grid_trains_each_cell_as_the_old_solver(monkeypatch, grid, da
     X, y = data()
     ps = derive_seed(7, "phase", 3)
     folds = []  # one list of models, in cell order, per fold
-    real_train = evaluation.train_one_class_many
-    monkeypatch.setattr(evaluation, "train_one_class_many",
-                        lambda specs, M: folds.append(real_train(specs, M))
-                        or folds[-1])
+    real_train = evaluation.train_grid
+
+    def train(*args):
+        for c, f, model in real_train(*args):
+            folds.extend([] for _ in range(f + 1 - len(folds)))
+            folds[f].append(model)
+            yield c, f, model
+
+    monkeypatch.setattr(evaluation, "train_grid", train)
     best, cells = grid_search("one_class_svm", grid, X, y, 4, ps)
     want_models = []  # one list of models, in fold order, per cell
     want_hp, want_cells, _ = reference_one_class_grid(
@@ -640,7 +719,8 @@ def test_on_demand_kernel_rows_train_each_spec_as_alone(monkeypatch):
 
     monkeypatch.setattr(ocsvm, "_FULL_KERNEL_MAX", 100)
     monkeypatch.setattr(ocsvm, "_KernelRows", CountedRows)
-    together = train_one_class_many(specs, X)
+    together = [m for _, _, m in train_grid([[s] for s in specs], X, None,
+                                            [np.arange(len(X))])]
     assert built == [0.5, 0.1]
     alone = [train_one_class(spec, X) for spec in specs]
     assert len(built) == 2 + len(specs)

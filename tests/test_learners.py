@@ -811,7 +811,7 @@ def test_batched_fold_fits_match_the_per_fold_loop(n, k, data, algo, hp):
     assert len({len(r) for r in rows}) == 2
     reference = reference_grad_boost if algo == "grad_boost" else reference_mlp
     want = [reference(s, X[r], y[r]) for s, r in zip(specs, rows)]
-    got = L.train_many(specs, X, y, rows)
+    got = [m for _, _, m in L.train_grid([specs], X, y, rows)]
     schema, scaler = tiny_schema_scaler()
     assert ([bundle_bytes(m, schema, scaler, "spam") for m in got]
             == [bundle_bytes(m, schema, scaler, "spam") for m in want])
@@ -857,6 +857,99 @@ def test_batched_fold_fits_refuse_as_the_per_fold_loop_does(case, algo, hp):
     with pytest.raises(ValueError) as got:
         L.out_of_fold(ModelSpec(algo, hp, 9), X, y, fold_of)
     assert str(got.value) == str(want.value)
+
+
+# two cells per algorithm; gaussian_nb's differ by seed alone
+GRID_CELLS = {
+    "logreg": [{"lam": 1e-3}, {"lam": 1e-1}],
+    "linear_svm": [{"C": 0.1}, {"C": 1.0}],
+    "decision_tree": [{}, {"max_depth": 2}],
+    "random_forest": [{"n_trees": 5}, {"n_trees": 4, "max_depth": 3}],
+    "grad_boost": [{"n_trees": 5}, {"n_trees": 4, "learning_rate": 0.3}],
+    "gaussian_nb": [{}, {}],
+    "knn": [{"k": 1}, {"k": 3}],
+    "mlp": [{"hidden": 4}, {"hidden": 8}],
+    "adaboost": [{"rounds": 5}, {"rounds": 8}],
+    "one_class_svm": [{"nu": 0.1}, {"nu": 0.3, "gamma": 0.2}],
+}
+
+
+def grid_inputs(algo):
+    """A 2-cell x 3-fold table of specs and three ascending row sets of
+    unequal sizes, each holding both classes."""
+    X, y = two_blobs(seed=24)
+    rng = np.random.default_rng(24)
+    row_sets = [np.sort(rng.choice(len(X), size, replace=False)) for size in (40, 55, 71)]
+    specs = [[ModelSpec(algo, hp, derive_seed(3, c, f)) for f in range(3)]
+             for c, hp in enumerate(GRID_CELLS[algo])]
+    return specs, X, (None if algo == "one_class_svm" else y), row_sets
+
+
+@pytest.mark.parametrize("algo", sorted(GRID_CELLS))
+def test_train_grid_gives_each_spec_its_model_alone(algo):
+    """train_grid yields cell by cell, fold by fold (the one-class SVM
+    fold by fold, cell by cell), and each model has the bundle bytes of
+    its spec trained alone on its rows."""
+    specs, X, y, row_sets = grid_inputs(algo)
+    got = list(L.train_grid(specs, X, y, row_sets))
+    if algo == "one_class_svm":
+        order = [(c, f) for f in range(3) for c in range(2)]
+    else:
+        order = [(c, f) for c in range(2) for f in range(3)]
+    assert [(c, f) for c, f, _ in got] == order
+    schema, scaler = tiny_schema_scaler()
+    for c, f, model in got:
+        rows = row_sets[f]
+        if y is None:
+            alone = L.train_one_class(specs[c][f], X[rows])
+        else:
+            alone = L.train(specs[c][f], X[rows], y[rows])
+        assert (bundle_bytes(model, schema, scaler, "spam")
+                == bundle_bytes(alone, schema, scaler, "spam"))
+
+
+def test_train_grid_fits_a_per_model_learner_one_yield_at_a_time(monkeypatch):
+    started = []
+    fit = L._TRAINERS["knn"]
+    monkeypatch.setitem(L._TRAINERS, "knn",
+                        lambda spec, *args: started.append(spec) or fit(spec, *args))
+    specs, X, y, row_sets = grid_inputs("knn")
+    models = L.train_grid(specs, X, y, row_sets)
+    assert started == []
+    want = [spec for cell in specs for spec in cell]
+    for i, _ in enumerate(models):
+        # no fit of a later fold has started when a model is yielded
+        assert started == want[:i + 1]
+
+
+def test_train_hands_every_row_over_without_a_copy(monkeypatch):
+    seen = []
+    fit, fit_one_class = L._TRAINERS["knn"], L.train_one_class_svms
+    monkeypatch.setitem(L._TRAINERS, "knn",
+                        lambda spec, X, y, fp: seen.append((X, y)) or fit(spec, X, y, fp))
+    monkeypatch.setattr(L, "train_one_class_svms",
+                        lambda specs, X, fp: seen.append((X, None)) or fit_one_class(specs, X, fp))
+    X, y = two_blobs(seed=25)
+    L.train(ModelSpec("knn", {}, 0), X, y)
+    L.train_one_class(ModelSpec("one_class_svm", {}, 0), X)
+    (knn_X, knn_y), (one_class_X, _) = seen
+    assert knn_X is X and knn_y is y and one_class_X is X
+
+
+def test_train_grid_refuses_a_malformed_table():
+    specs, X, y, row_sets = grid_inputs("knn")
+    with pytest.raises(ValueError, match="one spec per row set"):
+        next(L.train_grid(specs, X, y, row_sets[:2]))
+    with pytest.raises(ValueError, match="one algorithm"):
+        next(L.train_grid([specs[0], grid_inputs("logreg")[0][0]], X, y, row_sets))
+    with pytest.raises(ValueError, match="share their hyperparameters"):
+        next(L.train_grid([specs[0][:2] + specs[1][2:]], X, y, row_sets))
+    with pytest.raises(ValueError, match="without labels"):
+        next(L.train_grid(specs, X, None, row_sets))
+    with pytest.raises(ValueError, match="without labels"):
+        next(L.train_grid(grid_inputs("one_class_svm")[0], X, y, row_sets))
+    with pytest.raises(ValueError, match="train_stack"):
+        next(L.train_grid([[ModelSpec("stack", {}, 0)] * 3], X, y, row_sets))
 
 
 # --- one-class SVM --------------------------------------------------------

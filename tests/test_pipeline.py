@@ -125,26 +125,18 @@ def test_stacking_rows(full_run):
 
 def test_stacking_adds_no_base_fits(tmp_path, monkeypatch):
     # stacks reuse the grid search's held-out columns and refit models,
-    # so phase 1 trains only the grid folds (one at a time, or together
-    # through train_many), the refits and the importance models
+    # so phase 1 trains only the grid folds, the refits and the
+    # importance models, every one of them through train_grid
     import headerscan.learners
-    import headerscan.pipeline
 
     calls = []
-    original = headerscan.learners.train
-    original_many = headerscan.learners.train_many
+    original = headerscan.learners.train_grid
 
-    def counting_train(spec, *args, **kwargs):
-        calls.append(spec.algorithm)
-        return original(spec, *args, **kwargs)
+    def counting_train_grid(specs, *args, **kwargs):
+        calls.extend(spec.algorithm for cell in specs for spec in cell)
+        return original(specs, *args, **kwargs)
 
-    def counting_train_many(specs, *args, **kwargs):
-        calls.extend(spec.algorithm for spec in specs)
-        return original_many(specs, *args, **kwargs)
-
-    monkeypatch.setattr(headerscan.learners, "train", counting_train)
-    monkeypatch.setattr(headerscan.learners, "train_many", counting_train_many)
-    monkeypatch.setattr(headerscan.pipeline, "train", counting_train)
+    monkeypatch.setattr(headerscan.learners, "train_grid", counting_train_grid)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(small_config(tmp_path / "out")))
     cfg = load_config(str(config_path))
