@@ -25,7 +25,7 @@ import numpy as np
 
 from .learners import (ModelSpec, Score, check_fingerprint, decision_values,
                        derive_seed, out_of_fold, rng_for, train_grid)
-from .learners.base import stratified_fold_ids
+from .learners.base import fold_spec, stratified_fold_ids
 
 __all__ = [
     "EvalReport", "ImportanceReport", "RenderedTable",
@@ -213,8 +213,7 @@ def one_class_cv(specs: list[ModelSpec], X, y, k: int,
         held_ham, held_anom = ham[fold_of == f], np.sort(pool[f::k])
         m = min(len(held_ham), len(held_anom))
         held.append((held_ham[:m], held_anom[:m]))
-    grid = [[ModelSpec(spec.algorithm, spec.hyperparameters,
-                       derive_seed(spec.seed, "fold", f)) for f in folds] for spec in specs]
+    grid = [[fold_spec(spec, f) for f in folds] for spec in specs]
     dv_parts = [[] for _ in specs]
     for c, f, model in train_grid(grid, X, None, [ham[fold_of != f] for f in folds]):
         dv_parts[c].extend(decision_values(model, X[rows]) for rows in held[f])

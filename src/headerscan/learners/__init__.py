@@ -6,6 +6,8 @@ and each fold one row set. The table's shape is what a learner may
 share: grad_boost and the MLP fit a cell's folds together, the
 one-class SVM a fold's cells; the other learners fit one model at a
 time. train and train_one_class are its 1 x 1 grids over all rows.
+train_grid checks every row set before it fits any model and sets
+each model's schema fingerprint, so the trainers only fit.
 
 Decision-value convention: every binary model emits decision values
 where >= 0 reads anomalous (probability minus 0.5 for probabilistic
@@ -17,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import (ALGORITHMS, ConvergenceError, ModelSpec, Score, derive_seed,
-                   rng_for, stratified_fold_ids, validate_spec)
+from .base import (ALGORITHMS, ConvergenceError, ModelSpec, Score, check_training_inputs,
+                   derive_seed, rng_for, stratified_fold_ids, validate_spec)
 from .bayes import GaussianNBModel, train_gaussian_nb
 from .boosting import AdaBoostModel, GradBoostModel, train_adaboost, train_grad_boosts
 from .bundle import (Bundle, bundle_bytes, load_bundle, model_from_doc,
@@ -76,8 +78,9 @@ def train_grid(specs: list[list[ModelSpec]], X: np.ndarray, y: np.ndarray | None
     """Fit a cells x folds table of specs of one algorithm, yielding
     (c, f, model): specs[c][f] trained on X[row_sets[f]], y[row_sets[f]]
     (y is None for the one-class SVM), each model byte for byte the one
-    its spec gets alone. A cell's specs share their hyperparameters and
-    row sets are strictly ascending.
+    its spec gets alone, stamped with schema_fingerprint. A cell's specs
+    share their hyperparameters and row sets are strictly ascending;
+    every row set is checked before any model is fitted.
 
     The one-class SVM fits each fold's cells together, sharing the
     fold's kernel work, and yields fold by fold, cell by cell. The
@@ -97,21 +100,29 @@ def train_grid(specs: list[list[ModelSpec]], X: np.ndarray, y: np.ndarray | None
     if algorithm == "stack":
         raise ValueError("stacks train with train_stack")
     X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
+    if y is not None:
+        y = np.asarray(y, dtype=np.int64)
+    for rows in row_sets:
+        check_training_inputs(_take(X, rows), None if y is None else _take(y, rows))
+    for c, f, model in _fit(specs, X, y, row_sets):
+        model.schema_fingerprint = schema_fingerprint
+        yield c, f, model
+
+
+def _fit(specs, X, y, row_sets):
+    """train_grid's yields, from inputs it has checked."""
     if y is None:
         for f, rows in enumerate(row_sets):
-            models = train_one_class_svms([cell[f] for cell in specs], _take(X, rows),
-                                          schema_fingerprint)
+            models = train_one_class_svms([cell[f] for cell in specs], _take(X, rows))
             yield from ((c, f, model) for c, model in enumerate(models))
         return
-    y = np.asarray(y, dtype=np.int64)
-    batched = {"grad_boost": train_grad_boosts, "mlp": train_mlps}.get(algorithm)
+    batched = {"grad_boost": train_grad_boosts, "mlp": train_mlps}.get(specs[0][0].algorithm)
     for c, cell in enumerate(specs):
         if batched is None:
-            models = (_TRAINERS[algorithm](spec, _take(X, rows), _take(y, rows),
-                                           schema_fingerprint)
+            models = (_TRAINERS[spec.algorithm](spec, _take(X, rows), _take(y, rows))
                       for spec, rows in zip(cell, row_sets))
         else:
-            models = batched(cell, X, y, row_sets, schema_fingerprint)
+            models = batched(cell, X, y, row_sets)
         yield from ((c, f, model) for f, model in enumerate(models))
 
 

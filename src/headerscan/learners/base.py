@@ -15,6 +15,7 @@ __all__ = [
     "Score",
     "ConvergenceError",
     "derive_seed",
+    "fold_spec",
     "rng_for",
     "validate_spec",
     "check_hyperparameters",
@@ -76,6 +77,11 @@ def derive_seed(seed: int, *tags) -> int:
     text = "/".join([str(seed), *[str(t) for t in tags]])
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "little") & (2**63 - 1)
+
+
+def fold_spec(spec: ModelSpec, fold: int) -> ModelSpec:
+    """spec, reseeded for the model trained without fold `fold`."""
+    return ModelSpec(spec.algorithm, spec.hyperparameters, derive_seed(spec.seed, "fold", fold))
 
 
 def rng_for(seed: int, *tags) -> np.random.Generator:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelSpec, check_training_inputs
+from .base import ModelSpec
 
 __all__ = ["GaussianNBModel", "train_gaussian_nb", "VAR_FLOOR"]
 
@@ -40,9 +40,7 @@ class GaussianNBModel:
         return self.probabilities(X) - 0.5
 
 
-def train_gaussian_nb(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
-                      schema_fingerprint: str | None = None) -> GaussianNBModel:
-    check_training_inputs(X, y)
+def train_gaussian_nb(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> GaussianNBModel:
     d = X.shape[1]
     log_priors = np.empty(2)
     means = np.empty((2, d))
@@ -52,4 +50,4 @@ def train_gaussian_nb(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
         log_priors[c] = np.log(len(rows) / len(X))
         means[c] = rows.mean(axis=0)
         variances[c] = np.maximum(rows.var(axis=0), VAR_FLOOR)
-    return GaussianNBModel(spec, log_priors, means, variances, True, schema_fingerprint)
+    return GaussianNBModel(spec, log_priors, means, variances)

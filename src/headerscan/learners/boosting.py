@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelSpec, check_training_inputs
+from .base import ModelSpec
 from .linear import sigmoid
 from .tree import TreeArrays, TreeEnsemble, build_tree, sorted_cuts
 
@@ -33,8 +33,7 @@ class GradBoostModel(TreeEnsemble):
 
 
 def train_grad_boosts(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray,
-                      row_sets: list, schema_fingerprint: str | None = None
-                      ) -> list[GradBoostModel]:
+                      row_sets: list) -> list[GradBoostModel]:
     """One model per (spec, rows), in order, each the model its spec
     gets alone on X[rows], y[rows]; the specs share their
     hyperparameters and rows are ascending.
@@ -47,10 +46,7 @@ def train_grad_boosts(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray,
     the residuals and the leaf steps stay per model."""
     hp = specs[0].hyperparameters
     lr = hp["learning_rate"]
-    ys = []
-    for rows in row_sets:
-        check_training_inputs(X[rows], y[rows])
-        ys.append(y[rows].astype(np.float64))
+    ys = [y[rows].astype(np.float64) for rows in row_sets]
     # per model, a row of len(X) of which only its own rows are read
     F, residual, hess = (np.zeros((len(row_sets), len(X))) for _ in range(3))
     base_scores = []
@@ -73,7 +69,7 @@ def train_grad_boosts(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray,
                 tree.value[leaf] = step
                 F[i, rows] += lr * step
             trees[i].append(tree)
-    return [GradBoostModel(spec, F0, model_trees, True, schema_fingerprint)
+    return [GradBoostModel(spec, F0, model_trees)
             for spec, F0, model_trees in zip(specs, base_scores, trees)]
 
 
@@ -104,8 +100,7 @@ class AdaBoostModel:
         return (votes @ self.alphas) / (total if total > 0 else 1.0)
 
 
-def train_adaboost(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
-                   schema_fingerprint: str | None = None) -> AdaBoostModel:
+def train_adaboost(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> AdaBoostModel:
     """Classic discrete AdaBoost with alpha = 0.5*ln((1-eps)/eps),
     eps floored at 1e-12. Halts early when no stump beats error 0.5;
     raises ValueError if even the first round has none, as a model
@@ -117,7 +112,6 @@ def train_adaboost(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
     cut by ascending threshold. Each round reweights and takes the first
     candidate in (feature, threshold, +1 then -1) order whose weighted
     error is within 1e-15 of the minimum."""
-    check_training_inputs(X, y)
     rounds = spec.hyperparameters["rounds"]
     n, d = X.shape
     ys = 2.0 * y.astype(np.float64) - 1.0
@@ -159,4 +153,4 @@ def train_adaboost(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
             break  # perfect stump; further rounds cannot change the vote
     k = np.array(picked, dtype=np.int64)
     return AdaBoostModel(spec, cand_f[k // 2], cand_th[k // 2], 1.0 - 2.0 * (k % 2),
-                         np.array(alphas, dtype=np.float64), True, schema_fingerprint)
+                         np.array(alphas, dtype=np.float64))

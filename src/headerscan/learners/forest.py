@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelSpec, check_training_inputs, derive_seed
+from .base import ModelSpec, derive_seed
 from .tree import TreeArrays, TreeEnsemble, build_tree
 
 __all__ = ["RandomForestModel", "train_random_forest"]
@@ -33,11 +33,9 @@ class RandomForestModel(TreeEnsemble):
         return self.probabilities(X) - 0.5
 
 
-def train_random_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
-                        schema_fingerprint: str | None = None) -> RandomForestModel:
+def train_random_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> RandomForestModel:
     """Each tree gets its own generator seeded from (spec.seed, tree index);
     it draws the bootstrap rows first, then the per-node feature bags."""
-    check_training_inputs(X, y)
     hp = spec.hyperparameters
     n, d = X.shape
     mtry = max(1, int(np.sqrt(d))) if hp["max_features"] == "sqrt" else d
@@ -48,4 +46,4 @@ def train_random_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
         criterion="gini", max_depth=hp["max_depth"],
         min_samples_leaf=hp["min_samples_leaf"],
         max_features=mtry if mtry < d else None, rngs=rngs)
-    return RandomForestModel(spec, trees, seeds, True, schema_fingerprint)
+    return RandomForestModel(spec, trees, seeds)

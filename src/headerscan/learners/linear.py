@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import ModelSpec, check_training_inputs
+from .base import ModelSpec
 
 __all__ = ["LogRegModel", "LinearSVMModel", "train_logreg", "train_linear_svm"]
 
@@ -51,7 +51,6 @@ def _newton(X: np.ndarray, y: np.ndarray, lam: float, loss):
     otherwise the solver stops after _MAX_STEPS steps, or when 50
     halvings cannot keep the objective from rising.
     """
-    check_training_inputs(X, y)
     n, d = X.shape
     A = np.hstack([X, np.ones((n, 1))])
     signs = 2.0 * y.astype(float) - 1.0
@@ -105,12 +104,9 @@ class LogRegModel(LinearModel):
         return sigmoid(X @ self.weights + self.bias)
 
 
-def train_logreg(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
-                 schema_fingerprint: str | None = None) -> LogRegModel:
+def train_logreg(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> LogRegModel:
     """Logistic regression: _newton on the mean cross-entropy."""
-    return LogRegModel(spec, *_newton(X, y, spec.hyperparameters["lam"],
-                                      _cross_entropy),
-                       schema_fingerprint)
+    return LogRegModel(spec, *_newton(X, y, spec.hyperparameters["lam"], _cross_entropy))
 
 
 class LinearSVMModel(LinearModel):
@@ -118,10 +114,8 @@ class LinearSVMModel(LinearModel):
         return X @ self.weights + self.bias
 
 
-def train_linear_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
-                     schema_fingerprint: str | None = None) -> LinearSVMModel:
+def train_linear_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> LinearSVMModel:
     """L2-loss linear SVM: _newton on the mean squared hinge with
     lam = 1/C, using its generalized second derivative 2*[m < 1]."""
     return LinearSVMModel(spec, *_newton(X, y, 1.0 / spec.hyperparameters["C"],
-                                         _squared_hinge),
-                          schema_fingerprint)
+                                         _squared_hinge))

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelSpec, check_training_inputs, rng_for
+from .base import ModelSpec, rng_for
 from .linear import _TOL, sigmoid
 
 __all__ = ["MLPModel", "train_mlps", "init_params", "loss_and_grad"]
@@ -63,7 +63,6 @@ class MLPModel:
     w2: np.ndarray
     b2: float
     converged: bool
-    loss_history: np.ndarray = field(default_factory=lambda: np.array([]))
     schema_fingerprint: str | None = None
 
     def _params(self) -> dict:
@@ -77,28 +76,25 @@ class MLPModel:
 
 
 def train_mlps(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray,
-               row_sets: list, schema_fingerprint: str | None = None) -> list[MLPModel]:
+               row_sets: list) -> list[MLPModel]:
     """One model per (spec, rows), in order, each the model its spec
     gets alone on X[rows], y[rows]; the specs share their hyperparameters.
 
     _EPOCHS epochs of gradient descent in _BATCH-row batches, reshuffled
-    each epoch from the spec seed. Records the full-batch loss once per
-    epoch; converged is the final full-batch gradient test of
-    linear._newton. The models' parameters are stacked, and at each
-    batch start the models whose batches have the same length take one
-    stacked step: all of them but for an epoch's ragged last batch."""
+    each epoch from the spec seed; converged is the final full-batch
+    gradient test of linear._newton. The models' parameters are
+    stacked, and at each batch start the models whose batches have the
+    same length take one stacked step: all of them but for an epoch's
+    ragged last batch."""
     hp = specs[0].hyperparameters
     lr = hp["lr"]
-    for rows in row_sets:
-        check_training_inputs(X[rows], y[rows])
     yf = y.astype(np.float64)
     inits = [init_params(X.shape[1], hp["hidden"], rng_for(spec.seed, "mlp", "init"))
              for spec in specs]
     params = {key: np.array([p[key] for p in inits]) for key in inits[0]}
     shuffles = [rng_for(spec.seed, "mlp", "shuffle") for spec in specs]
     sizes = np.array([len(rows) for rows in row_sets])
-    history = np.empty((len(specs), _EPOCHS))
-    for epoch in range(_EPOCHS):
+    for _ in range(_EPOCHS):
         # each model's rows of X in this epoch's order
         shuffled = [rows[rng.permutation(len(rows))] for rows, rng in zip(row_sets, shuffles)]
         for start in range(0, sizes.max(), _BATCH):
@@ -112,14 +108,10 @@ def train_mlps(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray,
                                       X[batch], yf[batch])[1]
                 for key, v in params.items():
                     v[group] = v[group] - lr * grads[key]
-        for i, rows in enumerate(row_sets):
-            z2 = _forward({key: v[i] for key, v in params.items()}, X[rows])[2]
-            history[i, epoch] = np.mean(np.logaddexp(0.0, z2) - yf[rows] * z2)
     models = []
     for i, (spec, rows) in enumerate(zip(specs, row_sets)):
         own = {key: v[i].copy() for key, v in params.items()}
         grads = loss_and_grad(own, X[rows], yf[rows])[1].values()
         converged = max(float(np.max(np.abs(g))) for g in grads) < _TOL
-        models.append(MLPModel(spec, own["W1"], own["b1"], own["w2"], float(own["b2"]),
-                               converged, history[i].copy(), schema_fingerprint))
+        models.append(MLPModel(spec, own["W1"], own["b1"], own["w2"], float(own["b2"]), converged))
     return models

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelSpec, check_training_inputs
+from .base import ModelSpec
 
 __all__ = ["KNNModel", "train_knn"]
 
@@ -46,7 +46,5 @@ class KNNModel:
         return out
 
 
-def train_knn(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
-              schema_fingerprint: str | None = None) -> KNNModel:
-    check_training_inputs(X, y)
-    return KNNModel(spec, X.copy(), y.astype(np.int64), True, schema_fingerprint)
+def train_knn(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> KNNModel:
+    return KNNModel(spec, X.copy(), y.astype(np.int64))

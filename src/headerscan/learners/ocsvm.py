@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ConvergenceError, ModelSpec, check_training_inputs
+from .base import ConvergenceError, ModelSpec
 
 __all__ = ["OneClassSVMModel", "KKTAudit", "train_one_class_svms", "rbf_kernel"]
 
@@ -105,16 +105,13 @@ class OneClassSVMModel:
         return out
 
 
-def train_one_class_svms(specs: list[ModelSpec], X: np.ndarray,
-                         schema_fingerprint: str | None = None
-                         ) -> list[OneClassSVMModel]:
+def train_one_class_svms(specs: list[ModelSpec], X: np.ndarray) -> list[OneClassSVMModel]:
     """One model per spec, all trained on X, in spec order.
 
     Up to _FULL_KERNEL_MAX rows, each distinct gamma's kernel is built
     from one distance matrix with rbf_kernel's arithmetic, in place into
     one buffer, the last into the distances themselves; above it, each
     gamma gets one _KernelRows."""
-    check_training_inputs(X)
     models: list = [None] * len(specs)
     gammas = list(dict.fromkeys(spec.hyperparameters["gamma"] for spec in specs))
     d2 = _sq_dists(X, X) if len(X) <= _FULL_KERNEL_MAX else None
@@ -128,12 +125,11 @@ def train_one_class_svms(specs: list[ModelSpec], X: np.ndarray,
             row = K.__getitem__
         for s, spec in enumerate(specs):
             if spec.hyperparameters["gamma"] == gamma:
-                models[s] = _smo(spec, X, row, schema_fingerprint)
+                models[s] = _smo(spec, X, row)
     return models
 
 
-def _smo(spec: ModelSpec, X: np.ndarray, row,
-         schema_fingerprint: str | None) -> OneClassSVMModel:
+def _smo(spec: ModelSpec, X: np.ndarray, row) -> OneClassSVMModel:
     """SMO over the most-violating pair; row(i) is row i of the kernel.
 
     The pair is i = argmin g over {a < C} (can grow) and j = argmax g
@@ -223,5 +219,4 @@ def _smo(spec: ModelSpec, X: np.ndarray, row,
         sv_fraction=float(np.mean(sv)),
         n_iterations=iterations,
     )
-    return OneClassSVMModel(spec, X[sv].copy(), alpha[sv].copy(), rho, audit,
-                            True, schema_fingerprint)
+    return OneClassSVMModel(spec, X[sv].copy(), alpha[sv].copy(), rho, audit)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import (Model, ModelSpec, check_training_inputs, derive_seed,
+from .base import (Model, ModelSpec, check_training_inputs, derive_seed, fold_spec,
                    stratified_fold_ids, validate_spec)
 from .linear import LogRegModel, train_logreg
 
@@ -54,8 +54,7 @@ def out_of_fold(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
     from . import train_grid  # the package root dispatches
 
     folds = np.unique(fold_of)
-    specs = [ModelSpec(spec.algorithm, spec.hyperparameters,
-                       derive_seed(spec.seed, "fold", int(fold))) for fold in folds]
+    specs = [fold_spec(spec, int(fold)) for fold in folds]
     held = [fold_of == fold for fold in folds]
     dv = np.empty(len(y))
     for _, f, model in train_grid([specs], X, y, [np.flatnonzero(~h) for h in held]):
@@ -78,10 +77,10 @@ def fit_stack_meta(bases: list, meta_X: np.ndarray, y: np.ndarray,
     (one column per base, in base order) over bases already refit on
     all rows."""
     meta_spec = _checked_meta(len(bases), meta_spec)
+    check_training_inputs(meta_X, y)
     meta = train_logreg(meta_spec, meta_X, y)
     stack_spec = ModelSpec("stack", {}, meta_spec.seed)
-    return StackModel(stack_spec, list(bases), meta, meta.converged,
-                      schema_fingerprint)
+    return StackModel(stack_spec, list(bases), meta, meta.converged, schema_fingerprint)
 
 
 def train_stack(base_specs: list[ModelSpec], meta_spec: ModelSpec,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .base import ModelSpec, check_training_inputs
+from .base import ModelSpec
 
 __all__ = ["TreeArrays", "TreeEnsemble", "DecisionTreeModel", "train_decision_tree",
            "build_tree", "check_tree", "leaf_ids", "apply_tree", "sorted_cuts"]
@@ -280,11 +280,9 @@ class DecisionTreeModel:
         return apply_tree(self.tree, X) - 0.5
 
 
-def train_decision_tree(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
-                        schema_fingerprint: str | None = None) -> DecisionTreeModel:
-    check_training_inputs(X, y)
+def train_decision_tree(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> DecisionTreeModel:
     hp = spec.hyperparameters
     [tree] = build_tree(X, y.astype(np.float64), [np.arange(len(X))], criterion="gini",
                         max_depth=hp["max_depth"],
                         min_samples_leaf=hp["min_samples_leaf"])
-    return DecisionTreeModel(spec, tree, True, schema_fingerprint)
+    return DecisionTreeModel(spec, tree)

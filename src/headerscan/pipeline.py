@@ -511,33 +511,31 @@ def _binary_phase(records, positive: Label, phase_no: int, feature_set: str,
     Xb, yb = _balanced_test(test_records, yte, schema, scaler, ps)
     entry["counts"]["balanced_test"] = len(yb)
 
-    rows = []
-    test_entry: dict = {}
     candidates = []  # (name, model, scores, report)
-    for algo in BINARY_ALGORITHMS:
-        scores = make_scores(decision_values(models[algo], Xb))
+
+    def assess(name: str, model, reports: dict, rows: list, row_name: str) -> None:
+        scores = make_scores(decision_values(model, Xb))
         report = compute_metrics(scores, yb)
-        test_entry[algo] = report_to_dict(report)
-        rows.append((DISPLAY_NAMES[algo], report))
-        candidates.append((algo, models[algo], scores, report))
-    entry["test"] = test_entry
+        reports[name] = report_to_dict(report)
+        rows.append((row_name, report))
+        candidates.append((name, model, scores, report))
+
+    rows = []
+    entry["test"] = {}
+    for algo in BINARY_ALGORITHMS:
+        assess(algo, models[algo], entry["test"], rows, DISPLAY_NAMES[algo])
     entry["tables"]["binary"] = _write_table(
         out_dir, f"reports/phase{phase_no}_binary", render_table(rows, "binary"))
 
     stack_rows = []
-    stack_entry: dict = {}
+    entry["stacking"] = {}
     for i, combo in enumerate(cfg.stacking):
         meta = ModelSpec("logreg", {}, derive_seed(ps, "stack", i, "meta"))
         model = fit_stack_meta([models[a] for a in combo],
                                np.column_stack([oof[a] for a in combo]),
                                ytr, meta, schema.fingerprint)
-        scores = make_scores(decision_values(model, Xb))
-        report = compute_metrics(scores, yb)
         name = ", ".join(SHORT_NAMES[a] for a in combo)
-        stack_entry[name] = report_to_dict(report)
-        stack_rows.append((name, report))
-        candidates.append((name, model, scores, report))
-    entry["stacking"] = stack_entry
+        assess(name, model, entry["stacking"], stack_rows, name)
     entry["tables"]["stacking"] = _write_table(
         out_dir, f"reports/phase{phase_no}_stacking",
         render_table(stack_rows, "stacking"))

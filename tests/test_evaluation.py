@@ -744,7 +744,7 @@ def smo_pair_gaps(spec, X):
     read from the rows the solver asks for after its starting gradient."""
     K = ocsvm.rbf_kernel(X, X, spec.hyperparameters["gamma"])
     asked = []
-    ocsvm._smo(spec, X, lambda i: asked.append(i) or K[i], None)
+    ocsvm._smo(spec, X, lambda i: asked.append(i) or K[i])
     nu, n = spec.hyperparameters["nu"], len(X)
     starts = min(n, int(np.floor(nu * n)) + (nu * n % 1 > 0))
     pairs = zip(asked[starts::2], asked[starts + 1::2])

@@ -750,7 +750,6 @@ def reference_mlp(spec, X, y):
     params = init_params(d, hp["hidden"], L.rng_for(spec.seed, "mlp", "init"))
     shuffle_rng = L.rng_for(spec.seed, "mlp", "shuffle")
     yf = y.astype(np.float64)
-    history = []
     for _ in range(mlp_module._EPOCHS):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, mlp_module._BATCH):
@@ -758,12 +757,10 @@ def reference_mlp(spec, X, y):
             grads = reference_mlp_grad(params, X[rows], yf[rows])
             for key in params:
                 params[key] = params[key] - hp["lr"] * grads[key]
-        z2 = reference_forward(params, X)[2]
-        history.append(float(np.mean(np.logaddexp(0.0, z2) - yf * z2)))
     converged = max(float(np.max(np.abs(g)))
                     for g in reference_mlp_grad(params, X, yf).values()) < mlp_module._TOL
     return L.MLPModel(spec, params["W1"], params["b1"], params["w2"], float(params["b2"]),
-                      converged, np.array(history))
+                      converged)
 
 
 def reference_fold_values(m, X):
@@ -846,7 +843,8 @@ REFUSALS = {"single-class": _single_class_fold, "hyperparameter": _out_of_domain
 
 
 @pytest.mark.parametrize("case", sorted(REFUSALS))
-@pytest.mark.parametrize("algo,hp", [("grad_boost", {"n_trees": 3}), ("mlp", {"lr": 0.01})])
+@pytest.mark.parametrize("algo,hp", [("grad_boost", {"n_trees": 3}), ("mlp", {"lr": 0.01}),
+                                     ("knn", {"k": 3})])
 def test_batched_fold_fits_refuse_as_the_per_fold_loop_does(case, algo, hp):
     X, y = two_blobs(seed=23)
     X, hp, fold_of = REFUSALS[case](X, y, hp)
@@ -889,16 +887,18 @@ def grid_inputs(algo):
 def test_train_grid_gives_each_spec_its_model_alone(algo):
     """train_grid yields cell by cell, fold by fold (the one-class SVM
     fold by fold, cell by cell), and each model has the bundle bytes of
-    its spec trained alone on its rows."""
+    its spec trained alone on its rows and carries the grid's schema
+    fingerprint."""
     specs, X, y, row_sets = grid_inputs(algo)
-    got = list(L.train_grid(specs, X, y, row_sets))
+    schema, scaler = tiny_schema_scaler()
+    got = list(L.train_grid(specs, X, y, row_sets, schema.fingerprint))
     if algo == "one_class_svm":
         order = [(c, f) for f in range(3) for c in range(2)]
     else:
         order = [(c, f) for c in range(2) for f in range(3)]
     assert [(c, f) for c, f, _ in got] == order
-    schema, scaler = tiny_schema_scaler()
     for c, f, model in got:
+        assert model.schema_fingerprint == schema.fingerprint
         rows = row_sets[f]
         if y is None:
             alone = L.train_one_class(specs[c][f], X[rows])
@@ -926,14 +926,38 @@ def test_train_hands_every_row_over_without_a_copy(monkeypatch):
     seen = []
     fit, fit_one_class = L._TRAINERS["knn"], L.train_one_class_svms
     monkeypatch.setitem(L._TRAINERS, "knn",
-                        lambda spec, X, y, fp: seen.append((X, y)) or fit(spec, X, y, fp))
+                        lambda spec, X, y: seen.append((X, y)) or fit(spec, X, y))
     monkeypatch.setattr(L, "train_one_class_svms",
-                        lambda specs, X, fp: seen.append((X, None)) or fit_one_class(specs, X, fp))
+                        lambda specs, X: seen.append((X, None)) or fit_one_class(specs, X))
     X, y = two_blobs(seed=25)
     L.train(ModelSpec("knn", {}, 0), X, y)
     L.train_one_class(ModelSpec("one_class_svm", {}, 0), X)
     (knn_X, knn_y), (one_class_X, _) = seen
     assert knn_X is X and knn_y is y and one_class_X is X
+
+
+@pytest.mark.parametrize("algo", ["knn", "one_class_svm"])
+def test_train_grid_checks_every_row_set_before_it_fits(monkeypatch, algo):
+    """A NaN in the last row set alone raises on the first next(), with
+    the message its fold raises alone, and no model has been fitted."""
+    specs, X, y, row_sets = grid_inputs(algo)
+    X = X.copy()
+    X[np.setdiff1d(row_sets[2], np.concatenate(row_sets[:2]))[0], 1] = np.nan
+    rows = row_sets[2]
+    with pytest.raises(ValueError) as want:
+        if y is None:
+            L.train_one_class(specs[0][2], X[rows])
+        else:
+            L.train(specs[0][2], X[rows], y[rows])
+    fits = []
+    fit, fit_one_class = L._TRAINERS["knn"], L.train_one_class_svms
+    monkeypatch.setitem(L._TRAINERS, "knn", lambda *args: fits.append(1) or fit(*args))
+    monkeypatch.setattr(L, "train_one_class_svms",
+                        lambda *args: fits.append(1) or fit_one_class(*args))
+    with pytest.raises(ValueError) as got:
+        next(L.train_grid(specs, X, y, row_sets))
+    assert str(got.value) == str(want.value) == "NaN or Inf in training matrix"
+    assert fits == []
 
 
 def test_train_grid_refuses_a_malformed_table():
