@@ -86,9 +86,9 @@ def _cmd_ingest(args) -> int:
         writer.writerow(["id", "label"] + fields)
         for record in records:
             row = [record.id, record.label.value]
+            header = record.header  # parsed again from the record's wire
             # repeated fields collapse into one cell, values in file order
-            row += [" | ".join(record.header.get_all(name))
-                    for name in fields]
+            row += [" | ".join(header.get_all(name)) for name in fields]
             writer.writerow(row)
     print(f"wrote {len(records)} rows, {2 + len(fields)} columns: {path}")
     return 0

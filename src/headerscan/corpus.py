@@ -7,11 +7,12 @@ either a single message or an mbox-style concatenation.
 
 from __future__ import annotations
 
+import copy
 import enum
-import functools
 import hashlib
 import logging
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -43,17 +44,34 @@ class Label(enum.Enum):
         return self is not Label.HAM
 
 
-@dataclass(frozen=True)
 class CorpusRecord:
-    id: str
-    header: EmailHeader
-    label: Label
+    """One loaded message. It keeps what a run reads after loading, not
+    its parsed header: the header's facts, its field names in order
+    (interned: one copy per corpus), and its serialized header and
+    malformed-line count, which the digest hashes and ``header`` parses."""
 
-    @functools.cached_property
-    def facts(self) -> HeaderFacts:
-        """The header's schema-free facts, computed on first use and kept,
-        so every schema fit and extraction of this record shares them."""
-        return header_facts(self.header)
+    __slots__ = ("id", "label", "facts", "names", "wire", "malformed_line_count")
+
+    def __init__(self, id: str, header: EmailHeader, label: Label):
+        self.id = id
+        self.label = label
+        self.facts = header_facts(header)
+        self.names = tuple(sys.intern(f.name) for f in header.fields)
+        self.wire = serialize_headers(header)
+        self.malformed_line_count = header.malformed_line_count
+
+    def renamed(self, id: str) -> CorpusRecord:
+        """This record under another id, sharing everything else."""
+        record = copy.copy(self)
+        record.id = id
+        return record
+
+    @property
+    def header(self) -> EmailHeader:
+        """The header as it was loaded, parsed again from ``wire``."""
+        header = parse_headers(self.wire)
+        header.malformed_line_count = self.malformed_line_count
+        return header
 
 
 @dataclass
@@ -167,7 +185,7 @@ def header_frequencies(records: list[CorpusRecord]) -> HeaderStats:
     many times the field repeats inside it."""
     counts: Counter[str] = Counter()
     for rec in records:
-        counts.update(set(rec.header.names()))
+        counts.update(set(rec.names))
     return HeaderStats(dict(counts), len(records))
 
 
@@ -187,6 +205,6 @@ def corpus_digest(records: list[CorpusRecord]) -> str:
         h.update(b"\x00")
         h.update(rec.label.value.encode())
         h.update(b"\x00")
-        h.update(serialize_headers(rec.header))
-        h.update(bytes([rec.header.malformed_line_count % 256]))
+        h.update(rec.wire)
+        h.update(bytes([rec.malformed_line_count % 256]))
     return h.hexdigest()

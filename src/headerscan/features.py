@@ -240,11 +240,11 @@ def _match(a: str | None, b: str | None) -> float:
     return 1.0 if a == b else 0.0
 
 
-def _values(facts: HeaderFacts, header: EmailHeader,
+def _values(facts: HeaderFacts, names: tuple[str, ...] | list[str],
             schema: FeatureSchema) -> list[float]:
     """Every catalog quantity for one email: a missing flag per top
-    field, then the _FACT_KEYS quantities."""
-    present = set(header.names())
+    field (from its field names), then the _FACT_KEYS quantities."""
+    present = set(names)
     values = [0.0 if f in present else 1.0 for f in schema.top_fields]
     zone = facts.date_zone
     msgid = facts.msgid_domain
@@ -275,15 +275,15 @@ def _descriptor_key(d: FeatureDescriptor) -> str:
 def extract(record: CorpusRecord | EmailHeader, schema: FeatureSchema) -> np.ndarray:
     """Numeric vector for one email, aligned to schema.descriptors.
 
-    A record's facts are computed once and kept on it; a bare header's
-    are computed here.
+    A record's facts and field names were kept on it when it was
+    built; a bare header's are computed here.
     """
     if isinstance(record, CorpusRecord):
-        header, facts = record.header, record.facts
+        names, facts = record.names, record.facts
     else:
-        header, facts = record, header_facts(record)
+        names, facts = record.names(), header_facts(record)
     index, is_onehot, onehot = schema._projection
-    out = np.array(_values(facts, header, schema))[index]
+    out = np.array(_values(facts, names, schema))[index]
     if is_onehot is None:
         return out
     return np.where(is_onehot, out == onehot, out)

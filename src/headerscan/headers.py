@@ -417,7 +417,11 @@ def extract_domain(header: EmailHeader, field_name: str) -> str | None:
     angle brackets; for address fields it is the first address's domain.
     Returns None when the field is absent or carries no domain.
     """
-    value = header.get(field_name)
+    return _domain(header.get(field_name), field_name)
+
+
+def _domain(value: str | None, field_name: str) -> str | None:
+    """extract_domain of a field's first value, given that value."""
     if value is None:
         return None
     if field_name == "message-id":
@@ -483,31 +487,38 @@ def _agree(left: list, right: list) -> bool:
 
 def header_facts(header: EmailHeader) -> HeaderFacts:
     """The schema-free facts of one header (see HeaderFacts)."""
-    from_lists = [parse_address_list(v) for v in header.get_all("from")]
+    values: dict[str, list[str]] = {}  # name -> its values, in field order
+    for f in header.fields:
+        values.setdefault(f.name, []).append(f.raw_value)
+
+    def first(name: str) -> str | None:
+        return values[name][0] if name in values else None
+
+    from_lists = [parse_address_list(v) for v in values.get("from", ())]
     # as extract_domain reads it: the first From field's first address
     first_from = from_lists[0] if from_lists else []
     # only the from and by hosts: no hop's date or IP literals
-    hops = [_received_clauses(v) for v in header.get_all("received")]
+    hops = [_received_clauses(v) for v in values.get("received", ())]
     froms = [_host_domain(hop.get("from")) for hop in hops]
     bys = [_host_domain(hop.get("by")) for hop in hops]
-    date_value = header.get("date")
+    date_value = first("date")
     stamp = parse_date(date_value) if date_value is not None else None
-    ct = header.get("content-type")
+    ct = first("content-type")
     return HeaderFacts(
         hops=len(hops),
-        to=sum(len(parse_address_list(v)) for v in header.get_all("to")),
-        cc=sum(len(parse_address_list(v)) for v in header.get_all("cc")),
+        to=sum(len(parse_address_list(v)) for v in values.get("to", ())),
+        cc=sum(len(parse_address_list(v)) for v in values.get("cc", ())),
         from_addresses=sum(len(addresses) for addresses in from_lists),
         fields=len(header.fields),
-        distinct_fields=len(set(header.names())),
+        distinct_fields=len(values),
         date_zone=_shared(stamp.zone_token if stamp is not None else None),
         content_type=(2 if ct is None
                       else int(ct.strip().lower().startswith("text/html"))),
         from_domain=_shared((first_from[0].domain or None) if first_from
                             else None),
-        return_path_domain=_shared(extract_domain(header, "return-path")),
-        reply_to_domain=_shared(extract_domain(header, "reply-to")),
-        msgid_domain=_shared(extract_domain(header, "message-id")),
+        return_path_domain=_shared(_domain(first("return-path"), "return-path")),
+        reply_to_domain=_shared(_domain(first("reply-to"), "reply-to")),
+        msgid_domain=_shared(_domain(first("message-id"), "message-id")),
         received_from_domain=_shared(froms[0] if froms else None),
         chain_by_then_from=_agree(bys, froms[1:]),
         chain_from_then_by=_agree(froms, bys[1:]),

@@ -258,14 +258,18 @@ class TreeEnsemble:
 
     def leaf_sum(self, X: np.ndarray, F: np.ndarray, scale: float = 1.0) -> np.ndarray:
         """F plus scale times each tree's leaf values, in place, added in
-        tree order: per block of rows, the last row of np.add.accumulate
-        over [F; scale * values] along the tree axis. A reduce would sum a
-        one-row block's contiguous column pairwise, with other bits."""
+        tree order: per block of rows, np.add.reduce of [F; scale * values]
+        along the tree axis, which adds row after row while a block has
+        two columns or more. A one-row block's column is contiguous and
+        would be summed pairwise, so it gets a zero column beside it."""
         flat, roots = self._flat
         for start in range(0, len(X), BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
-            terms = np.vstack((F[block], scale * flat.value[leaf_ids(flat, X[block], roots)]))
-            F[block] = np.add.accumulate(terms, axis=0)[-1]
+            rows = len(F[block])
+            terms = np.zeros((len(roots) + 1, max(rows, 2)))
+            terms[0, :rows] = F[block]
+            terms[1:, :rows] = scale * flat.value[leaf_ids(flat, X[block], roots)]
+            F[block] = np.add.reduce(terms, axis=0)[:rows]
         return F
 
 

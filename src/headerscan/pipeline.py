@@ -286,8 +286,7 @@ class Datasets:
 
 
 def _namespaced(records: list[CorpusRecord], prefix: str) -> list[CorpusRecord]:
-    return [CorpusRecord(f"{prefix}/{r.id}", r.header, r.label)
-            for r in records]
+    return [r.renamed(f"{prefix}/{r.id}") for r in records]
 
 
 def _load_dir(dir_path: str, label: Label) -> list[CorpusRecord]:
@@ -335,7 +334,7 @@ def load_datasets(cfg: RunConfig, allow_empty: bool = False) -> Datasets:
                                  seed=derive_seed(cfg.synthetic["seed"], "phishing"),
                                  anomaly_label=Label.PHISHING)
         phishing = _namespaced(
-            [r for r in to_records(emails) if r.label is Label.PHISHING],
+            to_records([e for e in emails if e.label is Label.PHISHING]),
             "phishing")
     if phishing is not None:
         if not phishing and not allow_empty:

@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import csv
+import hashlib
+import json
+import os
 import random
+import tracemalloc
+from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
+from headerscan import cli, corpus, pipeline
 from headerscan.corpus import (
     CorpusRecord,
     HeaderStats,
@@ -14,7 +22,11 @@ from headerscan.corpus import (
     load_trec_index,
     top_k_fields,
 )
-from headerscan.headers import parse_headers
+from headerscan.headers import EmailHeader, parse_headers, serialize_headers
+from headerscan.pipeline import load_config, load_datasets
+from headerscan.synthetic import (generate_emails, to_records, write_labeled_dirs,
+                                  write_trec)
+from test_acceptance import _mutate  # the criterion-8 fuzz mutator
 
 
 def _write(path, data: bytes):
@@ -151,3 +163,197 @@ def test_corpus_digest_stable_and_content_sensitive():
     assert corpus_digest(a) == corpus_digest(list(reversed(a)))
     b = [_rec(0, b"From: x@y.z\r\n\r\n"), _rec(1, b"To: q@r.DIFFERENT\r\n\r\n")]
     assert corpus_digest(a) != corpus_digest(b)
+
+
+def test_record_keeps_names_facts_and_wire_not_the_header():
+    header = parse_headers(b"Received: a\r\nno colon\r\nFrom: x@y.z\r\n"
+                           b"Received: b\r\n\r\nbody")
+    record = CorpusRecord("m", header, Label.HAM)
+    assert record.names == ("received", "from", "received")
+    assert record.wire == serialize_headers(header)
+    assert record.malformed_line_count == 1
+    assert record.facts.hops == 2 and record.facts.from_domain == "y.z"
+    assert not hasattr(record, "__dict__")  # no room to keep the header
+    assert record.header == header and record.header is not header
+    renamed = record.renamed("ham/m")
+    assert (renamed.id, record.id) == ("ham/m", "m")
+    assert renamed.facts is record.facts and renamed.wire is record.wire
+
+
+# ------------------------------------ the old records, with their parsed header
+
+
+@dataclass(frozen=True)
+class ReferenceRecord:
+    """CorpusRecord when it kept its parsed header (its facts, which
+    nothing here reads, left out)."""
+
+    id: str
+    header: EmailHeader
+    label: Label
+
+    def renamed(self, id: str) -> ReferenceRecord:
+        """pipeline._namespaced's old body: a record on the same header."""
+        return ReferenceRecord(id, self.header, self.label)
+
+
+def reference_header_frequencies(records) -> HeaderStats:
+    """header_frequencies when it read the parsed header's names."""
+    counts: Counter[str] = Counter()
+    for rec in records:
+        counts.update(set(rec.header.names()))
+    return HeaderStats(dict(counts), len(records))
+
+
+def reference_corpus_digest(records) -> str:
+    """corpus_digest when it serialized each record's parsed header."""
+    h = hashlib.sha256()
+    for rec in sorted(records, key=lambda r: r.id):
+        h.update(rec.id.encode("utf-8", "surrogateescape"))
+        h.update(b"\x00")
+        h.update(rec.label.value.encode())
+        h.update(b"\x00")
+        h.update(serialize_headers(rec.header))
+        h.update(bytes([rec.header.malformed_line_count % 256]))
+    return h.hexdigest()
+
+
+def reference_cmd_ingest(args) -> int:
+    """cli._cmd_ingest before records dropped their parsed header."""
+    cfg = cli.load_config(args.config, args.seed, args.out)
+    datasets = cli.load_datasets(cfg)
+    records = datasets.ham_spam + (datasets.phishing or [])
+    fields = cli.top_k_fields(cli.header_frequencies(records), cfg.k)
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    path = os.path.join(cfg.output_dir, "cache.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "label"] + fields)
+        for record in records:
+            row = [record.id, record.label.value]
+            # repeated fields collapse into one cell, values in file order
+            row += [" | ".join(record.header.get_all(name))
+                    for name in fields]
+            writer.writerow(row)
+    print(f"wrote {len(records)} rows, {2 + len(fields)} columns: {path}")
+    return 0
+
+
+def with_full_headers(call, *args):
+    """call(*args) with the loaders building ReferenceRecords, and the
+    census and digest reading them as the old code did."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(corpus, "CorpusRecord", ReferenceRecord)
+        m.setattr(pipeline, "corpus_digest", reference_corpus_digest)
+        m.setattr(cli, "header_frequencies", reference_header_frequencies)
+        m.setattr(cli, "_cmd_ingest", reference_cmd_ingest)
+        return call(*args)
+
+
+def _mangled_raws(n: int, seed: int) -> list[bytes]:
+    """Fuzzed synthetic messages, plus blocks with many malformed lines
+    (more than 256, so the digest's count byte wraps) and a block cut
+    mid-line with no blank line after it."""
+    base = [e.raw for e in generate_emails(50, 0.5, seed=seed)]
+    rng = random.Random(seed)
+    raws = [_mutate(base[i % 50], rng) for i in range(n)]
+    raws.append(b"junk\r\n continued\r\n: no name\r\nSubject: a\r\n\tfold\r\n"
+                + b"x\r\n" * 300 + b"\r\nbody")
+    raws.append(base[0][:base[0].index(b"\r\n\r\n") // 2])
+    return raws
+
+
+def _mbox(raws: list[bytes]) -> bytes:
+    return b"".join(b"From sender@example.com Mon Jan 1 00:00:00 2007\n" + raw + b"\n"
+                    for raw in raws)
+
+
+def _config(tmp_path, source: str) -> str:
+    """A config of the given ham+spam source; every source but the
+    synthetic one takes its phishing from an mbox of 12 members and a
+    directory of mangled single messages."""
+    doc = {"seed": 5, "output_dir": str(tmp_path / "out"), "k": 30}
+    if source == "synthetic":
+        doc["synthetic"] = {"n": 200, "anomaly_fraction": 0.5, "seed": 24}
+    else:
+        emails = generate_emails(120, 0.5, seed=25)
+        if source == "trec":
+            doc["trec_index"], _ = write_trec(emails, str(tmp_path / "trec"))
+        else:
+            doc["ham_dir"], doc["spam_dir"] = write_labeled_dirs(
+                emails, str(tmp_path / "dirs"))
+            for i, raw in enumerate(_mangled_raws(150, 26)):
+                (tmp_path / "dirs" / "ham" / f"mangled{i:03d}.eml").write_bytes(raw)
+        phish = tmp_path / "phish"
+        phish.mkdir()
+        (phish / "box").write_bytes(_mbox(_mangled_raws(10, 27)))
+        for i, raw in enumerate(_mangled_raws(20, 28)):
+            (phish / f"single{i:02d}.eml").write_bytes(raw)
+        doc["phishing_dir"] = str(phish)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("source", ["synthetic", "trec", "dirs"])
+def test_corpus_digest_matches_the_full_header_digest(tmp_path, source):
+    """Each loader's records, namespaced as the pipeline does, hash to
+    the digest of the records that kept their parsed headers."""
+    cfg = load_config(_config(tmp_path, source))
+    want = with_full_headers(load_datasets, cfg).info
+    got = load_datasets(cfg).info
+    assert got == want
+    assert want["phishing"]["count"] == (100 if source == "synthetic" else 34)
+
+
+def test_mbox_and_mangled_digests_match_the_full_header_digest(tmp_path):
+    raws = _mangled_raws(200, 29)
+    (tmp_path / "box").write_bytes(_mbox(raws[:12]))
+    for i, raw in enumerate(raws[12:]):
+        (tmp_path / f"m{i:03d}.eml").write_bytes(raw)
+    old, _ = with_full_headers(load_labeled_dir, str(tmp_path), Label.SPAM)
+    new, _ = load_labeled_dir(str(tmp_path), Label.SPAM)
+    assert [r.id for r in new][:4] == ["box:0", "box:1", "box:10", "box:11"]
+    assert [r.id for r in new] == [r.id for r in old]
+    assert max(r.malformed_line_count for r in new) > 256
+    assert corpus_digest(new) == reference_corpus_digest(old)
+    assert header_frequencies(new) == reference_header_frequencies(old)
+    synthetic = generate_emails(300, 0.5, seed=30)
+    assert (corpus_digest(to_records(synthetic))
+            == reference_corpus_digest(with_full_headers(to_records, synthetic)))
+
+
+def test_record_header_parses_as_the_raw_message():
+    """The criterion-8 fuzz corpus: a record's header, parsed again from
+    its wire, has the raw message's fields and malformed-line count."""
+    base = [e.raw for e in generate_emails(50, 0.5, seed=8)]
+    rng = random.Random(20260816)
+    for case in range(10_000):
+        raw = _mutate(base[case % len(base)], rng)
+        want = parse_headers(raw)
+        got = CorpusRecord(str(case), parse_headers(raw), Label.HAM).header
+        assert got == want, case
+
+
+def test_ingest_cache_matches_the_full_header_ingest(tmp_path, capsys):
+    config = _config(tmp_path, "dirs")
+    out = tmp_path / "out" / "cache.csv"
+    assert with_full_headers(cli.main, ["ingest", "--config", config]) == 0
+    want = out.read_bytes()
+    out.unlink()
+    assert cli.main(["ingest", "--config", config]) == 0
+    assert out.read_bytes() == want
+    assert len(want.splitlines()) == 1 + 120 + 152 + 34
+
+
+def test_records_stay_small():
+    """1,000 synthetic records with their facts, names and wire: about
+    2.7 KB each. A record that kept its parsed header took 10.3 KB."""
+    emails = generate_emails(1_000, 0.5, seed=31)
+    tracemalloc.start()
+    try:
+        records = to_records(emails)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / len(records) < 4096

@@ -30,6 +30,7 @@ from headerscan.headers import (
     parse_received,
 )
 from headerscan.synthetic import generate_emails
+from test_acceptance import _mutate  # the criterion-8 fuzz mutator
 
 
 def _rec(i: int, raw: bytes, label=Label.HAM) -> CorpusRecord:
@@ -467,3 +468,20 @@ def test_extract_matrix_matches_the_reference_extract(feature_set, one_hot,
         # a bare header (the classify path) projects to the same row
         for r in records[::37]:
             assert extract(r.header, s).tobytes() == reference_extract(r, s).tobytes()
+
+
+def test_records_extract_as_the_raw_messages_headers():
+    """The criterion-8 fuzz corpus and the mangled one: records, which
+    keep only their field names and facts, extract as the reference
+    extract of each raw message's parsed header."""
+    base = [e.raw for e in generate_emails(50, 0.5, seed=8)]
+    rng = random.Random(20260816)
+    raws = [_mutate(base[i % 50], rng) for i in range(2_000)]
+    raws += [_mangled(e.raw, i % 4, rng)
+             for i, e in enumerate(generate_emails(200, 0.5, seed=12))]
+    records = [_rec(i, raw) for i, raw in enumerate(raws)]
+    for one_hot in (False, True):
+        schema = fit_schema(records, k=30, one_hot=one_hot)
+        want = np.array([reference_extract(parse_headers(raw), schema)
+                         for raw in raws])
+        assert extract_matrix(records, schema).tobytes() == want.tobytes()

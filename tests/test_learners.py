@@ -20,7 +20,8 @@ from headerscan.learners.bundle import (bundle_bytes, decode_array, encode_array
                                        load_bundle, model_from_doc, save_bundle)
 from headerscan.learners.linear import LogRegModel, sigmoid
 from headerscan.learners.mlp import init_params, loss_and_grad
-from headerscan.learners.tree import BLOCK_ROWS, LEAF, DecisionTreeModel, TreeArrays, apply_tree
+from headerscan.learners.tree import (BLOCK_ROWS, LEAF, DecisionTreeModel, TreeArrays, apply_tree,
+                                     leaf_ids)
 from headerscan.learners.forest import RandomForestModel
 from headerscan.synthetic import generate_emails, to_records
 
@@ -1252,6 +1253,32 @@ def test_leaf_sum_adds_to_the_given_array_in_place():
         want += 0.1 * tree.value[reference_leaf_ids(tree, Q)]
     assert m.leaf_sum(Q, F, 0.1) is F
     assert F.tobytes() == want.tobytes()
+
+
+def reference_leaf_sum(self, X, F, scale=1.0):
+    """TreeEnsemble.leaf_sum when it took the last row of an accumulate."""
+    flat, roots = self._flat
+    for start in range(0, len(X), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        terms = np.vstack((F[block], scale * flat.value[leaf_ids(flat, X[block], roots)]))
+        F[block] = np.add.accumulate(terms, axis=0)[-1]
+    return F
+
+
+@pytest.mark.parametrize("rows", [1, 2, BLOCK_ROWS, BLOCK_ROWS + 1])
+@pytest.mark.parametrize("algorithm, hp", [("random_forest", {"n_trees": 101}),
+                                           ("grad_boost", {"n_trees": 3})])
+def test_leaf_sum_reduce_gives_the_accumulates_bits(algorithm, hp, rows):
+    """A one-row block, padded to two columns, and blocks of 2 to
+    BLOCK_ROWS rows sum in tree order, as the accumulate did."""
+    X, y = two_blobs(seed=36)
+    m = L.train(ModelSpec(algorithm, hp, 5), X, y)
+    rng = np.random.default_rng(37)
+    Q = rng.standard_normal((rows, X.shape[1]))
+    F = rng.standard_normal(rows)
+    for scale in (1.0, 0.1):
+        want = reference_leaf_sum(m, Q, F.copy(), scale)
+        assert m.leaf_sum(Q, F.copy(), scale).tobytes() == want.tobytes()
 
 
 def test_leaf_sum_memory_stays_within_blocks():

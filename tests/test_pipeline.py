@@ -9,7 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
-from headerscan import corpus, features, headers
+from headerscan import corpus, features, headers, pipeline
 from headerscan.corpus import Label
 from headerscan.pipeline import (DEFAULT_STACKS, RunConfig, config_to_dict,
                                  load_config, load_datasets, run_phases)
@@ -302,25 +302,49 @@ def test_skipped_corpus_files_are_logged(tmp_path, caplog):
 
 
 def test_phases_3_and_4_compute_each_records_facts_once(tmp_path, monkeypatch):
+    """Facts are computed once per loaded record, when the record is
+    built, and never while a matrix is extracted; the ham records phase
+    4 extracts carry the facts objects phase 3 extracted them with."""
     cfg = _labeled_dir_config(
         tmp_path, n_ham_spam=80, cv_folds=4,
         one_class_grid={"nu": [0.1], "gamma": ["auto"]})
-    facts_of, extracted = [], []
+    computed, loaded, phases, extracting = [], [], [], []
+    facts_in = {3: {}, 4: {}}  # phase -> record id -> facts extracted
 
     def counting_facts(header):
-        facts_of.append(id(header))
-        return headers.header_facts(header)
+        assert not extracting, "facts computed during extract_matrix"
+        computed.append(headers.header_facts(header))
+        return computed[-1]
 
-    def recording_extract(record, schema):
-        extracted.append(id(record))
-        return extract(record, schema)
+    def recording_load(*args, **kwargs):
+        datasets = load_datasets(*args, **kwargs)
+        loaded.extend(datasets.ham_spam + datasets.phishing)
+        return datasets
 
-    extract = features.extract
+    def recording_phase(records, positive, phase_no, *args):
+        phases.append(phase_no)
+        return one_class_phase(records, positive, phase_no, *args)
+
+    def recording_extract(records, schema):
+        facts_in[phases[-1]].update((r.id, r.facts) for r in records)
+        extracting.append(True)
+        try:
+            return extract_matrix(records, schema)
+        finally:
+            extracting.pop()
+
+    one_class_phase = pipeline._one_class_phase
+    extract_matrix = pipeline.extract_matrix
     monkeypatch.setattr(corpus, "header_facts", counting_facts)
     monkeypatch.setattr(features, "header_facts", counting_facts)
-    monkeypatch.setattr(features, "extract", recording_extract)
+    monkeypatch.setattr(pipeline, "load_datasets", recording_load)
+    monkeypatch.setattr(pipeline, "_one_class_phase", recording_phase)
+    monkeypatch.setattr(pipeline, "extract_matrix", recording_extract)
     run_phases(cfg, [3, 4])
-    assert len(facts_of) == len(set(extracted))
-    assert len(set(facts_of)) == len(facts_of)
-    # ham records extracted in both phases were computed once
-    assert len(extracted) > len(set(extracted))
+    assert phases == [3, 4]
+    # one call per record built: 80 ham/spam and 20 phishing messages
+    assert len(loaded) == len(computed) == 100
+    assert {id(r.facts) for r in loaded} == {id(f) for f in computed}
+    shared = facts_in[3].keys() & facts_in[4].keys()
+    assert shared and all(i.startswith("ham/") for i in shared)
+    assert all(facts_in[3][i] is facts_in[4][i] for i in shared)
