@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .headers import (EmailHeader, HeaderFacts, header_facts, parse_headers,
+from .headers import (EmailHeader, header_facts, parse_headers,
                       serialize_headers)
 
 log = logging.getLogger(__name__)
