@@ -26,7 +26,7 @@ def main() -> None:
     records = to_records(generate_emails(600, anomaly_fraction=0.5, seed=3))
     y = np.array([0 if r.label is Label.HAM else 1 for r in records])
     schema, _scaler, X = feature_matrix(records)
-    train_ix, test_ix = stratified_split(X, y, test_fraction=0.25, seed=42)
+    train_ix, test_ix = stratified_split(y, test_fraction=0.25, seed=42)
     Xtr, ytr = X[train_ix], y[train_ix]
     Xte, yte = X[test_ix], y[test_ix]
     print(f"{len(train_ix)} train / {len(test_ix)} test, "

@@ -22,8 +22,7 @@ from headerscan.features import apply_scaler
 def main() -> None:
     records = to_records(generate_emails(700, anomaly_fraction=0.4, seed=17))
     y = np.array([0 if r.label is Label.HAM else 1 for r in records])
-    train_ix, test_ix = stratified_split(
-        np.empty((len(y), 0)), y, test_fraction=0.3, seed=5)
+    train_ix, test_ix = stratified_split(y, test_fraction=0.3, seed=5)
 
     # schema and scaler come from training ham only
     ham_train = [records[i] for i in train_ix if y[i] == 0]

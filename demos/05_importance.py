@@ -25,7 +25,7 @@ def main() -> None:
         schema, extract_matrix(records, schema))
     scaler = fit_scaler(matrix)
     X = apply_scaler(matrix, scaler)
-    train_ix, test_ix = stratified_split(X, y, test_fraction=0.25, seed=1)
+    train_ix, test_ix = stratified_split(y, test_fraction=0.25, seed=1)
 
     # a forest that sees every feature at every split attributes cleanly
     spec = ModelSpec("random_forest",

@@ -4,7 +4,7 @@ permutation importance, and report tables.
 Positive class is always the anomaly (spam or phishing). Aggregate CV
 metrics come from the confusion matrix pooled across folds; AUC pools
 the per-fold decision values instead, since it is not a function of
-the confusion matrix.
+the confusion matrix. Scores are make_scores' (values, verdicts) arrays.
 
 grid_search is the one model-selection loop of all four phases; its
 cells are scored by kfold_cv or, for the one-class SVM, one_class_cv.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learners import (ModelSpec, Score, check_fingerprint, decision_values,
+from .learners import (ModelSpec, check_fingerprint, decision_values,
                        derive_seed, out_of_fold, rng_for, train_grid)
 from .learners.base import fold_spec, stratified_fold_ids
 
@@ -62,19 +62,15 @@ class ImportanceReport:
     baseline_accuracy: float
 
 
-def make_scores(decision_values: np.ndarray, one_class: bool = False) -> list[Score]:
-    """Wrap raw decision values as Scores.
-
-    Binary models: anomalous iff the value is >= 0. One-class models
-    emit inlier-positive values, so the stored decision value is negated
-    (higher must mean more anomalous for ranking) while the label keeps
-    the model's own convention: anomalous iff the raw value is < 0.
-    """
+def make_scores(decision_values, one_class: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(values, anomalous): a float64 ranking array, higher meaning more
+    anomalous, and a bool verdict array, anomalous iff the value is >= 0.
+    One-class values are inlier-positive: they are negated for ranking,
+    and anomalous iff the raw value is < 0."""
+    dv = np.asarray(decision_values, dtype=np.float64)
     if one_class:
-        return [Score(decision_value=-float(v), is_anomalous=float(v) < 0.0)
-                for v in decision_values]
-    return [Score(decision_value=float(v), is_anomalous=float(v) >= 0.0)
-            for v in decision_values]
+        return -dv, dv < 0.0
+    return dv, dv >= 0.0
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -100,11 +96,11 @@ def _auc(decision_values: np.ndarray, y: np.ndarray) -> float | None:
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def compute_metrics(scores: list[Score], y) -> EvalReport:
+def compute_metrics(scores: tuple[np.ndarray, np.ndarray], y) -> EvalReport:
+    dv, predicted = scores
     y = np.asarray(y, dtype=np.int64)
-    if len(scores) != len(y):
+    if len(dv) != len(y):
         raise ValueError("scores and labels differ in length")
-    predicted = np.array([s.is_anomalous for s in scores])
     actual = y == 1
     tp = int(np.sum(predicted & actual))
     fp = int(np.sum(predicted & ~actual))
@@ -116,16 +112,15 @@ def compute_metrics(scores: list[Score], y) -> EvalReport:
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = (2 * precision * recall / (precision + recall)
           if precision + recall > 0 else 0.0)
-    dv = np.array([s.decision_value for s in scores])
     return EvalReport(accuracy, precision, recall, f1, _auc(dv, y),
                       (tp, fp, fn, tn))
 
 
-def roc_points(scores: list[Score], y) -> np.ndarray:
-    """(fpr, tpr) pairs sweeping the decision threshold from high to
-    low, tied values grouped; starts at (0,0), ends at (1,1)."""
+def roc_points(scores: tuple[np.ndarray, np.ndarray], y) -> np.ndarray:
+    """(fpr, tpr) pairs of make_scores' values, sweeping the threshold
+    from high to low, tied values grouped; starts at (0,0), ends at (1,1)."""
+    dv, _ = scores
     y = np.asarray(y, dtype=np.int64)
-    dv = np.array([s.decision_value for s in scores])
     pos = y == 1
     n_pos = max(int(pos.sum()), 1)
     n_neg = max(int((~pos).sum()), 1)
@@ -138,7 +133,7 @@ def roc_points(scores: list[Score], y) -> np.ndarray:
     return np.vstack([[0.0, 0.0], np.column_stack([fp / n_neg, tp / n_pos])])
 
 
-def stratified_split(X, y, test_fraction: float, seed: int):
+def stratified_split(y, test_fraction: float, seed: int):
     """Disjoint, exhaustive (train, test) index arrays with per-class
     test counts at round(class_count * fraction)."""
     if not 0.0 < test_fraction < 1.0:

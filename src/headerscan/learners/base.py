@@ -58,9 +58,9 @@ class Model(Protocol):
 
 @dataclass(frozen=True)
 class Score:
-    """decision_value >= 0 means anomalous for every binary model; for the
-    one-class SVM the sign convention is inverted (>= 0 means inlier) and
-    is_anomalous carries the verdict."""
+    """One vector's score from predict or predict_one_class. decision_value
+    >= 0 means anomalous for every binary model and inlier for the
+    one-class SVM; is_anomalous carries the verdict."""
 
     decision_value: float
     is_anomalous: bool
@@ -88,52 +88,58 @@ def rng_for(seed: int, *tags) -> np.random.Generator:
     return np.random.default_rng(derive_seed(seed, *tags))
 
 
+def _real(value) -> bool:
+    """An int or a finite float; a bool is no number here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) < float("inf"))
+
+
 def _positive(value) -> bool:
-    return isinstance(value, (int, float)) and value > 0
+    return _real(value) and value > 0
 
 
-def _depth_ok(value) -> bool:
-    return value is None or (isinstance(value, int) and value >= 1)
+def _count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 # name -> (default, validator, description of the constraint); solver
 # settings are constants of their learner's module, not hyperparameters
 _HYPER_DOMAINS: dict[str, dict] = {
     "logreg": {
-        "lam": (1e-3, lambda v: isinstance(v, (int, float)) and v >= 0, ">= 0"),
+        "lam": (1e-3, lambda v: _real(v) and v >= 0, ">= 0"),
     },
     "linear_svm": {
         "C": (1.0, _positive, "> 0"),
     },
     "decision_tree": {
-        "max_depth": (None, _depth_ok, ">= 1 or None"),
-        "min_samples_leaf": (1, lambda v: isinstance(v, int) and v >= 1, ">= 1"),
+        "max_depth": (None, lambda v: v is None or _count(v), ">= 1 or None"),
+        "min_samples_leaf": (1, _count, ">= 1"),
     },
     "random_forest": {
-        "n_trees": (100, lambda v: isinstance(v, int) and v >= 1, ">= 1"),
-        "max_depth": (None, _depth_ok, ">= 1 or None"),
-        "min_samples_leaf": (1, lambda v: isinstance(v, int) and v >= 1, ">= 1"),
+        "n_trees": (100, _count, ">= 1"),
+        "max_depth": (None, lambda v: v is None or _count(v), ">= 1 or None"),
+        "min_samples_leaf": (1, _count, ">= 1"),
         "max_features": ("sqrt", lambda v: v in ("sqrt", "all"), "sqrt|all"),
     },
     "grad_boost": {
-        "n_trees": (100, lambda v: isinstance(v, int) and v >= 1, ">= 1"),
+        "n_trees": (100, _count, ">= 1"),
         "learning_rate": (0.1, _positive, "> 0"),
-        "max_depth": (3, lambda v: isinstance(v, int) and 1 <= v <= 3, "1..3"),
+        "max_depth": (3, lambda v: _count(v) and v <= 3, "1..3"),
     },
     "gaussian_nb": {},
     "knn": {
-        "k": (5, lambda v: isinstance(v, int) and v >= 1, ">= 1"),
+        "k": (5, _count, ">= 1"),
     },
     "mlp": {
-        "hidden": (16, lambda v: isinstance(v, int) and v >= 1, ">= 1"),
+        "hidden": (16, _count, ">= 1"),
         "lr": (0.01, _positive, "> 0"),
     },
     "adaboost": {
-        "rounds": (100, lambda v: isinstance(v, int) and v >= 1, ">= 1"),
+        "rounds": (100, _count, ">= 1"),
     },
     "stack": {},
     "one_class_svm": {
-        "nu": (0.1, lambda v: isinstance(v, (int, float)) and 0 < v <= 1, "in (0, 1]"),
+        "nu": (0.1, lambda v: _real(v) and 0 < v <= 1, "in (0, 1]"),
         "gamma": (0.5, _positive, "> 0"),
     },
 }

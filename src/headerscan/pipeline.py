@@ -383,8 +383,7 @@ def _labels_to_y(records: list[CorpusRecord]) -> np.ndarray:
 
 
 def _split_records(records, y, fraction: float, seed: int):
-    train_idx, test_idx = stratified_split(np.empty((len(y), 0)), y,
-                                           fraction, seed)
+    train_idx, test_idx = stratified_split(y, fraction, seed)
     return ([records[i] for i in train_idx], y[train_idx],
             [records[i] for i in test_idx], y[test_idx])
 
@@ -405,8 +404,7 @@ def _importance_stage(X, y, schema, scaler, cfg: RunConfig, ps: int,
                       out_dir: str, phase_no: int, entry: dict):
     """Train the scoring models, save one importance table each, then
     keep the forest's top-M columns."""
-    sub_idx, val_idx = stratified_split(X, y, 0.25,
-                                        derive_seed(ps, "importance-split"))
+    sub_idx, val_idx = stratified_split(y, 0.25, derive_seed(ps, "importance-split"))
     reports: dict[str, ImportanceReport] = {}
     imp_entry: dict = {}
     for algo, hp in IMPORTANCE_SPECS:

@@ -48,7 +48,10 @@ def test_phase_one_artifacts(tmp_path):
 @pytest.mark.parametrize("bad", [
     {"grids": {"mlp": {"hidden": [8], "epochs": [20]}}},
     {"one_class_grid": {"nu": [0.1], "gamma": ["auto", "fast"]}},
-], ids=["mlp-epochs", "gamma-fast"])
+    # JSON's true and Infinity are no numbers: k = true must not run as 1
+    {"grids": {"knn": {"k": [True]}}},
+    {"one_class_grid": {"nu": [0.1], "gamma": [float("inf")]}},
+], ids=["mlp-epochs", "gamma-fast", "k-true", "gamma-infinity"])
 def test_run_rejects_a_bad_grid_before_any_output(tmp_path, capsys, bad):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(small_config(tmp_path / "out", **bad)))
@@ -237,6 +240,8 @@ def test_classify_error_exits(cli_run, tmp_path, capsys):
              right=encode_array(np.array([0])))),
         (train(ModelSpec("knn", {}, 0), X, y, fp),
          lambda d: d["hyperparameters"].pop("k")),
+        (train(ModelSpec("knn", {}, 0), X, y, fp),
+         lambda d: d["hyperparameters"].update(k=True)),
         (train(ModelSpec("grad_boost", {"n_trees": 2}, 0), X, y, fp),
          lambda d: d["hyperparameters"].update(learning_rate="x")),
         (train_one_class(ModelSpec("one_class_svm", {}, 0), X, fp),

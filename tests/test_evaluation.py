@@ -27,8 +27,8 @@ from headerscan.synthetic import generate_emails, to_records
 
 def scores_for(pred, y):
     # decision values +/-1 matching the predicted labels
-    return [Score(decision_value=1.0 if p else -1.0, is_anomalous=bool(p))
-            for p in pred], np.asarray(y)
+    pred = np.asarray(pred, dtype=bool)
+    return (np.where(pred, 1.0, -1.0), pred), np.asarray(y)
 
 
 # --- compute_metrics ------------------------------------------------------
@@ -48,8 +48,8 @@ def test_metrics_hand_fixture():
 
 
 def test_auc_hand_fixture():
-    scores = [Score(v, v >= 0.5) for v in (0.1, 0.4, 0.35, 0.8)]
-    r = compute_metrics(scores, [0, 0, 1, 1])
+    values = np.array([0.1, 0.4, 0.35, 0.8])
+    r = compute_metrics((values, values >= 0.5), [0, 0, 1, 1])
     assert abs(r.auc - 0.75) < 1e-12
 
 
@@ -135,7 +135,7 @@ def test_roc_endpoints():
 def reference_roc_points(scores, y):
     """evaluation.roc_points as it was: a loop over the tie groups."""
     y = np.asarray(y, dtype=np.int64)
-    dv = np.array([s.decision_value for s in scores])
+    dv, _ = scores
     pos = y == 1
     n_pos = max(int(pos.sum()), 1)
     n_neg = max(int((~pos).sum()), 1)
@@ -180,9 +180,97 @@ def test_roc_points_match_the_group_loop():
 
 
 def test_one_class_score_adapter():
-    scores = make_scores(np.array([0.5, 0.0, -0.5]), one_class=True)
-    assert [s.is_anomalous for s in scores] == [False, False, True]
-    assert [s.decision_value for s in scores] == [-0.5, 0.0, 0.5]
+    values, anomalous = make_scores(np.array([0.5, 0.0, -0.5]), one_class=True)
+    assert values.dtype == np.float64 and anomalous.dtype == bool
+    assert anomalous.tolist() == [False, False, True]
+    assert values.tolist() == [-0.5, 0.0, 0.5]
+
+
+def old_make_scores(decision_values: np.ndarray, one_class: bool = False) -> list[Score]:
+    """evaluation.make_scores as it was: one Score object per row."""
+    if one_class:
+        return [Score(decision_value=-float(v), is_anomalous=float(v) < 0.0)
+                for v in decision_values]
+    return [Score(decision_value=float(v), is_anomalous=float(v) >= 0.0)
+            for v in decision_values]
+
+
+def old_compute_metrics(scores: list[Score], y) -> EvalReport:
+    """evaluation.compute_metrics as it was, reading Score objects."""
+    y = np.asarray(y, dtype=np.int64)
+    if len(scores) != len(y):
+        raise ValueError("scores and labels differ in length")
+    predicted = np.array([s.is_anomalous for s in scores])
+    actual = y == 1
+    tp = int(np.sum(predicted & actual))
+    fp = int(np.sum(predicted & ~actual))
+    fn = int(np.sum(~predicted & actual))
+    tn = int(np.sum(~predicted & ~actual))
+    total = tp + fp + fn + tn
+    accuracy = (tp + tn) / total if total else 0.0
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = (2 * precision * recall / (precision + recall)
+          if precision + recall > 0 else 0.0)
+    dv = np.array([s.decision_value for s in scores])
+    return EvalReport(accuracy, precision, recall, f1, evaluation._auc(dv, y),
+                      (tp, fp, fn, tn))
+
+
+def old_roc_points(scores: list[Score], y) -> np.ndarray:
+    """evaluation.roc_points as it was, reading Score objects."""
+    y = np.asarray(y, dtype=np.int64)
+    dv = np.array([s.decision_value for s in scores])
+    pos = y == 1
+    n_pos = max(int(pos.sum()), 1)
+    n_neg = max(int((~pos).sum()), 1)
+    order = np.argsort(-dv, kind="stable")
+    s = dv[order]
+    # the last sorted row of each tie group (none when there are no rows)
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], len(s) > 0))
+    tp = np.cumsum(pos[order])[ends]
+    fp = ends + 1 - tp
+    return np.vstack([[0.0, 0.0], np.column_stack([fp / n_neg, tp / n_pos])])
+
+
+def test_array_scores_match_the_score_objects():
+    rng = np.random.default_rng(19)
+    cases = [np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0]), np.array([0.0]),
+             np.array([-0.0]), np.array([2.5]), np.array([-2.5])]
+    for n in rng.integers(1, 301, size=160):
+        values = rng.standard_normal(n)
+        if n % 4 == 0:  # heavy ties
+            values = np.round(values, 0)
+        elif n % 4 == 1:  # ties with signed zeros among them
+            values = np.where(rng.random(n) < 0.5, np.round(values, 1),
+                              rng.choice([0.0, -0.0], size=n))
+        elif n % 4 == 2:  # exact zeros, the one-class verdict's edge
+            values = rng.choice([0.0, 0.5, -0.5], size=n)
+        cases.append(values)
+    for values in cases:
+        n = len(values)
+        for y in (rng.integers(0, 2, size=n), np.zeros(n, dtype=np.int64),
+                  np.ones(n, dtype=np.int64)):
+            for one_class in (False, True):
+                new = make_scores(values, one_class=one_class)
+                old = old_make_scores(values, one_class=one_class)
+                got, want = compute_metrics(new, y), old_compute_metrics(old, y)
+                assert got == want and repr(got) == repr(want)
+                got, want = roc_points(new, y), old_roc_points(old, y)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+    # no rows: the old verdict array was float64, so & raised TypeError;
+    # now it is the zero report with no AUC
+    no_rows = np.array([], dtype=np.int64)
+    for one_class in (False, True):
+        with pytest.raises(TypeError):
+            old_compute_metrics(old_make_scores(np.array([]), one_class), no_rows)
+        new = make_scores(np.array([]), one_class=one_class)
+        assert compute_metrics(new, no_rows) == EvalReport(0.0, 0.0, 0.0, 0.0, None,
+                                                            (0, 0, 0, 0))
+        assert (roc_points(new, no_rows).tobytes()
+                == old_roc_points(old_make_scores(np.array([]), one_class),
+                                  no_rows).tobytes())
 
 
 # --- splits ---------------------------------------------------------------
@@ -190,7 +278,7 @@ def test_one_class_score_adapter():
 
 def test_split_balanced_20():
     y = np.array([0] * 10 + [1] * 10)
-    train, test = stratified_split(None, y, 0.2, seed=1)
+    train, test = stratified_split(y, 0.2, seed=1)
     assert len(test) == 4
     assert (y[test] == 0).sum() == 2 and (y[test] == 1).sum() == 2
     assert sorted(np.concatenate([train, test]).tolist()) == list(range(20))
@@ -198,26 +286,26 @@ def test_split_balanced_20():
 
 def test_split_75_25():
     y = np.array([0] * 75 + [1] * 25)
-    _, test = stratified_split(None, y, 0.2, seed=2)
+    _, test = stratified_split(y, 0.2, seed=2)
     assert (y[test] == 0).sum() == 15 and (y[test] == 1).sum() == 5
 
 
 def test_split_is_seeded():
     y = np.array([0] * 30 + [1] * 30)
-    a = stratified_split(None, y, 0.25, seed=9)
-    b = stratified_split(None, y, 0.25, seed=9)
-    c = stratified_split(None, y, 0.25, seed=10)
+    a = stratified_split(y, 0.25, seed=9)
+    b = stratified_split(y, 0.25, seed=9)
+    c = stratified_split(y, 0.25, seed=10)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     assert not np.array_equal(a[1], c[1])
 
 
 def test_split_rejects_tiny_class():
     with pytest.raises(ValueError):
-        stratified_split(None, np.array([0, 0, 0, 1]), 0.5, seed=0)
+        stratified_split(np.array([0, 0, 0, 1]), 0.5, seed=0)
     with pytest.raises(ValueError):
-        stratified_split(None, np.array([0, 0, 1, 1]), 1.5, seed=0)
+        stratified_split(np.array([0, 0, 1, 1]), 1.5, seed=0)
     with pytest.raises(ValueError):
-        stratified_split(None, np.array([0, 0, 0, 0]), 0.5, seed=0)
+        stratified_split(np.array([0, 0, 0, 0]), 0.5, seed=0)
 
 
 # --- k-fold ---------------------------------------------------------------

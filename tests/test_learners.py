@@ -1039,7 +1039,13 @@ def test_validate_fills_defaults_and_rejects_junk():
                        ("linear_svm", {"epochs": 30}),
                        ("mlp", {"epochs": 20}), ("mlp", {"batch_size": 4}),
                        ("one_class_svm", {"tol": 1e-3}),
-                       ("one_class_svm", {"max_iter": 5})):
+                       ("one_class_svm", {"max_iter": 5}),
+                       # a JSON true or Infinity is no number
+                       ("knn", {"k": True}), ("linear_svm", {"C": True}),
+                       ("one_class_svm", {"nu": True, "gamma": True}),
+                       ("one_class_svm", {"gamma": float("inf")}),
+                       ("logreg", {"lam": float("nan")}),
+                       ("decision_tree", {"max_depth": True})):
         with pytest.raises(ValueError):
             L.validate_spec(ModelSpec(algo, junk, 0))
 
