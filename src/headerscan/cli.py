@@ -22,7 +22,7 @@ from . import __version__
 from .corpus import header_frequencies, top_k_fields
 from .features import apply_scaler, extract
 from .headers import parse_headers
-from .learners import OneClassSVMModel, load_bundle, predict, predict_one_class
+from .learners import load_bundle, predict
 from .pipeline import load_config, load_datasets, run_importance, run_phases
 
 log = logging.getLogger(__name__)
@@ -144,10 +144,7 @@ def _cmd_classify(args) -> int:
     vector = apply_scaler(extract(parse_headers(raw), bundle.schema),
                           bundle.scaler)
     fingerprint = bundle.schema.fingerprint
-    if isinstance(bundle.model, OneClassSVMModel):
-        score = predict_one_class(bundle.model, vector, fingerprint)
-    else:
-        score = predict(bundle.model, vector, fingerprint)
+    score = predict(bundle.model, vector, fingerprint)
     if not math.isfinite(score.decision_value):
         raise ValueError(f"{args.email}: decision value is not finite")
     label = bundle.positive_label if score.is_anomalous else "ham"

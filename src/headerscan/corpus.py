@@ -39,10 +39,6 @@ class Label(enum.Enum):
     SPAM = "spam"
     PHISHING = "phishing"
 
-    @property
-    def is_anomalous(self) -> bool:
-        return self is not Label.HAM
-
 
 class CorpusRecord:
     """One loaded message. It keeps what a run reads after loading, not

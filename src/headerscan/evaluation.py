@@ -6,11 +6,12 @@ metrics come from the confusion matrix pooled across folds; AUC pools
 the per-fold decision values instead, since it is not a function of
 the confusion matrix. Scores are make_scores' (values, verdicts) arrays.
 
-grid_search is the one model-selection loop of all four phases; its
-cells are scored by kfold_cv or, for the one-class SVM, one_class_cv.
-Both get their fold models from learners.train_grid: kfold_cv one
-cell's folds at a time (through out_of_fold), one_class_cv all cells
-and folds in one call, so that a fold's cells train together.
+grid_search is the one model-selection loop of all four phases: it
+scores all of a grid's cells on one fold plan, by stratified k-fold CV
+or, for the one-class SVM, by one_class_cv. Either way every fold model
+of the grid comes from one learners.held_out call, which fits the whole
+cells x folds table in one train_grid pass; kfold_cv is the one-cell
+case of the binary search.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learners import (ModelSpec, check_fingerprint, decision_values,
-                       derive_seed, out_of_fold, rng_for, train_grid)
-from .learners.base import fold_spec, stratified_fold_ids
+from .learners import (ModelSpec, check_fingerprint, derive_seed, held_out,
+                       rng_for, stratified_fold_ids)
 
 __all__ = [
     "EvalReport", "ImportanceReport", "RenderedTable",
@@ -161,6 +161,11 @@ def kfold_cv(spec: ModelSpec, X, y, k: int, seed: int) -> EvalReport:
     """Stratified k-fold CV on the fold plan derived from seed. Per-fold
     model seeds derive from (spec.seed, fold), so evaluation order does
     not matter."""
+    return _kfold_cvs([spec], X, y, k, seed)[0]
+
+
+def _kfold_cvs(specs: list[ModelSpec], X, y, k: int, seed: int) -> list[EvalReport]:
+    """kfold_cv of every spec, in spec order, from one held_out call."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if k < 2:
@@ -169,12 +174,19 @@ def kfold_cv(spec: ModelSpec, X, y, k: int, seed: int) -> EvalReport:
     if len(counts) < 2 or counts.min() < k:
         raise ValueError(f"each class needs at least k={k} examples")
     fold_of = stratified_fold_ids(y, k, derive_seed(seed, "folds"))
-    dv = out_of_fold(spec, X, y, fold_of)
-    per_fold = tuple(compute_metrics(make_scores(dv[fold_of == f]),
-                                     y[fold_of == f]) for f in range(k))
-    pooled = compute_metrics(make_scores(dv), y)
-    return dataclasses.replace(pooled, per_fold=per_fold,
-                               oof_values=tuple(dv.tolist()))
+    held = [fold_of == f for f in range(k)]
+    reports = []
+    for cell in held_out(specs, X, y, [np.flatnonzero(~h) for h in held],
+                         [[h] for h in held]):
+        dv = np.empty(len(y))
+        for h, (values,) in zip(held, cell):
+            dv[h] = values
+        per_fold = tuple(compute_metrics(make_scores(values), y[h])
+                         for h, (values,) in zip(held, cell))
+        pooled = compute_metrics(make_scores(dv), y)
+        reports.append(dataclasses.replace(pooled, per_fold=per_fold,
+                                           oof_values=tuple(dv.tolist())))
+    return reports
 
 
 def one_class_cv(specs: list[ModelSpec], X, y, k: int,
@@ -187,7 +199,7 @@ def one_class_cv(specs: list[ModelSpec], X, y, k: int,
     spec on the other folds' ham with seed derive_seed(spec.seed,
     "fold", f) and scores its own ham plus pool[f::k], both cut to the
     same length, so every fold is balanced like the final test. The
-    fold models come from one cells x folds train_grid call, which
+    fold models come from one held_out call, whose train_grid pass
     trains a fold's specs together, so they share the fold's kernel
     work, and holds one fold's models at a time. With fewer than k
     anomalies, the folds left without one are neither fitted nor
@@ -208,19 +220,17 @@ def one_class_cv(specs: list[ModelSpec], X, y, k: int,
         held_ham, held_anom = ham[fold_of == f], np.sort(pool[f::k])
         m = min(len(held_ham), len(held_anom))
         held.append((held_ham[:m], held_anom[:m]))
-    grid = [[fold_spec(spec, f) for f in folds] for spec in specs]
-    dv_parts = [[] for _ in specs]
-    for c, f, model in train_grid(grid, X, None, [ham[fold_of != f] for f in folds]):
-        dv_parts[c].extend(decision_values(model, X[rows]) for rows in held[f])
+    out = held_out(specs, X, None, [ham[fold_of != f] for f in folds], held)
     y_all = np.concatenate([np.repeat([0, 1], len(held_ham)) for held_ham, _ in held])
-    return [compute_metrics(make_scores(np.concatenate(parts), one_class=True),
-                            y_all) for parts in dv_parts]
+    return [compute_metrics(make_scores(np.concatenate([dv for fold in cell for dv in fold]),
+                                        one_class=True), y_all) for cell in out]
 
 
 def grid_search(algorithm: str, grid: dict, X, y, k: int, seed: int):
     """Evaluate every Cartesian-product cell, all cells on the one fold
-    plan derived from seed: with kfold_cv cell by cell or, for the
-    one-class SVM, with one one_class_cv call over all cells.
+    plan derived from seed and all cells' fold models fitted in one
+    held_out call: by k-fold CV (each cell's report is its kfold_cv)
+    or, for the one-class SVM, by one_class_cv.
 
     Cells enumerate with the first grid key slowest (dict insertion
     order). Best cell: highest pooled accuracy, then highest F1, then
@@ -238,7 +248,7 @@ def grid_search(algorithm: str, grid: dict, X, y, k: int, seed: int):
     if algorithm == "one_class_svm":
         reports = one_class_cv(specs, X, y, k, seed)
     else:
-        reports = [kfold_cv(spec, X, y, k, seed) for spec in specs]
+        reports = _kfold_cvs(specs, X, y, k, seed)
     scored = list(zip(specs, reports))
     # max keeps the first of equal keys: the earliest cell wins a tie
     best_spec, _ = max(scored, key=lambda sr: (sr[1].accuracy, sr[1].f1))

@@ -5,7 +5,10 @@ table of specs of one algorithm, each cell one set of hyperparameters
 and each fold one row set. The table's shape is what a learner may
 share: grad_boost and the MLP fit a cell's folds together, the
 one-class SVM a fold's cells; the other learners fit one model at a
-time. train and train_one_class are its 1 x 1 grids over all rows.
+time. train and train_one_class are its 1 x 1 grids over all rows;
+held_out fits a whole grid's fold models in one call and scores their
+held-out rows, which is every held-out value there is: the k-fold and
+one-class reports of grid search and the stacks' meta-features.
 train_grid checks every row set before it fits any model and sets
 each model's schema fingerprint, so the trainers only fit.
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import (ALGORITHMS, ConvergenceError, ModelSpec, Score, check_training_inputs,
-                   derive_seed, rng_for, stratified_fold_ids, validate_spec)
+                   derive_seed, fold_spec, rng_for, stratified_fold_ids, validate_spec)
 from .bayes import GaussianNBModel, train_gaussian_nb
 from .boosting import AdaBoostModel, GradBoostModel, train_adaboost, train_grad_boosts
 from .bundle import (Bundle, bundle_bytes, load_bundle, model_from_doc,
@@ -30,14 +33,14 @@ from .linear import LinearSVMModel, LogRegModel, train_linear_svm, train_logreg
 from .mlp import MLPModel, loss_and_grad, train_mlps
 from .neighbors import KNNModel, train_knn
 from .ocsvm import KKTAudit, OneClassSVMModel, train_one_class_svms
-from .stack import StackModel, fit_stack_meta, out_of_fold, train_stack
+from .stack import StackModel, fit_stack_meta, train_stack
 from .tree import DecisionTreeModel, train_decision_tree
 
 __all__ = [
     "ALGORITHMS", "ModelSpec", "Score", "ConvergenceError",
     "derive_seed", "rng_for", "stratified_fold_ids", "validate_spec",
-    "train", "train_one_class", "train_grid", "train_stack",
-    "out_of_fold", "fit_stack_meta",
+    "train", "train_one_class", "train_grid", "held_out", "train_stack",
+    "fit_stack_meta",
     "predict", "predict_one_class", "decision_values", "check_fingerprint",
     "default_grid", "DEFAULT_GRIDS",
     "Bundle", "save_bundle", "load_bundle", "bundle_bytes",
@@ -126,6 +129,22 @@ def _fit(specs, X, y, row_sets):
         yield from ((c, f, model) for f, model in enumerate(models))
 
 
+def held_out(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray | None,
+             row_sets: list, held: list) -> list:
+    """Held-out decision values of a grid of one algorithm's cells:
+    out[c][f][b] = decision_values(model, X[held[f][b]]) for the model
+    fold_spec(specs[c], f) trained on X[row_sets[f]], y[row_sets[f]],
+    all from one cells x folds train_grid call. Each held block is
+    scored by its own call, as the bits of a row's value may depend on
+    the rows scored with it (BLAS tiling); models are dropped once
+    scored."""
+    grid = [[fold_spec(spec, f) for f in range(len(row_sets))] for spec in specs]
+    out = [[None] * len(row_sets) for _ in specs]
+    for c, f, model in train_grid(grid, X, y, row_sets):
+        out[c][f] = [decision_values(model, X[rows]) for rows in held[f]]
+    return out
+
+
 def _take(A: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """A[rows]; a row set of every row gives A itself, not a copy."""
     return A if len(rows) == len(A) else A[rows]
@@ -149,17 +168,19 @@ def check_fingerprint(model, fingerprint: str | None) -> None:
 
 
 def predict(model, x: np.ndarray, fingerprint: str | None = None) -> Score:
-    """Score one standardized feature vector with a binary model."""
+    """Score one standardized feature vector: anomalous iff the decision
+    value is >= 0, or < 0 for the one-class SVM (inlier iff >= 0)."""
     check_fingerprint(model, fingerprint)
     dv = float(decision_values(model, np.asarray(x, dtype=np.float64)[None, :])[0])
-    return Score(decision_value=dv, is_anomalous=dv >= 0.0)
+    one_class = model.spec.algorithm == "one_class_svm"
+    return Score(decision_value=dv, is_anomalous=dv < 0.0 if one_class else dv >= 0.0)
 
 
 def predict_one_class(model, x: np.ndarray, fingerprint: str | None = None) -> Score:
-    """Score one vector with the one-class SVM: Inlier iff >= 0."""
-    check_fingerprint(model, fingerprint)
-    dv = float(decision_values(model, np.asarray(x, dtype=np.float64)[None, :])[0])
-    return Score(decision_value=dv, is_anomalous=dv < 0.0)
+    """predict, for a one-class SVM only; other models raise ValueError."""
+    if model.spec.algorithm != "one_class_svm":
+        raise ValueError(f"{model.spec.algorithm} is not a one-class model")
+    return predict(model, x, fingerprint)
 
 
 DEFAULT_GRIDS: dict[str, dict] = {

@@ -23,21 +23,6 @@ __all__ = [
     "stratified_fold_ids",
 ]
 
-ALGORITHMS = (
-    "logreg",
-    "linear_svm",
-    "decision_tree",
-    "random_forest",
-    "grad_boost",
-    "gaussian_nb",
-    "knn",
-    "mlp",
-    "adaboost",
-    "stack",
-    "one_class_svm",
-)
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     algorithm: str
@@ -143,6 +128,9 @@ _HYPER_DOMAINS: dict[str, dict] = {
         "gamma": (0.5, _positive, "> 0"),
     },
 }
+
+
+ALGORITHMS = tuple(_HYPER_DOMAINS)
 
 
 def validate_spec(spec: ModelSpec) -> ModelSpec:

@@ -1,15 +1,9 @@
 """Stacked ensemble: base decision values feed a logistic meta-learner.
 
 Meta-features are produced out-of-fold so the meta-learner never sees a
-base decision value computed by a model that trained on that row.
-out_of_fold gives every binary learner's held-out values: kfold_cv
-builds its reports from it too, so the pipeline's stacks reuse the grid
-search's held-out columns. Its fold models come from one 1 x k
-train_grid call, so grad_boost and the MLP fit them together, each bit
-for bit the model it would get alone (one lockstep tree per boosting
-round, one stacked gradient step per batch), and the other learners
-fit one fold at a time. (The one-class SVM trains on ham alone, so its
-folds are evaluation.one_class_cv's.)
+base decision value computed by a model that trained on that row: each
+base's column comes from one held_out call over a 5-fold plan. The
+pipeline's stacks instead reuse the grid search's held-out columns.
 """
 
 from __future__ import annotations
@@ -18,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import (Model, ModelSpec, check_training_inputs, derive_seed, fold_spec,
+from .base import (Model, ModelSpec, check_training_inputs, derive_seed,
                    stratified_fold_ids, validate_spec)
 from .linear import LogRegModel, train_logreg
 
-__all__ = ["StackModel", "out_of_fold", "fit_stack_meta", "train_stack"]
+__all__ = ["StackModel", "fit_stack_meta", "train_stack"]
 
 _STACK_FOLDS = 5
 
@@ -44,22 +38,6 @@ class StackModel:
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         return self.probabilities(X) - 0.5
-
-
-def out_of_fold(spec: ModelSpec, X: np.ndarray, y: np.ndarray,
-                fold_of: np.ndarray) -> np.ndarray:
-    """Held-out decision values for every row: fold f's rows are scored
-    by a model trained on the other folds with seed
-    derive_seed(spec.seed, "fold", f), all from one 1 x k train_grid."""
-    from . import train_grid  # the package root dispatches
-
-    folds = np.unique(fold_of)
-    specs = [fold_spec(spec, int(fold)) for fold in folds]
-    held = [fold_of == fold for fold in folds]
-    dv = np.empty(len(y))
-    for _, f, model in train_grid([specs], X, y, [np.flatnonzero(~h) for h in held]):
-        dv[held[f]] = model.decision_values(X[held[f]])
-    return dv
 
 
 def _checked_meta(n_bases: int, meta_spec: ModelSpec) -> ModelSpec:
@@ -86,13 +64,18 @@ def fit_stack_meta(bases: list, meta_X: np.ndarray, y: np.ndarray,
 def train_stack(base_specs: list[ModelSpec], meta_spec: ModelSpec,
                 X: np.ndarray, y: np.ndarray,
                 schema_fingerprint: str | None = None) -> StackModel:
-    from . import train
+    from . import held_out, train
 
     _checked_meta(len(base_specs), meta_spec)
     check_training_inputs(X, y)
     fold_of = stratified_fold_ids(
         y, _STACK_FOLDS, derive_seed(meta_spec.seed, "stack", "folds"))
-    meta_X = np.column_stack([out_of_fold(spec, X, y, fold_of)
-                              for spec in base_specs])
+    held = [fold_of == fold for fold in np.unique(fold_of)]
+    rows = [np.flatnonzero(~h) for h in held]
+    meta_X = np.empty((len(y), len(base_specs)))
+    for j, spec in enumerate(base_specs):
+        [cell] = held_out([spec], X, y, rows, [[h] for h in held])
+        for h, (values,) in zip(held, cell):
+            meta_X[h, j] = values
     bases = [train(spec, X, y) for spec in base_specs]
     return fit_stack_meta(bases, meta_X, y, meta_spec, schema_fingerprint)

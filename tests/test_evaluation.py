@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import headerscan.evaluation as evaluation
+import headerscan.learners as learners
 from headerscan.corpus import Label
 from headerscan.evaluation import (EvalReport, balance, compute_metrics,
                                    grid_search, kfold_cv, make_scores,
@@ -472,15 +473,15 @@ def test_one_class_cv_folds(monkeypatch, n_anom):
         return {row_of[row.tobytes()] for row in M}
 
     trained, scored = [], []
-    real_train, real_score = evaluation.train_grid, evaluation.decision_values
+    real_train, real_score = learners.train_grid, learners.decision_values
 
     def train(specs, M, y, row_sets):
         assert len(specs) == 1
         trained.extend(rows(M[r]) for r in row_sets)
         return real_train(specs, M, y, row_sets)
 
-    monkeypatch.setattr(evaluation, "train_grid", train)
-    monkeypatch.setattr(evaluation, "decision_values",
+    monkeypatch.setattr(learners, "train_grid", train)
+    monkeypatch.setattr(learners, "decision_values",
                         lambda model, M: scored.append(rows(M)) or real_score(model, M))
     [report] = one_class_cv([ModelSpec("one_class_svm", {}, 3)], X, y, 4, seed=5)
 
@@ -706,8 +707,8 @@ def test_one_class_cv_fits_no_fold_without_an_anomaly(monkeypatch):
     # k = 4 and a pool of one: only fold 0 has an anomaly to score
     X, y = one_class_data(n_ham=8, n_anom=1)
     fits = []
-    real_train = evaluation.train_grid
-    monkeypatch.setattr(evaluation, "train_grid",
+    real_train = learners.train_grid
+    monkeypatch.setattr(learners, "train_grid",
                         lambda specs, M, y, row_sets: fits.extend(
                             (len(specs), len(r)) for r in row_sets)
                         or real_train(specs, M, y, row_sets))
@@ -736,6 +737,27 @@ def test_one_class_grid_matches_the_phase_cell_loop(grid):
     assert next(r for hp, r in cells if hp == want_hp) == want_report
     keys = [(r.accuracy, r.f1) for _, r in cells]
     assert len(set(keys)) < len(keys)  # the pick had a tie to break
+
+
+@pytest.mark.parametrize("algorithm,grid", [
+    ("knn", {"k": [1, 3]}),
+    ("one_class_svm", {"nu": [0.1, 0.2], "gamma": [0.1, 0.5]}),
+])
+def test_grid_search_fits_a_grid_in_one_train_grid_call(monkeypatch, algorithm, grid):
+    X, y = one_class_data()
+    tables = []
+    real_train = learners.train_grid
+
+    def train(specs, *args):
+        tables.append([[(spec.hyperparameters, spec.seed) for spec in cell]
+                       for cell in specs])
+        return real_train(specs, *args)
+
+    monkeypatch.setattr(learners, "train_grid", train)
+    _, cells = grid_search(algorithm, grid, X, y, 4, seed=3)
+    [table] = tables  # the full cells x folds table
+    assert [[hp for hp, _ in cell] for cell in table] == [[hp] * 4 for hp, _ in cells]
+    assert len({seed for cell in table for _, seed in cell}) == 4 * len(cells)
 
 
 @functools.lru_cache(maxsize=None)
@@ -769,7 +791,7 @@ def test_one_class_grid_trains_each_cell_as_the_old_solver(monkeypatch, grid, da
     X, y = data()
     ps = derive_seed(7, "phase", 3)
     folds = []  # one list of models, in cell order, per fold
-    real_train = evaluation.train_grid
+    real_train = learners.train_grid
 
     def train(*args):
         for c, f, model in real_train(*args):
@@ -777,7 +799,7 @@ def test_one_class_grid_trains_each_cell_as_the_old_solver(monkeypatch, grid, da
             folds[f].append(model)
             yield c, f, model
 
-    monkeypatch.setattr(evaluation, "train_grid", train)
+    monkeypatch.setattr(learners, "train_grid", train)
     best, cells = grid_search("one_class_svm", grid, X, y, 4, ps)
     want_models = []  # one list of models, in fold order, per cell
     want_hp, want_cells, _ = reference_one_class_grid(

@@ -799,7 +799,7 @@ FOLD_LEARNERS = [("grad_boost", {"n_trees": 20}), ("mlp", {"hidden": 16}),
                          ids=[f"{a}-{v}" for a, hp in FOLD_LEARNERS for v in hp.values()])
 def test_batched_fold_fits_match_the_per_fold_loop(n, k, data, algo, hp):
     """Fold models fitted together are, byte for byte, the models the
-    2-D reference trainers fit one fold at a time, and out_of_fold's
+    2-D reference trainers fit one fold at a time, and held_out's
     held-out values are theirs."""
     X, y = (a[:n] for a in frozen(data))
     spec = ModelSpec(algo, hp, 8)
@@ -813,10 +813,13 @@ def test_batched_fold_fits_match_the_per_fold_loop(n, k, data, algo, hp):
     schema, scaler = tiny_schema_scaler()
     assert ([bundle_bytes(m, schema, scaler, "spam") for m in got]
             == [bundle_bytes(m, schema, scaler, "spam") for m in want])
-    dv = np.empty(n)
+    dv, got_dv = np.empty(n), np.empty(n)
     for f, m in enumerate(want):
         dv[fold_of == f] = reference_fold_values(m, X[fold_of == f])
-    assert L.out_of_fold(spec, X, y, fold_of).tobytes() == dv.tobytes()
+    [cell] = L.held_out([spec], X, y, rows, [[fold_of == f] for f in range(k)])
+    for f, (values,) in enumerate(cell):
+        got_dv[fold_of == f] = values
+    assert got_dv.tobytes() == dv.tobytes()
     if algo == "grad_boost" and data is outlier_matrix:
         assert any(len({tree_depth(m.trees[r]) for m in got}) > 1 for r in range(20))
 
@@ -854,7 +857,9 @@ def test_batched_fold_fits_refuse_as_the_per_fold_loop_does(case, algo, hp):
             L.train(ModelSpec(algo, hp, derive_seed(9, "fold", f)),
                     X[fold_of != f], y[fold_of != f])
     with pytest.raises(ValueError) as got:
-        L.out_of_fold(ModelSpec(algo, hp, 9), X, y, fold_of)
+        L.held_out([ModelSpec(algo, hp, 9)], X, y,
+                   [np.flatnonzero(fold_of != f) for f in range(3)],
+                   [[fold_of == f] for f in range(3)])
     assert str(got.value) == str(want.value)
 
 
@@ -1011,6 +1016,23 @@ def test_ocsvm_decision_zero_reads_inlier():
     dv = m.decision_values(np.array([[0.0, 0.0]]))[0]
     assert dv == 0.0
     assert not L.predict_one_class(m, np.array([0.0, 0.0])).is_anomalous
+
+
+def test_predict_reads_the_verdict_rule_from_the_model():
+    # a one-class value reads inlier iff >= 0 through either call, and
+    # predict_one_class refuses a binary model rather than invert it
+    rng = np.random.default_rng(17)
+    m = L.train_one_class(ModelSpec("one_class_svm", {"nu": 0.5, "gamma": 0.5}, 0),
+                          rng.standard_normal((100, 2)))
+    for x, anomalous in (([100.0, 100.0], True), ([0.0, 0.0], False)):
+        score = L.predict(m, np.array(x))
+        assert score == L.predict_one_class(m, np.array(x))
+        assert score.is_anomalous == anomalous == (score.decision_value < 0)
+    binary = L.train(ModelSpec("knn", {"k": 1}, 0),
+                     np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]))
+    assert L.predict(binary, np.array([0.9, 0.9])).is_anomalous
+    with pytest.raises(ValueError, match="not a one-class model"):
+        L.predict_one_class(binary, np.array([0.9, 0.9]))
 
 
 def test_ocsvm_nonconvergence_raises_with_residual(monkeypatch):
