@@ -3,7 +3,8 @@
 Meta-features are produced out-of-fold so the meta-learner never sees a
 base decision value computed by a model that trained on that row: each
 base's column comes from one held_out call over a 5-fold plan. The
-pipeline's stacks instead reuse the grid search's held-out columns.
+pipeline's stacks instead reuse the grid search's held-out columns, and
+score the test with meta_decision_values on their bases' test columns.
 """
 
 from __future__ import annotations
@@ -33,11 +34,13 @@ class StackModel:
         cols = [m.decision_values(X) for m in self.bases]
         return np.column_stack(cols)
 
-    def probabilities(self, X: np.ndarray) -> np.ndarray:
-        return self.meta.probabilities(self.meta_features(X))
+    def meta_decision_values(self, meta_X: np.ndarray) -> np.ndarray:
+        """Decision values from meta-features: one column of base
+        decision values per base, in base order."""
+        return self.meta.probabilities(meta_X) - 0.5
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
-        return self.probabilities(X) - 0.5
+        return self.meta_decision_values(self.meta_features(X))
 
 
 def _checked_meta(n_bases: int, meta_spec: ModelSpec) -> ModelSpec:

@@ -6,6 +6,12 @@
 3. one-class SVM trained on ham only, tested on balanced ham plus spam
 4. one-class SVM trained on ham only, tested on balanced ham plus phishing
 
+The phases are rows of the PHASES table, and one driver runs each: split,
+fit the features, the importance stage (phase 1), a grid search and refit
+per algorithm, then the balanced test, tables, ROC file and bundle. A run
+loads only the corpora its phases read: the phishing corpus only for
+phases 2 and 4.
+
 Every random draw is seeded through derive_seed tags rooted at the config
 seed, so rerunning the same config rewrites byte-identical artifacts
 (tables, model bundles, manifest).
@@ -86,8 +92,6 @@ DEFAULT_STACKS = (
     ("mlp", "knn", "linear_svm"),
 )
 
-ONECLASS_COLUMN = {3: "Ham and Spam", 4: "Ham and Phishing"}
-
 # hyperparameters of the models that score permutation importance; the
 # forest report drives selection, the other two are informational
 IMPORTANCE_SPECS = (
@@ -96,6 +100,34 @@ IMPORTANCE_SPECS = (
     ("linear_svm", {}),
     ("mlp", {}),
 )
+
+
+@dataclass(frozen=True)
+class Phase:
+    """One experiment as data for the one phase driver: the loaded
+    records it reads ("ham_spam", or "ham_phishing": the ham plus the
+    phishing corpus), its positive label and feature set, and whether it
+    fits the one-class SVM on training ham or the nine binary learners."""
+
+    records: str
+    positive: Label
+    feature_set: str
+    one_class: bool
+    balance_first: bool = False  # class-balance the records before the split
+    select: bool = False  # importance stage, then the top-M features
+
+    @property
+    def algorithms(self) -> tuple[str, ...]:
+        return ("one_class_svm",) if self.one_class else BINARY_ALGORITHMS
+
+
+PHASES = {
+    1: Phase("ham_spam", Label.SPAM, FULL, one_class=False, select=True),
+    2: Phase("ham_phishing", Label.PHISHING, DOMAIN_MATCH_ONLY,
+             one_class=False, balance_first=True),
+    3: Phase("ham_spam", Label.SPAM, FULL, one_class=True),
+    4: Phase("ham_phishing", Label.PHISHING, FULL, one_class=True),
+}
 
 
 @dataclass(frozen=True)
@@ -260,9 +292,10 @@ def load_config(path: str, seed: int | None = None,
                  "stacking must be a non-empty list of combinations")
         normalized = []
         for combo in combos:
+            # members are known names, so strings, before set() hashes them
             _require(isinstance(combo, list) and len(combo) >= 2
-                     and len(set(combo)) == len(combo)
-                     and all(a in BINARY_ALGORITHMS for a in combo),
+                     and all(a in BINARY_ALGORITHMS for a in combo)
+                     and len(set(combo)) == len(combo),
                      f"bad stacking combination: {combo!r}")
             normalized.append(tuple(combo))
         kwargs["stacking"] = tuple(normalized)
@@ -297,7 +330,10 @@ def _load_dir(dir_path: str, label: Label) -> list[CorpusRecord]:
     return records
 
 
-def load_datasets(cfg: RunConfig, allow_empty: bool = False) -> Datasets:
+def load_datasets(cfg: RunConfig, allow_empty: bool = False,
+                  with_phishing: bool = True) -> Datasets:
+    """The ham+spam corpus, and the phishing corpus too if with_phishing
+    and one is configured (phishing_dir, or the synthetic source)."""
     info: dict = {}
     if cfg.trec_index is not None:
         records, report = load_trec_index(cfg.trec_index, cfg.trec_root)
@@ -324,6 +360,8 @@ def load_datasets(cfg: RunConfig, allow_empty: bool = False) -> Datasets:
     info["ham_spam"] = {"source": source, "count": len(records),
                         "digest": corpus_digest(records)}
 
+    if not with_phishing:
+        return Datasets(records, None, info)
     phishing = None
     if cfg.phishing_dir is not None:
         loaded = _load_dir(cfg.phishing_dir, Label.PHISHING)
@@ -375,17 +413,6 @@ def _write_roc(out_dir: str, rel: str, scores, y) -> str:
     lines = ["fpr,tpr"]
     lines += [f"{float(fpr)!r},{float(tpr)!r}" for fpr, tpr in pts]
     return _write_text(out_dir, rel, "\n".join(lines) + "\n")
-
-
-def _labels_to_y(records: list[CorpusRecord]) -> np.ndarray:
-    return np.array([0 if r.label is Label.HAM else 1 for r in records],
-                    dtype=np.int64)
-
-
-def _split_records(records, y, fraction: float, seed: int):
-    train_idx, test_idx = stratified_split(y, fraction, seed)
-    return ([records[i] for i in train_idx], y[train_idx],
-            [records[i] for i in test_idx], y[test_idx])
 
 
 def _fit_features(train_records, cfg: RunConfig, feature_set: str):
@@ -440,183 +467,162 @@ def _balanced_test(test_records, yte, schema, scaler, ps: int):
     return apply_scaler(Xb, scaler), yte[bal]
 
 
-def _grid_record(spec: ModelSpec, cells, key: str):
-    """The manifest block of one grid search, with the winning cell's
-    report under key, and that report."""
-    report = next(r for hp, r in cells if hp == spec.hyperparameters)
-    return {"best_hyperparameters": spec.hyperparameters,
-            key: report_to_dict(report, include_folds=True),
-            "cells": [{"hyperparameters": hp, "accuracy": r.accuracy}
-                      for hp, r in cells]}, report
-
-
-def _save_best(best: tuple, yb, schema, scaler, positive: Label,
-               out_dir: str, phase_no: int, entry: dict) -> None:
-    """Save and record the winner: (name, model, test scores, report)."""
-    name, model, scores, report = best
-    model_rel = f"models/phase{phase_no}.model.json"
-    save_bundle(os.path.join(out_dir, model_rel), model, schema, scaler,
-                positive.value)
-    entry["best"] = {"name": name, "test": report_to_dict(report),
-                     "model_file": model_rel}
-    entry["roc_file"] = _write_roc(out_dir, f"roc/phase{phase_no}.csv",
-                                   scores, yb)
-
-
-def _binary_phase(records, positive: Label, phase_no: int, feature_set: str,
-                  cfg: RunConfig, out_dir: str, select: bool,
-                  balance_first: bool) -> dict:
-    ps = derive_seed(cfg.seed, "phase", phase_no)
-    y = _labels_to_y(records)
-    if balance_first:
+def _phase_prefix(no: int, records, cfg: RunConfig, out_dir: str):
+    """A phase up to its grid: split, fit the features and, if the phase
+    selects, the importance stage. Returns the phase seed, the manifest
+    entry so far, the training matrix and labels, the schema, the scaler
+    and the test split. A one-class phase fits its features on the
+    training ham, whose rows come first in the matrix, and the training
+    anomalies follow as the grid's validation pool."""
+    phase = PHASES[no]
+    ps = derive_seed(cfg.seed, "phase", no)
+    y = np.array([r.label is not Label.HAM for r in records], dtype=np.int64)
+    if phase.balance_first:
         keep = np.sort(balance(y, derive_seed(ps, "prebalance")))
-        records = [records[i] for i in keep]
-        y = y[keep]
-    train_records, ytr, test_records, yte = _split_records(
-        records, y, cfg.test_fraction, derive_seed(ps, "split"))
-    schema, scaler, X, dropped = _fit_features(train_records, cfg, feature_set)
+        records, y = [records[i] for i in keep], y[keep]
+    train_idx, test_idx = stratified_split(y, cfg.test_fraction,
+                                           derive_seed(ps, "split"))
+    train_records, ytr = [records[i] for i in train_idx], y[train_idx]
+    test = ([records[i] for i in test_idx], y[test_idx])
+    pool = None
+    if phase.one_class:
+        pool = [r for r, flag in zip(train_records, ytr) if flag]
+        train_records = [r for r, flag in zip(train_records, ytr) if not flag]
+        counts = {"train_ham": len(train_records), "validation_pool": len(pool)}
+    else:
+        counts = {"train": len(train_records)}
+    schema, scaler, X, dropped = _fit_features(train_records, cfg,
+                                               phase.feature_set)
+    if pool is not None:
+        X = np.vstack([X, apply_scaler(extract_matrix(pool, schema), scaler)])
+        ytr = np.repeat([0, 1], [len(train_records), len(pool)])
 
-    entry: dict = {
-        "positive_label": positive.value,
-        "counts": {"train": len(train_records), "test": len(test_records)},
-        "feature_count": len(schema.descriptors),
-        "dropped_single_valued": list(dropped),
-        "tables": {},
-    }
-    if select:
+    entry: dict = {"positive_label": phase.positive.value,
+                   "counts": {**counts, "test": len(test[1])},
+                   "feature_count": len(schema.descriptors),
+                   "dropped_single_valued": list(dropped), "tables": {}}
+    if phase.select:
         X, schema, scaler = _importance_stage(
-            X, ytr, schema, scaler, cfg, ps, out_dir, phase_no, entry)
+            X, ytr, schema, scaler, cfg, ps, out_dir, no, entry)
     entry["schema_fingerprint"] = schema.fingerprint
+    return ps, entry, X, ytr, schema, scaler, test
 
+
+def _phase_grid(cfg: RunConfig, algorithm: str, d: int) -> dict:
+    """The grid searched for algorithm: the config's, else the default.
+    A one-class gamma of "auto" stands for 1/d; a value listed twice is
+    searched once."""
+    if algorithm != "one_class_svm":
+        return cfg.grids[algorithm] if algorithm in cfg.grids else default_grid(algorithm)
+    raw = cfg.one_class_grid or default_grid(algorithm)
+    return {"nu": [float(v) for v in raw["nu"]],
+            "gamma": list(dict.fromkeys(1.0 / d if v == "auto" else float(v)
+                                        for v in raw["gamma"]))}
+
+
+def _run_phase(no: int, records, cfg: RunConfig, out_dir: str) -> dict:
+    """Run phase no of PHASES on its records and write its artifacts: the
+    shared prefix, a grid search and a refit per algorithm, the balanced
+    test, the report tables, the ROC file and the best model's bundle.
+    Returns the phase's manifest entry."""
+    phase = PHASES[no]
+    one_class = phase.one_class
+    ps, entry, X, y, schema, scaler, test = _phase_prefix(no, records, cfg,
+                                                          out_dir)
     # one fold plan for every algorithm, so the winning cells' held-out
     # columns line up row for row and feed the stacks' meta-learners
-    grid_entry: dict = {}
-    models: dict[str, object] = {}
-    oof: dict[str, tuple] = {}
-    for algo in BINARY_ALGORITHMS:
-        grid = cfg.grids[algo] if algo in cfg.grids else default_grid(algo)
-        spec, cells = grid_search(algo, grid, X, ytr, cfg.cv_folds,
-                                  derive_seed(ps, "grid"))
-        grid_entry[algo], cv_report = _grid_record(spec, cells, "cv")
-        oof[algo] = cv_report.oof_values
-        models[algo] = train(
-            ModelSpec(algo, spec.hyperparameters,
-                      derive_seed(ps, "refit", algo)),
-            X, ytr, schema.fingerprint)
-    entry["grid"] = grid_entry
+    grid_seed = ps if one_class else derive_seed(ps, "grid")
+    entry["grid"], models, oof = {}, {}, {}
+    for algo in phase.algorithms:
+        spec, cells = grid_search(algo, _phase_grid(cfg, algo, X.shape[1]),
+                                  X, y, cfg.cv_folds, grid_seed)
+        report = next(r for hp, r in cells if hp == spec.hyperparameters)
+        entry["grid"][algo] = {
+            "best_hyperparameters": spec.hyperparameters,
+            "validation" if one_class else "cv":
+                report_to_dict(report, include_folds=True),
+            "cells": [{"hyperparameters": hp, "accuracy": r.accuracy}
+                      for hp, r in cells]}
+        oof[algo] = report.oof_values
+        if one_class:  # the anomalies only validate: refit on the ham
+            models[algo] = train_one_class(
+                ModelSpec(algo, spec.hyperparameters, derive_seed(ps, "refit")),
+                X[y == 0], schema.fingerprint)
+        else:
+            models[algo] = train(
+                ModelSpec(algo, spec.hyperparameters,
+                          derive_seed(ps, "refit", algo)),
+                X, y, schema.fingerprint)
 
-    Xb, yb = _balanced_test(test_records, yte, schema, scaler, ps)
+    Xb, yb = _balanced_test(*test, schema, scaler, ps)
     entry["counts"]["balanced_test"] = len(yb)
-
+    # each model scores the balanced test once; the stacks reuse its columns
+    values = {algo: decision_values(models[algo], Xb) for algo in phase.algorithms}
     candidates = []  # (name, model, scores, report)
 
-    def assess(name: str, model, reports: dict, rows: list, row_name: str) -> None:
-        scores = make_scores(decision_values(model, Xb))
+    def assess(name: str, model, dv, reports: dict, rows: list, row_name: str) -> None:
+        scores = make_scores(dv, one_class=one_class)
         report = compute_metrics(scores, yb)
         reports[name] = report_to_dict(report)
         rows.append((row_name, report))
         candidates.append((name, model, scores, report))
 
+    style = "oneclass" if one_class else "binary"
     rows = []
     entry["test"] = {}
-    for algo in BINARY_ALGORITHMS:
-        assess(algo, models[algo], entry["test"], rows, DISPLAY_NAMES[algo])
-    entry["tables"]["binary"] = _write_table(
-        out_dir, f"reports/phase{phase_no}_binary", render_table(rows, "binary"))
+    for algo in phase.algorithms:
+        # a one-class table has a column per test set, not a row per model
+        row_name = (f"Ham and {phase.positive.value.capitalize()}"
+                    if one_class else DISPLAY_NAMES[algo])
+        assess(algo, models[algo], values[algo], entry["test"], rows, row_name)
+    entry["tables"][style] = _write_table(
+        out_dir, f"reports/phase{no}_{style}", render_table(rows, style))
 
-    stack_rows = []
-    entry["stacking"] = {}
-    for i, combo in enumerate(cfg.stacking):
-        meta = ModelSpec("logreg", {}, derive_seed(ps, "stack", i, "meta"))
-        model = fit_stack_meta([models[a] for a in combo],
-                               np.column_stack([oof[a] for a in combo]),
-                               ytr, meta, schema.fingerprint)
-        name = ", ".join(SHORT_NAMES[a] for a in combo)
-        assess(name, model, entry["stacking"], stack_rows, name)
-    entry["tables"]["stacking"] = _write_table(
-        out_dir, f"reports/phase{phase_no}_stacking",
-        render_table(stack_rows, "stacking"))
+    if not one_class:
+        stack_rows = []
+        entry["stacking"] = {}
+        for i, combo in enumerate(cfg.stacking):
+            meta = ModelSpec("logreg", {}, derive_seed(ps, "stack", i, "meta"))
+            model = fit_stack_meta([models[a] for a in combo],
+                                   np.column_stack([oof[a] for a in combo]),
+                                   y, meta, schema.fingerprint)
+            dv = model.meta_decision_values(
+                np.column_stack([values[a] for a in combo]))
+            name = ", ".join(SHORT_NAMES[a] for a in combo)
+            assess(name, model, dv, entry["stacking"], stack_rows, name)
+        entry["tables"]["stacking"] = _write_table(
+            out_dir, f"reports/phase{no}_stacking",
+            render_table(stack_rows, "stacking"))
 
     # max keeps the first of equal keys: a tie goes to the earlier row
-    best = max(candidates, key=lambda c: (c[3].accuracy, c[3].f1))
-    _save_best(best, yb, schema, scaler, positive, out_dir, phase_no, entry)
-    return entry
-
-
-def _resolve_gamma(values, d: int) -> list[float]:
-    # "auto" stands for 1/d; a value listed twice is searched once
-    return list(dict.fromkeys(1.0 / d if v == "auto" else float(v)
-                              for v in values))
-
-
-def _one_class_phase(records, positive: Label, phase_no: int, cfg: RunConfig,
-                     out_dir: str) -> dict:
-    ps = derive_seed(cfg.seed, "phase", phase_no)
-    y = _labels_to_y(records)
-    train_records, ytr, test_records, yte = _split_records(
-        records, y, cfg.test_fraction, derive_seed(ps, "split"))
-    ham_records = [r for r, flag in zip(train_records, ytr) if flag == 0]
-    anom_records = [r for r, flag in zip(train_records, ytr) if flag == 1]
-
-    schema, scaler, Xh, dropped = _fit_features(ham_records, cfg, FULL)
-    Xa = apply_scaler(extract_matrix(anom_records, schema), scaler)
-    d = Xh.shape[1]
-
-    raw_grid = cfg.one_class_grid or default_grid("one_class_svm")
-    grid = {"nu": [float(v) for v in raw_grid["nu"]],
-            "gamma": _resolve_gamma(raw_grid["gamma"], d)}
-
-    # model selection on the training half only: the anomalies are a
-    # validation pool, never training rows (see one_class_cv)
-    spec, cells = grid_search("one_class_svm", grid, np.vstack([Xh, Xa]),
-                              [0] * len(Xh) + [1] * len(Xa), cfg.cv_folds, ps)
-    grid_block, _ = _grid_record(spec, cells, "validation")
-    model = train_one_class(
-        ModelSpec("one_class_svm", spec.hyperparameters,
-                  derive_seed(ps, "refit")),
-        Xh, schema.fingerprint)
-
-    Xb, yb = _balanced_test(test_records, yte, schema, scaler, ps)
-    scores = make_scores(decision_values(model, Xb), one_class=True)
-    test_report = compute_metrics(scores, yb)
-
-    entry = {
-        "positive_label": positive.value,
-        "counts": {"train_ham": len(ham_records),
-                   "validation_pool": len(anom_records),
-                   "test": len(test_records),
-                   "balanced_test": len(yb)},
-        "feature_count": d,
-        "dropped_single_valued": list(dropped),
-        "schema_fingerprint": schema.fingerprint,
-        "grid": {"one_class_svm": grid_block},
-        "test": {"one_class_svm": report_to_dict(test_report)},
-        "tables": {},
-    }
-    entry["tables"]["oneclass"] = _write_table(
-        out_dir, f"reports/phase{phase_no}_oneclass",
-        render_table([(ONECLASS_COLUMN[phase_no], test_report)], "oneclass"))
-    _save_best(("one_class_svm", model, scores, test_report), yb, schema,
-               scaler, positive, out_dir, phase_no, entry)
+    name, model, scores, report = max(candidates,
+                                      key=lambda c: (c[3].accuracy, c[3].f1))
+    model_rel = f"models/phase{no}.model.json"
+    save_bundle(os.path.join(out_dir, model_rel), model, schema, scaler,
+                phase.positive.value)
+    entry["best"] = {"name": name, "test": report_to_dict(report),
+                     "model_file": model_rel}
+    entry["roc_file"] = _write_roc(out_dir, f"roc/phase{no}.csv", scores, yb)
     return entry
 
 
 def run_phases(cfg: RunConfig, phases=None) -> dict:
     """Run the requested phases (default all four) and write artifacts.
 
-    The manifest is rewritten after each phase, so results from phases
-    that completed survive a later failure. Returns the manifest dict.
+    Only the corpora the requested phases read are loaded. The manifest
+    is rewritten after each phase, so results from phases that completed
+    survive a later failure. Returns the manifest dict.
     """
-    wanted = sorted(set(phases if phases else (1, 2, 3, 4)))
+    wanted = sorted(set(phases if phases else PHASES))
     for p in wanted:
-        if p not in (1, 2, 3, 4):
+        if p not in PHASES:
             raise ValueError(f"unknown phase {p}")
     out_dir = cfg.output_dir
     for sub in ("reports", "models", "importance", "roc"):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
 
-    datasets = load_datasets(cfg)
-    needs_phishing = any(p in wanted for p in (2, 4))
+    needs_phishing = any(PHASES[p].records == "ham_phishing" for p in wanted)
+    datasets = load_datasets(cfg, with_phishing=needs_phishing)
     if needs_phishing and datasets.phishing is None:
         raise ValueError("phases 2 and 4 need a phishing corpus "
                          "(phishing_dir or synthetic datasets)")
@@ -628,27 +634,15 @@ def run_phases(cfg: RunConfig, phases=None) -> dict:
         "datasets": datasets.info,
         "phases": {},
     }
-    ham_phish = None
+    corpora = {"ham_spam": datasets.ham_spam}
     if needs_phishing:
-        a_ham = [r for r in datasets.ham_spam if r.label is Label.HAM]
-        ham_phish = sorted(a_ham + datasets.phishing, key=lambda r: r.id)
+        ham = [r for r in datasets.ham_spam if r.label is Label.HAM]
+        corpora["ham_phishing"] = sorted(ham + datasets.phishing,
+                                         key=lambda r: r.id)
 
     for p in wanted:
         log.info("phase %d starting", p)
-        if p == 1:
-            entry = _binary_phase(datasets.ham_spam, Label.SPAM, 1, FULL,
-                                  cfg, out_dir, select=True,
-                                  balance_first=False)
-        elif p == 2:
-            entry = _binary_phase(ham_phish, Label.PHISHING, 2,
-                                  DOMAIN_MATCH_ONLY, cfg, out_dir,
-                                  select=False, balance_first=True)
-        elif p == 3:
-            entry = _one_class_phase(datasets.ham_spam, Label.SPAM, 3,
-                                     cfg, out_dir)
-        else:
-            entry = _one_class_phase(ham_phish, Label.PHISHING, 4,
-                                     cfg, out_dir)
+        entry = _run_phase(p, corpora[PHASES[p].records], cfg, out_dir)
         manifest["phases"][str(p)] = entry
         _write_text(out_dir, "manifest.json",
                     json.dumps(manifest, sort_keys=True, indent=1) + "\n")
@@ -658,16 +652,9 @@ def run_phases(cfg: RunConfig, phases=None) -> dict:
 
 
 def run_importance(cfg: RunConfig) -> dict:
-    """The phase-1 importance stage on its own: same split, same seeds,
-    so its tables match what a full run would write."""
+    """Phase 1's prefix on its own, loading ham and spam only: the same
+    split, features and seeds, so its importance tables are byte for
+    byte those a full run writes. Returns phase 1's entry so far."""
     os.makedirs(os.path.join(cfg.output_dir, "importance"), exist_ok=True)
-    datasets = load_datasets(cfg)
-    ps = derive_seed(cfg.seed, "phase", 1)
-    y = _labels_to_y(datasets.ham_spam)
-    train_records, ytr, _test_records, _yte = _split_records(
-        datasets.ham_spam, y, cfg.test_fraction, derive_seed(ps, "split"))
-    schema, scaler, X, _dropped = _fit_features(train_records, cfg, FULL)
-    entry: dict = {}
-    _importance_stage(X, ytr, schema, scaler, cfg, ps, cfg.output_dir, 1,
-                      entry)
-    return entry
+    datasets = load_datasets(cfg, with_phishing=False)
+    return _phase_prefix(1, datasets.ham_spam, cfg, cfg.output_dir)[1]

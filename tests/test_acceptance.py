@@ -230,6 +230,12 @@ def test_criterion_5_importance_sanity(capfd, synthetic_run):
         assert len(select_top_m(report, 10_000)) == len(report.feature_names)
 
 
+def test_phases_1_and_3_load_no_phishing_corpus(synthetic_run):
+    # neither phase reads phishing, so the run neither builds nor lists it
+    _cfg, manifest, _elapsed = synthetic_run
+    assert set(manifest["datasets"]) == {"ham_spam"}
+
+
 # ------------------------------------------------------- criterion 6
 
 

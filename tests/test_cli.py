@@ -51,13 +51,33 @@ def test_phase_one_artifacts(tmp_path):
     # JSON's true and Infinity are no numbers: k = true must not run as 1
     {"grids": {"knn": {"k": [True]}}},
     {"one_class_grid": {"nu": [0.1], "gamma": [float("inf")]}},
-], ids=["mlp-epochs", "gamma-fast", "k-true", "gamma-infinity"])
+    # a member set() cannot hash must not end in a TypeError traceback
+    {"stacking": [["knn", {"a": 1}]]},
+    {"stacking": [["knn", ["mlp"]]]},
+], ids=["mlp-epochs", "gamma-fast", "k-true", "gamma-infinity",
+        "stacking-object", "stacking-list"])
 def test_run_rejects_a_bad_grid_before_any_output(tmp_path, capsys, bad):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(small_config(tmp_path / "out", **bad)))
     assert main(["run", "--config", str(config_path)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_commands_load_only_the_corpora_they_read(tmp_path, capsys):
+    empty = tmp_path / "phishing"
+    empty.mkdir()
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(small_config(tmp_path / "out",
+                                                   phishing_dir=str(empty))))
+    # phase 3 and the importance tables read ham and spam only
+    assert main(["run", "--config", str(config_path), "--phase", "3"]) == 0
+    manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+    assert set(manifest["datasets"]) == {"ham_spam"}
+    assert main(["importance", "--config", str(config_path)]) == 0
+    # phase 4 reads the phishing corpus, which is empty
+    assert main(["run", "--config", str(config_path), "--phase", "4"]) == 1
+    assert "phishing corpus is empty" in capsys.readouterr().err
 
 
 def test_ingest_cache(cli_run, capsys):
@@ -270,7 +290,7 @@ def test_classify_error_exits(cli_run, tmp_path, capsys):
 
 
 def test_importance_command(cli_run, tmp_path, capsys):
-    config_path, _ = cli_run
+    config_path, full = cli_run
     doc = json.load(open(config_path))
     doc["output_dir"] = str(tmp_path / "out")
     moved = tmp_path / "config.json"
@@ -280,6 +300,13 @@ def test_importance_command(cli_run, tmp_path, capsys):
     assert stdout.splitlines()[0].startswith("Feature")
     assert os.path.isfile(tmp_path / "out" / "importance" /
                           "phase1_random_forest.csv")
+    # the same tables, byte for byte, as the full run of the same config
+    names = sorted(os.listdir(os.path.join(full, "importance")))
+    assert len(names) == 6 and all(n.startswith("phase1_") for n in names)
+    assert sorted(os.listdir(tmp_path / "out" / "importance")) == names
+    for name in names:
+        with open(os.path.join(full, "importance", name), "rb") as fh:
+            assert (tmp_path / "out" / "importance" / name).read_bytes() == fh.read()
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

@@ -83,6 +83,8 @@ def test_manifest_contents(full_run):
     assert manifest["config"] == config_to_dict(cfg)
     assert manifest["datasets"]["ham_spam"]["count"] == 160
     assert len(manifest["datasets"]["ham_spam"]["digest"]) == 64
+    # phases 2 and 4 read the phishing corpus, so the manifest lists it
+    assert manifest["datasets"]["phishing"]["count"] > 0
     for number, entry in manifest["phases"].items():
         fp = entry["schema_fingerprint"]
         assert len(fp) == 16 and int(fp, 16) >= 0
@@ -145,6 +147,52 @@ def test_stacking_adds_no_base_fits(tmp_path, monkeypatch):
                 for entry in manifest["phases"]["1"]["grid"].values())
     assert cells == 9
     assert len(calls) == cells * cfg.cv_folds + 9 + 3
+
+
+def test_stacks_score_the_test_from_their_bases_columns(tmp_path, monkeypatch):
+    """Each refit base scores the balanced test once, and each stack's
+    test values, computed from those columns, are bit for bit what
+    scoring the stack on the balanced test gives."""
+    from headerscan import learners
+
+    scored, stacks, tests = [], [], []
+
+    def recording(method):
+        def wrapper(self, X):
+            scored.append((self, X))
+            return method(self, X)
+        return wrapper
+
+    for cls in (learners.LogRegModel, learners.LinearSVMModel,
+                learners.DecisionTreeModel, learners.RandomForestModel,
+                learners.GradBoostModel, learners.AdaBoostModel,
+                learners.GaussianNBModel, learners.KNNModel, learners.MLPModel):
+        monkeypatch.setattr(cls, "decision_values", recording(cls.decision_values))
+    meta_decision_values = learners.StackModel.meta_decision_values
+
+    def recording_meta(self, meta_X):
+        stacks.append((self, meta_decision_values(self, meta_X)))
+        return stacks[-1][1]
+
+    def recording_test(*args):
+        tests.append(balanced_test(*args))
+        return tests[-1]
+
+    balanced_test = pipeline._balanced_test
+    monkeypatch.setattr(learners.StackModel, "meta_decision_values", recording_meta)
+    monkeypatch.setattr(pipeline, "_balanced_test", recording_test)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(small_config(tmp_path / "out")))
+    run_phases(load_config(str(config_path)), [1])
+    monkeypatch.undo()
+
+    [(Xb, _yb)] = tests
+    assert len(stacks) == len(DEFAULT_STACKS)
+    for stack, values in stacks:
+        assert values.tobytes() == learners.decision_values(stack, Xb).tobytes()
+        for base in stack.bases:
+            calls = [X for model, X in scored if model is base]
+            assert len(calls) == 1 and np.array_equal(calls[0], Xb)
 
 
 def test_tables_agree_with_manifest(full_run):
@@ -321,9 +369,9 @@ def test_phases_3_and_4_compute_each_records_facts_once(tmp_path, monkeypatch):
         loaded.extend(datasets.ham_spam + datasets.phishing)
         return datasets
 
-    def recording_phase(records, positive, phase_no, *args):
+    def recording_phase(phase_no, *args):
         phases.append(phase_no)
-        return one_class_phase(records, positive, phase_no, *args)
+        return run_phase(phase_no, *args)
 
     def recording_extract(records, schema):
         facts_in[phases[-1]].update((r.id, r.facts) for r in records)
@@ -333,12 +381,12 @@ def test_phases_3_and_4_compute_each_records_facts_once(tmp_path, monkeypatch):
         finally:
             extracting.pop()
 
-    one_class_phase = pipeline._one_class_phase
+    run_phase = pipeline._run_phase
     extract_matrix = pipeline.extract_matrix
     monkeypatch.setattr(corpus, "header_facts", counting_facts)
     monkeypatch.setattr(features, "header_facts", counting_facts)
     monkeypatch.setattr(pipeline, "load_datasets", recording_load)
-    monkeypatch.setattr(pipeline, "_one_class_phase", recording_phase)
+    monkeypatch.setattr(pipeline, "_run_phase", recording_phase)
     monkeypatch.setattr(pipeline, "extract_matrix", recording_extract)
     run_phases(cfg, [3, 4])
     assert phases == [3, 4]
