@@ -76,7 +76,7 @@ def test_commands_load_only_the_corpora_they_read(tmp_path, capsys):
     assert set(manifest["datasets"]) == {"ham_spam"}
     assert main(["importance", "--config", str(config_path)]) == 0
     # phase 4 reads the phishing corpus, which is empty
-    assert main(["run", "--config", str(config_path), "--phase", "4"]) == 1
+    assert main(["run", "--config", str(config_path), "--phase", "4"]) != 0
     assert "phishing corpus is empty" in capsys.readouterr().err
 
 
