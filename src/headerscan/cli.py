@@ -23,7 +23,7 @@ from .corpus import header_frequencies, top_k_fields
 from .features import apply_scaler, extract
 from .headers import parse_headers
 from .learners import load_bundle, predict
-from .pipeline import load_config, load_datasets, run_importance, run_phases
+from .pipeline import DataError, load_config, load_datasets, run_importance, run_phases
 
 log = logging.getLogger(__name__)
 
@@ -115,6 +115,8 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
     try:
         manifest = run_phases(cfg, _PHASES[args.phase])
+    except DataError:
+        raise  # found while loading, before any phase: main exits 2
     except Exception as exc:
         print(f"error: phase failed: {exc}", file=sys.stderr)
         return 1

@@ -126,18 +126,18 @@ def load_trec_index(index_path: str, root: str) -> tuple[list[CorpusRecord], Loa
 
 
 def _split_mbox(raw: bytes) -> list[bytes]:
-    """Split an mbox blob at every line starting "From "."""
+    """Split an mbox blob at every line starting "From ": a member is the
+    text between two, less its last newline, if any line lies between."""
+    text = b"\n" + raw  # so that every line starts after a newline
     messages: list[bytes] = []
-    current: list[bytes] = []
-    for line in raw.split(b"\n"):
-        if line.startswith(b"From "):
-            if current:
-                messages.append(b"\n".join(current))
-            current = []
-            continue
-        current.append(line)
-    if current:
-        messages.append(b"\n".join(current))
+    start = 1  # where the current member's first line starts
+    while (envelope := text.find(b"\nFrom ", start - 1)) >= 0:
+        if envelope >= start:
+            messages.append(text[start:envelope])
+        start = text.find(b"\n", envelope + 1) + 1
+        if start == 0:
+            return messages  # the last envelope line has no newline
+    messages.append(text[start:])
     return messages
 
 

@@ -1,8 +1,11 @@
 """Tolerant RFC 5322 header parsing.
 
 Everything here operates on the header block only (up to the first blank
-line).  The parser never rejects input: any byte sequence produces an
-EmailHeader, with junk lines tallied in ``malformed_line_count``.
+line): parse_headers decodes and splits nothing after it.  The parser
+never rejects input: any byte sequence produces an EmailHeader, with junk
+lines tallied in ``malformed_line_count``.  header_facts computes only
+what feature extraction reads: no date epoch, no dict of every field and
+no ParsedAddress for an address that is only counted.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import calendar
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import count, product, repeat
 from typing import NamedTuple
 
 __all__ = [
@@ -82,54 +86,56 @@ class ReceivedHop:
     date: DateStamp | None = None
 
 
-# Lines may be terminated by CRLF, bare LF, or bare CR.  str.splitlines is
-# not used because it also breaks on form feeds and other control
-# characters, which must survive inside values byte-for-byte.
-_LINE_SPLIT = re.compile(r"\r\n|\r|\n")
-
-
-def _decode(raw: bytes | str) -> str:
-    if isinstance(raw, bytes):
-        # 1:1 byte-to-codepoint decode; nothing is ever rejected.
-        return raw.decode("latin-1")
-    return raw
-
-
 def parse_headers(raw: bytes | str) -> EmailHeader:
     """Parse the header block of a raw message.
 
-    Continuation lines (leading space/tab) are unfolded into the previous
-    field with the fold replaced by a single space.  Lines with no colon,
-    an empty field name, or a continuation with nothing to continue are
-    counted as malformed and skipped.  Encoded words are left verbatim.
+    Nothing after the block is decoded or split.  Bytes decode as latin-1,
+    one byte to one code point, so nothing is ever rejected.  Lines may
+    end in CRLF, bare LF or bare CR (not str.splitlines: it also breaks
+    on form feeds and other control characters, which must survive inside
+    values byte-for-byte).  Continuation lines (leading space/tab) are
+    unfolded into the previous field with the fold replaced by a single
+    space.  Lines with no colon, an empty field name, or a continuation
+    with nothing to continue are counted as malformed and skipped.
+    Encoded words are left verbatim.
     """
-    text = _decode(raw)
-    fields: list[HeaderField] = []
+    is_bytes = isinstance(raw, bytes)
+    end = len(raw)
+    # A blank line is two line ends in a row: LF CR, LF LF or CR CR.  Cut
+    # at the first of the first two; the loop stops at one of bare CRs.
+    for blank in ((b"\n\r", b"\n\n") if is_bytes else ("\n\r", "\n\n")):
+        at = raw.find(blank, 0, end)
+        if at >= 0:
+            end = at
+    text = raw[:end].decode("latin-1") if is_bytes else raw[:end]
+    names: list[str] = []
+    values: list[str] = []
     malformed = 0
-    cur_name: str | None = None
-    cur_value = ""
-    for line in _LINE_SPLIT.split(text):
-        if line == "":
+    value = None  # the value of the field being read; None outside one
+    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+        if not line:
             break  # header/body boundary
         if line[0] in " \t":
-            if cur_name is None:
+            if value is None:
                 malformed += 1
             else:
-                cur_value += " " + line.lstrip(" \t")
+                value += " " + line.lstrip(" \t")
             continue
-        if cur_name is not None:
-            fields.append(HeaderField(cur_name, cur_value.strip(" \t"), len(fields)))
-            cur_name = None
-        idx = line.find(":")
-        name = line[:idx].strip(" \t") if idx >= 0 else ""
-        if not name:
+        if value is not None:
+            values.append(value)
+        name, colon, value = line.partition(":")
+        name = name.strip(" \t")
+        if name and colon:
+            names.append(name.lower())
+        else:
             malformed += 1
-            continue
-        cur_name = name.lower()
-        cur_value = line[idx + 1 :]
-    if cur_name is not None:
-        fields.append(HeaderField(cur_name, cur_value.strip(" \t"), len(fields)))
-    return EmailHeader(fields, malformed)
+            value = None
+    if value is not None:
+        values.append(value)
+    fields = zip(names, map(str.strip, values, repeat(" \t")), count())
+    # tuple.__new__ builds each HeaderField without the NamedTuple wrapper
+    return EmailHeader(list(map(tuple.__new__, repeat(HeaderField), fields)),
+                       malformed)
 
 
 def serialize_headers(header: EmailHeader) -> bytes:
@@ -146,6 +152,9 @@ def serialize_headers(header: EmailHeader) -> bytes:
 _TOP_STOPS = re.compile(r'["(]')
 _QUOTED_STOPS = re.compile(r'["\\]')
 _COMMENT_STOPS = re.compile(r'[()\\]')
+_INNERMOST_COMMENT = re.compile(r"\([^()]*\)")
+# what the top-level splitter's state turns on, separators from ",;:"
+_SPLIT_STOPS = re.compile(r'["\\<>,;:]')
 
 
 def _strip_comments(text: str) -> str:
@@ -155,6 +164,14 @@ def _strip_comments(text: str) -> str:
     Unclosed quotes and comments run to the end of the text.
     """
     if "(" not in text:
+        return text
+    if '"' not in text and "\\" not in text:
+        # parens only: drop innermost comments while any is left; a '('
+        # that then remains starts an unclosed comment
+        while "(" in text:
+            text, dropped = _INNERMOST_COMMENT.subn("", text)
+            if not dropped:
+                return text.partition("(")[0]
         return text
     out = []
     n = len(text)
@@ -190,39 +207,31 @@ def _strip_comments(text: str) -> str:
 
 def _split_top_level(text: str, seps: str) -> list[str]:
     """Split on separator chars that sit outside quotes and angle brackets."""
-    if not any(sep in text for sep in seps):
+    if not any(map(text.__contains__, seps)):
         return [text]
     parts = []
-    buf = []
+    start = skip = angle = 0
     in_quote = False
-    angle = 0
-    i = 0
-    while i < len(text):
+    for m in _SPLIT_STOPS.finditer(text):
+        i = m.start()
+        if i < skip:
+            continue  # escaped by a backslash inside quotes
         c = text[i]
         if in_quote:
-            buf.append(c)
-            if c == "\\" and i + 1 < len(text):
-                buf.append(text[i + 1])
-                i += 2
-                continue
-            if c == '"':
+            if c == "\\":
+                skip = i + 2
+            elif c == '"':
                 in_quote = False
         elif c == '"':
             in_quote = True
-            buf.append(c)
         elif c == "<":
             angle += 1
-            buf.append(c)
         elif c == ">":
             angle = max(0, angle - 1)
-            buf.append(c)
         elif angle == 0 and c in seps:
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(c)
-        i += 1
-    parts.append("".join(buf))
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
     return parts
 
 
@@ -241,11 +250,35 @@ def _parse_addr_spec(text: str) -> tuple[str, str] | None:
         return None
     local = text[:at].strip()
     domain = text[at + 1 :].strip().lower()
-    if not local or not domain:
-        return None
-    if any(c in domain for c in " \t@<>,"):
+    if not local or not domain or any(map(domain.__contains__, " \t@<>,")):
         return None
     return local, domain
+
+
+def _addresses(raw_value: str) -> list[tuple[str, str, str | None]]:
+    """(local part, domain, the text before the angle-addr or None for a
+    bare addr-spec) of each address parse_address_list keeps."""
+    addresses = []
+    for item in _split_top_level(_strip_comments(raw_value), ",;"):
+        # Group syntax: drop the "name:" label and keep the members, so
+        # "undisclosed-recipients:;" flattens to nothing.  Colons inside
+        # quotes and angle brackets are protected by the splitter.
+        item = _split_top_level(item, ":")[-1].strip()
+        if not item:
+            continue
+        lt = item.rfind("<")
+        before = None if lt < 0 else item[:lt]
+        if lt >= 0:
+            gt = item.find(">", lt)
+            item = item[lt + 1 :] if gt < 0 else item[lt + 1 : gt]
+            # Drop an obsolete source route ("@a,@b:user@c") if present;
+            # routes always start with '@'.
+            if item.lstrip().startswith("@") and ":" in item:
+                item = item[item.rfind(":") + 1 :]
+        spec = _parse_addr_spec(item)
+        if spec is not None:
+            addresses.append((*spec, before))
+    return addresses
 
 
 def parse_address_list(raw_value: str) -> list[ParsedAddress]:
@@ -255,35 +288,9 @@ def parse_address_list(raw_value: str) -> list[ParsedAddress]:
     syntax (group members are flattened; an empty group yields nothing).
     Unparseable items are dropped rather than raised.
     """
-    text = _strip_comments(raw_value)
-
-    addresses: list[ParsedAddress] = []
-    for item in _split_top_level(text, ",;"):
-        # Group syntax: drop the "name:" label and keep the members, so
-        # "undisclosed-recipients:;" flattens to nothing.  Colons inside
-        # quotes and angle brackets are protected by the splitter.
-        item = _split_top_level(item, ":")[-1].strip()
-        if not item:
-            continue
-        lt = item.rfind("<")
-        if lt >= 0:
-            gt = item.find(">", lt)
-            inner = item[lt + 1 :] if gt < 0 else item[lt + 1 : gt]
-            # Drop an obsolete source route ("@a,@b:user@c") if present;
-            # routes always start with '@'.
-            if inner.lstrip().startswith("@") and ":" in inner:
-                inner = inner[inner.rfind(":") + 1 :]
-            spec = _parse_addr_spec(inner)
-            if spec is None:
-                continue
-            display = _unquote_display(item[:lt]) or None
-            addresses.append(ParsedAddress(spec[0], spec[1], display))
-        else:
-            spec = _parse_addr_spec(item)
-            if spec is None:
-                continue
-            addresses.append(ParsedAddress(spec[0], spec[1], None))
-    return addresses
+    return [ParsedAddress(local, domain,
+                          None if before is None else _unquote_display(before) or None)
+            for local, domain, before in _addresses(raw_value)]
 
 
 # RFC 5322 obsolete named zones and their fixed offsets (minutes).
@@ -311,7 +318,17 @@ _DATE_RE = re.compile(
     r"(\d{1,2}):(\d{1,2})(?::(\d{1,2}))?\s+"
     r"([+-]\d{4}|[A-Za-z]{1,5})$"
 )
-_WHITESPACE = re.compile(r"\s+")
+
+
+def _date_match(raw_value: str) -> re.Match | None:
+    """The _DATE_RE match of a value that parse_date reads as a date."""
+    m = _DATE_RE.match(" ".join(_strip_comments(raw_value).split()))
+    if (m is None or m[2][:3].lower() not in _MONTHS
+            or len(m[3]) == 4 and not int(m[3])  # year 0: no calendar has it
+            or not (1 <= int(m[1]) <= 31 and int(m[4]) <= 23
+                    and int(m[5]) <= 59 and int(m[6] or 0) <= 60)):
+        return None
+    return m
 
 
 def parse_date(raw_value: str) -> DateStamp | None:
@@ -321,36 +338,31 @@ def parse_date(raw_value: str) -> DateStamp | None:
     any other alphabetic zone parses with offset 0 and the token kept
     verbatim.  Returns None when the value is not a date.
     """
-    text = _strip_comments(raw_value).strip()
-    text = _WHITESPACE.sub(" ", text)
-    m = _DATE_RE.match(text)
+    m = _date_match(raw_value)
     if m is None:
         return None
-    day = int(m.group(1))
-    month = _MONTHS.get(m.group(2)[:3].lower())
-    if month is None:
-        return None
-    year = int(m.group(3))
-    if len(m.group(3)) == 2:
+    day, month, year, hour, minute, second, zone = m.groups()
+    digits = len(year)
+    year = int(year)
+    if digits == 2:
         year += 2000 if year < 50 else 1900
-    elif len(m.group(3)) == 3:
+    elif digits == 3:
         year += 1900
-    hour, minute = int(m.group(4)), int(m.group(5))
-    second = int(m.group(6)) if m.group(6) else 0
-    zone = m.group(7)
-    if not (1 <= day <= 31 and hour <= 23 and minute <= 59 and second <= 60):
-        return None
     if zone[0] in "+-":
         offset = int(zone[1:3]) * 60 + int(zone[3:5])
         if zone[0] == "-":
             offset = -offset
     else:
         offset = _NAMED_ZONES.get(zone.upper(), 0)
-    epoch = calendar.timegm((year, month, day, hour, minute, second, 0, 0, 0))
+    epoch = calendar.timegm((year, _MONTHS[month[:3].lower()], int(day),
+                             int(hour), int(minute), int(second or 0), 0, 0, 0))
     return DateStamp(epoch - offset * 60, offset, zone)
 
 
-_RECEIVED_KEYWORDS = {"from", "by", "via", "with", "id", "for"}
+# each keyword's every spelling in upper and lower case: all that lowers to it
+_RECEIVED_KEYWORDS = {"".join(spelling): keyword
+                      for keyword in ("from", "by", "via", "with", "id", "for")
+                      for spelling in product(*({c, c.upper()} for c in keyword))}
 _IP_LITERAL = re.compile(r"\[(?:[Ii][Pp][vV]6:)?([0-9A-Fa-f:.]+)\]")
 
 
@@ -368,13 +380,12 @@ def _received_clauses(raw_value: str) -> dict[str, str]:
     clauses: dict[str, str] = {}
     current: str | None = None
     for token in _strip_comments(body).split():
-        low = token.lower()
-        if low in _RECEIVED_KEYWORDS:
-            current = low
-            continue
-        if current is not None and current not in clauses:
-            clauses[current] = token
-        current = None
+        keyword = _RECEIVED_KEYWORDS.get(token)
+        if keyword is not None:
+            current = keyword
+        elif current is not None:
+            clauses.setdefault(current, token)
+            current = None
     return clauses
 
 
@@ -432,10 +443,8 @@ def _domain(value: str | None, field_name: str) -> str | None:
             return None
         domain = inner[at + 1 :].strip().lower()
         return domain or None
-    addresses = parse_address_list(value)
-    if not addresses:
-        return None
-    return addresses[0].domain or None
+    addresses = _addresses(value)
+    return addresses[0][1] if addresses else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -470,7 +479,7 @@ class HeaderFacts:
 def _host_domain(host: str | None) -> str | None:
     if host is None:
         return None
-    host = host.strip().strip("[]").lower()
+    host = host.strip("[]").lower()  # a token: no whitespace to strip
     return host or None
 
 
@@ -485,14 +494,18 @@ def _agree(left: list, right: list) -> bool:
     return all(a is None or b is None or a == b for a, b in zip(left, right))
 
 
+# the fields whose values header_facts reads
+_FACT_FIELDS = frozenset(("from", "to", "cc", "received", "date", "content-type",
+                          "return-path", "reply-to", "message-id"))
+
+
 def header_facts(header: EmailHeader) -> HeaderFacts:
     """The schema-free facts of one header (see HeaderFacts)."""
     values: dict[str, list[str]] = {}  # name -> its values, in field order
-    for f in header.fields:
-        values.setdefault(f.name, []).append(f.raw_value)
-
-    def first(name: str) -> str | None:
-        return values[name][0] if name in values else None
+    for f in header.fields:  # f[0], not unpacking: faster on a NamedTuple
+        if f[0] in _FACT_FIELDS:
+            values.setdefault(f[0], []).append(f[1])
+    first = {name: found[0] for name, found in values.items()}
 
     from_lists = [parse_address_list(v) for v in values.get("from", ())]
     # as extract_domain reads it: the first From field's first address
@@ -501,24 +514,23 @@ def header_facts(header: EmailHeader) -> HeaderFacts:
     hops = [_received_clauses(v) for v in values.get("received", ())]
     froms = [_host_domain(hop.get("from")) for hop in hops]
     bys = [_host_domain(hop.get("by")) for hop in hops]
-    date_value = first("date")
-    stamp = parse_date(date_value) if date_value is not None else None
-    ct = first("content-type")
+    date = _date_match(first["date"]) if "date" in first else None
+    ct = first.get("content-type")
     return HeaderFacts(
         hops=len(hops),
-        to=sum(len(parse_address_list(v)) for v in values.get("to", ())),
-        cc=sum(len(parse_address_list(v)) for v in values.get("cc", ())),
+        to=sum(len(_addresses(v)) for v in values.get("to", ())),
+        cc=sum(len(_addresses(v)) for v in values.get("cc", ())),
         from_addresses=sum(len(addresses) for addresses in from_lists),
         fields=len(header.fields),
-        distinct_fields=len(values),
-        date_zone=_shared(stamp.zone_token if stamp is not None else None),
+        distinct_fields=len({f[0] for f in header.fields}),
+        date_zone=_shared(date[7] if date is not None else None),
         content_type=(2 if ct is None
                       else int(ct.strip().lower().startswith("text/html"))),
         from_domain=_shared((first_from[0].domain or None) if first_from
                             else None),
-        return_path_domain=_shared(_domain(first("return-path"), "return-path")),
-        reply_to_domain=_shared(_domain(first("reply-to"), "reply-to")),
-        msgid_domain=_shared(_domain(first("message-id"), "message-id")),
+        return_path_domain=_shared(_domain(first.get("return-path"), "return-path")),
+        reply_to_domain=_shared(_domain(first.get("reply-to"), "reply-to")),
+        msgid_domain=_shared(_domain(first.get("message-id"), "message-id")),
         received_from_domain=_shared(froms[0] if froms else None),
         chain_by_then_from=_agree(bys, froms[1:]),
         chain_from_then_by=_agree(froms, bys[1:]),

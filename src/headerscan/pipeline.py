@@ -47,7 +47,7 @@ from .learners.base import derive_seed
 from .synthetic import generate_emails, to_records
 
 __all__ = [
-    "RunConfig", "Datasets",
+    "RunConfig", "Datasets", "DataError",
     "BINARY_ALGORITHMS", "DISPLAY_NAMES", "SHORT_NAMES", "DEFAULT_STACKS",
     "load_config", "config_to_dict", "load_datasets", "report_to_dict",
     "run_phases", "run_importance",
@@ -309,6 +309,10 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return json.loads(json.dumps(dataclasses.asdict(cfg)))
 
 
+class DataError(ValueError):
+    """A corpus that cannot be loaded or serve the requested phases."""
+
+
 @dataclass
 class Datasets:
     """Loaded corpora plus the manifest block describing them."""
@@ -328,6 +332,13 @@ def _load_dir(dir_path: str, label: Label) -> list[CorpusRecord]:
         log.warning("skipped %d of %d files under %s",
                     report.skipped, report.entries, dir_path)
     return records
+
+
+def _log_corpus(name: str, records: list[CorpusRecord]) -> None:
+    log.info("%s corpus: %d messages, %d malformed header lines, "
+             "%d with no Date that parses", name, len(records),
+             sum(r.malformed_line_count for r in records),
+             sum(r.facts.date_zone is None for r in records))
 
 
 def load_datasets(cfg: RunConfig, allow_empty: bool = False,
@@ -359,6 +370,7 @@ def load_datasets(cfg: RunConfig, allow_empty: bool = False,
         raise ValueError("ham+spam corpus is empty")
     info["ham_spam"] = {"source": source, "count": len(records),
                         "digest": corpus_digest(records)}
+    _log_corpus("ham+spam", records)
 
     if not with_phishing:
         return Datasets(records, None, info)
@@ -379,6 +391,7 @@ def load_datasets(cfg: RunConfig, allow_empty: bool = False,
             raise ValueError("phishing corpus is empty")
         info["phishing"] = {"count": len(phishing),
                             "digest": corpus_digest(phishing)}
+        _log_corpus("phishing", phishing)
     return Datasets(records, phishing, info)
 
 
@@ -622,10 +635,13 @@ def run_phases(cfg: RunConfig, phases=None) -> dict:
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
 
     needs_phishing = any(PHASES[p].records == "ham_phishing" for p in wanted)
-    datasets = load_datasets(cfg, with_phishing=needs_phishing)
+    try:
+        datasets = load_datasets(cfg, with_phishing=needs_phishing)
+    except (OSError, ValueError) as exc:
+        raise DataError(str(exc)) from exc
     if needs_phishing and datasets.phishing is None:
-        raise ValueError("phases 2 and 4 need a phishing corpus "
-                         "(phishing_dir or synthetic datasets)")
+        raise DataError("phases 2 and 4 need a phishing corpus "
+                        "(phishing_dir or synthetic datasets)")
 
     manifest: dict = {
         "format_version": 1,

@@ -7,13 +7,15 @@ import os
 import numpy as np
 import pytest
 
+from headerscan import cli, pipeline
 from headerscan.cli import main
 from headerscan.corpus import Label
 from headerscan.learners import (LinearSVMModel, LogRegModel, ModelSpec,
                                  StackModel, load_bundle, save_bundle, train,
                                  train_one_class)
 from headerscan.learners.bundle import encode_array
-from headerscan.synthetic import generate_emails
+from headerscan.pipeline import load_config
+from headerscan.synthetic import generate_emails, write_trec
 from tests.test_pipeline import small_config
 
 
@@ -75,9 +77,38 @@ def test_commands_load_only_the_corpora_they_read(tmp_path, capsys):
     manifest = json.load(open(tmp_path / "out" / "manifest.json"))
     assert set(manifest["datasets"]) == {"ham_spam"}
     assert main(["importance", "--config", str(config_path)]) == 0
-    # phase 4 reads the phishing corpus, which is empty
-    assert main(["run", "--config", str(config_path), "--phase", "4"]) != 0
-    assert "phishing corpus is empty" in capsys.readouterr().err
+    # phase 4 reads the phishing corpus, which is empty: a data error
+    assert main(["run", "--config", str(config_path), "--phase", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "phishing corpus is empty" in err and "phase failed" not in err
+
+
+def test_run_exit_codes_tell_data_errors_from_phase_failures(
+        tmp_path, capsys, monkeypatch):
+    index, _root = write_trec(generate_emails(40, 0.5, seed=3),
+                              str(tmp_path / "trec"))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(small_config(
+        tmp_path / "out", synthetic=None, trec_index=index)))
+
+    def index_gone_after_validation(*args):
+        cfg = load_config(*args)
+        os.remove(index)
+        return cfg
+
+    monkeypatch.setattr(cli, "load_config", index_gone_after_validation)
+    assert main(["run", "--config", str(config_path), "--phase", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "No such file" in err and "phase failed" not in err
+    monkeypatch.undo()
+
+    def fail(*args):
+        raise ValueError("inside the phase")
+
+    write_trec(generate_emails(40, 0.5, seed=3), str(tmp_path / "trec"))
+    monkeypatch.setattr(pipeline, "_run_phase", fail)
+    assert main(["run", "--config", str(config_path), "--phase", "1"]) == 1
+    assert "phase failed: inside the phase" in capsys.readouterr().err
 
 
 def test_ingest_cache(cli_run, capsys):

@@ -22,7 +22,8 @@ from headerscan.corpus import (
     load_trec_index,
     top_k_fields,
 )
-from headerscan.headers import EmailHeader, parse_headers, serialize_headers
+from headerscan.headers import (EmailHeader, HeaderFacts, header_facts, parse_headers,
+                                serialize_headers)
 from headerscan.pipeline import load_config, load_datasets
 from headerscan.synthetic import (generate_emails, to_records, write_labeled_dirs,
                                   write_trec)
@@ -93,6 +94,36 @@ def test_labeled_dir_mbox_split(tmp_path):
     assert len(records) == 2
     assert sorted(r.header.get("subject") for r in records) == ["first", "second"]
     assert records[0].id != records[1].id
+
+
+def reference_split_mbox(raw: bytes) -> list[bytes]:
+    """corpus._split_mbox as it was, splitting every line and joining
+    each member's lines back."""
+    messages: list[bytes] = []
+    current: list[bytes] = []
+    for line in raw.split(b"\n"):
+        if line.startswith(b"From "):
+            if current:
+                messages.append(b"\n".join(current))
+            current = []
+            continue
+        current.append(line)
+    if current:
+        messages.append(b"\n".join(current))
+    return messages
+
+
+def test_split_mbox_slices_the_members_the_line_loop_joined():
+    """Random blobs of envelopes, text before the first one, back-to-back
+    envelopes, empty members, CRLF and bare CR line ends, a last envelope
+    with no newline and "From" with no space after it."""
+    pieces = [b"From a@b Mon Jan 1 00:00:00 2007\n", b"From x\r\n", b"From ",
+              b"From", b"From:", b" From ", b"Subject: s\r\n", b"body", b"\n",
+              b"\r\n", b"\r", b"\n\n"]
+    rng = random.Random(20261023)
+    for _ in range(30_000):
+        blob = b"".join(rng.choices(pieces, k=rng.randrange(12)))
+        assert corpus._split_mbox(blob) == reference_split_mbox(blob), blob
 
 
 def test_labeled_dir_empty_warns(tmp_path, caplog):
@@ -185,12 +216,21 @@ def test_record_keeps_names_facts_and_wire_not_the_header():
 
 @dataclass(frozen=True)
 class ReferenceRecord:
-    """CorpusRecord when it kept its parsed header (its facts, which
-    nothing here reads, left out)."""
+    """CorpusRecord when it kept its parsed header; its facts and
+    malformed-line count, which only load_datasets' log line reads, come
+    from that header."""
 
     id: str
     header: EmailHeader
     label: Label
+
+    @property
+    def facts(self) -> HeaderFacts:
+        return header_facts(self.header)
+
+    @property
+    def malformed_line_count(self) -> int:
+        return self.header.malformed_line_count
 
     def renamed(self, id: str) -> ReferenceRecord:
         """pipeline._namespaced's old body: a record on the same header."""

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import string
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from headerscan.headers import (
     serialize_headers,
 )
 from headerscan.synthetic import generate_emails
+import reference_headers as reference  # the functions before the rewrite
 from test_acceptance import _mutate  # the criterion-8 fuzz mutator
 
 
@@ -445,12 +447,14 @@ def test_strip_comments_matches_the_loop_on_random_strings():
 
 def test_fuzz_corpus_matches_the_loops_and_extracts_the_same(monkeypatch):
     """The criterion-8 fuzz corpus: every string extraction passes to
-    either function gives the old loop's result, and extract_matrix the
-    same bytes."""
+    either function gives the old loop's result, every header the old
+    header_facts' facts, and extract_matrix the same bytes."""
     base = [e.raw for e in generate_emails(50, 0.5, seed=8)]
     rng = random.Random(20260816)
-    records = [CorpusRecord(str(case), parse_headers(_mutate(base[case % 50], rng)),
-                            Label.HAM) for case in range(10_000)]
+    parsed = [parse_headers(_mutate(base[case % 50], rng)) for case in range(10_000)]
+    records = [CorpusRecord(str(case), header, Label.HAM)
+               for case, header in enumerate(parsed)]
+    assert [r.facts for r in records] == [reference.header_facts(h) for h in parsed]
     schema = fit_schema(records)
     seen = set()
     for name, ref in (("_strip_comments", reference_strip_comments),
@@ -483,7 +487,7 @@ class ReferenceHeaderField:
 def reference_parse_headers(raw: bytes | str) -> tuple[list, int]:
     """parse_headers as it was, with its flush closure and frozen
     dataclass fields: (fields, malformed_line_count)."""
-    text = headers._decode(raw)
+    text = raw.decode("latin-1") if isinstance(raw, bytes) else raw
     fields: list[ReferenceHeaderField] = []
     malformed = 0
     cur_name: str | None = None
@@ -498,7 +502,7 @@ def reference_parse_headers(raw: bytes | str) -> tuple[list, int]:
         cur_name = None
         cur_value = None
 
-    for line in headers._LINE_SPLIT.split(text):
+    for line in re.split(r"\r\n|\r|\n", text):
         if line == "":
             break  # header/body boundary
         if line[0] in " \t":
@@ -559,3 +563,106 @@ def test_header_field_is_an_immutable_value():
     assert f == HeaderField("from", "a@b.com", 0) and hash(f) == hash(HeaderField(*f))
     with pytest.raises(AttributeError):
         f.name = "to"
+
+
+# ------------------------------------------ header block and facts rewrite
+
+BLANK_LINES = [b"\r\n\r\n", b"\n\n", b"\r\r", b"\n\r\n", b"\r\n\n"]
+BODIES = [b"", b"body", b"X-Body: a colon line\r\nFrom: b@c.d\r\n",
+          b"lone\rCR: x\rlines\r", b"\r\n\r\n\n\rY: z", b" folded: body\n\tline"]
+
+
+def test_parse_reads_only_up_to_the_first_blank_line():
+    """head + blank + body parses as head + blank, whatever the body and
+    however the blank line is spelled, from bytes and from str."""
+    rng = random.Random(20261021)
+    heads = [e.raw.partition(b"\r\n\r\n")[0]
+             for e in generate_emails(40, 0.5, seed=21)]
+    heads += [_mutate(h, rng) for h in heads] + [b"", b"A: 1", b"A: 1\r", b"\tB"]
+    for head in heads:
+        for blank in BLANK_LINES:
+            want = parse_headers(head + blank)
+            assert_parses_as_reference(head + blank)
+            for body in BODIES:
+                assert parse_headers(head + blank + body) == want
+                assert parse_headers((head + blank + body).decode("latin-1")) == want
+
+
+def test_received_keyword_table_is_every_spelling_that_lowers_to_one():
+    letters = set("".join(reference._RECEIVED_KEYWORDS))
+    lowering_to_a_letter = {chr(c) for c in range(0x110000) if chr(c).lower() in letters}
+    assert lowering_to_a_letter == letters | {c.upper() for c in letters}
+    assert {t for t in headers._RECEIVED_KEYWORDS if t.lower() in reference._RECEIVED_KEYWORDS} \
+        == set(headers._RECEIVED_KEYWORDS)
+    assert len(headers._RECEIVED_KEYWORDS) == sum(2 ** len(k) for k in reference._RECEIVED_KEYWORDS)
+
+
+SPACES = [" ", " ", "  ", "\t", "\x0b", "\x1c", "\x85", "\xa0"]
+
+
+def _random_date(rng: random.Random) -> str:
+    parts = [rng.choice(["", "Mon,", "tue ,", "WEDNESDAY,", "x,"]),
+             rng.choice(["1", "01", "31", "32", "0", "00", "9", "\u0663", "123"]),
+             rng.choice(["Jan", "jan", "JAN", "Janu", "Febr.", "Foo", "Dec", "sept"]),
+             rng.choice(["2021", "21", "49", "50", "000", "999", "9999", "1",
+                         "12345", "\u0662\u0660\u0662\u0661", "0001"]),
+             rng.choice(["10:00", "10:00:00", "23:59:60", "24:00", "9:5", "10:60",
+                         "10:00:61"]),
+             rng.choice(["+0000", "-0500", "+1234", "EST", "est", "GMT", "UT", "XYZ",
+                         "ABCDEF", "+00", "Z", ""]),
+             rng.choice(["", "", "(UTC)", "(a (b) c)", '"q"', "(unclosed"])]
+    return "".join(part + rng.choice(SPACES) for part in parts)
+
+
+def _random_received(rng: random.Random) -> str:
+    tokens = rng.choices(
+        ["from", "FROM", "From", "by", "bY", "via", "with", "WITH", "id", "for", "For",
+         "Kid", "\u0130d", "\u212ay", "mx.example.com", "[10.0.0.1]", "(comment [1.2.3.4])",
+         "(by x)", "<a@b>", "<>", "ESMTP", "[IPv6:::1]", "(nested (deep) x", '"q (x)"',
+         ";", "\\(", "HOST.Example"], k=rng.randrange(12))
+    text = "".join(token + rng.choice(SPACES) for token in tokens)
+    return text + ("; " + _random_date(rng) if rng.random() < 0.7 else "")
+
+
+def _random_addresses(rng: random.Random) -> str:
+    if rng.random() < 0.5:
+        return "".join(rng.choices('ab @<>",;:()\\.\t', k=rng.randrange(30)))
+    items = rng.choices(
+        ['"Doe, J" <j@X.org>', "bob@y.org", "<@r1,@r2:u@Z.COM>", "grp: a@b, c@d;",
+         "undisclosed-recipients:;", "x <a@b c>", "a@", "@b", "Name (c) <u@v>",
+         "u@v (comment)", '"a\\"b" <c@d>', "<a@b", "a@b>", "x <y@z> w"],
+        k=rng.randint(1, 3))
+    return rng.choice([", ", ",", "; "]).join(items)
+
+
+def test_random_values_parse_and_give_facts_as_before():
+    """parse_date, parse_received and parse_address_list return what they
+    returned before the rewrite, and header_facts the same facts, on random
+    Date, Received and address values in random headers."""
+    rng = random.Random(20261022)
+    makers = {"date": _random_date, "received": _random_received}
+    names = ["date", "received", "received", "from", "from", "to", "cc", "return-path",
+             "reply-to", "message-id", "content-type", "x-other"]
+    for _ in range(3_000):
+        date, received = _random_date(rng), _random_received(rng)
+        addresses = _random_addresses(rng)
+        assert parse_date(date) == reference.parse_date(date), date
+        assert parse_received(received) == reference.parse_received(received), received
+        assert parse_address_list(addresses) == reference.parse_address_list(addresses)
+        fields = [(name, makers.get(name, _random_addresses)(rng))
+                  for name in rng.sample(names, rng.randrange(len(names) + 1))]
+        header = EmailHeader([HeaderField(n, v, i) for i, (n, v) in enumerate(fields)])
+        assert headers.header_facts(header) == reference.header_facts(header), fields
+
+
+def test_year_zero_is_not_a_date():
+    """Year 0000 has no calendar: it parsed, then raised ValueError from
+    calendar.timegm, so one such Date failed a whole corpus load."""
+    value = "Mon, 1 Jan 0000 10:00:00 +0000"
+    with pytest.raises(ValueError):
+        reference.parse_date(value)
+    assert parse_date(value) is None
+    assert parse_received(f"from a by b; {value}").date is None
+    header = parse_headers(f"Date: {value}\r\n\r\n")
+    assert headers.header_facts(header).date_zone is None
+    assert parse_date(value.replace(" 0000 ", " 0001 ")).zone_token == "+0000"

@@ -349,6 +349,27 @@ def test_skipped_corpus_files_are_logged(tmp_path, caplog):
     assert after == before  # what the manifest records of the corpora
 
 
+def test_loading_logs_each_corpus_header_defects(tmp_path, caplog):
+    """One INFO line per corpus counts its malformed header lines and its
+    messages with no Date that parses; the manifest block is unchanged."""
+    cfg = _labeled_dir_config(tmp_path)
+    before = load_datasets(cfg).info
+    with open(os.path.join(cfg.ham_dir, "defects.eml"), "wb") as fh:
+        fh.write(b"no colon\r\n continued\r\nDate: 1 Foo 2021 10:00 +0000\r\n\r\n")
+    with caplog.at_level(logging.INFO):
+        datasets = load_datasets(cfg)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "headerscan.pipeline" and " corpus: " in r.getMessage()]
+    for (name, records), line in zip((("ham+spam", datasets.ham_spam),
+                                      ("phishing", datasets.phishing)), lines):
+        malformed = sum(r.malformed_line_count for r in records)
+        undated = sum(r.facts.date_zone is None for r in records)
+        assert line == (f"{name} corpus: {len(records)} messages, {malformed} "
+                        f"malformed header lines, {undated} with no Date that parses")
+    assert len(lines) == 2 and "61 messages, 2 malformed" in lines[0]
+    assert datasets.info["phishing"] == before["phishing"]
+
+
 def test_phases_3_and_4_compute_each_records_facts_once(tmp_path, monkeypatch):
     """Facts are computed once per loaded record, when the record is
     built, and never while a matrix is extracted; the ham records phase
