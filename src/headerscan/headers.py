@@ -87,17 +87,15 @@ class ReceivedHop:
 
 
 def parse_headers(raw: bytes | str) -> EmailHeader:
-    """Parse the header block of a raw message.
+    """Parse the header block of a raw message; nothing after it is read.
 
-    Nothing after the block is decoded or split.  Bytes decode as latin-1,
-    one byte to one code point, so nothing is ever rejected.  Lines may
-    end in CRLF, bare LF or bare CR (not str.splitlines: it also breaks
-    on form feeds and other control characters, which must survive inside
-    values byte-for-byte).  Continuation lines (leading space/tab) are
-    unfolded into the previous field with the fold replaced by a single
-    space.  Lines with no colon, an empty field name, or a continuation
-    with nothing to continue are counted as malformed and skipped.
-    Encoded words are left verbatim.
+    Bytes decode 1:1 as latin-1, so nothing is ever rejected.  Lines end
+    in CRLF, bare LF or bare CR (not str.splitlines, which also breaks on
+    form feeds and other control characters that values keep verbatim).
+    Continuation lines (leading space/tab) are unfolded into the previous
+    field with the fold replaced by a single space.  Lines with no colon,
+    an empty field name, or a continuation with nothing to continue are
+    counted as malformed and skipped.  Encoded words are left verbatim.
     """
     is_bytes = isinstance(raw, bytes)
     end = len(raw)
@@ -155,6 +153,7 @@ _COMMENT_STOPS = re.compile(r'[()\\]')
 _INNERMOST_COMMENT = re.compile(r"\([^()]*\)")
 # what the top-level splitter's state turns on, separators from ",;:"
 _SPLIT_STOPS = re.compile(r'["\\<>,;:]')
+_NOT_IN_DOMAIN = re.compile(r"[ \t@<>,]")
 
 
 def _strip_comments(text: str) -> str:
@@ -207,7 +206,10 @@ def _strip_comments(text: str) -> str:
 
 def _split_top_level(text: str, seps: str) -> list[str]:
     """Split on separator chars that sit outside quotes and angle brackets."""
-    if not any(map(text.__contains__, seps)):
+    for sep in seps:
+        if sep in text:
+            break
+    else:
         return [text]
     parts = []
     start = skip = angle = 0
@@ -250,7 +252,7 @@ def _parse_addr_spec(text: str) -> tuple[str, str] | None:
         return None
     local = text[:at].strip()
     domain = text[at + 1 :].strip().lower()
-    if not local or not domain or any(map(domain.__contains__, " \t@<>,")):
+    if not local or not domain or _NOT_IN_DOMAIN.search(domain):
         return None
     return local, domain
 
@@ -496,7 +498,7 @@ def _agree(left: list, right: list) -> bool:
 
 # the fields whose values header_facts reads
 _FACT_FIELDS = frozenset(("from", "to", "cc", "received", "date", "content-type",
-                          "return-path", "reply-to", "message-id"))
+                          "return-path", "reply-to"))
 
 
 def header_facts(header: EmailHeader) -> HeaderFacts:
@@ -506,8 +508,7 @@ def header_facts(header: EmailHeader) -> HeaderFacts:
         if f[0] in _FACT_FIELDS:
             values.setdefault(f[0], []).append(f[1])
     first = {name: found[0] for name, found in values.items()}
-
-    from_lists = [parse_address_list(v) for v in values.get("from", ())]
+    from_lists = [_addresses(v) for v in values.get("from", ())]
     # as extract_domain reads it: the first From field's first address
     first_from = from_lists[0] if from_lists else []
     # only the from and by hosts: no hop's date or IP literals
@@ -526,11 +527,10 @@ def header_facts(header: EmailHeader) -> HeaderFacts:
         date_zone=_shared(date[7] if date is not None else None),
         content_type=(2 if ct is None
                       else int(ct.strip().lower().startswith("text/html"))),
-        from_domain=_shared((first_from[0].domain or None) if first_from
-                            else None),
+        from_domain=_shared(first_from[0][1] if first_from else None),
         return_path_domain=_shared(_domain(first.get("return-path"), "return-path")),
         reply_to_domain=_shared(_domain(first.get("reply-to"), "reply-to")),
-        msgid_domain=_shared(_domain(first.get("message-id"), "message-id")),
+        msgid_domain=_shared(extract_domain(header, "message-id")),
         received_from_domain=_shared(froms[0] if froms else None),
         chain_by_then_from=_agree(bys, froms[1:]),
         chain_from_then_by=_agree(froms, bys[1:]),
