@@ -530,7 +530,7 @@ def header_facts(header: EmailHeader) -> HeaderFacts:
         from_domain=_shared(first_from[0][1] if first_from else None),
         return_path_domain=_shared(_domain(first.get("return-path"), "return-path")),
         reply_to_domain=_shared(_domain(first.get("reply-to"), "reply-to")),
-        msgid_domain=_shared(extract_domain(header, "message-id")),
+        msgid_domain=_shared(extract_domain(header, "message-id")),  # perfbench traces it
         received_from_domain=_shared(froms[0] if froms else None),
         chain_by_then_from=_agree(bys, froms[1:]),
         chain_from_then_by=_agree(froms, bys[1:]),

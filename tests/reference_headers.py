@@ -1,4 +1,4 @@
-"""headers.py's address, date, Received and facts functions as they
+"""headers.py's comment, address, date, Received and facts functions as they
 were before parsing read only the header block and the facts computed
 only what extraction reads, copied verbatim. The equivalence tests in
 test_headers.py compare today's functions with these."""
@@ -10,7 +10,56 @@ import re
 import sys
 
 from headerscan.headers import (DateStamp, EmailHeader, HeaderFacts,
-                                ParsedAddress, ReceivedHop, _strip_comments)
+                                ParsedAddress, ReceivedHop)
+
+
+# The comment stripper's three states, each a search for the next
+# character that can change state: outside quotes and comments only '"'
+# and '(' matter (a backslash there is plain text), inside a quoted
+# string '"' and '\\', inside a comment '(', ')' and '\\'.
+_TOP_STOPS = re.compile(r'["(]')
+_QUOTED_STOPS = re.compile(r'["\\]')
+_COMMENT_STOPS = re.compile(r'[()\\]')
+
+
+def _strip_comments(text: str) -> str:
+    """Drop parenthesized comments outside quoted strings (nesting honored).
+
+    A backslash escapes the next character inside quotes and comments.
+    Unclosed quotes and comments run to the end of the text.
+    """
+    if "(" not in text:
+        return text
+    out = []
+    n = len(text)
+    pos = 0  # start of the text not yet copied or dropped
+    while pos < n:
+        m = _TOP_STOPS.search(text, pos)
+        if m is None:
+            out.append(text[pos:])
+            break
+        i = m.start()
+        quoted = text[i] == '"'
+        if not quoted:
+            out.append(text[pos:i])
+        # run to the closing quote or the matching close paren
+        stops = _QUOTED_STOPS if quoted else _COMMENT_STOPS
+        depth, j = 1, i + 1
+        while depth:
+            m = stops.search(text, j)
+            if m is None:
+                j = n
+                break
+            j = m.end()
+            c = text[j - 1]
+            if c == "\\":
+                j += 1  # the escaped character
+            else:
+                depth += 1 if c == "(" else -1
+        if quoted:
+            out.append(text[pos:j])
+        pos = j
+    return "".join(out)
 
 
 def _split_top_level(text: str, seps: str) -> list[str]:
