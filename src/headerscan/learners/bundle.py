@@ -238,7 +238,7 @@ def load_bundle(path) -> Bundle:
     with open(path, "rb") as fh:
         try:
             doc = json.loads(fh.read().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"unreadable model file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: not a format_version {FORMAT_VERSION} model file")
@@ -249,7 +249,7 @@ def load_bundle(path) -> Bundle:
         schema = schema_from_dict(doc["schema"])
         scaler = scaler_from_dict(doc["scaler"])
         model = model_from_doc(doc)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed model file: {exc!r}") from exc
     width = len(schema.descriptors)
     _check_scaler(path, scaler, width)

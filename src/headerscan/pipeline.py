@@ -154,9 +154,6 @@ class RunConfig:
     stacking: tuple = DEFAULT_STACKS
 
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
@@ -175,131 +172,117 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _resolve(base_dir: str, path: str) -> str:
-    return os.path.abspath(os.path.join(base_dir, path))
+def _fraction(value) -> bool:
+    # a bool or an int is never inside (0, 1): what passes is a float
+    return isinstance(value, (int, float)) and 0 < value < 1
+
+
+def _grid(value) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(v, list) and v for v in value.values())
+
+
+_PATH = (lambda v: v is None or isinstance(v, str) and "\0" not in v,
+         "a path string without NUL, or null")
+_COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+
+# config key -> (test, what the value must be): the one statement of each
+# key's type and bound, seed and output_dir included once the overrides
+# apply. Each test checks the type before it compares, hashes or iterates.
+_CONFIG_DOMAINS = {
+    "seed": (_is_int, "an explicit integer"),
+    "output_dir": (lambda v: isinstance(v, str) and v != "" and "\0" not in v,
+                   "a non-empty path string without NUL (or pass --out)"),
+    "trec_index": _PATH, "trec_root": _PATH, "ham_dir": _PATH,
+    "spam_dir": _PATH, "phishing_dir": _PATH,
+    "synthetic": (lambda v: v is None or (
+        isinstance(v, dict) and not set(v) - {"n", "anomaly_fraction", "seed"}
+        and _is_int(v.get("n")) and v["n"] > 3
+        and _fraction(v.get("anomaly_fraction", 0.5)) and _is_int(v.get("seed"))),
+        "null or an object of n (an integer > 3), anomaly_fraction "
+        "(inside (0, 1), default 0.5) and seed (an integer)"),
+    "k": _COUNT,
+    "one_hot": (lambda v: isinstance(v, bool), "a boolean"),
+    "chain_direction": (lambda v: v in (CHAIN_BY_THEN_FROM, CHAIN_FROM_THEN_BY),
+                        f"{CHAIN_BY_THEN_FROM!r} or {CHAIN_FROM_THEN_BY!r}"),
+    "importance_repeats": _COUNT,
+    "top_m": _COUNT,
+    "test_fraction": (_fraction, "inside (0, 1)"),
+    "cv_folds": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "grids": (lambda v: isinstance(v, dict) and all(
+        algo in BINARY_ALGORITHMS and _grid(grid) for algo, grid in v.items()),
+        "an object mapping binary algorithms to objects of non-empty lists"),
+    "one_class_grid": (lambda v: _grid(v) and set(v) == {"nu", "gamma"},
+                       "an object of non-empty nu and gamma lists"),
+    # members are known names, so strings, before set() hashes them
+    "stacking": (lambda v: isinstance(v, list) and v and all(
+        isinstance(c, list) and len(c) >= 2 and all(a in BINARY_ALGORITHMS for a in c)
+        and len(set(c)) == len(c) for c in v),
+        "a non-empty list of combinations of two or more distinct binary algorithms"),
+}
 
 
 def load_config(path: str, seed: int | None = None,
                 output_dir: str | None = None) -> RunConfig:
-    """Parse and validate a JSON config file.
+    """Parse and validate a JSON config file; anything malformed, a
+    document nested too deeply included, raises ValueError.
 
     Dataset paths resolve against the config file's directory and must
     exist. The seed is required in the file unless overridden here:
     there is no wall-clock fallback.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: config nested too deeply") from None
     _require(isinstance(doc, dict), "config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
+    unknown = set(doc) - set(_CONFIG_DOMAINS)
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
+    # an override replaces the file's value, which is then never read
+    kwargs = {**doc, "seed": doc.get("seed") if seed is None else seed,
+              "output_dir": doc.get("output_dir") if output_dir is None else output_dir}
+    for key, value in kwargs.items():
+        test, what = _CONFIG_DOMAINS[key]
+        _require(test(value), f"{key} must be {what}")
+    # a null path or synthetic reads as absent, which is also its default
+    kwargs = {key: value for key, value in kwargs.items() if value is not None}
 
     base = os.path.dirname(os.path.abspath(path))
-    if seed is None:
-        seed = doc.get("seed")
-    _require(_is_int(seed), "config needs an explicit integer seed")
-    out = output_dir if output_dir is not None else doc.get("output_dir")
-    _require(isinstance(out, str) and out != "",
-             "config needs an output_dir (or pass --out)")
-
-    kwargs: dict = {"seed": seed, "output_dir": os.path.abspath(out)}
-
+    kwargs["output_dir"] = os.path.abspath(kwargs["output_dir"])
     for key in ("trec_index", "trec_root", "ham_dir", "spam_dir", "phishing_dir"):
-        value = doc.get(key)
-        if value is None:
-            continue
-        _require(isinstance(value, str), f"{key} must be a path string")
-        kwargs[key] = _resolve(base, value)
-    synth = doc.get("synthetic")
-    if synth is not None:
-        _require(isinstance(synth, dict), "synthetic must be an object")
-        _require(not set(synth) - {"n", "anomaly_fraction", "seed"},
-                 "synthetic accepts n, anomaly_fraction, seed")
-        _require(_is_int(synth.get("n")) and synth["n"] > 3,
-                 "synthetic.n must be an integer > 3")
-        frac = synth.get("anomaly_fraction", 0.5)
-        _require(isinstance(frac, (int, float)) and 0.0 < float(frac) < 1.0,
-                 "synthetic.anomaly_fraction must be inside (0, 1)")
-        _require(_is_int(synth.get("seed")),
-                 "synthetic.seed must be an explicit integer")
-        kwargs["synthetic"] = {"n": synth["n"],
-                               "anomaly_fraction": float(frac),
-                               "seed": synth["seed"]}
-
-    sources = [kwargs.get("trec_index") is not None,
-               kwargs.get("ham_dir") is not None
-               or kwargs.get("spam_dir") is not None,
-               kwargs.get("synthetic") is not None]
+        if key in kwargs:
+            kwargs[key] = os.path.abspath(os.path.join(base, kwargs[key]))
+    if "synthetic" in kwargs:
+        synth = kwargs["synthetic"]
+        kwargs["synthetic"] = {"n": synth["n"], "anomaly_fraction": synth.get(
+            "anomaly_fraction", 0.5), "seed": synth["seed"]}
+    sources = ["trec_index" in kwargs, "ham_dir" in kwargs or "spam_dir" in kwargs,
+               "synthetic" in kwargs]
     _require(sum(sources) == 1,
              "configure exactly one ham+spam source: trec_index, "
              "ham_dir+spam_dir, or synthetic")
-    if kwargs.get("ham_dir") or kwargs.get("spam_dir"):
-        _require(kwargs.get("ham_dir") and kwargs.get("spam_dir"),
-                 "ham_dir and spam_dir must be configured together")
-    if kwargs.get("trec_index"):
+    _require(("ham_dir" in kwargs) == ("spam_dir" in kwargs),
+             "ham_dir and spam_dir must be configured together")
+    if "trec_index" in kwargs:
         kwargs.setdefault("trec_root", os.path.dirname(kwargs["trec_index"]))
         _require(os.path.isfile(kwargs["trec_index"]),
                  f"trec_index not found: {kwargs['trec_index']}")
         _require(os.path.isdir(kwargs["trec_root"]),
                  f"trec_root not found: {kwargs['trec_root']}")
     for key in ("ham_dir", "spam_dir", "phishing_dir"):
-        if kwargs.get(key) is not None:
-            _require(os.path.isdir(kwargs[key]),
-                     f"{key} not found: {kwargs[key]}")
+        if key in kwargs:
+            _require(os.path.isdir(kwargs[key]), f"{key} not found: {kwargs[key]}")
 
-    for key, low in (("k", 1), ("importance_repeats", 1), ("top_m", 1),
-                     ("cv_folds", 2)):
-        if key in doc:
-            _require(_is_int(doc[key]) and doc[key] >= low,
-                     f"{key} must be an integer >= {low}")
-            kwargs[key] = doc[key]
-    if "test_fraction" in doc:
-        tf = doc["test_fraction"]
-        _require(isinstance(tf, (int, float)) and 0.0 < float(tf) < 1.0,
-                 "test_fraction must be inside (0, 1)")
-        kwargs["test_fraction"] = float(tf)
-    if "one_hot" in doc:
-        _require(isinstance(doc["one_hot"], bool), "one_hot must be a boolean")
-        kwargs["one_hot"] = doc["one_hot"]
-    if "chain_direction" in doc:
-        _require(doc["chain_direction"] in (CHAIN_BY_THEN_FROM,
-                                            CHAIN_FROM_THEN_BY),
-                 f"unknown chain_direction {doc['chain_direction']!r}")
-        kwargs["chain_direction"] = doc["chain_direction"]
-
-    if "grids" in doc:
-        grids = doc["grids"]
-        _require(isinstance(grids, dict), "grids must be an object")
-        for algo, grid in grids.items():
-            _require(algo in BINARY_ALGORITHMS,
-                     f"grids: unknown algorithm {algo!r}")
-            _require(isinstance(grid, dict)
-                     and all(isinstance(v, list) and v for v in grid.values()),
-                     f"grids.{algo} must map parameters to non-empty lists")
-            _check_cells(f"grids.{algo}", algo, grid)
-        kwargs["grids"] = grids
-    if "one_class_grid" in doc:
-        grid = doc["one_class_grid"]
-        _require(isinstance(grid, dict) and set(grid) == {"nu", "gamma"}
-                 and all(isinstance(v, list) and v for v in grid.values()),
-                 "one_class_grid must carry non-empty nu and gamma lists")
+    for algo, grid in kwargs.get("grids", {}).items():
+        _check_cells(f"grids.{algo}", algo, grid)
+    if "one_class_grid" in kwargs:
+        grid = kwargs["one_class_grid"]
         # gamma "auto" is 1/d, known once the features are
         _check_cells("one_class_grid", "one_class_svm", {
             "nu": grid["nu"], "gamma": [1.0 if g == "auto" else g for g in grid["gamma"]]})
-        kwargs["one_class_grid"] = grid
-    if "stacking" in doc:
-        combos = doc["stacking"]
-        _require(isinstance(combos, list) and combos,
-                 "stacking must be a non-empty list of combinations")
-        normalized = []
-        for combo in combos:
-            # members are known names, so strings, before set() hashes them
-            _require(isinstance(combo, list) and len(combo) >= 2
-                     and all(a in BINARY_ALGORITHMS for a in combo)
-                     and len(set(combo)) == len(combo),
-                     f"bad stacking combination: {combo!r}")
-            normalized.append(tuple(combo))
-        kwargs["stacking"] = tuple(normalized)
-
+    if "stacking" in kwargs:
+        kwargs["stacking"] = tuple(tuple(combo) for combo in kwargs["stacking"])
     return RunConfig(**kwargs)
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 
 import numpy as np
 import pytest
@@ -64,6 +65,23 @@ def test_run_rejects_a_bad_grid_before_any_output(tmp_path, capsys, bad):
     assert main(["run", "--config", str(config_path)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("make", [
+    # nested deeper than the JSON decoder recurses
+    lambda out: '{"seed": 7, "grids": %s}' % ("[" * 100_000 + "]" * 100_000),
+    # a path os.makedirs would refuse only once a phase runs
+    lambda out: json.dumps(small_config(str(out) + "\0x")),
+    # an integer too large for float()
+    lambda out: json.dumps(small_config(out, test_fraction=10**400)),
+], ids=["too-deep", "nul-output-dir", "huge-test-fraction"])
+def test_run_exits_2_on_a_malformed_config_and_creates_nothing(
+        tmp_path, capsys, make):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(make(tmp_path / "out"))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_commands_load_only_the_corpora_they_read(tmp_path, capsys):
@@ -318,6 +336,70 @@ def test_classify_error_exits(cli_run, tmp_path, capsys):
     assert main(["classify", "--model", model,
                  str(tmp_path / "missing.eml")]) == 2
     capsys.readouterr()
+
+
+def test_classify_exits_2_on_a_too_deep_bundle(cli_run, tmp_path, capsys):
+    _, out = cli_run
+    email = tmp_path / "some.eml"
+    email.write_bytes(b"Subject: x\r\n\r\n")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["classify", "--model", str(deep), str(email)]) == 2
+    # a stack nested in its own bases: shallow enough for the JSON decoder,
+    # too deep for the model decoder
+    bundle = load_bundle(os.path.join(out, "models", "phase1.model.json"))
+    logreg = LogRegModel(spec=ModelSpec("logreg", {"lam": 1e-3}, 0),
+                         weights=np.zeros(len(bundle.schema.descriptors)),
+                         bias=-1.0, converged=True, loss_history=np.array([]))
+    meta = LogRegModel(spec=ModelSpec("logreg", {"lam": 1e-3}, 0),
+                       weights=np.ones(2), bias=0.0, converged=True,
+                       loss_history=np.array([]))
+    stack = StackModel(ModelSpec("stack", {}, 0), [logreg, logreg], meta,
+                       schema_fingerprint=bundle.schema.fingerprint)
+    save_bundle(deep, stack, bundle.schema, bundle.scaler, "spam")
+    assert main(["classify", "--model", str(deep), str(email)]) == 0
+    doc = json.load(open(deep))
+    model = {key: doc[key] for key in ("algorithm", "hyperparameters", "seed",
+                                       "schema_fingerprint", "convergence_flag",
+                                       "parameters")}
+    for _ in range(250):
+        bases = [model, model["parameters"]["bases"][1]]
+        model = dict(model, parameters=dict(model["parameters"], bases=bases))
+    doc.update(model)
+    deep.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["classify", "--model", str(deep), str(email)]) == 2
+    assert "malformed model file" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def mangled_messages():
+    ham, _ = _fixture_emails()
+    head, _, body = ham.partition(b"\r\n\r\n")
+    return {
+        "truncated": ham[:len(head) // 2],
+        "random-bytes": random.Random(10).randbytes(4096),
+        "nul-in-headers": head.replace(b": ", b":\0 ") + b"\r\n\r\n" + body,
+        "non-utf8-tail": head + b"\r\nX-Tail: \xff\xfe\xc3(\x80\r\n\r\n" + body + b"\xff",
+        "200k-fields": b"".join(b"X-F%d: v\r\n" % i for i in range(200_000)) + b"\r\n",
+        "100k-line-fold": b"Subject: a\r\n" + b" b\r\n" * 100_000 + b"\r\n" + body,
+        "empty": b"",
+    }
+
+
+@pytest.mark.parametrize("name", ["truncated", "random-bytes", "nul-in-headers",
+                                  "non-utf8-tail", "200k-fields",
+                                  "100k-line-fold", "empty"])
+def test_classify_scores_a_mangled_message(cli_run, mangled_messages, tmp_path,
+                                           capsys, name):
+    _, out = cli_run
+    email = tmp_path / "mangled.eml"
+    email.write_bytes(mangled_messages[name])
+    for phase in (1, 3):
+        model = os.path.join(out, "models", f"phase{phase}.model.json")
+        assert main(["classify", "--model", model, str(email)]) in (0, 10)
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 1 and captured.err == ""
 
 
 def test_importance_command(cli_run, tmp_path, capsys):
