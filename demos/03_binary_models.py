@@ -55,8 +55,9 @@ def main() -> None:
     held_out = compute_metrics(make_scores(forest.decision_values(Xte)), yte)
     print(f"forest held-out accuracy {held_out.accuracy:.4f}")
 
-    # the meta-learner trains on out-of-fold base values; the table
-    # reports the stack on the held-out rows
+    # the meta-learner trains on each base's kfold_cv held-out values
+    # (5 folds, seeded by the meta spec); the table reports the stack on
+    # the held-out rows
     stack = train_stack([contenders[0][1], best, contenders[2][1]],
                         ModelSpec("logreg", {}, 0), Xtr, ytr,
                         schema.fingerprint)

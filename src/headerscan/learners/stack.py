@@ -2,9 +2,10 @@
 
 Meta-features are produced out-of-fold so the meta-learner never sees a
 base decision value computed by a model that trained on that row: each
-base's column comes from one held_out call over a 5-fold plan. The
-pipeline's stacks instead reuse the grid search's held-out columns, and
-score the test with meta_decision_values on their bases' test columns.
+base's column holds its evaluation.kfold_cv held-out values, on 5 folds
+seeded by the meta spec. The pipeline's stacks instead reuse the grid
+search's held-out columns, and score the test with meta_decision_values
+on their bases' test columns.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import (Model, ModelSpec, check_training_inputs, derive_seed,
-                   stratified_fold_ids, validate_spec)
+from .base import Model, ModelSpec, check_training_inputs, validate_spec
 from .linear import LogRegModel, train_logreg
 
 __all__ = ["StackModel", "fit_stack_meta", "train_stack"]
@@ -67,18 +67,12 @@ def fit_stack_meta(bases: list, meta_X: np.ndarray, y: np.ndarray,
 def train_stack(base_specs: list[ModelSpec], meta_spec: ModelSpec,
                 X: np.ndarray, y: np.ndarray,
                 schema_fingerprint: str | None = None) -> StackModel:
-    from . import held_out, train
+    from ..evaluation import kfold_cv
+    from . import train
 
     _checked_meta(len(base_specs), meta_spec)
-    check_training_inputs(X, y)
-    fold_of = stratified_fold_ids(
-        y, _STACK_FOLDS, derive_seed(meta_spec.seed, "stack", "folds"))
-    held = [fold_of == fold for fold in np.unique(fold_of)]
-    rows = [np.flatnonzero(~h) for h in held]
-    meta_X = np.empty((len(y), len(base_specs)))
-    for j, spec in enumerate(base_specs):
-        [cell] = held_out([spec], X, y, rows, [[h] for h in held])
-        for h, (values,) in zip(held, cell):
-            meta_X[h, j] = values
+    meta_X = np.column_stack([
+        kfold_cv(spec, X, y, _STACK_FOLDS, meta_spec.seed).oof_values
+        for spec in base_specs])
     bases = [train(spec, X, y) for spec in base_specs]
     return fit_stack_meta(bases, meta_X, y, meta_spec, schema_fingerprint)

@@ -20,7 +20,6 @@ seed, so rerunning the same config rewrites byte-identical artifacts
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import logging
 import os
@@ -159,13 +158,16 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _check_cells(name: str, algorithm: str, grid: dict) -> None:
-    # every cell must pass validate_spec now, not when its phase runs
-    for combo in itertools.product(*grid.values()):
-        try:
-            validate_spec(ModelSpec(algorithm, dict(zip(grid, combo)), 0))
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from None
+def _check_values(name: str, algorithm: str, grid: dict) -> None:
+    # every cell must pass validate_spec now, not when its phase runs; each
+    # domain constrains one value alone, so checking each listed value
+    # once refuses exactly the grids with an invalid cell
+    for key, values in grid.items():
+        for value in values:
+            try:
+                validate_spec(ModelSpec(algorithm, {key: value}, 0))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
 
 
 def _is_int(value) -> bool:
@@ -275,11 +277,11 @@ def load_config(path: str, seed: int | None = None,
             _require(os.path.isdir(kwargs[key]), f"{key} not found: {kwargs[key]}")
 
     for algo, grid in kwargs.get("grids", {}).items():
-        _check_cells(f"grids.{algo}", algo, grid)
+        _check_values(f"grids.{algo}", algo, grid)
     if "one_class_grid" in kwargs:
         grid = kwargs["one_class_grid"]
         # gamma "auto" is 1/d, known once the features are
-        _check_cells("one_class_grid", "one_class_svm", {
+        _check_values("one_class_grid", "one_class_svm", {
             "nu": grid["nu"], "gamma": [1.0 if g == "auto" else g for g in grid["gamma"]]})
     if "stacking" in kwargs:
         kwargs["stacking"] = tuple(tuple(combo) for combo in kwargs["stacking"])
@@ -506,14 +508,15 @@ def _phase_prefix(no: int, records, cfg: RunConfig, out_dir: str):
 
 def _phase_grid(cfg: RunConfig, algorithm: str, d: int) -> dict:
     """The grid searched for algorithm: the config's, else the default.
-    A one-class gamma of "auto" stands for 1/d; a value listed twice is
-    searched once."""
+    A one-class gamma of "auto" stands for 1/d; a value listed twice, or
+    equal to an earlier one (1 and 1.0), is searched once."""
     if algorithm != "one_class_svm":
-        return cfg.grids[algorithm] if algorithm in cfg.grids else default_grid(algorithm)
-    raw = cfg.one_class_grid or default_grid(algorithm)
-    return {"nu": [float(v) for v in raw["nu"]],
-            "gamma": list(dict.fromkeys(1.0 / d if v == "auto" else float(v)
-                                        for v in raw["gamma"]))}
+        grid = cfg.grids[algorithm] if algorithm in cfg.grids else default_grid(algorithm)
+    else:
+        raw = cfg.one_class_grid or default_grid(algorithm)
+        grid = {"nu": [float(v) for v in raw["nu"]],
+                "gamma": [1.0 / d if v == "auto" else float(v) for v in raw["gamma"]]}
+    return {key: list(dict.fromkeys(values)) for key, values in grid.items()}
 
 
 def _run_phase(no: int, records, cfg: RunConfig, out_dir: str) -> dict:

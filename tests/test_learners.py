@@ -17,7 +17,8 @@ from headerscan.learners import mlp as mlp_module
 from headerscan.learners import tree as tree_module
 from headerscan.learners.base import derive_seed
 from headerscan.learners.bundle import (bundle_bytes, decode_array, encode_array,
-                                       load_bundle, model_from_doc, save_bundle)
+                                       load_bundle, model_from_doc, model_to_doc,
+                                       save_bundle)
 from headerscan.learners.linear import LogRegModel, sigmoid
 from headerscan.learners.mlp import init_params, loss_and_grad
 from headerscan.learners.tree import (BLOCK_ROWS, LEAF, DecisionTreeModel, TreeArrays, apply_tree,
@@ -706,6 +707,26 @@ def test_stack_is_leak_free():
     in_sample = np.column_stack([b.decision_values(X) for b in m.bases])
     leaky = L.fit_stack_meta(m.bases, in_sample, y, meta_spec)
     assert m.meta.weights[0] < 0.25 * leaky.meta.weights[0]
+
+
+def test_stack_columns_are_kfold_cvs_held_out_values():
+    # one fold plan for stacks: each base's column is its kfold_cv
+    # held-out values on 5 folds seeded by the meta spec, and the bases
+    # are the models train gives on all rows
+    from headerscan.evaluation import kfold_cv
+
+    X, y = two_blobs(seed=17)
+    specs = [ModelSpec("random_forest", {"n_trees": 5}, 1),
+             ModelSpec("knn", {"k": 3}, 2), ModelSpec("linear_svm", {}, 3)]
+    meta_spec = ModelSpec("logreg", {}, 4)
+    m = L.train_stack(specs, meta_spec, X, y)
+    meta_X = np.column_stack([kfold_cv(spec, X, y, 5, meta_spec.seed).oof_values
+                              for spec in specs])
+    bases = [L.train(spec, X, y) for spec in specs]
+    want = L.fit_stack_meta(bases, meta_X, y, meta_spec)
+    assert m.meta.weights.tobytes() == want.meta.weights.tobytes()
+    assert np.float64(m.meta.bias).tobytes() == np.float64(want.meta.bias).tobytes()
+    assert [model_to_doc(b) for b in m.bases] == [model_to_doc(b) for b in bases]
 
 
 def test_stack_rejects_bad_meta_and_short_bases():

@@ -313,6 +313,49 @@ def test_load_config_validation(tmp_path):
     assert cfg.output_dir.endswith("elsewhere")
 
 
+def test_load_config_checks_each_grid_value_once(tmp_path, monkeypatch):
+    # every domain constrains one value alone, so a grid costs one
+    # validate_spec call per listed value, not one per cell
+    calls = []
+    validate_spec = pipeline.validate_spec
+
+    def counting(spec):
+        calls.append(spec)
+        return validate_spec(spec)
+
+    monkeypatch.setattr(pipeline, "validate_spec", counting)
+    grids = {"random_forest": {"n_trees": [1, 2, 3, 4, 5], "max_depth": [None, 1, 2],
+                               "min_samples_leaf": [1, 2], "max_features": ["sqrt", "all"]},
+             "knn": {"k": [1, 3, 5]}}
+    one_class = {"nu": [0.1, 0.2, 0.5], "gamma": ["auto", 0.5]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(small_config(tmp_path / "out", grids=grids,
+                                            one_class_grid=one_class)))
+    load_config(str(path))
+    assert len(calls) == 12 + 3 + 5
+    for bad in ({"k": [1, 3, 0]}, {"k": [1, 3], "bogus": [1]}):
+        path.write_text(json.dumps(small_config(tmp_path / "out", grids={"knn": bad})))
+        with pytest.raises(ValueError, match="grids.knn"):
+            load_config(str(path))
+
+
+def test_a_value_listed_twice_is_searched_once(tmp_path):
+    grids = dict(SMALL_GRIDS, knn={"k": [3, 3]}, logreg={"lam": [1e-3, 0.001]},
+                 mlp={"hidden": [8, 8], "lr": [0.01]})
+    doc = small_config(tmp_path / "out", grids=grids,
+                       one_class_grid={"nu": [0.1, 0.1], "gamma": ["auto", 0.5, 0.5]})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    manifest = run_phases(load_config(str(path)), [1, 3])
+    grid = manifest["phases"]["1"]["grid"]
+    for algo in ("knn", "logreg", "mlp"):
+        assert len(grid[algo]["cells"]) == 1, algo
+    cells = [c["hyperparameters"] for c in manifest["phases"]["3"]["grid"]
+             ["one_class_svm"]["cells"]]
+    assert [c["nu"] for c in cells] == [0.1, 0.1]
+    assert len({c["gamma"] for c in cells}) == 2
+
+
 def _labeled_dir_config(tmp_path, n_ham_spam=60, **overrides):
     emails = generate_emails(n_ham_spam, 0.5, seed=4)
     ham_dir, anom_dir = write_labeled_dirs(emails, str(tmp_path / "corpus"))
