@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
-import math
 import os
 import sys
 
@@ -147,8 +146,6 @@ def _cmd_classify(args) -> int:
                           bundle.scaler)
     fingerprint = bundle.schema.fingerprint
     score = predict(bundle.model, vector, fingerprint)
-    if not math.isfinite(score.decision_value):
-        raise ValueError(f"{args.email}: decision value is not finite")
     label = bundle.positive_label if score.is_anomalous else "ham"
     print(f"{label}\t{score.decision_value!r}\t{fingerprint}")
     return 10 if score.is_anomalous else 0

@@ -169,9 +169,13 @@ def check_fingerprint(model, fingerprint: str | None) -> None:
 
 def predict(model, x: np.ndarray, fingerprint: str | None = None) -> Score:
     """Score one standardized feature vector: anomalous iff the decision
-    value is >= 0, or < 0 for the one-class SVM (inlier iff >= 0)."""
+    value is >= 0, or < 0 for the one-class SVM (inlier iff >= 0). A
+    decision value that is not finite raises ValueError: it has no
+    verdict."""
     check_fingerprint(model, fingerprint)
     dv = float(decision_values(model, np.asarray(x, dtype=np.float64)[None, :])[0])
+    if not np.isfinite(dv):
+        raise ValueError(f"decision value is not finite: {dv!r}")
     one_class = model.spec.algorithm == "one_class_svm"
     return Score(decision_value=dv, is_anomalous=dv < 0.0 if one_class else dv >= 0.0)
 

@@ -8,10 +8,17 @@ for regression.
 
 One walker, `leaf_ids`, scores every tree: an ensemble's trees form one
 flat node array, each tree's children offset by its root index (a single
-tree has roots [0]), and one level loop advances every unfinished (tree,
-row) pair of a block of rows; check_tree's forward children end walks.
-An ensemble sums each block's leaves with one sequential accumulate
-along the tree axis, in tree order, so no array outgrows a block.
+tree has roots [0]). It has two regimes, chosen per block of rows by the
+block's size. A block of at most WALK_CELLS (row, node) cells compares
+every split once, which gives each (row, node) its next node, then moves
+every (tree, row) pair along those pointers as many times as the deepest
+leaf is deep; its walk tables are built once per model and never
+persisted. A larger block advances the unfinished (tree, row) pairs one
+level per step; check_tree's forward children end walks. Both regimes
+make the same x[f] <= t comparisons along each pair's path, so they
+reach the same leaves. An ensemble sums each block's leaves with one
+sequential accumulate along the tree axis, in tree order, so no array
+outgrows a block.
 
 One grower, `build_tree`, grows all of a forest's trees, or one
 boosting round of every fold, in lockstep: each step takes the next
@@ -36,11 +43,13 @@ import numpy as np
 from .base import ModelSpec
 
 __all__ = ["TreeArrays", "TreeEnsemble", "DecisionTreeModel", "train_decision_tree",
-           "build_tree", "check_tree", "leaf_ids", "apply_tree", "sorted_cuts"]
+           "build_tree", "check_tree", "WalkTables", "walk_tables", "leaf_ids", "apply_tree",
+           "sorted_cuts"]
 
 LEAF = -1
 BLOCK_ROWS = 1024  # rows per walk; (tree, row) arrays hold n_trees x this
 SCAN_CELLS = 1 << 13  # padded (node, row, candidate) cells per split scan
+WALK_CELLS = 1 << 14  # (row, node) cells up to which a block compares every split
 
 
 @dataclass
@@ -215,30 +224,88 @@ def check_tree(tree: TreeArrays, width: int) -> None:
             raise ValueError("tree child index does not point forward")
 
 
-def leaf_ids(tree: TreeArrays, X: np.ndarray, roots=(0,)) -> np.ndarray:
-    """Leaf index of every (tree, row) pair, shape (len(roots), len(X))."""
+@dataclass
+class WalkTables:
+    """A tree's nodes as the all-splits walk reads them: a leaf splits on
+    feature 0 at +inf and both its children are itself, so a pair that
+    reaches a leaf stays there. depth is the most edges from a root to a
+    leaf."""
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    depth: int
+
+
+def walk_tables(tree: TreeArrays, roots=(0,)) -> WalkTables:
+    """The walk tables of the trees rooted at roots, one level at a time."""
+    leaf = tree.feature == LEAF
+    own, roots = np.arange(len(leaf)), np.asarray(roots)
+    depth, level = 0, roots[~leaf[roots]]
+    while len(level):
+        level = np.concatenate((tree.left[level], tree.right[level]))
+        depth, level = depth + 1, level[~leaf[level]]
+    return WalkTables(np.where(leaf, 0, tree.feature), np.where(leaf, np.inf, tree.threshold),
+                      np.where(leaf, own, tree.left), np.where(leaf, own, tree.right), depth)
+
+
+def _walk_splits(tables: WalkTables, block: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Compare every (row, node) once for its next node, offset by the
+    row's place in the flattened table, then move every (tree, row) pair
+    depth times."""
+    n = len(tables.feature)
+    base = np.arange(0, len(block) * n, n)
+    node = roots[:, None] + base
+    if tables.depth:
+        # take, not block[:, feature], whose result is column-major
+        goes_left = np.take(block, tables.feature, axis=1) <= tables.threshold
+        nxt = np.where(goes_left, tables.left, tables.right)
+        nxt += base[:, None]
+        for _ in range(tables.depth):
+            node = np.take(nxt, node)
+    return node - base
+
+
+def _walk_levels(tree: TreeArrays, block: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Advance the unfinished (tree, row) pairs one level per step;
+    check_tree's forward children end the walk."""
+    node = np.repeat(roots, len(block))  # pair p: tree p // len(block)
+    active = np.flatnonzero(tree.feature[node] != LEAF)
+    while len(active):
+        cur = node[active]
+        goes_left = block[active % len(block), tree.feature[cur]] <= tree.threshold[cur]
+        node[active] = nxt = np.where(goes_left, tree.left[cur], tree.right[cur])
+        active = active[tree.feature[nxt] != LEAF]
+    return node.reshape(len(roots), -1)
+
+
+def leaf_ids(tree: TreeArrays, X: np.ndarray, roots=(0,), tables: WalkTables | None = None) -> np.ndarray:
+    """Leaf index of every (tree, row) pair, shape (len(roots), len(X)).
+    A block of rows with rows x nodes at most WALK_CELLS compares every
+    split at once through tables (walk_tables(tree, roots) unless given);
+    a larger block walks level by level."""
+    roots = np.asarray(roots)
     out = np.empty((len(roots), len(X)), dtype=np.int64)
     for start in range(0, len(X), BLOCK_ROWS):
         block = X[start:start + BLOCK_ROWS]
-        node = np.repeat(roots, len(block))  # pair p: tree p // len(block)
-        active = np.flatnonzero(tree.feature[node] != LEAF)
-        while len(active):
-            cur = node[active]
-            goes_left = block[active % len(block), tree.feature[cur]] <= tree.threshold[cur]
-            node[active] = nxt = np.where(goes_left, tree.left[cur], tree.right[cur])
-            active = active[tree.feature[nxt] != LEAF]
-        out[:, start:start + BLOCK_ROWS] = node.reshape(len(roots), -1)
+        if len(block) * len(tree.feature) <= WALK_CELLS:
+            if tables is None:
+                tables = walk_tables(tree, roots)
+            out[:, start:start + BLOCK_ROWS] = _walk_splits(tables, block, roots)
+        else:
+            out[:, start:start + BLOCK_ROWS] = _walk_levels(tree, block, roots)
     return out
 
 
-def apply_tree(tree: TreeArrays, X: np.ndarray) -> np.ndarray:
+def apply_tree(tree: TreeArrays, X: np.ndarray, tables: WalkTables | None = None) -> np.ndarray:
     """Leaf values for every row."""
-    return tree.value[leaf_ids(tree, X)[0]]
+    return tree.value[leaf_ids(tree, X, (0,), tables)[0]]
 
 
 class TreeEnsemble:
-    """Mixin for a model dataclass with a `trees` list. The flat arrays are
-    built on first use, after load_bundle's check_tree, and never persisted."""
+    """Mixin for a model dataclass with a `trees` list. The flat arrays and
+    their walk tables are built on first use, after load_bundle's
+    check_tree, and never persisted."""
 
     def __post_init__(self):
         n_trees = self.spec.hyperparameters["n_trees"]
@@ -256,6 +323,10 @@ class TreeEnsemble:
         flat.right += shift
         return flat, roots
 
+    @functools.cached_property
+    def _walk(self) -> WalkTables:
+        return walk_tables(*self._flat)
+
     def leaf_sum(self, X: np.ndarray, F: np.ndarray, scale: float = 1.0) -> np.ndarray:
         """F plus scale times each tree's leaf values, in place, added in
         tree order: per block of rows, np.add.reduce of [F; scale * values]
@@ -268,7 +339,7 @@ class TreeEnsemble:
             rows = len(F[block])
             terms = np.zeros((len(roots) + 1, max(rows, 2)))
             terms[0, :rows] = F[block]
-            terms[1:, :rows] = scale * flat.value[leaf_ids(flat, X[block], roots)]
+            terms[1:, :rows] = scale * flat.value[leaf_ids(flat, X[block], roots, self._walk)]
             F[block] = np.add.reduce(terms, axis=0)[:rows]
         return F
 
@@ -280,8 +351,12 @@ class DecisionTreeModel:
     converged: bool = True
     schema_fingerprint: str | None = None
 
+    @functools.cached_property
+    def _walk(self) -> WalkTables:
+        return walk_tables(self.tree)
+
     def decision_values(self, X: np.ndarray) -> np.ndarray:
-        return apply_tree(self.tree, X) - 0.5
+        return apply_tree(self.tree, X, self._walk) - 0.5
 
 
 def train_decision_tree(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> DecisionTreeModel:

@@ -22,7 +22,7 @@ from headerscan.learners.bundle import (bundle_bytes, decode_array, encode_array
 from headerscan.learners.linear import LogRegModel, sigmoid
 from headerscan.learners.mlp import init_params, loss_and_grad
 from headerscan.learners.tree import (BLOCK_ROWS, LEAF, DecisionTreeModel, TreeArrays, apply_tree,
-                                     leaf_ids)
+                                     leaf_ids, walk_tables)
 from headerscan.learners.forest import RandomForestModel
 from headerscan.synthetic import generate_emails, to_records
 
@@ -93,6 +93,38 @@ def test_svm_zero_margin_reads_anomalous():
     score = L.predict(m, np.array([1.0, 1.0]))
     assert score.decision_value == 0.0
     assert score.is_anomalous
+
+
+def test_predict_refuses_a_decision_value_that_is_not_finite():
+    """Weights that overflow on finite features read spam (+inf), ham
+    (-inf) or ham (NaN); a one-class kernel sum that overflows read
+    inlier; a stack over an overflowing base turned +-inf into a verdict
+    of +-0.5. Each now raises ValueError."""
+    from dataclasses import replace
+
+    from headerscan.learners.linear import LinearSVMModel
+
+    d = 4
+    huge = LinearSVMModel(spec=ModelSpec("linear_svm", {}, 0),
+                          weights=np.array([1e308, 1e308, -1e308, -1e308]), bias=0.0,
+                          converged=True, loss_history=np.array([]))
+    meta = LogRegModel(spec=ModelSpec("logreg", {}, 0), weights=np.ones(2), bias=0.0,
+                       converged=True, loss_history=np.array([]))
+    stack = L.StackModel(ModelSpec("stack", {}, 0), [huge, huge], meta)
+    X, _ = two_blobs(n_per=10, d=d, seed=48)
+    oc = L.train_one_class(ModelSpec("one_class_svm", {"gamma": 0.1}, 0), X)
+    sv = np.vstack([oc.support_vectors, oc.support_vectors])
+    oc = replace(oc, support_vectors=sv, alphas=np.full(len(sv), 1e308))
+    cases = [(L.predict, huge, np.array([2.0, 2.0, 0.0, 0.0])),
+             (L.predict, huge, np.array([-2.0, 0.0, 0.0, 0.0])),
+             (L.predict, huge, np.ones(d)),
+             (L.predict_one_class, oc, sv[0]),
+             (L.predict, stack, np.array([2.0, 2.0, 0.0, 0.0])),
+             (L.predict, stack, np.array([-2.0, 0.0, 0.0, 0.0]))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for score, model, x in cases:
+            with pytest.raises(ValueError, match="not finite"):
+                score(model, x)
 
 
 def test_forest_two_of_three_votes():
@@ -1344,6 +1376,125 @@ def test_leaf_sum_memory_stays_within_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 100 * len(Q) * 8
+
+
+REGIMES = [("random_forest", {"n_trees": 7}), ("random_forest", {"n_trees": 4, "max_depth": 2}),
+           ("grad_boost", {"n_trees": 5}), ("decision_tree", {})]
+REGIME_IDS = ["-".join([a, *map(str, hp.values())]) for a, hp in REGIMES]
+
+
+def walked(m):
+    """(node arrays, roots, walk tables) that a tree model scores with."""
+    if isinstance(m, DecisionTreeModel):
+        return m.tree, np.array([0]), m._walk
+    return (*m._flat, m._walk)
+
+
+def regime_queries(tree, d, seed):
+    """40 rows: rows 0-19 each sit on a split's threshold, then rows of
+    +0.0, of -0.0, of both, rows with a NaN entry, a row of NaN, and
+    random rows."""
+    rng = np.random.default_rng(seed)
+    Q = rng.standard_normal((40, d))
+    inner = np.flatnonzero(tree.feature != LEAF)
+    for k, node in enumerate(inner[:20]):
+        Q[k, tree.feature[node]] = tree.threshold[node]
+    Q[20:22], Q[22:24] = 0.0, -0.0
+    Q[24:26] = np.where(np.arange(d) % 2, 0.0, -0.0)
+    Q[26:30, rng.integers(0, d, 4)] = np.nan
+    Q[30] = np.nan
+    return Q
+
+
+@pytest.mark.parametrize("algo,hp", REGIMES, ids=REGIME_IDS)
+def test_small_blocks_reach_the_level_walks_leaves(monkeypatch, algo, hp):
+    """With rows x nodes equal to WALK_CELLS a block compares every split;
+    one cell over it, it walks level by level. Both give the level walk's
+    leaves and the per-tree walk's decision-value bytes, on rows at
+    thresholds, on +-0.0 and on NaN passed straight to the model."""
+    X, y = two_blobs(seed=41)
+    m = L.train(ModelSpec(algo, hp, 5), X, y)
+    tree, roots, tables = walked(m)
+    Q = regime_queries(tree, X.shape[1], 42)
+    levels = tree_module._walk_levels(tree, Q, roots)
+    real, calls = tree_module._walk_splits, []
+    monkeypatch.setattr(tree_module, "_walk_splits", lambda *a: calls.append(a) or real(*a))
+    for rows in (1, 3, len(Q)):
+        block, cells = Q[:rows], rows * len(tree.feature)
+        want = reference_decision_values(m, block).tobytes()
+        for budget, small in ((cells, True), (cells + 1, True), (cells - 1, False)):
+            monkeypatch.setattr(tree_module, "WALK_CELLS", budget)
+            calls.clear()
+            assert leaf_ids(tree, block, roots, tables).tobytes() == levels[:, :rows].tobytes()
+            assert m.decision_values(block).tobytes() == want
+            assert bool(calls) is small
+
+
+@pytest.mark.parametrize("algo,hp", REGIMES, ids=REGIME_IDS)
+def test_one_row_scores_its_row_of_the_batch(monkeypatch, algo, hp):
+    """decision_values(X[i:i+1]) is decision_values(X)[i], bit for bit,
+    with the budget as shipped and with one row just inside it, so that
+    the row walks all splits and the batch walks by level."""
+    X, y = two_blobs(seed=45)
+    m = L.train(ModelSpec(algo, hp, 5), X, y)
+    tree, _, _ = walked(m)
+    Q = regime_queries(tree, X.shape[1], 46)
+    for budget in (tree_module.WALK_CELLS, len(tree.feature)):
+        monkeypatch.setattr(tree_module, "WALK_CELLS", budget)
+        batch = m.decision_values(Q)
+        for i in range(len(Q)):
+            assert m.decision_values(Q[i:i + 1]).tobytes() == batch[i:i + 1].tobytes()
+
+
+def test_root_only_trees_walk_in_both_regimes(monkeypatch):
+    """A root-only tree has depth 0 and both regimes leave every row at
+    its root, on rows with no columns too; a forest that mixes one with
+    grown trees scores the same bytes in both."""
+    X, y = two_blobs(seed=43)
+    grown = L.train(ModelSpec("random_forest", {"n_trees": 2}, 5), X, y)
+    forest = RandomForestModel(ModelSpec("random_forest", {"n_trees": 3}, 5),
+                               [leaf_tree(1.0), *grown.trees], [0, *grown.tree_seeds])
+    lone = DecisionTreeModel(ModelSpec("decision_tree", {}, 0), leaf_tree(0.75))
+    assert walk_tables(lone.tree).depth == 0
+    Q = np.random.default_rng(44).standard_normal((5, X.shape[1]))
+    got = []
+    for budget in (0, 1 << 30):
+        monkeypatch.setattr(tree_module, "WALK_CELLS", budget)
+        assert leaf_ids(lone.tree, np.empty((4, 0))).tolist() == [[0] * 4]
+        assert lone.decision_values(Q).tolist() == [0.25] * 5
+        got.append(forest.decision_values(Q).tobytes())
+    assert got[0] == got[1] == reference_decision_values(forest, Q).tobytes()
+
+
+def test_both_regimes_route_signed_zeros_and_nan_alike(monkeypatch):
+    """Thresholds of -0.0 and +0.0 against entries of +-0.0, +-1e-300 and
+    NaN: x <= t picks the left child, and NaN goes right."""
+    tree = TreeArrays(feature=np.array([0, 1, LEAF, LEAF, LEAF]),
+                      threshold=np.array([-0.0, 0.0, 0.0, 0.0, 0.0]),
+                      left=np.array([1, 2, LEAF, LEAF, LEAF]),
+                      right=np.array([4, 3, LEAF, LEAF, LEAF]),
+                      value=np.array([0.0, 0.0, 0.1, 0.2, 0.3]))
+    entries = [0.0, -0.0, np.nan, 1e-300, -1e-300]
+    Q = np.array([[a, b] for a in entries for b in entries])
+    want = [(2 if b <= 0.0 else 3) if a <= -0.0 else 4 for a, b in Q.tolist()]
+    for budget in (0, 1 << 30):
+        monkeypatch.setattr(tree_module, "WALK_CELLS", budget)
+        assert leaf_ids(tree, Q)[0].tolist() == want
+
+
+def test_walk_tables_are_built_on_use_and_never_persisted(tmp_path):
+    """A decoded model holds no walk tables until it scores, and scoring
+    does not change its bundle bytes."""
+    schema, scaler = tiny_schema_scaler()
+    X, y = two_blobs(n_per=20, seed=47, d=len(schema.descriptors))
+    for algo in ("random_forest", "grad_boost", "decision_tree"):
+        m = L.train(ModelSpec(algo, {"n_trees": 3} if algo != "decision_tree" else {}, 5), X, y)
+        before = bundle_bytes(m, schema, scaler, "spam")
+        decoded = model_from_doc(model_to_doc(m))
+        assert "_walk" not in vars(decoded)
+        decoded.decision_values(X[:1])
+        assert "_walk" in vars(decoded)
+        assert bundle_bytes(decoded, schema, scaler, "spam") == before
 
 
 def reference_knn_decision_values(self, Q):
