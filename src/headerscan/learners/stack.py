@@ -36,11 +36,7 @@ class StackModel:
 
     def meta_decision_values(self, meta_X: np.ndarray) -> np.ndarray:
         """Decision values from meta-features: one column of base
-        decision values per base, in base order. A base value that is not
-        finite raises ValueError: the logistic meta-learner would turn it
-        into a confident verdict."""
-        if not np.isfinite(meta_X).all():
-            raise ValueError("a base decision value is not finite")
+        decision values per base, in base order."""
         return self.meta.probabilities(meta_X) - 0.5
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:

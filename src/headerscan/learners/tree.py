@@ -238,12 +238,17 @@ class WalkTables:
 
 
 def walk_tables(tree: TreeArrays, roots=(0,)) -> WalkTables:
-    """The walk tables of the trees rooted at roots, one level at a time."""
+    """The walk tables of the trees rooted at roots, one level at a time.
+    check_tree lets two parents share a child, so a level may repeat a
+    node; one that outgrows the node count drops its repeats, or a chain
+    of shared children would double it at every step."""
     leaf = tree.feature == LEAF
     own, roots = np.arange(len(leaf)), np.asarray(roots)
     depth, level = 0, roots[~leaf[roots]]
     while len(level):
         level = np.concatenate((tree.left[level], tree.right[level]))
+        if len(level) > len(leaf):
+            level = np.unique(level)
         depth, level = depth + 1, level[~leaf[level]]
     return WalkTables(np.where(leaf, 0, tree.feature), np.where(leaf, np.inf, tree.threshold),
                       np.where(leaf, own, tree.left), np.where(leaf, own, tree.right), depth)
@@ -285,12 +290,12 @@ def leaf_ids(tree: TreeArrays, X: np.ndarray, roots=(0,), tables: WalkTables | N
     split at once through tables (walk_tables(tree, roots) unless given);
     a larger block walks level by level."""
     roots = np.asarray(roots)
+    if tables is None:
+        tables = walk_tables(tree, roots)
     out = np.empty((len(roots), len(X)), dtype=np.int64)
     for start in range(0, len(X), BLOCK_ROWS):
         block = X[start:start + BLOCK_ROWS]
         if len(block) * len(tree.feature) <= WALK_CELLS:
-            if tables is None:
-                tables = walk_tables(tree, roots)
             out[:, start:start + BLOCK_ROWS] = _walk_splits(tables, block, roots)
         else:
             out[:, start:start + BLOCK_ROWS] = _walk_levels(tree, block, roots)

@@ -98,8 +98,7 @@ def test_svm_zero_margin_reads_anomalous():
 def test_predict_refuses_a_decision_value_that_is_not_finite():
     """Weights that overflow on finite features read spam (+inf), ham
     (-inf) or ham (NaN); a one-class kernel sum that overflows read
-    inlier; a stack over an overflowing base turned +-inf into a verdict
-    of +-0.5. Each now raises ValueError."""
+    inlier. Each now raises ValueError."""
     from dataclasses import replace
 
     from headerscan.learners.linear import LinearSVMModel
@@ -108,9 +107,6 @@ def test_predict_refuses_a_decision_value_that_is_not_finite():
     huge = LinearSVMModel(spec=ModelSpec("linear_svm", {}, 0),
                           weights=np.array([1e308, 1e308, -1e308, -1e308]), bias=0.0,
                           converged=True, loss_history=np.array([]))
-    meta = LogRegModel(spec=ModelSpec("logreg", {}, 0), weights=np.ones(2), bias=0.0,
-                       converged=True, loss_history=np.array([]))
-    stack = L.StackModel(ModelSpec("stack", {}, 0), [huge, huge], meta)
     X, _ = two_blobs(n_per=10, d=d, seed=48)
     oc = L.train_one_class(ModelSpec("one_class_svm", {"gamma": 0.1}, 0), X)
     sv = np.vstack([oc.support_vectors, oc.support_vectors])
@@ -118,9 +114,7 @@ def test_predict_refuses_a_decision_value_that_is_not_finite():
     cases = [(L.predict, huge, np.array([2.0, 2.0, 0.0, 0.0])),
              (L.predict, huge, np.array([-2.0, 0.0, 0.0, 0.0])),
              (L.predict, huge, np.ones(d)),
-             (L.predict_one_class, oc, sv[0]),
-             (L.predict, stack, np.array([2.0, 2.0, 0.0, 0.0])),
-             (L.predict, stack, np.array([-2.0, 0.0, 0.0, 0.0]))]
+             (L.predict_one_class, oc, sv[0])]
     with np.errstate(over="ignore", invalid="ignore"):
         for score, model, x in cases:
             with pytest.raises(ValueError, match="not finite"):
@@ -1782,6 +1776,46 @@ def test_bundle_mutation_fuzz(tmp_path):
             assert dv.shape == (8,) and np.isfinite(dv).all(), (kind, case)
             outcomes["scored"] += 1
     assert min(outcomes.values()) > 0
+
+
+def shared_child_chain(n, value=0.9):
+    """n nodes, each inner node's two children both the next node: a
+    tree check_tree accepts, with 2 ** (n - 1) root-to-leaf paths."""
+    step = np.append(np.arange(1, n), LEAF)
+    return TreeArrays(feature=np.append(np.zeros(n - 1, dtype=np.int64), LEAF),
+                      threshold=np.zeros(n), left=step, right=step.copy(),
+                      value=np.append(np.zeros(n - 1), value))
+
+
+def test_shared_child_chains_load_in_linear_memory(tmp_path, monkeypatch):
+    """Bundles of trees whose nodes share one child load and score in a
+    few MB: the walk tables count levels of distinct nodes, where a level
+    of every path of a 24-node chain would hold 2 ** 23 entries."""
+    from dataclasses import replace
+
+    schema, scaler = tiny_schema_scaler()
+    X, y = two_blobs(n_per=20, seed=49, d=len(schema.descriptors))
+    fp, chain = schema.fingerprint, shared_child_chain(24)
+    assert walk_tables(chain).depth == 23
+    tree = L.train(ModelSpec("decision_tree", {}, 1), X, y, fp)
+    forest = L.train(ModelSpec("random_forest", {"n_trees": 3}, 1), X, y, fp)
+    Q = np.random.default_rng(50).standard_normal((6, X.shape[1]))
+    for model in (replace(tree, tree=chain), replace(forest, trees=[chain, leaf_tree(0.9), chain])):
+        path = tmp_path / "chain.json"
+        save_bundle(path, model, schema, scaler, "spam")
+        tracemalloc.start()
+        try:
+            bundle = load_bundle(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        for budget in (0, 1 << 30):
+            monkeypatch.setattr(tree_module, "WALK_CELLS", budget)
+            assert np.allclose(bundle.model.decision_values(Q), 0.4)
+    for budget in (0, 1 << 30):
+        monkeypatch.setattr(tree_module, "WALK_CELLS", budget)
+        assert leaf_ids(chain, Q).tolist() == [[23] * len(Q)]
 
 
 def test_bundle_envelope_keys(tmp_path):
