@@ -14,8 +14,10 @@ each model's schema fingerprint, so the trainers only fit.
 
 Decision-value convention: every binary model emits decision values
 where >= 0 reads anomalous (probability minus 0.5 for probabilistic
-models, the margin for the SVM, vote fraction minus 0.5 for forest and
-kNN). The one-class SVM is the inverse: >= 0 reads inlier (ham).
+models, the decision tree's leaf included, the margin for the SVM, vote
+fraction minus 0.5 for forest and kNN, and AdaBoost's alpha-weighted
+vote over the sum of its alphas, in [-1, 1]). The one-class SVM is the
+inverse: >= 0 reads inlier (ham).
 """
 
 from __future__ import annotations

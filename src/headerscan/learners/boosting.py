@@ -1,4 +1,6 @@
-"""Gradient-boosted trees on log loss and AdaBoost over decision stumps."""
+"""Gradient-boosted trees on log loss and AdaBoost over decision stumps,
+each stump a 3-node tree: a split x <= threshold, then leaves of -/+
+polarity * alpha / sum(alphas), so a row scores its weighted vote."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import numpy as np
 
 from .base import ModelSpec
 from .linear import sigmoid
-from .tree import TreeArrays, TreeEnsemble, build_tree, sorted_cuts
+from .tree import LEAF, TreeArrays, TreeEnsemble, build_tree, sorted_cuts
 
 __all__ = ["GradBoostModel", "train_grad_boosts", "AdaBoostModel", "train_adaboost"]
 
@@ -74,30 +76,14 @@ def train_grad_boosts(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray,
 
 
 @dataclass
-class AdaBoostModel:
+class AdaBoostModel(TreeEnsemble):
     spec: ModelSpec
-    features: np.ndarray    # int64, one per stump
-    thresholds: np.ndarray  # float64
-    polarities: np.ndarray  # float64 in {+1, -1}; predict polarity where x > threshold
-    alphas: np.ndarray      # float64 stump weights
+    trees: list[TreeArrays]  # stumps, one per round, at most rounds
     converged: bool = True
     schema_fingerprint: str | None = None
 
-    def __post_init__(self):
-        # no stumps would score every row 0, which reads anomalous
-        if len(self.alphas) == 0:
-            raise ValueError("AdaBoost model without stumps")
-        # numpy would read a negative feature index from the end of the row
-        if (self.features < 0).any():
-            raise ValueError("AdaBoost stump on a negative feature index")
-        # polarity 0 would vote 0, which reads anomalous
-        if not ((np.abs(self.polarities) == 1.0).all() and (self.alphas > 0).all()):
-            raise ValueError("AdaBoost polarities must be +1 or -1 and alphas > 0")
-
     def decision_values(self, X: np.ndarray) -> np.ndarray:
-        votes = np.where(X[:, self.features] > self.thresholds, self.polarities, -self.polarities)
-        total = float(self.alphas.sum())
-        return (votes @ self.alphas) / (total if total > 0 else 1.0)
+        return self.leaf_sum(X, np.zeros(len(X)))
 
 
 def train_adaboost(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> AdaBoostModel:
@@ -152,5 +138,9 @@ def train_adaboost(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> AdaBoostMod
         if err <= 1e-12:
             break  # perfect stump; further rounds cannot change the vote
     k = np.array(picked, dtype=np.int64)
-    return AdaBoostModel(spec, cand_f[k // 2], cand_th[k // 2], 1.0 - 2.0 * (k % 2),
-                         np.array(alphas, dtype=np.float64))
+    alphas = np.array(alphas)
+    weights = (1.0 - 2.0 * (k % 2)) * alphas / alphas.sum()  # polarity * alpha / total
+    return AdaBoostModel(spec, [
+        TreeArrays(np.array([f, LEAF, LEAF]), np.array([th, 0.0, 0.0]), np.array([1, LEAF, LEAF]),
+                   np.array([2, LEAF, LEAF]), np.array([0.0, -v, v]))
+        for f, th, v in zip(cand_f[k // 2].tolist(), cand_th[k // 2].tolist(), weights.tolist())])

@@ -41,7 +41,7 @@ __all__ = [
     "bundle_bytes",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: decision trees and AdaBoost persist `trees`
 
 _DTYPES = {"f8": "<f8", "i8": "<i8"}
 

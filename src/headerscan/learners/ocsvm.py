@@ -213,7 +213,7 @@ def _smo(spec: ModelSpec, X: np.ndarray, row) -> OneClassSVMModel:
     sv = alpha > 0.0
     audit = KKTAudit(
         sum_alpha=float(np.sum(alpha)),
-        max_box_overshoot=float(max(np.max(-alpha), np.max(alpha - C), 0.0)),
+        max_box_overshoot=float(max(0.0, np.max(-alpha), np.max(alpha - C))),
         max_violation=float(violation),
         margin_error_fraction=float(np.mean(g - rho < -_TOL)),
         sv_fraction=float(np.mean(sv)),

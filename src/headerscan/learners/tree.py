@@ -1,24 +1,24 @@
 """Array-based binary decision trees: Gini classification and
-squared-error regression, shared by the forest and boosting models.
+squared-error regression, shared by every tree model.
 
 Nodes live in parallel arrays so trees serialize without recursion.
-A sample goes left iff x[feature] <= threshold. Leaves have feature -1
-and carry a value: P(anomalous) for classification, a real prediction
-for regression.
+A sample goes left iff x[feature] <= threshold. Leaves have feature -1,
+no children, and a value: P(anomalous) for classification, a real
+prediction for regression, a signed stump weight for AdaBoost.
 
-One walker, `leaf_ids`, scores every tree: an ensemble's trees form one
-flat node array, each tree's children offset by its root index (a single
-tree has roots [0]). It has two regimes, chosen per block of rows by the
-block's size. A block of at most WALK_CELLS (row, node) cells compares
-every split once, which gives each (row, node) its next node, then moves
-every (tree, row) pair along those pointers as many times as the deepest
-leaf is deep; its walk tables are built once per model and never
-persisted. A larger block advances the unfinished (tree, row) pairs one
-level per step; check_tree's forward children end walks. Both regimes
-make the same x[f] <= t comparisons along each pair's path, so they
-reach the same leaves. An ensemble sums each block's leaves with one
-sequential accumulate along the tree axis, in tree order, so no array
-outgrows a block.
+Every tree model, one decision tree or AdaBoost's 3-node stumps too, is
+a TreeEnsemble scored by one walker, `leaf_ids`: its trees form one flat
+node array, each tree's children offset by its root index. The walker
+has two regimes, chosen per block of rows by the block's size. A block
+of at most WALK_CELLS (row, node) cells compares every split once, which
+gives each (row, node) its next node, then moves every (tree, row) pair
+along those pointers as many times as the deepest leaf is deep; its walk
+tables are built once per model and never persisted. A larger block
+advances the unfinished (tree, row) pairs one level per step;
+check_tree's forward children end walks. Both regimes make the same
+x[f] <= t comparisons along each pair's path, so they reach the same
+leaves. An ensemble sums each block's leaves with one sequential reduce
+along the tree axis, in tree order, so no array outgrows a block.
 
 One grower, `build_tree`, grows all of a forest's trees, or one
 boosting round of every fold, in lockstep: each step takes the next
@@ -43,8 +43,7 @@ import numpy as np
 from .base import ModelSpec
 
 __all__ = ["TreeArrays", "TreeEnsemble", "DecisionTreeModel", "train_decision_tree",
-           "build_tree", "check_tree", "WalkTables", "walk_tables", "leaf_ids", "apply_tree",
-           "sorted_cuts"]
+           "build_tree", "check_tree", "WalkTables", "walk_tables", "leaf_ids", "sorted_cuts"]
 
 LEAF = -1
 BLOCK_ROWS = 1024  # rows per walk; (tree, row) arrays hold n_trees x this
@@ -208,14 +207,18 @@ def build_tree(X: np.ndarray, target: np.ndarray, roots, *, criterion: str,
 def check_tree(tree: TreeArrays, width: int) -> None:
     """Raise ValueError unless tree is five equal-length 1-D arrays with
     int64 features and children, every split on a feature in 0..width-1,
-    and every child after its parent, so that walks end."""
+    no children below a leaf, and every child after its parent, so that
+    walks end."""
     n = len(tree.feature)
     arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
     if n == 0 or any(a.shape != (n,) for a in arrays):
         raise ValueError("tree arrays are empty or differ in shape")
     if any(a.dtype != np.int64 for a in (tree.feature, tree.left, tree.right)):
         raise ValueError("tree features and children must be int64")
-    inner = np.flatnonzero(tree.feature != LEAF)
+    leaf = tree.feature == LEAF
+    if ((tree.left[leaf] != LEAF) | (tree.right[leaf] != LEAF)).any():
+        raise ValueError("tree leaf has children")
+    inner = np.flatnonzero(~leaf)
     feature = tree.feature[inner]
     if ((feature < 0) | (feature >= width)).any():
         raise ValueError(f"tree splits on a feature outside 0..{width - 1}")
@@ -302,20 +305,20 @@ def leaf_ids(tree: TreeArrays, X: np.ndarray, roots=(0,), tables: WalkTables | N
     return out
 
 
-def apply_tree(tree: TreeArrays, X: np.ndarray, tables: WalkTables | None = None) -> np.ndarray:
-    """Leaf values for every row."""
-    return tree.value[leaf_ids(tree, X, (0,), tables)[0]]
-
-
 class TreeEnsemble:
-    """Mixin for a model dataclass with a `trees` list. The flat arrays and
-    their walk tables are built on first use, after load_bundle's
-    check_tree, and never persisted."""
+    """Mixin for a model dataclass with a `trees` list, the one scorer of
+    every tree model. The flat arrays and their walk tables are built on
+    first use, after load_bundle's check_tree, and never persisted."""
 
     def __post_init__(self):
-        n_trees = self.spec.hyperparameters["n_trees"]
-        if len(self.trees) != n_trees:
-            raise ValueError(f"{len(self.trees)} trees, but n_trees is {n_trees}")
+        # the fewest and most trees of each kind; none holds zero, as
+        # zero trees would score every row 0, which reads anomalous
+        hp = self.spec.hyperparameters
+        low, high = {"decision_tree": (1, 1), "adaboost": (1, hp.get("rounds"))}.get(
+            self.spec.algorithm, (hp.get("n_trees"), hp.get("n_trees")))
+        if not max(low, 1) <= len(self.trees) <= high:
+            raise ValueError(f"{len(self.trees)} trees, but {self.spec.algorithm} "
+                             f"holds {low} to {high}")
 
     @functools.cached_property
     def _flat(self) -> tuple[TreeArrays, np.ndarray]:
@@ -350,23 +353,18 @@ class TreeEnsemble:
 
 
 @dataclass
-class DecisionTreeModel:
+class DecisionTreeModel(TreeEnsemble):
     spec: ModelSpec
-    tree: TreeArrays
+    trees: list[TreeArrays]  # one tree; leaves hold P(anomalous)
     converged: bool = True
     schema_fingerprint: str | None = None
 
-    @functools.cached_property
-    def _walk(self) -> WalkTables:
-        return walk_tables(self.tree)
-
     def decision_values(self, X: np.ndarray) -> np.ndarray:
-        return apply_tree(self.tree, X, self._walk) - 0.5
+        return self.leaf_sum(X, np.zeros(len(X))) - 0.5
 
 
 def train_decision_tree(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> DecisionTreeModel:
     hp = spec.hyperparameters
-    [tree] = build_tree(X, y.astype(np.float64), [np.arange(len(X))], criterion="gini",
-                        max_depth=hp["max_depth"],
-                        min_samples_leaf=hp["min_samples_leaf"])
-    return DecisionTreeModel(spec, tree)
+    trees = build_tree(X, y.astype(np.float64), [np.arange(len(X))], criterion="gini",
+                       max_depth=hp["max_depth"], min_samples_leaf=hp["min_samples_leaf"])
+    return DecisionTreeModel(spec, trees)

@@ -338,6 +338,29 @@ def test_classify_error_exits(cli_run, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_classify_exits_2_on_a_format_version_1_bundle(cli_run, tmp_path, capsys):
+    """A decision tree saved in version 1's layout (one "tree" where
+    version 2 keeps a "trees" list) is refused as the wrong version."""
+    _, out = cli_run
+    email = tmp_path / "some.eml"
+    email.write_bytes(b"Subject: x\r\n\r\n")
+    bundle = load_bundle(os.path.join(out, "models", "phase1.model.json"))
+    width = len(bundle.schema.descriptors)
+    rng = np.random.default_rng(4)
+    tree = train(ModelSpec("decision_tree", {}, 0), rng.standard_normal((40, width)),
+                 np.arange(40) % 2, bundle.schema.fingerprint)
+    path = tmp_path / "tree.json"
+    save_bundle(path, tree, bundle.schema, bundle.scaler, "spam")
+    assert main(["classify", "--model", str(path), str(email)]) in (0, 10)
+    doc = json.load(open(path))
+    doc["format_version"] = 1
+    doc["parameters"] = {"tree": doc["parameters"]["trees"][0]}
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["classify", "--model", str(path), str(email)]) == 2
+    assert "not a format_version 2 model file" in capsys.readouterr().err
+
+
 def test_classify_exits_2_on_a_too_deep_bundle(cli_run, tmp_path, capsys):
     _, out = cli_run
     email = tmp_path / "some.eml"

@@ -621,7 +621,7 @@ def reference_train_one_class_svm(spec: ModelSpec, X: np.ndarray,
     sv = alpha > 0.0
     audit = KKTAudit(
         sum_alpha=float(np.sum(alpha)),
-        max_box_overshoot=float(max(np.max(-alpha), np.max(alpha - C), 0.0)),
+        max_box_overshoot=float(max(0.0, np.max(-alpha), np.max(alpha - C))),
         max_violation=float(violation),
         margin_error_fraction=float(np.mean(g - rho < -ocsvm._TOL)),
         sv_fraction=float(np.mean(sv)),

@@ -1,8 +1,11 @@
 """Learner contracts: worked examples, invariants, and persistence."""
 
+import ast
 import functools
 import json
+import pathlib
 import tracemalloc
+import typing
 from dataclasses import astuple
 
 import numpy as np
@@ -16,13 +19,15 @@ from headerscan.learners import ModelSpec, ocsvm
 from headerscan.learners import mlp as mlp_module
 from headerscan.learners import tree as tree_module
 from headerscan.learners.base import derive_seed
-from headerscan.learners.bundle import (bundle_bytes, decode_array, encode_array,
+from headerscan.learners.bundle import (_parameter_fields, _registry, bundle_bytes,
+                                       decode_array, encode_array,
                                        load_bundle, model_from_doc, model_to_doc,
                                        save_bundle)
 from headerscan.learners.linear import LogRegModel, sigmoid
 from headerscan.learners.mlp import init_params, loss_and_grad
-from headerscan.learners.tree import (BLOCK_ROWS, LEAF, DecisionTreeModel, TreeArrays, apply_tree,
-                                     leaf_ids, walk_tables)
+from headerscan.learners.tree import (BLOCK_ROWS, LEAF, DecisionTreeModel, TreeArrays,
+                                     TreeEnsemble, leaf_ids, walk_tables)
+from headerscan.learners.boosting import AdaBoostModel
 from headerscan.learners.forest import RandomForestModel
 from headerscan.synthetic import generate_emails, to_records
 
@@ -300,12 +305,13 @@ def reference_leaf_ids(tree, X):
 def reference_decision_values(m, X):
     """decision_values of a tree model, summing its trees in tree order."""
     if isinstance(m, DecisionTreeModel):
-        return m.tree.value[reference_leaf_ids(m.tree, X)] - 0.5
-    if isinstance(m, RandomForestModel):
+        [tree] = m.trees
+        return tree.value[reference_leaf_ids(tree, X)] - 0.5
+    if isinstance(m, (RandomForestModel, AdaBoostModel)):
         acc = np.zeros(len(X))
         for tree in m.trees:
             acc += tree.value[reference_leaf_ids(tree, X)]
-        return acc / len(m.trees) - 0.5
+        return acc if isinstance(m, AdaBoostModel) else acc / len(m.trees) - 0.5
     F = np.full(len(X), m.base_score)
     for tree in m.trees:
         F += m.spec.hyperparameters["learning_rate"] * tree.value[reference_leaf_ids(tree, X)]
@@ -325,8 +331,8 @@ def test_tree_threshold_tie_takes_lowest():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 1, 1, 0])
     m = L.train(ModelSpec("decision_tree", {}, 0), X, y)
-    assert m.tree.feature[0] == 0
-    assert m.tree.threshold[0] == 0.5
+    assert m.trees[0].feature[0] == 0
+    assert m.trees[0].threshold[0] == 0.5
 
 
 def test_tree_feature_tie_takes_lowest_index():
@@ -335,7 +341,7 @@ def test_tree_feature_tie_takes_lowest_index():
     X = np.column_stack([col, col])  # identical columns: feature 0 must win
     y = (col > 0).astype(np.int64)
     m = L.train(ModelSpec("decision_tree", {}, 0), X, y)
-    assert m.tree.feature[0] == 0
+    assert m.trees[0].feature[0] == 0
 
 
 def test_tree_min_samples_leaf_is_respected():
@@ -343,25 +349,38 @@ def test_tree_min_samples_leaf_is_respected():
     X = rng.standard_normal((80, 3))
     y = (rng.random(80) < 0.5).astype(np.int64)
     m = L.train(ModelSpec("decision_tree", {"min_samples_leaf": 5}, 0), X, y)
-    _, counts = np.unique(reference_leaf_ids(m.tree, X), return_counts=True)
+    _, counts = np.unique(reference_leaf_ids(m.trees[0], X), return_counts=True)
     assert counts.min() >= 5
 
 
-def test_apply_tree_routes_on_leq():
+def test_decision_tree_routes_on_leq():
     tree = TreeArrays(feature=np.array([0, LEAF, LEAF]),
                       threshold=np.array([1.5, 0.0, 0.0]),
                       left=np.array([1, LEAF, LEAF]),
                       right=np.array([2, LEAF, LEAF]),
                       value=np.array([0.0, 0.25, 0.75]))
-    out = apply_tree(tree, np.array([[1.5], [1.500001]]))
-    assert out[0] == 0.25 and out[1] == 0.75
+    m = DecisionTreeModel(ModelSpec("decision_tree", {}, 0), [tree])
+    assert m.decision_values(np.array([[1.5], [1.500001]])).tolist() == [-0.25, 0.25]
+
+
+def stumps(m):
+    """(features, thresholds, signed weights) of an AdaBoost model's
+    stumps; a weight is polarity * alpha / sum(alphas), its right leaf."""
+    for t in m.trees:
+        assert t.feature[1:].tolist() == [LEAF, LEAF]
+        assert (t.left.tolist(), t.right.tolist()) == ([1, LEAF, LEAF], [2, LEAF, LEAF])
+        assert t.value[0] == 0.0 and t.value[1] == -t.value[2]
+    return tuple(np.array([getattr(t, name)[i] for t in m.trees])
+                 for name, i in (("feature", 0), ("threshold", 0), ("value", 2)))
 
 
 def test_adaboost_alphas_positive_and_errors_below_half():
     X, y = two_blobs(seed=11, gap=1.0)
     m = L.train(ModelSpec("adaboost", {"rounds": 25}, 0), X, y)
-    assert len(m.alphas) >= 1
-    assert np.all(m.alphas > 0)  # alpha > 0 iff weighted error < 0.5
+    _, _, weights = stumps(m)
+    assert 1 <= len(weights) <= 25
+    assert np.all(weights != 0)  # alpha > 0 iff weighted error < 0.5
+    assert abs(np.abs(weights).sum() - 1.0) < 1e-12
 
 
 def test_adaboost_separable_perfect():
@@ -375,7 +394,7 @@ def test_adaboost_identical_columns_take_the_lower_feature():
     col = rng.standard_normal(40)
     X = np.column_stack([rng.standard_normal(40), col, col])
     m = L.train(ModelSpec("adaboost", {"rounds": 1}, 0), X, (col > 0).astype(np.int64))
-    assert m.features.tolist() == [1]
+    assert stumps(m)[0].tolist() == [1]
 
 
 def test_adaboost_equal_error_cuts_take_the_lower_threshold():
@@ -383,14 +402,13 @@ def test_adaboost_equal_error_cuts_take_the_lower_threshold():
     # one row in four
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     m = L.train(ModelSpec("adaboost", {"rounds": 1}, 0), X, np.array([0, 1, 1, 0]))
-    assert m.thresholds.tolist() == [0.5] and m.polarities.tolist() == [1.0]
+    assert [a.tolist() for a in stumps(m)[1:]] == [[0.5], [1.0]]
 
 
 def test_adaboost_constant_column_gives_the_constant_stump():
     X = np.full((4, 1), 2.0)
     m = L.train(ModelSpec("adaboost", {"rounds": 5}, 0), X, np.array([1, 1, 1, 0]))
-    assert m.features.tolist() == [0]
-    assert m.thresholds.tolist() == [1.0] and m.polarities.tolist() == [1.0]
+    assert [a.tolist() for a in stumps(m)] == [[0], [1.0], [1.0]]
 
 
 def test_adaboost_without_a_useful_stump_refuses_to_train():
@@ -468,8 +486,19 @@ def continuous_matrix():
     return X, (X[:, 0] + 0.5 * rng.standard_normal(400) > 0).astype(np.int64)
 
 
+def reference_stump_vote(features, thresholds, polarities, alphas, X):
+    """AdaBoostModel.decision_values before its stumps became trees: the
+    alpha-weighted vote as one matrix product, over the sum of alphas."""
+    votes = np.where(X[:, features] > thresholds, polarities, -polarities)
+    return (votes @ alphas) / float(alphas.sum())
+
+
 @pytest.mark.parametrize("data", [header_matrix, continuous_matrix])
 def test_adaboost_matches_the_per_cut_stump_search(data):
+    """The stumps' features and thresholds are the reference search's
+    bytes and their leaves its polarity * alpha / sum(alphas); the
+    verdicts on the training rows and on 3,000 random rows are those of
+    the old vote, and the values agree within 1e-14."""
     X, y = data()
     if data is header_matrix:
         one_hot = X > X.mean(axis=0)
@@ -478,8 +507,14 @@ def test_adaboost_matches_the_per_cut_stump_search(data):
     m = L.train(ModelSpec("adaboost", {"rounds": 100}, 0), X, y)
     want = reference_adaboost(X, y, 100)
     assert len(want[0]) == 100
-    got = (m.features, m.thresholds, m.polarities, m.alphas)
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    features, thresholds, polarities, alphas = want
+    got = stumps(m)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in (
+        features, thresholds, polarities * alphas / alphas.sum())]
+    Q = np.vstack([X, np.random.default_rng(48).standard_normal((3000, X.shape[1]))])
+    old, new = reference_stump_vote(*want, Q), m.decision_values(Q)
+    assert ((new >= 0) == (old >= 0)).all()
+    assert np.abs(new - old).max() <= 1e-14
 
 
 def reference_best_split(X, t, rows, features, min_leaf, criterion):
@@ -648,7 +683,7 @@ def test_lockstep_grower_matches_the_per_node_builder(monkeypatch, cells, data, 
     monkeypatch.setattr(tree_module, "SCAN_CELLS", cells)
     m = L.train(ModelSpec(algo, hp, 6), X, y)
     got = [[(a.dtype, a.tobytes()) for a in astuple(t)]
-           for t in getattr(m, "trees", None) or [m.tree]]
+           for t in m.trees]
     assert got == reference_tree_bytes(data, algo, tuple(hp.items()))
 
 
@@ -1181,13 +1216,13 @@ def tiny_schema_scaler():
 PARAMETER_KEYS = {
     "logreg": {"weights", "bias"},
     "linear_svm": {"weights", "bias"},
-    "decision_tree": {"tree"},
+    "decision_tree": {"trees"},
     "random_forest": {"trees", "tree_seeds"},
     "grad_boost": {"base_score", "trees"},
     "gaussian_nb": {"log_priors", "means", "variances"},
     "knn": {"X", "y"},
     "mlp": {"W1", "b1", "w2", "b2"},
-    "adaboost": {"features", "thresholds", "polarities", "alphas"},
+    "adaboost": {"trees"},
     "stack": {"bases", "meta"},
     "one_class_svm": {"support_vectors", "alphas", "rho", "audit"},
 }
@@ -1199,8 +1234,7 @@ AUDIT_KEYS = {"sum_alpha", "max_box_overshoot", "max_violation",
 def check_parameter_keys(doc):
     params = doc["parameters"]
     assert set(params) == PARAMETER_KEYS[doc["algorithm"]], doc["algorithm"]
-    trees = params.get("trees", []) + ([params["tree"]] if "tree" in params else [])
-    assert all(set(tree) == TREE_KEYS for tree in trees)
+    assert all(set(tree) == TREE_KEYS for tree in params.get("trees", []))
     if "audit" in params:
         assert set(params["audit"]) == AUDIT_KEYS
     nested = params.get("bases", []) + ([params["meta"]] if "meta" in params else [])
@@ -1307,8 +1341,7 @@ def test_flat_walk_matches_per_tree_walk(tmp_path, algo, hp, n):
     loaded = load_bundle(tmp_path / "m.json").model
     rows = np.random.default_rng(30).standard_normal((2 * BLOCK_ROWS + 3, d))
     # row k sits exactly on split k's threshold, so ties at <= are walked
-    trees = getattr(m, "trees", None) or [m.tree]
-    splits = [(f, th) for t in trees for f, th in zip(t.feature, t.threshold) if f != LEAF]
+    splits = [(f, th) for t in m.trees for f, th in zip(t.feature, t.threshold) if f != LEAF]
     for k, (f, th) in enumerate(splits[:len(rows)]):
         rows[k, f] = th
     for size in (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, len(rows)):
@@ -1373,14 +1406,12 @@ def test_leaf_sum_memory_stays_within_blocks():
 
 
 REGIMES = [("random_forest", {"n_trees": 7}), ("random_forest", {"n_trees": 4, "max_depth": 2}),
-           ("grad_boost", {"n_trees": 5}), ("decision_tree", {})]
+           ("grad_boost", {"n_trees": 5}), ("decision_tree", {}), ("adaboost", {"rounds": 20})]
 REGIME_IDS = ["-".join([a, *map(str, hp.values())]) for a, hp in REGIMES]
 
 
 def walked(m):
     """(node arrays, roots, walk tables) that a tree model scores with."""
-    if isinstance(m, DecisionTreeModel):
-        return m.tree, np.array([0]), m._walk
     return (*m._flat, m._walk)
 
 
@@ -1428,16 +1459,20 @@ def test_small_blocks_reach_the_level_walks_leaves(monkeypatch, algo, hp):
 def test_one_row_scores_its_row_of_the_batch(monkeypatch, algo, hp):
     """decision_values(X[i:i+1]) is decision_values(X)[i], bit for bit,
     with the budget as shipped and with one row just inside it, so that
-    the row walks all splits and the batch walks by level."""
+    the row walks all splits and the batch walks by level; so are the
+    values of the two parts of a shuffled split of X."""
     X, y = two_blobs(seed=45)
     m = L.train(ModelSpec(algo, hp, 5), X, y)
     tree, _, _ = walked(m)
     Q = regime_queries(tree, X.shape[1], 46)
+    order = np.random.default_rng(47).permutation(len(Q))
     for budget in (tree_module.WALK_CELLS, len(tree.feature)):
         monkeypatch.setattr(tree_module, "WALK_CELLS", budget)
         batch = m.decision_values(Q)
         for i in range(len(Q)):
             assert m.decision_values(Q[i:i + 1]).tobytes() == batch[i:i + 1].tobytes()
+        parts = [m.decision_values(Q[rows]) for rows in np.split(order, [13])]
+        assert np.concatenate(parts).tobytes() == batch[order].tobytes()
 
 
 def test_root_only_trees_walk_in_both_regimes(monkeypatch):
@@ -1448,13 +1483,13 @@ def test_root_only_trees_walk_in_both_regimes(monkeypatch):
     grown = L.train(ModelSpec("random_forest", {"n_trees": 2}, 5), X, y)
     forest = RandomForestModel(ModelSpec("random_forest", {"n_trees": 3}, 5),
                                [leaf_tree(1.0), *grown.trees], [0, *grown.tree_seeds])
-    lone = DecisionTreeModel(ModelSpec("decision_tree", {}, 0), leaf_tree(0.75))
-    assert walk_tables(lone.tree).depth == 0
+    lone = DecisionTreeModel(ModelSpec("decision_tree", {}, 0), [leaf_tree(0.75)])
+    assert walk_tables(lone.trees[0]).depth == 0
     Q = np.random.default_rng(44).standard_normal((5, X.shape[1]))
     got = []
     for budget in (0, 1 << 30):
         monkeypatch.setattr(tree_module, "WALK_CELLS", budget)
-        assert leaf_ids(lone.tree, np.empty((4, 0))).tolist() == [[0] * 4]
+        assert leaf_ids(lone.trees[0], np.empty((4, 0))).tolist() == [[0] * 4]
         assert lone.decision_values(Q).tolist() == [0.25] * 5
         got.append(forest.decision_values(Q).tobytes())
     assert got[0] == got[1] == reference_decision_values(forest, Q).tobytes()
@@ -1481,8 +1516,9 @@ def test_walk_tables_are_built_on_use_and_never_persisted(tmp_path):
     does not change its bundle bytes."""
     schema, scaler = tiny_schema_scaler()
     X, y = two_blobs(n_per=20, seed=47, d=len(schema.descriptors))
-    for algo in ("random_forest", "grad_boost", "decision_tree"):
-        m = L.train(ModelSpec(algo, {"n_trees": 3} if algo != "decision_tree" else {}, 5), X, y)
+    for algo, hp in (("random_forest", {"n_trees": 3}), ("grad_boost", {"n_trees": 3}),
+                     ("decision_tree", {}), ("adaboost", {"rounds": 3})):
+        m = L.train(ModelSpec(algo, hp, 5), X, y)
         before = bundle_bytes(m, schema, scaler, "spam")
         decoded = model_from_doc(model_to_doc(m))
         assert "_walk" not in vars(decoded)
@@ -1638,8 +1674,8 @@ def _split_past_width(doc):
             "left": [1, LEAF, 3, LEAF, LEAF],
             "right": [2, LEAF, 4, LEAF, LEAF],
             "value": [0.0, 0.0, 0.0, 0.0, 1.0]}
-    doc["parameters"]["tree"] = {name: encode_array(np.array(values))
-                                 for name, values in tree.items()}
+    doc["parameters"]["trees"] = [{name: encode_array(np.array(values))
+                                   for name, values in tree.items()}]
 
 
 def _second_tree_points_into_first(doc):
@@ -1651,16 +1687,18 @@ def _second_tree_points_into_first(doc):
     tree["left"] = encode_array(left)
 
 
-def _filled(key, value):
+def _first_stump_on(feature):
     def damage(doc):
-        a = decode_array(doc["parameters"][key])
-        doc["parameters"][key] = encode_array(np.full_like(a, value))
+        stump = doc["parameters"]["trees"][0]
+        split = decode_array(stump["feature"])
+        split[0] = feature
+        stump["feature"] = encode_array(split)
     return damage
 
 
-def _no_stumps(doc):
-    for key in ("features", "thresholds", "polarities", "alphas"):
-        doc["parameters"][key] = encode_array(decode_array(doc["parameters"][key])[:0])
+def _more_trees_than_rounds(doc):
+    trees = doc["parameters"]["trees"]
+    trees += [trees[0]] * (doc["hyperparameters"]["rounds"] + 1 - len(trees))
 
 
 def _drop_first(key):
@@ -1685,12 +1723,14 @@ DAMAGE = {
     "forest-one-tree-short": ("random_forest", _drop_first("trees")),
     "forest-one-seed-short": ("random_forest", _drop_first("tree_seeds")),
     "forest-n-trees-4": ("random_forest", lambda d: d["hyperparameters"].update(n_trees=4)),
-    "adaboost-polarity-0": ("adaboost", _filled("polarities", 0.0)),
-    "adaboost-alpha-0": ("adaboost", _filled("alphas", 0.0)),
-    "adaboost-no-stumps": ("adaboost", _no_stumps),
+    "adaboost-no-stumps": ("adaboost", lambda d: d["parameters"].update(trees=[])),
+    "adaboost-more-stumps-than-rounds": ("adaboost", _more_trees_than_rounds),
+    "adaboost-negative-feature": ("adaboost", _first_stump_on(-1)),
+    "adaboost-stump-past-width": ("adaboost", _first_stump_on(10_000)),
     "tree-split-past-width": ("decision_tree", _split_past_width),
+    "tree-second-tree": ("decision_tree", lambda d: d["parameters"]["trees"].append(
+        d["parameters"]["trees"][0])),
     "knn-labels-one-short": ("knn", _labels_one_short),
-    "adaboost-negative-feature": ("adaboost", _filled("features", -1)),
     "knn-without-k": ("knn", lambda d: d["hyperparameters"].pop("k")),
     "grad-boost-learning-rate-x":
         ("grad_boost", lambda d: d["hyperparameters"].update(learning_rate="x")),
@@ -1713,6 +1753,58 @@ def test_damaged_bundle_is_rejected(tmp_path, case):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"{kind}.json"):
         load_bundle(path)
+
+
+@pytest.mark.parametrize("algo,hp,counts", [("decision_tree", {}, [1]),
+                                            ("adaboost", {"rounds": 3}, [1, 2, 3]),
+                                            ("grad_boost", {"n_trees": 2}, [2])])
+def test_tree_models_hold_the_tree_count_of_their_kind(algo, hp, counts):
+    """A decision tree holds one tree, AdaBoost 1 to rounds stumps and
+    grad_boost n_trees trees; none holds zero, which would score every
+    row 0, a verdict of anomalous."""
+    spec = L.validate_spec(ModelSpec(algo, hp, 0))
+    make = {"decision_tree": lambda trees: DecisionTreeModel(spec, trees),
+            "adaboost": lambda trees: AdaBoostModel(spec, trees),
+            "grad_boost": lambda trees: L.GradBoostModel(spec, 0.0, trees)}[algo]
+    for n in range(5):
+        if n in counts:
+            assert len(make([leaf_tree(0.5)] * n).trees) == n
+        else:
+            with pytest.raises(ValueError, match=f"{n} trees"):
+                make([leaf_tree(0.5)] * n)
+
+
+class _LeafIdsCalls(ast.NodeVisitor):
+    """The enclosing (class and function names) of every leaf_ids call."""
+
+    def __init__(self):
+        self.scope, self.found = [], []
+
+    def visit_ClassDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_ClassDef
+
+    def visit_Call(self, node):
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) == "leaf_ids":
+            self.found.append(tuple(self.scope))
+        self.generic_visit(node)
+
+
+def test_one_walker_scores_every_tree():
+    """Every registered model kind whose parameters hold TreeArrays is a
+    TreeEnsemble, and the package calls leaf_ids in one place only:
+    TreeEnsemble.leaf_sum."""
+    for algorithm, cls in _registry().items():
+        holds_trees = any(TreeArrays in (hint, *typing.get_args(hint))
+                          for _, hint in _parameter_fields(cls))
+        assert holds_trees == issubclass(cls, TreeEnsemble), algorithm
+    calls = _LeafIdsCalls()
+    for path in sorted(pathlib.Path(L.__file__).parents[1].rglob("*.py")):
+        calls.visit(ast.parse(path.read_text()))
+    assert calls.found == [("TreeEnsemble", "leaf_sum")]
 
 
 def test_flat_forest_waits_for_the_tree_check(tmp_path):
@@ -1800,7 +1892,7 @@ def test_shared_child_chains_load_in_linear_memory(tmp_path, monkeypatch):
     tree = L.train(ModelSpec("decision_tree", {}, 1), X, y, fp)
     forest = L.train(ModelSpec("random_forest", {"n_trees": 3}, 1), X, y, fp)
     Q = np.random.default_rng(50).standard_normal((6, X.shape[1]))
-    for model in (replace(tree, tree=chain), replace(forest, trees=[chain, leaf_tree(0.9), chain])):
+    for model in (replace(tree, trees=[chain]), replace(forest, trees=[chain, leaf_tree(0.9), chain])):
         path = tmp_path / "chain.json"
         save_bundle(path, model, schema, scaler, "spam")
         tracemalloc.start()
@@ -1829,5 +1921,5 @@ def test_bundle_envelope_keys(tmp_path):
     for key in ("format_version", "algorithm", "schema_fingerprint", "scaler",
                 "hyperparameters", "seed", "parameters", "convergence_flag"):
         assert key in doc
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     assert doc["algorithm"] == "logreg"

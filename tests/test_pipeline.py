@@ -76,6 +76,18 @@ def test_artifact_layout(full_run):
     assert set(manifest["phases"]) == {"1", "2", "3", "4"}
 
 
+def test_one_class_bundles_store_no_negative_zero(full_run):
+    """A one-class fit with a zero coefficient audits its box overshoot
+    as 0.0, not as the -0.0 that max(-alpha) gives."""
+    cfg, _ = full_run
+    for n in (3, 4):
+        with open(os.path.join(cfg.output_dir, "models", f"phase{n}.model.json"), "rb") as fh:
+            blob = fh.read()
+        assert b'"algorithm":"one_class_svm"' in blob
+        assert b'"max_box_overshoot":' in blob
+        assert b'"max_box_overshoot":-0.0' not in blob
+
+
 def test_manifest_contents(full_run):
     cfg, manifest = full_run
     on_disk = json.load(open(os.path.join(cfg.output_dir, "manifest.json")))
