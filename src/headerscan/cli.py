@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import logging
 import os
 import sys
@@ -22,7 +23,8 @@ from .corpus import header_frequencies, top_k_fields
 from .features import apply_scaler, extract
 from .headers import parse_headers
 from .learners import load_bundle, predict
-from .pipeline import DataError, load_config, load_datasets, run_importance, run_phases
+from .pipeline import (DataError, load_config, load_datasets, read_ham_spam,
+                       read_phishing, run_importance, run_phases)
 
 log = logging.getLogger(__name__)
 
@@ -76,20 +78,31 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_ingest(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
     datasets = load_datasets(cfg)
-    records = datasets.ham_spam + (datasets.phishing or [])
-    fields = top_k_fields(header_frequencies(records), cfg.k)
+    fields = top_k_fields(header_frequencies(
+        datasets.ham_spam + (datasets.phishing or [])), cfg.k)
+    del datasets  # records keep no field values; free them before the re-read
+    line = io.StringIO()
+    writer = csv.writer(line, lineterminator="\n")
+
+    def row(id, header, label) -> str:
+        """One message's cache line. Lines are held until the corpus is in
+        order, and one string holds less than a list of cells."""
+        line.seek(0)
+        line.truncate()
+        # repeated fields collapse into one cell, values in file order
+        writer.writerow([id, label.value] + [" | ".join(header.get_all(name))
+                                             for name in fields])
+        return line.getvalue()
+
+    # each message is read again from its source, in corpus order
+    _, rows = read_ham_spam(cfg, row)
+    rows += read_phishing(cfg, row) or []
     os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, "cache.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "label"] + fields)
-        for record in records:
-            row = [record.id, record.label.value]
-            header = record.header  # parsed again from the record's wire
-            # repeated fields collapse into one cell, values in file order
-            row += [" | ".join(header.get_all(name)) for name in fields]
-            writer.writerow(row)
-    print(f"wrote {len(records)} rows, {2 + len(fields)} columns: {path}")
+        csv.writer(fh, lineterminator="\n").writerow(["id", "label"] + fields)
+        fh.writelines(rows)
+    print(f"wrote {len(rows)} rows, {2 + len(fields)} columns: {path}")
     return 0
 
 

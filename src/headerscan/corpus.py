@@ -7,7 +7,6 @@ either a single message or an mbox-style concatenation.
 
 from __future__ import annotations
 
-import copy
 import enum
 import hashlib
 import logging
@@ -43,31 +42,20 @@ class Label(enum.Enum):
 class CorpusRecord:
     """One loaded message. It keeps what a run reads after loading, not
     its parsed header: the header's facts, its field names in order
-    (interned: one copy per corpus), and its serialized header and
-    malformed-line count, which the digest hashes and ``header`` parses."""
+    (interned: one copy per corpus), its malformed-line count, and
+    ``digest``, the SHA-256 of its serialized header, which
+    corpus_digest hashes. A reader that needs field values reads the
+    message again from its source."""
 
-    __slots__ = ("id", "label", "facts", "names", "wire", "malformed_line_count")
+    __slots__ = ("id", "label", "facts", "names", "digest", "malformed_line_count")
 
     def __init__(self, id: str, header: EmailHeader, label: Label):
         self.id = id
         self.label = label
         self.facts = header_facts(header)
         self.names = tuple(sys.intern(f.name) for f in header.fields)
-        self.wire = serialize_headers(header)
+        self.digest = hashlib.sha256(serialize_headers(header)).digest()
         self.malformed_line_count = header.malformed_line_count
-
-    def renamed(self, id: str) -> CorpusRecord:
-        """This record under another id, sharing everything else."""
-        record = copy.copy(self)
-        record.id = id
-        return record
-
-    @property
-    def header(self) -> EmailHeader:
-        """The header as it was loaded, parsed again from ``wire``."""
-        header = parse_headers(self.wire)
-        header.malformed_line_count = self.malformed_line_count
-        return header
 
 
 @dataclass
@@ -91,14 +79,22 @@ def _strip_mbox_postmark(raw: bytes) -> bytes:
     return raw
 
 
-def load_trec_index(index_path: str, root: str) -> tuple[list[CorpusRecord], LoadReport]:
+def _in_id_order(made: list[tuple[str, object]]) -> list:
+    """The items of (id, item) pairs, stably sorted by id."""
+    made.sort(key=lambda pair: pair[0])
+    return [item for _, item in made]
+
+
+def load_trec_index(index_path: str, root: str,
+                    make=CorpusRecord) -> tuple[list, LoadReport]:
     """Load a "<label> <relative-path>" index; paths resolve against root.
+    Each message becomes make(id, header, label), in id order.
 
     A missing index file is fatal; an individual missing or unreadable
     email file is logged, skipped, and counted in the returned report.
     """
     report = LoadReport()
-    records: list[CorpusRecord] = []
+    made: list[tuple[str, object]] = []
     with open(index_path, "r", encoding="latin-1") as fh:
         for line in fh:
             line = line.strip()
@@ -119,10 +115,9 @@ def load_trec_index(index_path: str, root: str) -> tuple[list[CorpusRecord], Loa
                 report.skipped += 1
                 continue
             header = parse_headers(_strip_mbox_postmark(raw))
-            records.append(CorpusRecord(rel, header, label))
+            made.append((rel, make(rel, header, label)))
             report.loaded += 1
-    records.sort(key=lambda r: r.id)
-    return records, report
+    return _in_id_order(made), report
 
 
 def _split_mbox(raw: bytes) -> list[bytes]:
@@ -141,14 +136,16 @@ def _split_mbox(raw: bytes) -> list[bytes]:
     return messages
 
 
-def load_labeled_dir(dir_path: str, label: Label) -> tuple[list[CorpusRecord], LoadReport]:
-    """Load every message under a directory with a fixed label.
+def load_labeled_dir(dir_path: str, label: Label,
+                     make=CorpusRecord) -> tuple[list, LoadReport]:
+    """Load every message under a directory with a fixed label. Each
+    message becomes make(id, header, label), in id order.
 
     Files beginning with an mbox "From " envelope line are split into
     their member messages; anything else is one message per file.
     """
     report = LoadReport()
-    records: list[CorpusRecord] = []
+    made: list[tuple[str, object]] = []
     paths = []
     for base, _dirs, names in os.walk(dir_path):
         for name in names:
@@ -166,14 +163,14 @@ def load_labeled_dir(dir_path: str, label: Label) -> tuple[list[CorpusRecord], L
             continue
         if raw.startswith(b"From "):
             for i, blob in enumerate(_split_mbox(raw)):
-                records.append(CorpusRecord(f"{rel}:{i}", parse_headers(blob), label))
+                member = f"{rel}:{i}"
+                made.append((member, make(member, parse_headers(blob), label)))
         else:
-            records.append(CorpusRecord(rel, parse_headers(raw), label))
+            made.append((rel, make(rel, parse_headers(raw), label)))
         report.loaded += 1
-    if not records:
+    if not made:
         log.warning("no messages found under %s", dir_path)
-    records.sort(key=lambda r: r.id)
-    return records, report
+    return _in_id_order(made), report
 
 
 def header_frequencies(records: list[CorpusRecord]) -> HeaderStats:
@@ -194,13 +191,14 @@ def top_k_fields(stats: HeaderStats, k: int) -> list[str]:
 
 
 def corpus_digest(records: list[CorpusRecord]) -> str:
-    """Content hash of a corpus: ids, labels, and parsed headers."""
+    """Content hash of a corpus: the SHA-256 of its records in id order,
+    each framed as its id and its label (each after its byte length),
+    its header digest, and its malformed-line count. Lengths and the
+    count take 8 big-endian bytes."""
     h = hashlib.sha256()
     for rec in sorted(records, key=lambda r: r.id):
-        h.update(rec.id.encode("utf-8", "surrogateescape"))
-        h.update(b"\x00")
-        h.update(rec.label.value.encode())
-        h.update(b"\x00")
-        h.update(rec.wire)
-        h.update(bytes([rec.malformed_line_count % 256]))
+        for text in (rec.id, rec.label.value):
+            data = text.encode("utf-8", "surrogateescape")
+            h.update(len(data).to_bytes(8, "big") + data)
+        h.update(rec.digest + rec.malformed_line_count.to_bytes(8, "big"))
     return h.hexdigest()

@@ -48,7 +48,8 @@ from .synthetic import generate_emails, to_records
 __all__ = [
     "RunConfig", "Datasets", "DataError",
     "BINARY_ALGORITHMS", "DISPLAY_NAMES", "SHORT_NAMES", "DEFAULT_STACKS",
-    "load_config", "config_to_dict", "load_datasets", "report_to_dict",
+    "load_config", "config_to_dict", "load_datasets", "read_ham_spam",
+    "read_phishing", "report_to_dict",
     "run_phases", "run_importance",
 ]
 
@@ -307,12 +308,13 @@ class Datasets:
     info: dict
 
 
-def _namespaced(records: list[CorpusRecord], prefix: str) -> list[CorpusRecord]:
-    return [r.renamed(f"{prefix}/{r.id}") for r in records]
+def _prefixed(make, prefix: str):
+    """make, with "prefix/" put before each id."""
+    return lambda id, header, label: make(f"{prefix}/{id}", header, label)
 
 
-def _load_dir(dir_path: str, label: Label) -> list[CorpusRecord]:
-    records, report = load_labeled_dir(dir_path, label)
+def _load_dir(dir_path: str, label: Label, make) -> list:
+    records, report = load_labeled_dir(dir_path, label, make)
     if report.skipped:
         log.warning("skipped %d of %d files under %s",
                     report.skipped, report.entries, dir_path)
@@ -326,31 +328,48 @@ def _log_corpus(name: str, records: list[CorpusRecord]) -> None:
              sum(r.facts.date_zone is None for r in records))
 
 
+def read_ham_spam(cfg: RunConfig, make) -> tuple[str, list]:
+    """The ham+spam corpus's source name, and its messages in corpus
+    order, each read from that source as make(id, header, label)."""
+    if cfg.trec_index is not None:
+        records, report = load_trec_index(cfg.trec_index, cfg.trec_root, make)
+        if report.skipped:
+            log.warning("skipped %d of %d index entries",
+                        report.skipped, report.entries)
+        return "trec", records
+    if cfg.ham_dir is not None:
+        # every ham/ id sorts before every spam/ one
+        return "dirs", (_load_dir(cfg.ham_dir, Label.HAM, _prefixed(make, "ham"))
+                        + _load_dir(cfg.spam_dir, Label.SPAM, _prefixed(make, "spam")))
+    if cfg.synthetic is None:
+        raise ValueError("no ham+spam source configured")
+    emails = generate_emails(cfg.synthetic["n"],
+                             cfg.synthetic["anomaly_fraction"],
+                             seed=cfg.synthetic["seed"])
+    return "synthetic", to_records(emails, make)
+
+
+def read_phishing(cfg: RunConfig, make) -> list | None:
+    """The phishing corpus's messages as read_ham_spam reads them, or
+    None if none is configured (phishing_dir, or the synthetic source)."""
+    make = _prefixed(make, "phishing")
+    if cfg.phishing_dir is not None:
+        return _load_dir(cfg.phishing_dir, Label.PHISHING, make)
+    if cfg.synthetic is None:
+        return None
+    emails = generate_emails(cfg.synthetic["n"],
+                             cfg.synthetic["anomaly_fraction"],
+                             seed=derive_seed(cfg.synthetic["seed"], "phishing"),
+                             anomaly_label=Label.PHISHING)
+    return to_records([e for e in emails if e.label is Label.PHISHING], make)
+
+
 def load_datasets(cfg: RunConfig, allow_empty: bool = False,
                   with_phishing: bool = True) -> Datasets:
     """The ham+spam corpus, and the phishing corpus too if with_phishing
     and one is configured (phishing_dir, or the synthetic source)."""
     info: dict = {}
-    if cfg.trec_index is not None:
-        records, report = load_trec_index(cfg.trec_index, cfg.trec_root)
-        source = "trec"
-        if report.skipped:
-            log.warning("skipped %d of %d index entries",
-                        report.skipped, report.entries)
-    elif cfg.ham_dir is not None:
-        ham = _load_dir(cfg.ham_dir, Label.HAM)
-        spam = _load_dir(cfg.spam_dir, Label.SPAM)
-        records = sorted(_namespaced(ham, "ham") + _namespaced(spam, "spam"),
-                         key=lambda r: r.id)
-        source = "dirs"
-    elif cfg.synthetic is None:
-        raise ValueError("no ham+spam source configured")
-    else:
-        emails = generate_emails(cfg.synthetic["n"],
-                                 cfg.synthetic["anomaly_fraction"],
-                                 seed=cfg.synthetic["seed"])
-        records = to_records(emails)
-        source = "synthetic"
+    source, records = read_ham_spam(cfg, CorpusRecord)
     if not records and not allow_empty:
         raise ValueError("ham+spam corpus is empty")
     info["ham_spam"] = {"source": source, "count": len(records),
@@ -359,18 +378,7 @@ def load_datasets(cfg: RunConfig, allow_empty: bool = False,
 
     if not with_phishing:
         return Datasets(records, None, info)
-    phishing = None
-    if cfg.phishing_dir is not None:
-        loaded = _load_dir(cfg.phishing_dir, Label.PHISHING)
-        phishing = _namespaced(loaded, "phishing")
-    elif cfg.synthetic is not None:
-        emails = generate_emails(cfg.synthetic["n"],
-                                 cfg.synthetic["anomaly_fraction"],
-                                 seed=derive_seed(cfg.synthetic["seed"], "phishing"),
-                                 anomaly_label=Label.PHISHING)
-        phishing = _namespaced(
-            to_records([e for e in emails if e.label is Label.PHISHING]),
-            "phishing")
+    phishing = read_phishing(cfg, CorpusRecord)
     if phishing is not None:
         if not phishing and not allow_empty:
             raise ValueError("phishing corpus is empty")

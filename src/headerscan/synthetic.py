@@ -26,7 +26,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .corpus import Label
+from .corpus import CorpusRecord, Label
 from .headers import parse_headers
 
 __all__ = [
@@ -274,11 +274,10 @@ def generate_emails(n: int, anomaly_fraction: float = 0.5, seed: int = 0,
     return [_one_email(i, bool(flags[i]), rng, anomaly_label) for i in range(n)]
 
 
-def to_records(emails: list[SynthEmail]):
-    """Parse generated emails into corpus records, keeping labels."""
-    from .corpus import CorpusRecord
-
-    return [CorpusRecord(e.id, parse_headers(e.raw), e.label) for e in emails]
+def to_records(emails: list[SynthEmail], make=CorpusRecord) -> list:
+    """Parse generated emails into corpus records, keeping ids, labels
+    and order; each email becomes make(id, header, label)."""
+    return [make(e.id, parse_headers(e.raw), e.label) for e in emails]
 
 
 def write_trec(emails: list[SynthEmail], dest: str) -> tuple[str, str]:

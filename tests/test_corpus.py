@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import struct
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
@@ -33,6 +34,11 @@ from test_acceptance import _mutate  # the criterion-8 fuzz mutator
 def _write(path, data: bytes):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(data)
+
+
+def _digest(raw: bytes) -> bytes:
+    """The record digest of the header the test parses from raw."""
+    return hashlib.sha256(serialize_headers(parse_headers(raw))).digest()
 
 
 def test_trec_index_maps_labels(tmp_path):
@@ -69,8 +75,9 @@ def test_trec_label_case_insensitive_and_postmark_stripped(tmp_path):
     (tmp_path / "index").write_text("SPAM m1\n")
     records, _ = load_trec_index(str(tmp_path / "index"), str(tmp_path))
     assert records[0].label is Label.SPAM
-    assert records[0].header.names() == ["subject"]
-    assert records[0].header.malformed_line_count == 0
+    assert records[0].names == ("subject",)
+    assert records[0].malformed_line_count == 0
+    assert records[0].digest == _digest(b"Subject: hi\n\n")
 
 
 def test_labeled_dir_single_files(tmp_path):
@@ -92,8 +99,9 @@ def test_labeled_dir_mbox_split(tmp_path):
     _write(tmp_path / "box", mbox)
     records, _ = load_labeled_dir(str(tmp_path), Label.PHISHING)
     assert len(records) == 2
-    assert sorted(r.header.get("subject") for r in records) == ["first", "second"]
-    assert records[0].id != records[1].id
+    assert [r.id for r in records] == ["box:0", "box:1"]
+    assert [r.digest for r in records] == [_digest(b"Subject: first\n\nbody"),
+                                           _digest(b"Subject: second\n\nbody")]
 
 
 def reference_split_mbox(raw: bytes) -> list[bytes]:
@@ -190,25 +198,42 @@ def test_top_k_matches_brute_force_sort():
 
 
 def test_corpus_digest_stable_and_content_sensitive():
-    a = [_rec(0, b"From: x@y.z\r\n\r\n"), _rec(1, b"To: q@r.s\r\n\r\n")]
-    assert corpus_digest(a) == corpus_digest(list(reversed(a)))
-    b = [_rec(0, b"From: x@y.z\r\n\r\n"), _rec(1, b"To: q@r.DIFFERENT\r\n\r\n")]
-    assert corpus_digest(a) != corpus_digest(b)
+    """Reordering the records keeps the digest; changing one id, one
+    label, one header byte or one malformed-line count (1 against 257,
+    which differ in the low byte by nothing) changes it."""
+    raws = [b"From: x@y.z\r\n\r\n", b"To: q@r.s\r\n\r\n",
+            b"From: a@b.c\r\nnot a field\r\n\r\n"]
+    a = [_rec(i, raw) for i, raw in enumerate(raws)]
+    base = corpus_digest(a)
+    rng = random.Random(3)
+    for _ in range(5):
+        rng.shuffle(a)
+        assert corpus_digest(a) == base
+    a.sort(key=lambda r: r.id)
+    many = _rec(2, b"From: a@b.c\r\n" + b"not a field\r\n" * 257 + b"\r\n")
+    assert (a[2].malformed_line_count, many.malformed_line_count) == (1, 257)
+    assert (a[2].names, a[2].digest) == (many.names, many.digest)
+    changed = [
+        [CorpusRecord("m9", parse_headers(raws[0]), Label.HAM)] + a[1:],
+        [_rec(0, raws[0], Label.SPAM)] + a[1:],
+        a[:1] + [_rec(1, b"To: q@r.t\r\n\r\n")] + a[2:],
+        a[:2] + [many],
+    ]
+    digests = {base} | {corpus_digest(records) for records in changed}
+    assert len(digests) == 1 + len(changed)
 
 
-def test_record_keeps_names_facts_and_wire_not_the_header():
-    header = parse_headers(b"Received: a\r\nno colon\r\nFrom: x@y.z\r\n"
-                           b"Received: b\r\n\r\nbody")
+def test_record_keeps_names_facts_and_digest_not_the_header():
+    raw = b"Received: a\r\nno colon\r\nFrom: x@y.z\r\nReceived: b\r\n\r\nbody"
+    header = parse_headers(raw)
     record = CorpusRecord("m", header, Label.HAM)
     assert record.names == ("received", "from", "received")
-    assert record.wire == serialize_headers(header)
+    assert record.digest == hashlib.sha256(serialize_headers(header)).digest()
+    assert record.digest == _digest(raw) and len(record.digest) == 32
     assert record.malformed_line_count == 1
     assert record.facts.hops == 2 and record.facts.from_domain == "y.z"
     assert not hasattr(record, "__dict__")  # no room to keep the header
-    assert record.header == header and record.header is not header
-    renamed = record.renamed("ham/m")
-    assert (renamed.id, record.id) == ("ham/m", "m")
-    assert renamed.facts is record.facts and renamed.wire is record.wire
+    assert not hasattr(record, "wire") and not hasattr(record, "header")
 
 
 # ------------------------------------ the old records, with their parsed header
@@ -232,10 +257,6 @@ class ReferenceRecord:
     def malformed_line_count(self) -> int:
         return self.header.malformed_line_count
 
-    def renamed(self, id: str) -> ReferenceRecord:
-        """pipeline._namespaced's old body: a record on the same header."""
-        return ReferenceRecord(id, self.header, self.label)
-
 
 def reference_header_frequencies(records) -> HeaderStats:
     """header_frequencies when it read the parsed header's names."""
@@ -246,20 +267,23 @@ def reference_header_frequencies(records) -> HeaderStats:
 
 
 def reference_corpus_digest(records) -> str:
-    """corpus_digest when it serialized each record's parsed header."""
+    """corpus_digest computed from each record's parsed header: per record
+    in id order, its id and label after their lengths, the SHA-256 of its
+    serialized header, and its malformed-line count."""
     h = hashlib.sha256()
     for rec in sorted(records, key=lambda r: r.id):
-        h.update(rec.id.encode("utf-8", "surrogateescape"))
-        h.update(b"\x00")
-        h.update(rec.label.value.encode())
-        h.update(b"\x00")
-        h.update(serialize_headers(rec.header))
-        h.update(bytes([rec.header.malformed_line_count % 256]))
+        for text in (rec.id, rec.label.value):
+            data = text.encode("utf-8", "surrogateescape")
+            h.update(struct.pack(">Q", len(data)))
+            h.update(data)
+        h.update(hashlib.sha256(serialize_headers(rec.header)).digest())
+        h.update(struct.pack(">Q", rec.header.malformed_line_count))
     return h.hexdigest()
 
 
 def reference_cmd_ingest(args) -> int:
-    """cli._cmd_ingest before records dropped their parsed header."""
+    """cli._cmd_ingest when records kept their parsed header, which it
+    read in place of reading each message again."""
     cfg = cli.load_config(args.config, args.seed, args.out)
     datasets = cli.load_datasets(cfg)
     records = datasets.ham_spam + (datasets.phishing or [])
@@ -280,10 +304,10 @@ def reference_cmd_ingest(args) -> int:
 
 
 def with_full_headers(call, *args):
-    """call(*args) with the loaders building ReferenceRecords, and the
-    census and digest reading them as the old code did."""
+    """call(*args) with load_datasets building ReferenceRecords, and the
+    census, digest and ingest reading their parsed headers."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(corpus, "CorpusRecord", ReferenceRecord)
+        m.setattr(pipeline, "CorpusRecord", ReferenceRecord)
         m.setattr(pipeline, "corpus_digest", reference_corpus_digest)
         m.setattr(cli, "header_frequencies", reference_header_frequencies)
         m.setattr(cli, "_cmd_ingest", reference_cmd_ingest)
@@ -292,8 +316,8 @@ def with_full_headers(call, *args):
 
 def _mangled_raws(n: int, seed: int) -> list[bytes]:
     """Fuzzed synthetic messages, plus blocks with many malformed lines
-    (more than 256, so the digest's count byte wraps) and a block cut
-    mid-line with no blank line after it."""
+    (more than 256: more than one byte holds) and a block cut mid-line
+    with no blank line after it."""
     base = [e.raw for e in generate_emails(50, 0.5, seed=seed)]
     rng = random.Random(seed)
     raws = [_mutate(base[i % 50], rng) for i in range(n)]
@@ -351,7 +375,7 @@ def test_mbox_and_mangled_digests_match_the_full_header_digest(tmp_path):
     (tmp_path / "box").write_bytes(_mbox(raws[:12]))
     for i, raw in enumerate(raws[12:]):
         (tmp_path / f"m{i:03d}.eml").write_bytes(raw)
-    old, _ = with_full_headers(load_labeled_dir, str(tmp_path), Label.SPAM)
+    old, _ = load_labeled_dir(str(tmp_path), Label.SPAM, ReferenceRecord)
     new, _ = load_labeled_dir(str(tmp_path), Label.SPAM)
     assert isinstance(old[0], ReferenceRecord)
     assert [r.id for r in new][:4] == ["box:0", "box:1", "box:10", "box:11"]
@@ -361,35 +385,56 @@ def test_mbox_and_mangled_digests_match_the_full_header_digest(tmp_path):
     assert header_frequencies(new) == reference_header_frequencies(old)
     synthetic = generate_emails(300, 0.5, seed=30)
     assert (corpus_digest(to_records(synthetic))
-            == reference_corpus_digest(with_full_headers(to_records, synthetic)))
+            == reference_corpus_digest(to_records(synthetic, ReferenceRecord)))
 
 
-def test_record_header_parses_as_the_raw_message():
-    """The criterion-8 fuzz corpus: a record's header, parsed again from
-    its wire, has the raw message's fields and malformed-line count."""
+def test_record_digest_holds_the_raw_messages_parsed_header():
+    """The criterion-8 fuzz corpus: a record's digest hashes the
+    serialized form of the header parsed from the raw message, and that
+    form parses back to the same fields, so the digest is a function of
+    the parsed fields and the count."""
     base = [e.raw for e in generate_emails(50, 0.5, seed=8)]
     rng = random.Random(20260816)
     for case in range(10_000):
         raw = _mutate(base[case % len(base)], rng)
         want = parse_headers(raw)
-        got = CorpusRecord(str(case), parse_headers(raw), Label.HAM).header
-        assert got == want, case
+        record = CorpusRecord(str(case), parse_headers(raw), Label.HAM)
+        wire = serialize_headers(want)
+        assert record.digest == hashlib.sha256(wire).digest(), case
+        assert record.names == tuple(want.names()), case
+        assert record.malformed_line_count == want.malformed_line_count, case
+        again = parse_headers(wire)
+        again.malformed_line_count = record.malformed_line_count
+        assert again == want, case
 
 
-def test_ingest_cache_matches_the_full_header_ingest(tmp_path, capsys):
-    config = _config(tmp_path, "dirs")
+@pytest.mark.parametrize("source", ["synthetic", "trec", "dirs"])
+def test_ingest_cache_matches_the_full_header_ingest(tmp_path, capsys, source):
+    """ingest, which reads each message again from its source, writes the
+    cache and prints the line that reading the parsed headers did; and
+    headers-report prints the same table."""
+    config = _config(tmp_path, source)
     out = tmp_path / "out" / "cache.csv"
-    assert with_full_headers(cli.main, ["ingest", "--config", config]) == 0
-    want = out.read_bytes()
-    out.unlink()
-    assert cli.main(["ingest", "--config", config]) == 0
-    assert out.read_bytes() == want
-    assert len(want.splitlines()) == 1 + 120 + 152 + 34
+
+    def outputs(call):
+        capsys.readouterr()
+        assert call(cli.main, ["ingest", "--config", config]) == 0
+        cache = out.read_bytes()
+        out.unlink()
+        assert call(cli.main, ["headers-report", "--config", config]) == 0
+        return cache, capsys.readouterr().out
+
+    want = outputs(with_full_headers)
+    assert outputs(lambda main, argv: main(argv)) == want
+    rows = {"synthetic": 200 + 100, "trec": 120 + 34, "dirs": 120 + 152 + 34}
+    assert len(want[0].splitlines()) == 1 + rows[source]
+    assert want[1].count("\n") > 30  # a table past the top-30 cut
 
 
 def test_records_stay_small():
-    """1,000 synthetic records with their facts, names and wire: about
-    2.7 KB each. A record that kept its parsed header took 10.3 KB."""
+    """1,000 synthetic records with their facts, names and 32-byte header
+    digest: about 730 B each. A record that kept its serialized header
+    took 2.7 KB, and one that kept its parsed header 10.3 KB."""
     emails = generate_emails(1_000, 0.5, seed=31)
     tracemalloc.start()
     try:
@@ -397,4 +442,5 @@ def test_records_stay_small():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held / len(records) < 4096
+    assert held / len(records) < 1024
+    assert not any(hasattr(r, "wire") or hasattr(r, "header") for r in records)

@@ -23,6 +23,7 @@ from headerscan.features import (
     subset_schema,
 )
 from headerscan.headers import (
+    EmailHeader,
     extract_domain,
     parse_address_list,
     parse_date,
@@ -393,9 +394,9 @@ def reference_base_values(header, schema):
     return values
 
 
-def reference_extract(record, schema):
-    """Numeric vector for one email, aligned to schema.descriptors."""
-    header = record.header if isinstance(record, CorpusRecord) else record
+def reference_extract(header, schema):
+    """Numeric vector for one email's parsed header, aligned to
+    schema.descriptors."""
     base = reference_base_values(header, schema)
     out = np.empty(len(schema.descriptors), dtype=np.float64)
     for i, d in enumerate(schema.descriptors):
@@ -407,16 +408,17 @@ def reference_extract(record, schema):
     return out
 
 
-def reference_modes(records):
-    """The timezone and Message-ID domain counts fit_schema takes modes of."""
+def reference_modes(headers):
+    """The timezone and Message-ID domain counts fit_schema takes modes
+    of, from each email's parsed header."""
     tz_counts, msgid_counts = {}, {}
-    for rec in records:
-        value = rec.header.get("date")
+    for header in headers:
+        value = header.get("date")
         if value is not None:
             stamp = parse_date(value)
             if stamp is not None:
                 tz_counts[stamp.zone_token] = tz_counts.get(stamp.zone_token, 0) + 1
-        domain = extract_domain(rec.header, "message-id")
+        domain = extract_domain(header, "message-id")
         if domain is not None:
             msgid_counts[domain] = msgid_counts.get(domain, 0) + 1
     return [min(c.items(), key=lambda kv: (-kv[1], kv[0]))[0] if c else ""
@@ -440,13 +442,15 @@ def _mangled(raw: bytes, kind: int, rng: random.Random) -> bytes:
     return b"\r\n".join(lines) + sep + body
 
 
-def _corpus(mangle: bool) -> list[CorpusRecord]:
+def _corpus(mangle: bool) -> tuple[list[CorpusRecord], list[EmailHeader]]:
+    """The records, and each one's header parsed again for the reference."""
     emails = (generate_emails(200, 0.5, seed=12)
               + generate_emails(100, 1.0, seed=13, anomaly_label=Label.PHISHING))
     rng = random.Random(14)
     raws = [_mangled(e.raw, i % 4, rng) if mangle else e.raw
             for i, e in enumerate(emails)]
-    return [_rec(i, raw, e.label) for i, (raw, e) in enumerate(zip(raws, emails))]
+    records = [_rec(i, raw, e.label) for i, (raw, e) in enumerate(zip(raws, emails))]
+    return records, [parse_headers(raw) for raw in raws]
 
 
 @pytest.mark.parametrize("mangle", [False, True], ids=["synthetic", "mangled"])
@@ -455,19 +459,19 @@ def _corpus(mangle: bool) -> list[CorpusRecord]:
 @pytest.mark.parametrize("feature_set", [FULL, DOMAIN_MATCH_ONLY])
 def test_extract_matrix_matches_the_reference_extract(feature_set, one_hot,
                                                       chain, mangle):
-    records = _corpus(mangle)
+    records, headers = _corpus(mangle)
     schema = fit_schema(records, k=30, feature_set=feature_set,
                         one_hot=one_hot, chain_direction=chain)
-    assert [schema.mode_timezone, schema.mode_msgid_domain] == reference_modes(records)
+    assert [schema.mode_timezone, schema.mode_msgid_domain] == reference_modes(headers)
     matrix = extract_matrix(records, schema)
     pruned, _, _ = prune_single_valued(schema, matrix)
     sub, _ = subset_schema(pruned, pruned.names[::2])
     for s in (schema, pruned, sub):
-        want = np.array([reference_extract(r, s) for r in records])
+        want = np.array([reference_extract(h, s) for h in headers])
         assert extract_matrix(records, s).tobytes() == want.tobytes()
         # a bare header (the classify path) projects to the same row
-        for r in records[::37]:
-            assert extract(r.header, s).tobytes() == reference_extract(r, s).tobytes()
+        for h in headers[::37]:
+            assert extract(h, s).tobytes() == reference_extract(h, s).tobytes()
 
 
 def test_records_extract_as_the_raw_messages_headers():

@@ -462,8 +462,8 @@ def test_fuzz_corpus_matches_the_loops_and_extracts_the_same(monkeypatch):
         monkeypatch.setattr(headers, name, lambda *args, ref=ref: seen.add(args) or ref(*args))
     # fit_schema left each record its facts; copies without them make
     # the reference pass compute every fact through the loops
-    want = extract_matrix([CorpusRecord(r.id, r.header, r.label) for r in records],
-                          schema)
+    want = extract_matrix([CorpusRecord(str(case), header, Label.HAM)
+                           for case, header in enumerate(parsed)], schema)
     monkeypatch.undo()
     got = extract_matrix(records, schema)
     assert got.tobytes() == want.tobytes()

@@ -1,10 +1,12 @@
 """Tests for the synthetic corpus generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from headerscan.corpus import Label, load_labeled_dir, load_trec_index
-from headerscan.headers import parse_headers
+from headerscan.headers import parse_headers, serialize_headers
 from headerscan.synthetic import (
     NOISE_FEATURES,
     OPTIONAL_FIELDS,
@@ -126,8 +128,9 @@ def test_trec_round_trip(tmp_path):
     for e in emails:
         rec = by_id[f"data/{e.id}.eml"]
         assert rec.label is e.label
-        assert rec.header.get_all("subject") == \
-            parse_headers(e.raw).get_all("subject")
+        header = parse_headers(e.raw)
+        assert rec.names == tuple(header.names())
+        assert rec.digest == hashlib.sha256(serialize_headers(header)).digest()
 
 
 def test_trec_rejects_phishing_labels(tmp_path):
