@@ -10,7 +10,7 @@ import numpy as np
 
 from .base import ModelSpec
 from .linear import sigmoid
-from .tree import LEAF, TreeArrays, TreeEnsemble, build_tree, sorted_cuts
+from .tree import LEAF, TreeArrays, TreeEnsemble, build_tree, column_codes
 
 __all__ = ["GradBoostModel", "train_grad_boosts", "AdaBoostModel", "train_adaboost"]
 
@@ -57,6 +57,7 @@ def train_grad_boosts(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray,
         base_scores.append(float(np.log(pbar / (1.0 - pbar))))
         Fi[rows] = base_scores[-1]
     trees = [[] for _ in row_sets]
+    codes = column_codes(X)
     for _ in range(hp["n_trees"]):
         for i, (rows, yf) in enumerate(zip(row_sets, ys)):
             p = sigmoid(F[i, rows])
@@ -64,7 +65,7 @@ def train_grad_boosts(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray,
             hess[i, rows] = p * (1.0 - p)
         grown, leaves = build_tree(X, residual, row_sets, criterion="sse",
                                    max_depth=hp["max_depth"], min_samples_leaf=1,
-                                   leaf_rows=True)
+                                   leaf_rows=True, codes=codes)
         for i, (tree, tree_leaves) in enumerate(zip(grown, leaves)):
             for leaf, rows in tree_leaves:
                 step = float(residual[i, rows].sum() / max(hess[i, rows].sum(), 1e-12))
@@ -93,21 +94,25 @@ def train_adaboost(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> AdaBoostMod
     without stumps would call every row anomalous.
 
     A stump predicts polarity where x > threshold and -polarity
-    elsewhere. X is sorted and its candidate stumps are listed once: per
-    feature, the constant stump at the column's minimum - 1, then each
-    cut by ascending threshold. Each round reweights and takes the first
-    candidate in (feature, threshold, +1 then -1) order whose weighted
-    error is within 1e-15 of the minimum."""
+    elsewhere. X's column codes are sorted and its candidate stumps are
+    listed once: per feature, the constant stump at the column's
+    minimum - 1, then each cut by ascending threshold. Each round
+    reweights and takes the first candidate in (feature, threshold, +1
+    then -1) order whose weighted error is within 1e-15 of the minimum."""
     rounds = spec.hyperparameters["rounds"]
     n, d = X.shape
     ys = 2.0 * y.astype(np.float64) - 1.0
     w = np.full(n, 1.0 / n)
-    order, xv, valid, mid = sorted_cuts(X)
+    codes, table = column_codes(X)
+    order = np.argsort(codes, axis=0, kind="stable")  # the stable sort of X's columns
+    ranks = np.take_along_axis(codes, order, axis=0).astype(np.intp)
     order = np.ascontiguousarray(order.T)  # (features, rows)
     # stump (f, pos): x <= threshold on the first pos sorted rows of f;
-    # pos 0 is the constant stump at the column's minimum - 1
-    cand_f, cand_pos = np.nonzero(np.vstack([np.ones((1, d), dtype=bool), valid]).T)
-    cand_th = np.vstack([xv[:1] - 1.0, mid])[cand_pos, cand_f]
+    # pos 0 is the constant stump at the column's minimum - 1, and a cut
+    # below code c is at the midpoint of the values of codes c - 1 and c
+    cand_f, cand_pos = np.nonzero(np.vstack([np.ones((1, d), dtype=bool), ranks[:-1] < ranks[1:]]).T)
+    cuts = np.hstack([table[:, :1] - 1.0, (table[:, :-1] + table[:, 1:]) / 2.0])
+    cand_th = cuts[cand_f, np.where(cand_pos == 0, 0, ranks[cand_pos - 1, cand_f] + 1)]
     sides = np.stack([ys > 0, ys < 0])[:, order].astype(np.float64, order="C")
     cum = np.zeros((2, d, n + 1))
     picked, alphas = [], []

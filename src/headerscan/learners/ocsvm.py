@@ -30,9 +30,10 @@ _ITERS_PER_ROW = 200  # SMO iteration cap: _ITERS_PER_ROW * max(n, 1000)
 def _sq_dists(A: np.ndarray, B: np.ndarray, b_sq: np.ndarray | None = None) -> np.ndarray:
     """Squared distances between the rows of A and B, clamped at 0; b_sq
     is B's squared row norms, if known."""
-    d2 = (np.sum(A * A, axis=1)[:, None]
-          - 2.0 * (A @ B.T)
-          + (np.sum(B * B, axis=1) if b_sq is None else b_sq)[None, :])
+    d2 = A @ B.T
+    d2 *= -2.0
+    d2 += np.sum(A * A, axis=1)[:, None]
+    d2 += (np.sum(B * B, axis=1) if b_sq is None else b_sq)[None, :]
     return np.maximum(d2, 0.0, out=d2)
 
 

@@ -9,32 +9,39 @@ prediction for regression, a signed stump weight for AdaBoost.
 Every tree model, one decision tree or AdaBoost's 3-node stumps too, is
 a TreeEnsemble scored by one walker, `leaf_ids`: its trees form one flat
 node array, each tree's children offset by its root index. The walker
-has two regimes, chosen per block of rows by the block's size. A block
-of at most WALK_CELLS (row, node) cells compares every split once, which
-gives each (row, node) its next node, then moves every (tree, row) pair
-along those pointers as many times as the deepest leaf is deep; its walk
-tables are built once per model and never persisted. A larger block
-advances the unfinished (tree, row) pairs one level per step;
-check_tree's forward children end walks. Both regimes make the same
-x[f] <= t comparisons along each pair's path, so they reach the same
-leaves. An ensemble sums each block's leaves with one sequential reduce
-along the tree axis, in tree order, so no array outgrows a block.
+has two regimes, chosen per block of rows by the block's size and the
+model's depth. A block of at most WALK_CELLS (row, node) cells, or any
+block of a model whose trees are at most one split deep, compares every
+split once, which gives each (row, node) its next node, then moves every
+(tree, row) pair along those pointers as many times as the deepest leaf
+is deep; its walk tables are built once per model and never persisted.
+A larger block advances the unfinished (tree, row) pairs one level per
+step; check_tree's forward children end walks. Both regimes make the
+same x[f] <= t comparisons along each pair's path, so they reach the
+same leaves. An ensemble sums each block's leaves with one sequential
+reduce along the tree axis, in tree order, so no array outgrows a block.
 
 One grower, `build_tree`, grows all of a forest's trees, or one
 boosting round of every fold, in lockstep: each step takes the next
 pre-order node of every unfinished tree (so draws and node numbering are
 those of growing each tree alone) and scans the nodes to split in
-batches, their rows padded with +inf values to the longest, each batch
-within SCAN_CELLS padded cells.
+batches within SCAN_CELLS cells.
 
-One scan, `sorted_cuts`, lists the candidate cuts of every split search,
-tree nodes and AdaBoost stumps alike: a stable per-column sort, cut at
-the midpoints between distinct neighbours.
+Split search reads integer column codes, computed once per fit by
+`column_codes`: a value's code is its rank among its column's distinct
+values, and a (column, code) table holds the values. A scan counts each
+node's rows and sums their targets per (candidate, code) bin, in row
+order, with no sort; cumulative sums along the codes give the left
+child at every cut between two values present in the node, and the cut
+sits at their midpoint. Gini sums are counts of ones, so they are exact.
+AdaBoost lists its candidate stumps from the same codes.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 from array import array
 from dataclasses import dataclass, fields
 
@@ -43,11 +50,11 @@ import numpy as np
 from .base import ModelSpec
 
 __all__ = ["TreeArrays", "TreeEnsemble", "DecisionTreeModel", "train_decision_tree",
-           "build_tree", "check_tree", "WalkTables", "walk_tables", "leaf_ids", "sorted_cuts"]
+           "build_tree", "check_tree", "WalkTables", "walk_tables", "leaf_ids", "column_codes"]
 
 LEAF = -1
 BLOCK_ROWS = 1024  # rows per walk; (tree, row) arrays hold n_trees x this
-SCAN_CELLS = 1 << 13  # padded (node, row, candidate) cells per split scan
+SCAN_CELLS = 1 << 16  # (row, candidate) plus (node, candidate, code) cells per split scan
 WALK_CELLS = 1 << 14  # (row, node) cells up to which a block compares every split
 
 
@@ -60,92 +67,103 @@ class TreeArrays:
     value: np.ndarray     # float64 leaf payload
 
 
-def sorted_cuts(xs: np.ndarray):
-    """Stable sort of each column of xs: (order, sorted values xv, valid,
-    mid). valid[i, j] iff xv[i, j] < xv[i+1, j], a cut at mid[i, j]."""
-    order = np.argsort(xs, axis=0, kind="stable")
-    xv = xs[order, np.arange(xs.shape[1])]
-    return order, xv, xv[:-1] < xv[1:], (xv[:-1] + xv[1:]) / 2.0
+def column_codes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, table): each entry's code is the rank of its value among
+    its column's distinct values, in the smallest unsigned dtype that
+    holds every column's ranks, and table[j, c] is column j's value of
+    code c (NaN past the column's last). Equal values share a code and
+    codes rise with the values, so a stable argsort of a column's codes
+    is the stable argsort of its values."""
+    uniques, ranks = zip(*(np.unique(column, return_inverse=True) for column in X.T))
+    table = np.full((X.shape[1], max(map(len, uniques))), np.nan)
+    codes = np.empty(X.shape, dtype=np.min_scalar_type(table.shape[1] - 1))
+    for j, (values, rank) in enumerate(zip(uniques, ranks)):
+        table[j, :len(values)] = values
+        codes[:, j] = rank
+    return codes, table
 
 
-def _scan(X, targets, own, rows, cands, totals, squares, min_leaf: int, criterion: str):
+def _scan(X, codes, table, targets, own, rows, cands, totals, squares, min_leaf: int, criterion: str):
     """Per node of a group: (feature or LEAF, threshold, left rows, right
     rows, left label sum for "gini"). Node i's targets are
-    targets[own[i]]. Rows are padded to the longest node with +inf values
-    and 0 targets, which sort last and are masked out of the cuts. cands
-    is (nodes, candidates), or None for every column. The first minimum
-    in (feature, cut) order wins if it beats the parent by 1e-12."""
-    # one node (a lone tree's step) takes scalar and 1-D shortcuts
+    targets[own[i]]. cands is (nodes, candidates), or None for every
+    column. One bincount per sum over (node, candidate, code) bins gives
+    each value's row count and target sum, summed in row order; their
+    cumsums along the codes are the left child's at each cut between
+    values present in the node. The first minimum in (feature, cut)
+    order wins if it beats the parent by 1e-12; its threshold is the
+    midpoint of the two values beside the cut."""
     m, lens = len(rows), [len(r) for r in rows]
-    width = max(lens)
-    padded = min(lens) < width
-    if padded:
-        real = np.arange(width) < np.array(lens)[:, None]
-        R = np.zeros((m, width), dtype=np.int64)
-        R[real] = np.concatenate(rows)
+    R = rows[0] if m == 1 else np.concatenate(rows)
+    node = np.repeat(np.arange(m), lens)
+    k, B = len(table) if cands is None else cands.shape[1], table.shape[1]
+    shape, bins = (m, k, B), m * k * B
+    key = np.arange(0, bins, B).reshape(m, k)[node]  # each (node, candidate)'s first bin
+    key += codes[R] if cands is None else codes[R[:, None], cands[node]]
+    T = targets[np.repeat(own, lens), R]
+    count = np.bincount(key.ravel(), minlength=bins).reshape(shape)
+    if criterion == "gini":  # 0/1 targets: the sums are counts of ones
+        csum = np.bincount(key[T > 0.0].ravel(), minlength=bins).reshape(shape).cumsum(axis=2)
     else:
-        real, R = True, rows[0][None] if m == 1 else np.stack(rows)
-    G = X[R.T] if cands is None else X[R.T[:, :, None], cands]
-    k, T = G.shape[2], targets[np.array(own)[:, None], R]
-    if padded:
-        G[~real.T] = np.inf
-        T[~real] = 0.0
-    G = G.reshape(width, m * k)  # one column per (node, candidate)
-    order, _, valid, mid = sorted_cuts(G)
-    tv = T[0][order] if m == 1 else T[np.arange(m).repeat(k), order]
-    ln = np.arange(1, width, dtype=np.float64)[:, None]
-    n, total = (lens[0], totals[0]) if m == 1 else (np.repeat(lens, k), np.repeat(totals, k))
+        csum = np.bincount(key.ravel(), np.repeat(T, k), bins).reshape(shape).cumsum(axis=2)
+    ln = count.cumsum(axis=2)
+    n, total = np.array(lens)[:, None, None], np.array(totals)[:, None, None]
     rn = n - ln
-    if min_leaf > 1 or padded:
-        valid &= (ln >= min_leaf) & (rn >= min_leaf)
-        np.maximum(rn, 1.0, out=rn)  # rn <= 0 only at cuts masked here
-    csum = np.cumsum(tv, axis=0)[:-1]
+    valid = (count > 0) & (ln >= min_leaf) & (rn >= min_leaf)
+    ln, rn = np.maximum(ln, 1).astype(np.float64), np.maximum(rn, 1).astype(np.float64)
     if criterion == "gini":
         # sum over children of n_c * Gini_c / 2 = p(n_c - p)/n_c
         score = csum * (ln - csum) / ln + (total - csum) * (rn - (total - csum)) / rn
         parents = [t * (n - t) / n for t, n in zip(totals, lens)]
     else:
-        square = squares[0] if m == 1 else np.repeat(squares, k)
-        csq = np.cumsum(tv * tv, axis=0)[:-1]
+        square = np.array(squares)[:, None, None]
+        csq = np.bincount(key.ravel(), np.repeat(T * T, k), bins).reshape(shape).cumsum(axis=2)
         sse_l = csq - csum * csum / ln
         sse_r = (square - csq) - (total - csum) ** 2 / rn
         score = sse_l + sse_r
         parents = [q - t * t / n for t, q, n in zip(totals, squares, lens)]
     np.putmask(score, ~valid, np.inf)
-    flat = score.T.reshape(m, -1)  # per node, (feature, cut) order
+    flat = score.reshape(m, -1)  # per node, (feature, cut) order
     best = flat.argmin(axis=1)
-    j, p = np.divmod(best, width - 1)
-    col = j + np.arange(0, m * k, k)
-    threshold = mid[p, col]
-    goes_left = (G[:, col] <= threshold).T
-    rows_l, rows_r = R[goes_left], R[~goes_left & real]
-    sums_l = (T * goes_left).sum(axis=1).tolist() if criterion == "gini" else [None] * m
-    feature = (j if cands is None else cands[np.arange(m), j]).tolist()
-    found, a, c = [], 0, 0
-    for f, th, low, parent, size, nl, s in zip(feature, threshold.tolist(), flat[np.arange(m), best].tolist(),
-                                               parents, lens, goes_left.sum(axis=1).tolist(), sums_l):
+    j, c = np.divmod(best, B)
+    # the next code present in the node, past the cut
+    after = (count[np.arange(m), j] > 0) & (np.arange(B) > c[:, None])
+    feature = j if cands is None else cands[np.arange(m), j]
+    threshold = (table[feature, c] + table[feature, after.argmax(axis=1)]) / 2.0
+    goes_left = X[R, feature[node]] <= threshold[node]
+    rows_l, rows_r = R[goes_left], R[~goes_left]
+    sums_l = (np.bincount(node[goes_left], T[goes_left], m).tolist() if criterion == "gini"
+              else [None] * m)
+    found, a, b = [], 0, 0
+    for f, th, low, parent, size, nl, s in zip(feature.tolist(), threshold.tolist(),
+                                               flat[np.arange(m), best].tolist(), parents, lens,
+                                               np.bincount(node[goes_left], minlength=m).tolist(),
+                                               sums_l):
         found.append((f if low < parent - 1e-12 else LEAF, th,
-                      rows_l[a:a + nl], rows_r[c:c + size - nl], s))
-        a, c = a + nl, c + size - nl
+                      rows_l[a:a + nl], rows_r[b:b + size - nl], s))
+        a, b = a + nl, b + size - nl
     return found
 
 
 def build_tree(X: np.ndarray, target: np.ndarray, roots, *, criterion: str,
                max_depth: int | None, min_samples_leaf: int,
-               max_features: int | None = None, rngs=None, leaf_rows: bool = False):
+               max_features: int | None = None, rngs=None, leaf_rows: bool = False,
+               codes: tuple[np.ndarray, np.ndarray] | None = None):
     """Grow one tree per entry of roots, an array of rows of X (repeats
     allowed, as in a bootstrap sample), all in lockstep. target is the
     0/1 label vector for "gini" and the regression target for "sse",
     shared by every tree, or one such row of len(X) per tree. When
     max_features is given, each node of tree i draws that many candidate
-    features from rngs[i]. Each step scans its nodes to split longest
-    first, in groups whose padded cells stay within SCAN_CELLS; a larger
-    node is scanned alone.
+    features from rngs[i]. codes is column_codes(X), computed here
+    unless given. Each step scans its nodes to split in groups whose
+    (row, candidate) and (node, candidate, code) cells stay within
+    SCAN_CELLS; a larger node is scanned alone.
 
     Returns the trees; with leaf_rows, also per tree a list of (leaf
     index, the root's rows that reach it, in root order).
     """
     X, d = np.asarray(X, dtype=np.float64), X.shape[1]
+    codes, table = column_codes(X) if codes is None else codes
     targets = target.reshape(-1, len(X))
     own = range(len(roots)) if len(targets) > 1 else [0] * len(roots)
     draw = max_features is not None and max_features < d
@@ -177,12 +195,14 @@ def build_tree(X: np.ndarray, target: np.ndarray, roots, *, criterion: str,
             cand = np.sort(rngs[i].choice(d, size=width, replace=False)) if draw else None
             square = float(t @ t) if criterion == "sse" else None
             todo.append((size, i, len(nodes) // 5 - 1, depth, rows, cand, total, square))
-        todo.sort(key=lambda node: -node[0])
-        while todo:
-            end = max(1, SCAN_CELLS // (todo[0][0] * width))
-            _, tree_of, idx_of, depth_of, rows_of, cands, totals, squares = zip(*todo[:end])
-            del todo[:end]
-            found = _scan(X, targets, [own[i] for i in tree_of], rows_of,
+        # a node's cells: its (row, candidate) codes and its bins
+        ends = list(itertools.accumulate(width * (node[0] + table.shape[1]) for node in todo))
+        start = 0
+        while start < len(todo):
+            end = max(start + 1, bisect.bisect_right(ends, (ends[start - 1] if start else 0) + SCAN_CELLS))
+            _, tree_of, idx_of, depth_of, rows_of, cands, totals, squares = zip(*todo[start:end])
+            start = end
+            found = _scan(X, codes, table, targets, [own[i] for i in tree_of], rows_of,
                           np.array(cands) if draw else None,
                           totals, squares, min_samples_leaf, criterion)
             for i, idx, depth, rows, total, (f, th, rows_l, rows_r, sum_l) in zip(
@@ -289,16 +309,17 @@ def _walk_levels(tree: TreeArrays, block: np.ndarray, roots: np.ndarray) -> np.n
 
 def leaf_ids(tree: TreeArrays, X: np.ndarray, roots=(0,), tables: WalkTables | None = None) -> np.ndarray:
     """Leaf index of every (tree, row) pair, shape (len(roots), len(X)).
-    A block of rows with rows x nodes at most WALK_CELLS compares every
-    split at once through tables (walk_tables(tree, roots) unless given);
-    a larger block walks level by level."""
+    A block of rows with rows x nodes at most WALK_CELLS, or any block
+    when no tree is more than one split deep (AdaBoost's stumps), compares
+    every split at once through tables (walk_tables(tree, roots) unless
+    given); a larger block walks level by level."""
     roots = np.asarray(roots)
     if tables is None:
         tables = walk_tables(tree, roots)
     out = np.empty((len(roots), len(X)), dtype=np.int64)
     for start in range(0, len(X), BLOCK_ROWS):
         block = X[start:start + BLOCK_ROWS]
-        if len(block) * len(tree.feature) <= WALK_CELLS:
+        if tables.depth <= 1 or len(block) * len(tree.feature) <= WALK_CELLS:
             out[:, start:start + BLOCK_ROWS] = _walk_splits(tables, block, roots)
         else:
             out[:, start:start + BLOCK_ROWS] = _walk_levels(tree, block, roots)

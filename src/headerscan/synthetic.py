@@ -105,6 +105,9 @@ class SynthEmail:
     raw: bytes
 
 
+_HEX_DIGITS = "0123456789abcdef"
+
+
 def _pick(rng: np.random.Generator, weighted) -> str:
     r = rng.random()
     acc = 0.0
@@ -116,7 +119,7 @@ def _pick(rng: np.random.Generator, weighted) -> str:
 
 
 def _hex(rng: np.random.Generator, n: int = 8) -> str:
-    return "".join(f"{v:x}" for v in rng.integers(0, 16, size=n))
+    return "".join([_HEX_DIGITS[v] for v in rng.integers(0, 16, size=n).tolist()])
 
 
 def _date_text(rng: np.random.Generator, zone: str) -> str:

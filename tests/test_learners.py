@@ -3,6 +3,7 @@
 import ast
 import functools
 import json
+import math
 import pathlib
 import tracemalloc
 import typing
@@ -735,6 +736,78 @@ def test_per_tree_targets_match_trees_grown_alone(monkeypatch, cells, data, crit
     assert got == reference_alone_bytes(data, criterion, depth)
 
 
+def test_column_codes_sort_as_the_values():
+    """Codes are ranks among a column's distinct values: a stable argsort
+    of the codes is the stable argsort of the floats, on mixed +-0.0, on
+    a one-valued column and on a column of 300 values (uint16 codes), and
+    the table maps each code back to its value."""
+    rng = np.random.default_rng(51)
+    signed_zeros = rng.choice([-0.0, 0.0, -1.5, 2.0], size=400)
+    assert {math.copysign(1.0, v) for v in signed_zeros[signed_zeros == 0.0]} == {-1.0, 1.0}
+    cases = [np.column_stack([signed_zeros, np.full(400, 3.25)]),
+             np.column_stack([rng.permutation(np.r_[np.arange(300), rng.integers(0, 300, 100)]) / 7.0,
+                              signed_zeros])]
+    assert len(np.unique(cases[1][:, 0])) > 256
+    for X, dtype in zip(cases, (np.uint8, np.uint16)):
+        codes, table = tree_module.column_codes(X)
+        assert codes.dtype == dtype and codes.shape == X.shape
+        for j, column in enumerate(X.T):
+            assert (np.argsort(codes[:, j], kind="stable")
+                    == np.argsort(column, kind="stable")).all()
+            values = np.unique(column)
+            assert (table[j, :len(values)] == values).all()
+            assert np.isnan(table[j, len(values):]).all()
+            assert (table[j, codes[:, j]] == column).all()
+
+
+def reference_binned_split(X, t):
+    """The sse split search as declared: per feature, each distinct
+    value's targets summed in row order, those sums added in value
+    order, the first minimum in (feature, cut) order at the midpoint of
+    the two values beside it, if it beats the parent by 1e-12."""
+    n, total, square = len(t), float(t.sum()), float(t @ t)
+    best = (square - total * total / n - 1e-12, None, None)
+    for f, column in enumerate(X.T):
+        values = np.unique(column)
+        csum = csq = 0.0
+        ln = 0
+        for low, high in zip(values[:-1], values[1:]):
+            s = q = 0.0
+            for v in t[column == low].tolist():
+                s += v
+                q += v * v
+            csum, csq, ln = csum + s, csq + q, ln + int((column == low).sum())
+            rn = n - ln
+            score = (csq - csum * csum / ln) + ((square - csq) - (total - csum) * (total - csum) / rn)
+            if score < best[0]:
+                best = (score, f, (low + high) / 2.0)
+    return best[1:]
+
+
+def test_sse_splits_add_each_values_sum_in_value_order():
+    """sse cuts score from per-value sums: on a planted case the root's
+    two tied cuts (feature 0 at 0.5, feature 1 at 1.5, one partition)
+    differ in their last bits, so the bins pick feature 1 where the
+    sorted cumsum tied and took feature 0; on rounded random columns
+    every root split is the declared rule's."""
+    X = np.array([[0, 0], [0, 0], [0, 1], [0, 1], [1, 2], [1, 2], [1, 2], [1, 2]], dtype=float)
+    t = np.array([0.812, -0.169, 0.543, 0.996, -0.842, 0.414, 0.806, 0.789])
+    a, b, c, d = t[:4].tolist()
+    assert ((a + b) + c) + d != (a + b) + (c + d)
+    assert reference_best_split(X, t, np.arange(8), np.arange(2), 1, "sse")[:2] == (0, 0.5)
+    assert reference_binned_split(X, t) == (1, 1.5)
+    cases = [(X, t)]
+    rng = np.random.default_rng(52)
+    for _ in range(40):
+        Xr = np.round(rng.standard_normal((60, 4)) * 1.5)
+        cases.append((Xr, Xr[:, 0] * 0.1 + np.round(rng.standard_normal(60), 2)))
+    for Xc, tc in cases:
+        root = tree_module.build_tree(Xc, tc, [np.arange(len(tc))], criterion="sse",
+                                      max_depth=1, min_samples_leaf=1)[0]
+        f, th = reference_binned_split(Xc, tc)
+        assert (root.feature[0], root.threshold[0]) == ((LEAF, 0.0) if f is None else (f, th))
+
+
 def test_grad_boost_base_score_is_log_odds():
     X, y = two_blobs(seed=13)
     m = L.train(ModelSpec("grad_boost", {"n_trees": 5}, 0), X, y)
@@ -1434,9 +1507,11 @@ def regime_queries(tree, d, seed):
 @pytest.mark.parametrize("algo,hp", REGIMES, ids=REGIME_IDS)
 def test_small_blocks_reach_the_level_walks_leaves(monkeypatch, algo, hp):
     """With rows x nodes equal to WALK_CELLS a block compares every split;
-    one cell over it, it walks level by level. Both give the level walk's
-    leaves and the per-tree walk's decision-value bytes, on rows at
-    thresholds, on +-0.0 and on NaN passed straight to the model."""
+    one cell over it, it walks level by level, unless every tree is one
+    split (AdaBoost's stumps), which compares every split at any size.
+    Both give the level walk's leaves and the per-tree walk's
+    decision-value bytes, on rows at thresholds, on +-0.0 and on NaN
+    passed straight to the model."""
     X, y = two_blobs(seed=41)
     m = L.train(ModelSpec(algo, hp, 5), X, y)
     tree, roots, tables = walked(m)
@@ -1452,7 +1527,7 @@ def test_small_blocks_reach_the_level_walks_leaves(monkeypatch, algo, hp):
             calls.clear()
             assert leaf_ids(tree, block, roots, tables).tobytes() == levels[:, :rows].tobytes()
             assert m.decision_values(block).tobytes() == want
-            assert bool(calls) is small
+            assert bool(calls) is (small or tables.depth == 1)
 
 
 @pytest.mark.parametrize("algo,hp", REGIMES, ids=REGIME_IDS)
@@ -1562,6 +1637,27 @@ def reference_one_class_decision_values(self, X):
         K = rbf_kernel(X[start:start + step], self.support_vectors, gamma)
         out[start:start + step] = K @ self.alphas - self.rho
     return out
+
+
+def test_sq_dists_keep_the_bits_of_the_one_expression():
+    """_sq_dists, computed in place, is bitwise the expression it
+    replaced, with B's norms computed or given, clamped entries included
+    (rows against themselves round below 0)."""
+    def unfused(A, B):
+        d2 = (np.sum(A * A, axis=1)[:, None]
+              - 2.0 * (A @ B.T)
+              + np.sum(B * B, axis=1)[None, :])
+        return np.maximum(d2, 0.0, out=d2)
+
+    rng = np.random.default_rng(53)
+    A = rng.standard_normal((120, 33)) * rng.uniform(0.1, 30.0, 33)
+    B = np.vstack([A[::3], rng.standard_normal((20, 33))])
+    raw = (np.sum(A * A, axis=1)[:, None] - 2.0 * (A @ B.T)) + np.sum(B * B, axis=1)[None, :]
+    assert (raw < 0).any()
+    want = unfused(A, B).tobytes()
+    assert ocsvm._sq_dists(A, B).tobytes() == want
+    assert ocsvm._sq_dists(A, B, np.sum(B * B, axis=1)).tobytes() == want
+    assert ocsvm._sq_dists(A, A).tobytes() == unfused(A, A).tobytes()
 
 
 def test_stored_norms_keep_every_decision_value():

@@ -28,6 +28,16 @@ def test_generation_is_deterministic():
         generate_emails(40, 0.5, seed=2)[0].raw
 
 
+def test_generated_bytes_are_pinned():
+    """The generator's output, ids, labels and raw bytes, is pinned by
+    digest: a faster generator must write the same corpus."""
+    h = hashlib.sha256()
+    for e in (generate_emails(300, 0.5, seed=1)
+              + generate_emails(100, 1.0, seed=2, anomaly_label=Label.PHISHING)):
+        h.update(e.id.encode() + b"\0" + e.label.value.encode() + b"\0" + e.raw + b"\0")
+    assert h.hexdigest() == "33dcdd8fd4b9110b93302069b3dc08471b9c86638a7f9bc00474a21bcb1a7720"
+
+
 def test_label_counts_match_fraction():
     rng = np.random.default_rng(11)
     for _ in range(8):
