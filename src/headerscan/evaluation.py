@@ -26,6 +26,7 @@ import numpy as np
 
 from .learners import (ModelSpec, check_fingerprint, derive_seed, held_out,
                        rng_for, stratified_fold_ids)
+from .learners.tree import TreeEnsemble
 
 __all__ = [
     "EvalReport", "ImportanceReport", "RenderedTable",
@@ -283,7 +284,10 @@ def permutation_importance(model, X_test, y_test, repeats: int = 10,
     """Mean accuracy drop per feature when only that column is shuffled.
 
     The baseline is scored once; each (feature, repeat) pair draws its
-    own generator so results do not depend on evaluation order.
+    own generator so results do not depend on evaluation order. A tree
+    model reads only the features its trees split on, so shuffling any
+    other column leaves every decision value as it was: those drops are
+    0.0, recorded without drawing or scoring.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -299,11 +303,13 @@ def permutation_importance(model, X_test, y_test, repeats: int = 10,
         return float(np.mean(predicted == (y_test == 1)))
 
     baseline = accuracy(X_test)
+    read = (set(np.concatenate([tree.feature for tree in model.trees]).tolist())
+            if isinstance(model, TreeEnsemble) else range(d))
     mean_drop = []
     std_drop = []
     for j in range(d):
-        drops = np.empty(repeats)
-        for r in range(repeats):
+        drops = np.zeros(repeats)
+        for r in range(repeats if j in read else 0):
             rng = np.random.default_rng(derive_seed(seed, "perm", j, r))
             shuffled = X_test.copy()
             shuffled[:, j] = X_test[rng.permutation(n), j]

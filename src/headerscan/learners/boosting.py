@@ -43,9 +43,9 @@ def train_grad_boosts(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray,
     Boost shallow regression trees on the log-loss gradient. Each round
     fits a squared-error tree to the residual y - p, then replaces every
     leaf with the Newton step sum(residual) / sum(p(1-p)) over its rows.
-    Round r of every model grows in one lockstep build_tree call, each
-    tree rooted at its model's rows of X with its own residual row; F,
-    the residuals and the leaf steps stay per model."""
+    Round r of every model grows in one build_tree call, level by level,
+    each tree rooted at its model's rows of X with its own residual row;
+    F, the residuals and the leaf steps stay per model."""
     hp = specs[0].hyperparameters
     lr = hp["learning_rate"]
     ys = [y[rows].astype(np.float64) for rows in row_sets]

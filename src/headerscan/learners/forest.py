@@ -35,7 +35,10 @@ class RandomForestModel(TreeEnsemble):
 
 def train_random_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> RandomForestModel:
     """Each tree gets its own generator seeded from (spec.seed, tree index);
-    it draws the bootstrap rows first, then the per-node feature bags."""
+    it draws the bootstrap rows first, then, at each depth level, one
+    block of uniform keys, a row per node to split, left to right, and a
+    column per feature: a node's bag is the mtry features with its
+    smallest keys."""
     hp = spec.hyperparameters
     n, d = X.shape
     mtry = max(1, int(np.sqrt(d))) if hp["max_features"] == "sqrt" else d

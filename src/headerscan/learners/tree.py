@@ -21,11 +21,19 @@ same x[f] <= t comparisons along each pair's path, so they reach the
 same leaves. An ensemble sums each block's leaves with one sequential
 reduce along the tree axis, in tree order, so no array outgrows a block.
 
-One grower, `build_tree`, grows all of a forest's trees, or one
-boosting round of every fold, in lockstep: each step takes the next
-pre-order node of every unfinished tree (so draws and node numbering are
-those of growing each tree alone) and scans the nodes to split in
-batches within SCAN_CELLS cells.
+One grower, `build_tree`, grows a forest's trees, or one boosting round
+of every fold, one depth level at a time, in batches of whole trees
+within ROOT_ROWS root rows, so its memory does not grow with the number
+of trees. A level is every node of one depth across a batch, and each
+node owns a contiguous segment of the level's rows. A level scans its
+nodes to split in groups within SCAN_CELLS cells, then partitions each
+split node's segment stably into its left and right child's, so every
+node's rows stay in root order. A forest's feature bags come from one
+block of uniform keys per tree and level, drawn from the tree's own
+generator after its bootstrap rows: a row per node to split, left to
+right, and a column per feature; a node's bag is the features with its
+smallest keys. Once a batch is grown its nodes are numbered in
+pre-order: subtree sizes bottom-up, then positions top-down.
 
 Split search reads integer column codes, computed once per fit by
 `column_codes`: a value's code is its rank among its column's distinct
@@ -42,7 +50,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -54,7 +61,8 @@ __all__ = ["TreeArrays", "TreeEnsemble", "DecisionTreeModel", "train_decision_tr
 
 LEAF = -1
 BLOCK_ROWS = 1024  # rows per walk; (tree, row) arrays hold n_trees x this
-SCAN_CELLS = 1 << 16  # (row, candidate) plus (node, candidate, code) cells per split scan
+SCAN_CELLS = 1 << 15  # split scan cells: 1 per (row, candidate), 4 per (node, candidate, code) bin
+ROOT_ROWS = 1 << 14  # root rows per batch of trees grown together
 WALK_CELLS = 1 << 14  # (row, node) cells up to which a block compares every split
 
 
@@ -83,45 +91,55 @@ def column_codes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, table
 
 
-def _scan(X, codes, table, targets, own, rows, cands, totals, squares, min_leaf: int, criterion: str):
-    """Per node of a group: (feature or LEAF, threshold, left rows, right
-    rows, left label sum for "gini"). Node i's targets are
-    targets[own[i]]. cands is (nodes, candidates), or None for every
-    column. One bincount per sum over (node, candidate, code) bins gives
-    each value's row count and target sum, summed in row order; their
-    cumsums along the codes are the left child's at each cut between
-    values present in the node. The first minimum in (feature, cut)
-    order wins if it beats the parent by 1e-12; its threshold is the
-    midpoint of the two values beside the cut."""
-    m, lens = len(rows), [len(r) for r in rows]
-    R = rows[0] if m == 1 else np.concatenate(rows)
-    node = np.repeat(np.arange(m), lens)
+def _runs(sizes, budget: int):
+    """(start, end) of consecutive runs of sizes, each summing to at most
+    budget, or one item alone where it is larger."""
+    ends = list(itertools.accumulate(sizes))
+    start = 0
+    while start < len(ends):
+        end = max(start + 1, bisect.bisect_right(ends, (ends[start - 1] if start else 0) + budget))
+        yield start, end
+        start = end
+
+
+def _scan(X, codes, table, R, T, lens, cands, totals, squares, min_leaf: int, criterion: str):
+    """(feature or LEAF, threshold) per node of a group, and whether each
+    row goes left. The group's rows R, with targets T, lie node after
+    node, lens[i] of them for node i. cands is (nodes, candidates), or
+    None for every column. One bincount per sum over (node, candidate,
+    code) bins gives each value's row count and target sum, summed in
+    row order; their cumsums along the codes are the left child's at
+    each cut between values present in the node. The first minimum in
+    (feature, cut) order wins if it beats the parent by 1e-12; its
+    threshold is the midpoint of the two values beside the cut."""
+    m = len(lens)
+    node = np.arange(m).repeat(lens)
     k, B = len(table) if cands is None else cands.shape[1], table.shape[1]
     shape, bins = (m, k, B), m * k * B
     key = np.arange(0, bins, B).reshape(m, k)[node]  # each (node, candidate)'s first bin
-    key += codes[R] if cands is None else codes[R[:, None], cands[node]]
-    T = targets[np.repeat(own, lens), R]
+    # a row's candidate codes, read from the flat codes at row * d + column
+    key += codes[R] if cands is None else codes.ravel()[(R * len(table))[:, None] + cands[node]]
     count = np.bincount(key.ravel(), minlength=bins).reshape(shape)
     if criterion == "gini":  # 0/1 targets: the sums are counts of ones
         csum = np.bincount(key[T > 0.0].ravel(), minlength=bins).reshape(shape).cumsum(axis=2)
     else:
-        csum = np.bincount(key.ravel(), np.repeat(T, k), bins).reshape(shape).cumsum(axis=2)
+        csum = np.bincount(key.ravel(), T.repeat(k), bins).reshape(shape).cumsum(axis=2)
     ln = count.cumsum(axis=2)
-    n, total = np.array(lens)[:, None, None], np.array(totals)[:, None, None]
+    n, total = lens[:, None, None], totals[:, None, None]
     rn = n - ln
     valid = (count > 0) & (ln >= min_leaf) & (rn >= min_leaf)
     ln, rn = np.maximum(ln, 1).astype(np.float64), np.maximum(rn, 1).astype(np.float64)
     if criterion == "gini":
         # sum over children of n_c * Gini_c / 2 = p(n_c - p)/n_c
         score = csum * (ln - csum) / ln + (total - csum) * (rn - (total - csum)) / rn
-        parents = [t * (n - t) / n for t, n in zip(totals, lens)]
+        parents = totals * (lens - totals) / lens
     else:
-        square = np.array(squares)[:, None, None]
-        csq = np.bincount(key.ravel(), np.repeat(T * T, k), bins).reshape(shape).cumsum(axis=2)
+        square = squares[:, None, None]
+        csq = np.bincount(key.ravel(), (T * T).repeat(k), bins).reshape(shape).cumsum(axis=2)
         sse_l = csq - csum * csum / ln
         sse_r = (square - csq) - (total - csum) ** 2 / rn
         score = sse_l + sse_r
-        parents = [q - t * t / n for t, q, n in zip(totals, squares, lens)]
+        parents = squares - totals * totals / lens
     np.putmask(score, ~valid, np.inf)
     flat = score.reshape(m, -1)  # per node, (feature, cut) order
     best = flat.argmin(axis=1)
@@ -131,18 +149,7 @@ def _scan(X, codes, table, targets, own, rows, cands, totals, squares, min_leaf:
     feature = j if cands is None else cands[np.arange(m), j]
     threshold = (table[feature, c] + table[feature, after.argmax(axis=1)]) / 2.0
     goes_left = X[R, feature[node]] <= threshold[node]
-    rows_l, rows_r = R[goes_left], R[~goes_left]
-    sums_l = (np.bincount(node[goes_left], T[goes_left], m).tolist() if criterion == "gini"
-              else [None] * m)
-    found, a, b = [], 0, 0
-    for f, th, low, parent, size, nl, s in zip(feature.tolist(), threshold.tolist(),
-                                               flat[np.arange(m), best].tolist(), parents, lens,
-                                               np.bincount(node[goes_left], minlength=m).tolist(),
-                                               sums_l):
-        found.append((f if low < parent - 1e-12 else LEAF, th,
-                      rows_l[a:a + nl], rows_r[b:b + size - nl], s))
-        a, b = a + nl, b + size - nl
-    return found
+    return np.where(flat[np.arange(m), best] < parents - 1e-12, feature, LEAF), threshold, goes_left
 
 
 def build_tree(X: np.ndarray, target: np.ndarray, roots, *, criterion: str,
@@ -150,78 +157,150 @@ def build_tree(X: np.ndarray, target: np.ndarray, roots, *, criterion: str,
                max_features: int | None = None, rngs=None, leaf_rows: bool = False,
                codes: tuple[np.ndarray, np.ndarray] | None = None):
     """Grow one tree per entry of roots, an array of rows of X (repeats
-    allowed, as in a bootstrap sample), all in lockstep. target is the
-    0/1 label vector for "gini" and the regression target for "sse",
-    shared by every tree, or one such row of len(X) per tree. When
-    max_features is given, each node of tree i draws that many candidate
-    features from rngs[i]. codes is column_codes(X), computed here
-    unless given. Each step scans its nodes to split in groups whose
-    (row, candidate) and (node, candidate, code) cells stay within
-    SCAN_CELLS; a larger node is scanned alone.
+    allowed, as in a bootstrap sample). target is the 0/1 label vector
+    for "gini" and the regression target for "sse", shared by every
+    tree, or one such row of len(X) per tree. When max_features is
+    given, each depth level of tree i draws one block of uniform keys
+    from rngs[i]: a row per node to split, left to right, and a column
+    per feature; a node's candidates are the max_features features with
+    its smallest keys. codes is column_codes(X), computed here unless
+    given. The trees grow in batches of whole trees within ROOT_ROWS
+    root rows (a larger root alone), one level of a batch at a time.
 
     Returns the trees; with leaf_rows, also per tree a list of (leaf
-    index, the root's rows that reach it, in root order).
+    index, the root's rows that reach it, in root order), in pre-order.
     """
-    X, d = np.asarray(X, dtype=np.float64), X.shape[1]
-    codes, table = column_codes(X) if codes is None else codes
+    X = np.asarray(X, dtype=np.float64)
+    codes = column_codes(X) if codes is None else codes
     targets = target.reshape(-1, len(X))
-    own = range(len(roots)) if len(targets) > 1 else [0] * len(roots)
-    draw = max_features is not None and max_features < d
-    width = max_features if draw else d
-    trees = [array("d") for _ in roots]  # per node: feature, threshold, left, right, value
-    leaves = [[] for _ in roots] if leaf_rows else None
-    # explicit pre-order stacks; (rows, depth, parent index, went left,
-    # label sum for "gini", known from the parent's split)
-    stacks = [[(np.asarray(rows), 0, -1, False, None)] for rows in roots]
-    while any(stacks):
-        todo = []
-        for i, stack in enumerate(stacks):
-            if not stack:
-                continue
-            rows, depth, parent, went_left, total = stack.pop()
-            nodes, size = trees[i], len(rows)
-            if parent >= 0:
-                nodes[5 * parent + (2 if went_left else 3)] = len(nodes) // 5
-            if total is None:
-                t = targets[own[i]][rows]
-                total = float(t.sum())
-            nodes.extend((LEAF, 0.0, LEAF, LEAF, total / size))
-            if ((max_depth is not None and depth >= max_depth)
-                    or size < 2 * min_samples_leaf or size < 2
-                    or (criterion == "gini" and total in (0.0, size))):
-                if leaf_rows:
-                    leaves[i].append((len(nodes) // 5 - 1, rows))
-                continue
-            cand = np.sort(rngs[i].choice(d, size=width, replace=False)) if draw else None
-            square = float(t @ t) if criterion == "sse" else None
-            todo.append((size, i, len(nodes) // 5 - 1, depth, rows, cand, total, square))
-        # a node's cells: its (row, candidate) codes and its bins
-        ends = list(itertools.accumulate(width * (node[0] + table.shape[1]) for node in todo))
-        start = 0
-        while start < len(todo):
-            end = max(start + 1, bisect.bisect_right(ends, (ends[start - 1] if start else 0) + SCAN_CELLS))
-            _, tree_of, idx_of, depth_of, rows_of, cands, totals, squares = zip(*todo[start:end])
-            start = end
-            found = _scan(X, codes, table, targets, [own[i] for i in tree_of], rows_of,
-                          np.array(cands) if draw else None,
-                          totals, squares, min_samples_leaf, criterion)
-            for i, idx, depth, rows, total, (f, th, rows_l, rows_r, sum_l) in zip(
-                    tree_of, idx_of, depth_of, rows_of, totals, found):
-                if f == LEAF or len(rows_l) == 0 or len(rows_r) == 0:
-                    if leaf_rows:
-                        leaves[i].append((idx, rows))
-                    continue
-                trees[i][5 * idx], trees[i][5 * idx + 1] = f, th
-                # right pushed first so the left subtree lays out
-                # immediately after its parent, matching recursive
-                # pre-order; sse sums are taken afresh in each node
-                stacks[i].append((rows_r, depth + 1, idx, False,
-                                  None if sum_l is None else total - sum_l))
-                stacks[i].append((rows_l, depth + 1, idx, True, sum_l))
-    grown = [TreeArrays(*(column.astype(dtype) for column, dtype in zip(
-        np.frombuffer(nodes).reshape(-1, 5).T, (np.int64, np.float64, np.int64, np.int64, np.float64))))
-        for nodes in trees]
-    return (grown, leaves) if leaf_rows else grown
+    roots = [np.asarray(rows) for rows in roots]
+    draw = max_features is not None and max_features < X.shape[1]
+    trees, leaves = [], []
+    for a, b in _runs([len(rows) for rows in roots], ROOT_ROWS):
+        grown, ended = _grow(X, codes, targets if len(targets) == 1 else targets[a:b], roots[a:b],
+                             rngs[a:b] if draw else None, max_features, criterion=criterion,
+                             max_depth=max_depth, min_leaf=min_samples_leaf, leaf_rows=leaf_rows)
+        trees += grown
+        leaves += ended
+    return (trees, leaves) if leaf_rows else trees
+
+
+def _grow(X, codes, targets, roots, rngs, width, *, criterion, max_depth, min_leaf, leaf_rows):
+    """build_tree on one batch: its trees, and their leaves' rows if
+    leaf_rows. A level holds every node of one depth across the batch,
+    in (tree, left to right) order, and R the rows of its nodes, node
+    after node, each node's in root order."""
+    codes, table = codes
+
+    def labels(rows, node_tree, lens):  # each row's target, from its tree's row
+        return targets[0][rows] if len(targets) == 1 else targets[node_tree.repeat(lens), rows]
+
+    tree, size, R = np.arange(len(roots)), np.array([len(rows) for rows in roots]), np.concatenate(roots)
+    # gini sums are counts of ones, so a child's is its parent's split;
+    # sse sums are taken afresh in each node, as one call each
+    total = (np.bincount(tree.repeat(size), labels(R, tree, size), len(roots))
+             if criterion == "gini" else None)
+    levels, ended = [], []  # per level (tree, feature, threshold, value); its leaves' (tree, node, rows)
+    while len(tree):
+        if criterion == "sse" or leaf_rows:  # each node's rows
+            ends = np.cumsum(size).tolist()
+            segs = [R[a:b] for a, b in zip([0, *ends], ends)]
+        can = size >= max(2 * min_leaf, 2)
+        if max_depth is not None and len(levels) >= max_depth:
+            can[:] = False
+        if criterion == "gini":
+            can &= (total != 0.0) & (total != size)
+        else:
+            ts = [targets[0 if len(targets) == 1 else i][rows] for i, rows in zip(tree.tolist(), segs)]
+            total, square = np.array([t.sum() for t in ts]), np.zeros(len(ts))
+            square[can] = [t @ t for t, c in zip(ts, can.tolist()) if c]
+        feature, threshold = np.full(len(tree), LEAF), np.zeros(len(tree))
+        nxt = tree[:0], size[:0], R[:0], None
+        if can.any():
+            op = can.nonzero()[0]
+            lens, rows = size[op], R if len(op) == len(size) else R[can.repeat(size)]
+            T = labels(rows, tree[op], lens)
+            cands = None
+            if rngs is not None:
+                counts = np.bincount(tree[op], minlength=len(roots)).tolist()
+                keys = np.concatenate([rngs[i].random((c, X.shape[1])) for i, c in enumerate(counts) if c])
+                cands = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :width], axis=1)
+            # a node's cells: its (row, candidate) codes, and its bins at
+            # four cells each, as a bin's counts, sums and scores take
+            # about four times a code's memory
+            cells = ((len(table) if cands is None else width) * (lens + 4 * table.shape[1])).tolist()
+            bound = [0, *itertools.accumulate(lens.tolist())]
+            found = [_scan(X, codes, table, rows[bound[a]:bound[b]], T[bound[a]:bound[b]], lens[a:b],
+                           None if cands is None else cands[a:b], total[op[a:b]],
+                           None if criterion == "gini" else square[op[a:b]], min_leaf, criterion)
+                     for a, b in _runs(cells, SCAN_CELLS)]
+            f, th, gl = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
+            at = np.arange(len(op)).repeat(lens)  # each row's node among op
+            nl = np.bincount(at[gl], minlength=len(op))
+            ok = (f != LEAF) & (nl > 0) & (nl < lens)
+            split = op[ok]
+            feature[split], threshold[split] = f[ok], th[ok]
+            if not ok.all():
+                keep = ok[at]
+                rows, T, gl, at = rows[keep], T[keep], gl[keep], (np.cumsum(ok) - 1)[at[keep]]
+                nl = nl[ok]
+            # each split node's left rows, then its right rows, in root
+            # order: a stable sort by child (a radix sort up to 2^16)
+            child = 2 * at + ~gl
+            child = rows[np.argsort(child.astype(np.min_scalar_type(2 * len(nl))), kind="stable")]
+            sums = None
+            if criterion == "gini":
+                sum_l = np.bincount(at[gl], T[gl], len(nl))
+                sums = _pairs(sum_l, total[split] - sum_l)
+            nxt = tree[split].repeat(2), _pairs(nl, size[split] - nl), child, sums
+        levels.append((tree, feature, threshold, total / size))
+        if leaf_rows:
+            ks = (feature == LEAF).nonzero()[0]
+            ended.append((tree[ks], ks, [segs[k] for k in ks.tolist()]))
+        tree, size, R, total = nxt
+    pos, ends = _preorder(levels, len(roots))
+    # every node at once, level after level: below the roots, the inner
+    # nodes' children come in pairs, in the inner nodes' order
+    node_tree, f, th, v = (np.concatenate(column) for column in zip(*levels))
+    index = np.concatenate(pos)
+    at = np.array([0, *ends[:-1]])[node_tree] + index
+    feature, left, right = (np.full(ends[-1], LEAF, dtype=np.int64) for _ in range(3))
+    threshold, value = np.zeros(ends[-1]), np.empty(ends[-1])
+    feature[at], threshold[at], value[at] = f, th, v
+    inner = at[f != LEAF]
+    left[inner], right[inner] = index[len(roots)::2], index[len(roots) + 1::2]
+    grown = [TreeArrays(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b])
+             for a, b in zip([0, *ends], ends)]
+    if not leaf_rows:
+        return grown, []
+    leaves = [[] for _ in roots]
+    for (trees, ks, segs), index in zip(ended, pos):
+        for i, leaf, rows in zip(trees.tolist(), index[ks].tolist(), segs):
+            leaves[i].append((leaf, rows))
+    return grown, [sorted(tree_leaves, key=lambda leaf: leaf[0]) for tree_leaves in leaves]
+
+
+def _preorder(levels, n_trees: int):
+    """Each level's nodes' pre-order indices within their trees, and the
+    cumulative node counts of the trees: subtree sizes bottom-up, then
+    positions top-down, a left child just after its parent and a right
+    child after its left sibling's subtree."""
+    inner = [level[1] != LEAF for level in levels]
+    sub = [np.ones(len(level[0]), dtype=np.int64) for level in levels]
+    for depth in range(len(levels) - 2, -1, -1):
+        sub[depth][inner[depth]] += sub[depth + 1].reshape(-1, 2).sum(axis=1)
+    pos = [np.zeros(n_trees, dtype=np.int64)]
+    for depth in range(len(levels) - 1):
+        left = pos[depth][inner[depth]] + 1
+        pos.append(_pairs(left, left + sub[depth + 1][0::2]))
+    return pos, np.cumsum(sub[0]).tolist()
+
+
+def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[0], b[0], a[1], b[1], ...: each split node's left child, then its right."""
+    out = np.empty(2 * len(a), dtype=a.dtype)
+    out[0::2], out[1::2] = a, b
+    return out
 
 
 def check_tree(tree: TreeArrays, width: int) -> None:
@@ -280,17 +359,22 @@ def walk_tables(tree: TreeArrays, roots=(0,)) -> WalkTables:
 def _walk_splits(tables: WalkTables, block: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Compare every (row, node) once for its next node, offset by the
     row's place in the flattened table, then move every (tree, row) pair
-    depth times."""
+    depth times. Trees at most one split deep compare only their roots,
+    each (row, tree) pair once, and step to the root's child."""
+    if tables.depth <= 1:
+        if not tables.depth:
+            return np.broadcast_to(roots[:, None], (len(roots), len(block)))
+        goes_left = np.take(block, tables.feature[roots], axis=1) <= tables.threshold[roots]
+        return np.where(goes_left, tables.left[roots], tables.right[roots]).T
     n = len(tables.feature)
     base = np.arange(0, len(block) * n, n)
     node = roots[:, None] + base
-    if tables.depth:
-        # take, not block[:, feature], whose result is column-major
-        goes_left = np.take(block, tables.feature, axis=1) <= tables.threshold
-        nxt = np.where(goes_left, tables.left, tables.right)
-        nxt += base[:, None]
-        for _ in range(tables.depth):
-            node = np.take(nxt, node)
+    # take, not block[:, feature], whose result is column-major
+    goes_left = np.take(block, tables.feature, axis=1) <= tables.threshold
+    nxt = np.where(goes_left, tables.left, tables.right)
+    nxt += base[:, None]
+    for _ in range(tables.depth):
+        node = np.take(nxt, node)
     return node - base
 
 

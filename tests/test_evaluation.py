@@ -960,6 +960,51 @@ def test_label_feature_drop_near_half_and_noise_near_zero():
     assert rep.repeats == 20
 
 
+def reference_permutation_importance(model, X, y, repeats, seed):
+    """(mean drops, std drops, baseline) from the loop that shuffled and
+    scored every (feature, repeat) pair."""
+    n, d = X.shape
+
+    def accuracy(mat):
+        return float(np.mean((model.decision_values(mat) >= 0.0) == (y == 1)))
+
+    baseline = accuracy(X)
+    means, stds = [], []
+    for j in range(d):
+        drops = np.empty(repeats)
+        for r in range(repeats):
+            rng = np.random.default_rng(derive_seed(seed, "perm", j, r))
+            shuffled = X.copy()
+            shuffled[:, j] = X[rng.permutation(n), j]
+            drops[r] = baseline - accuracy(shuffled)
+        means.append(float(drops.mean()))
+        stds.append(float(drops.std()))
+    return tuple(means), tuple(stds), baseline
+
+
+@pytest.mark.parametrize("algo,hp", [("random_forest", {"n_trees": 10, "max_depth": 2}),
+                                     ("random_forest", {"n_trees": 5, "max_features": "all"}),
+                                     ("grad_boost", {"n_trees": 4, "max_depth": 1}),
+                                     ("decision_tree", {"max_depth": 2}),
+                                     ("adaboost", {"rounds": 4})])
+def test_tree_models_score_only_the_features_they_read(algo, hp):
+    """A tree model's report is the old loop's, bit for bit, while only
+    the features its trees split on are shuffled and scored."""
+    rng = np.random.default_rng(19)
+    X = np.round(2 * rng.standard_normal((120, 12)))
+    y = (X[:, 0] + X[:, 1] + rng.standard_normal(120) > 0).astype(int)
+    model = learners.train(ModelSpec(algo, hp, 3), X, y)
+    read = set(np.concatenate([tree.feature for tree in model.trees]).tolist()) - {-1}
+    assert 0 < len(read) < 12
+    want = reference_permutation_importance(model, X, y, 3, 20)
+    calls, score = [], model.decision_values
+    model.decision_values = lambda M: calls.append(len(M)) or score(M)
+    rep = permutation_importance(model, X, y, repeats=3, seed=20)
+    assert (rep.mean_drop, rep.std_drop, rep.baseline_accuracy) == want
+    assert len(calls) == 1 + 3 * len(read)
+    assert all(rep.mean_drop[j] == 0.0 for j in range(12) if j not in read)
+
+
 def test_importance_checks_fingerprint():
     rng = np.random.default_rng(18)
     X = rng.standard_normal((20, 2))

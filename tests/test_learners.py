@@ -557,8 +557,8 @@ def reference_best_split(X, t, rows, features, min_leaf, criterion):
 
 def reference_build_tree(X, target, *, criterion, max_depth, min_samples_leaf,
                          max_features=None, rng=None):
-    """The one-tree, one-node-at-a-time builder that the lockstep grower
-    replaced."""
+    """The one-tree, one-node-at-a-time pre-order builder that the batched
+    growers replaced: the reference for trees without feature bags."""
     n, d = X.shape
     feature, threshold, left, right, value = [], [], [], [], []
 
@@ -611,9 +611,59 @@ def reference_build_tree(X, target, *, criterion, max_depth, min_samples_leaf,
     )
 
 
+def reference_level_tree(X, target, *, max_depth, min_samples_leaf, max_features, rng):
+    """A Gini tree grown one node at a time, one depth level at a time,
+    with feature bags by the declared per-level rule: each level with a
+    node to split draws one (nodes to split, features) block of uniform
+    keys from rng, a row per node left to right, and a node's candidates
+    are the max_features features with its smallest keys, ascending.
+    Nodes are numbered in pre-order."""
+    n, d = X.shape
+    root = {"rows": np.arange(n), "split": None, "kids": ()}
+    level, depth = [root], 0
+    while level:
+        todo = []
+        for node in level:
+            t = target[node["rows"]]
+            node["value"] = float(np.mean(t))
+            if ((max_depth is None or depth < max_depth) and len(t) >= max(2 * min_samples_leaf, 2)
+                    and not (t == t[0]).all()):
+                todo.append(node)
+        keys = rng.random((len(todo), d)) if todo else []
+        level, depth = [], depth + 1
+        for node, key in zip(todo, keys):
+            rows = node["rows"]
+            cand = np.sort(np.argsort(key, kind="stable")[:max_features])
+            found = reference_best_split(X, target[rows], rows, cand, min_samples_leaf, "gini")
+            if found is None:
+                continue
+            f, th, _ = found
+            mask = X[rows, f] <= th
+            if mask.all() or not mask.any():
+                continue
+            node["split"] = (f, th)
+            node["kids"] = ({"rows": rows[mask], "split": None, "kids": ()},
+                            {"rows": rows[~mask], "split": None, "kids": ()})
+            level += node["kids"]
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        node["index"] = len(order)
+        order.append(node)
+        stack += node["kids"][::-1]
+    return TreeArrays(
+        feature=np.array([node["split"][0] if node["split"] else LEAF for node in order], dtype=np.int64),
+        threshold=np.array([node["split"][1] if node["split"] else 0.0 for node in order]),
+        left=np.array([node["kids"][0]["index"] if node["kids"] else LEAF for node in order], dtype=np.int64),
+        right=np.array([node["kids"][1]["index"] if node["kids"] else LEAF for node in order], dtype=np.int64),
+        value=np.array([node["value"] for node in order]),
+    )
+
+
 def reference_trees(algo, hp, X, y, seed):
     """The trees of a model grown one at a time by reference_build_tree,
-    in the training loops of the forest and boosting before lockstep."""
+    in the training loops of the forest and boosting before lockstep, or
+    by reference_level_tree for a forest that draws feature bags."""
     hp = L.validate_spec(ModelSpec(algo, hp, seed)).hyperparameters
     target = y.astype(np.float64)
     n, d = X.shape
@@ -626,10 +676,14 @@ def reference_trees(algo, hp, X, y, seed):
         for t in range(hp["n_trees"]):
             rng = np.random.default_rng(derive_seed(seed, "forest", t))
             rows = rng.integers(0, n, size=n)
-            trees.append(reference_build_tree(
-                X[rows], target[rows], criterion="gini", max_depth=hp["max_depth"],
-                min_samples_leaf=hp["min_samples_leaf"],
-                max_features=mtry if mtry < d else None, rng=rng))
+            if mtry < d:
+                trees.append(reference_level_tree(
+                    X[rows], target[rows], max_depth=hp["max_depth"],
+                    min_samples_leaf=hp["min_samples_leaf"], max_features=mtry, rng=rng))
+            else:
+                trees.append(reference_build_tree(
+                    X[rows], target[rows], criterion="gini", max_depth=hp["max_depth"],
+                    min_samples_leaf=hp["min_samples_leaf"]))
         return trees
     pbar = min(max(float(np.mean(target)), 1e-12), 1.0 - 1e-12)
     F = np.full(n, float(np.log(pbar / (1.0 - pbar))))
@@ -677,7 +731,8 @@ def reference_tree_bytes(data, algo, hp_items):
                                                for a, hp in GROWN])
 def test_lockstep_grower_matches_the_per_node_builder(monkeypatch, cells, data, algo, hp):
     """Byte-identical trees, all five arrays with their dtypes, whether
-    every node is scanned alone or each step is one scan."""
+    every node is scanned alone or each level is one scan; a forest that
+    draws feature bags against the per-level reference."""
     X, y = frozen(data)
     if data is header_matrix:
         assert max(len(np.unique(col)) for col in X.T) <= 12
@@ -721,7 +776,7 @@ def per_tree_case(data, criterion):
 @pytest.mark.parametrize("data", [header_matrix, continuous_matrix])
 @pytest.mark.parametrize("criterion,depth", [("sse", 3), ("sse", 6), ("gini", None)])
 def test_per_tree_targets_match_trees_grown_alone(monkeypatch, cells, data, criterion, depth):
-    """One lockstep call with a target row per tree grows, byte for byte,
+    """One grower call with a target row per tree grows, byte for byte,
     the trees each root and target grow alone, and hands back each
     leaf's rows as the walk finds them."""
     X, _ = frozen(data)
@@ -734,6 +789,58 @@ def test_per_tree_targets_match_trees_grown_alone(monkeypatch, cells, data, crit
             {leaf: rows.tobytes() for leaf, rows in tree_leaves})
            for tree, tree_leaves in zip(trees, leaves)]
     assert got == reference_alone_bytes(data, criterion, depth)
+
+
+class _KeyBlocks:
+    """A generator that records the shape of every block of keys drawn."""
+
+    def __init__(self, seed):
+        self.rng, self.shapes = np.random.default_rng(seed), []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self.rng.random(shape)
+
+
+def test_feature_bags_draw_one_key_block_per_level():
+    """A planted tree: six identical columns of values 0, 1 and 2, whose
+    labels are 0, 1 and 0, so the root splits at 1.5 and its left child
+    at 0.5. Each of two trees draws a (1, 6) block at depth 0 and at
+    depth 1 and none at depth 2, whose nodes are pure; each split is on
+    the lowest feature of its bag, the two smallest keys of its row."""
+    x = np.repeat([0.0, 1.0, 2.0], [6, 4, 8])
+    y = (x == 1.0).astype(np.float64)
+    X = np.repeat(x[:, None], 6, axis=1)
+    roots = [np.arange(len(x)), np.arange(len(x))[::-1].copy()]
+    rngs = [_KeyBlocks(61), _KeyBlocks(62)]
+    trees = tree_module.build_tree(X, y, roots, criterion="gini", max_depth=None,
+                                   min_samples_leaf=1, max_features=2, rngs=rngs)
+    for tree, rows, rng, seed in zip(trees, roots, rngs, (61, 62)):
+        assert rng.shapes == [(1, 6), (1, 6)]
+        keys = np.random.default_rng(seed).random((2, 6))
+        assert tree.threshold[tree.feature != LEAF].tolist() == [1.5, 0.5]
+        assert tree.feature[tree.feature != LEAF].tolist() == np.argsort(keys, axis=1)[:, :2].min(axis=1).tolist()
+        want = reference_level_tree(X[rows], y[rows], max_depth=None, min_samples_leaf=1,
+                                    max_features=2, rng=np.random.default_rng(seed))
+        assert [a.tobytes() for a in astuple(tree)] == [a.tobytes() for a in astuple(want)]
+
+
+@pytest.mark.parametrize("data", [header_matrix, continuous_matrix])
+def test_root_row_budget_leaves_the_trees_as_they_are(monkeypatch, data):
+    """Trees grown one per batch and all in one batch are the same bytes:
+    a sqrt forest with its feature bags, and per-tree sse targets with
+    each leaf's rows."""
+    X, y = frozen(data)
+    roots, targets = per_tree_case(data, "sse")
+    got = []
+    for budget in (1, 2**40):
+        monkeypatch.setattr(tree_module, "ROOT_ROWS", budget)
+        forest = L.train(ModelSpec("random_forest", {"n_trees": 12}, 6), X, y)
+        trees, leaves = tree_module.build_tree(X, targets, roots, criterion="sse", max_depth=4,
+                                               min_samples_leaf=1, leaf_rows=True)
+        got.append(([a.tobytes() for t in forest.trees + trees for a in astuple(t)],
+                    [(leaf, rows.tobytes()) for tree_leaves in leaves for leaf, rows in tree_leaves]))
+    assert got[0] == got[1]
 
 
 def test_column_codes_sort_as_the_values():
@@ -1502,6 +1609,38 @@ def regime_queries(tree, d, seed):
     Q[26:30, rng.integers(0, d, 4)] = np.nan
     Q[30] = np.nan
     return Q
+
+
+def reference_walk_splits(tables, block, roots):
+    """The all-splits walk as it scored stumps before it compared only
+    their roots: every (row, node) compared once, leaves included, then
+    each (tree, row) pair moved depth times."""
+    n = len(tables.feature)
+    base = np.arange(0, len(block) * n, n)
+    node = roots[:, None] + base
+    if tables.depth:
+        goes_left = np.take(block, tables.feature, axis=1) <= tables.threshold
+        nxt = np.where(goes_left, tables.left, tables.right)
+        nxt += base[:, None]
+        for _ in range(tables.depth):
+            node = np.take(nxt, node)
+    return node - base
+
+
+@pytest.mark.parametrize("data", [header_matrix, continuous_matrix])
+def test_stumps_compare_only_their_roots(data):
+    """AdaBoost's stumps reach the leaves of the every-node walk, for
+    each row scored alone and for the rows of one batch, on rows at the
+    thresholds, on +-0.0 and on NaN."""
+    X, y = frozen(data)
+    m = L.train(ModelSpec("adaboost", {"rounds": 100}, 0), X, y)
+    tree, roots, tables = walked(m)
+    assert tables.depth == 1
+    Q = np.vstack([regime_queries(tree, X.shape[1], 49), X[:300]])
+    want = reference_walk_splits(tables, Q, roots)
+    assert leaf_ids(tree, Q, roots, tables).tobytes() == want.tobytes()
+    for i in range(len(Q)):
+        assert leaf_ids(tree, Q[i:i + 1], roots, tables).tobytes() == want[:, i:i + 1].tobytes()
 
 
 @pytest.mark.parametrize("algo,hp", REGIMES, ids=REGIME_IDS)
