@@ -136,7 +136,8 @@ def roc_points(scores: tuple[np.ndarray, np.ndarray], y) -> np.ndarray:
 
 def stratified_split(y, test_fraction: float, seed: int):
     """Disjoint, exhaustive (train, test) index arrays with per-class
-    test counts at round(class_count * fraction)."""
+    test counts at round(class_count * fraction). A class that this
+    leaves without a training or a test row raises ValueError."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
     y = np.asarray(y, dtype=np.int64)
@@ -145,12 +146,16 @@ def stratified_split(y, test_fraction: float, seed: int):
         raise ValueError("both classes must be present")
     if counts.min() < 2:
         raise ValueError("every class needs at least 2 examples")
+    n_tests = [int(np.floor(count * test_fraction + 0.5)) for count in counts.tolist()]
+    for cls, count, n_test in zip(classes.tolist(), counts.tolist(), n_tests):
+        if not 0 < n_test < count:
+            raise ValueError(f"class {cls} has {count} examples: a test fraction of {test_fraction} "
+                             f"leaves it no {'test' if n_test == 0 else 'training'} row")
     rng = np.random.default_rng(derive_seed(seed, "split"))
     test_parts, train_parts = [], []
-    for cls in classes:
+    for cls, n_test in zip(classes, n_tests):
         idx = np.flatnonzero(y == cls)
         rng.shuffle(idx)
-        n_test = int(np.floor(len(idx) * test_fraction + 0.5))
         test_parts.append(idx[:n_test])
         train_parts.append(idx[n_test:])
     train = np.sort(np.concatenate(train_parts))
@@ -287,7 +292,8 @@ def permutation_importance(model, X_test, y_test, repeats: int = 10,
     own generator so results do not depend on evaluation order. A tree
     model reads only the features its trees split on, so shuffling any
     other column leaves every decision value as it was: those drops are
-    0.0, recorded without drawing or scoring.
+    0.0, recorded without drawing or scoring; a tree model scores the
+    other pairs in one swapped_values call.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -298,24 +304,29 @@ def permutation_importance(model, X_test, y_test, repeats: int = 10,
     if feature_names is None:
         feature_names = [f"f{j}" for j in range(d)]
 
-    def accuracy(mat):
-        predicted = model.decision_values(mat) >= 0.0
-        return float(np.mean(predicted == (y_test == 1)))
+    def accuracy(values):
+        return float(np.mean((values >= 0.0) == (y_test == 1)))
 
-    baseline = accuracy(X_test)
+    def swap(j, r):  # feature j, shuffled by its own generator
+        rng = np.random.default_rng(derive_seed(seed, "perm", j, r))
+        return j, X_test[rng.permutation(n), j]
+
+    baseline = accuracy(model.decision_values(X_test))
+    tree_model = isinstance(model, TreeEnsemble)
     read = (set(np.concatenate([tree.feature for tree in model.trees]).tolist())
-            if isinstance(model, TreeEnsemble) else range(d))
-    mean_drop = []
-    std_drop = []
-    for j in range(d):
-        drops = np.zeros(repeats)
-        for r in range(repeats if j in read else 0):
-            rng = np.random.default_rng(derive_seed(seed, "perm", j, r))
-            shuffled = X_test.copy()
-            shuffled[:, j] = X_test[rng.permutation(n), j]
-            drops[r] = baseline - accuracy(shuffled)
-        mean_drop.append(float(drops.mean()))
-        std_drop.append(float(drops.std()))
+            if tree_model else range(d))
+    pairs = [(j, r) for j in range(d) if j in read for r in range(repeats)]
+    swaps = (swap(j, r) for j, r in pairs)
+    if tree_model:
+        values = model.swapped_values(X_test, list(swaps))
+    else:
+        values = (model.decision_values(np.where(np.arange(d) == j, column[:, None], X_test))
+                  for j, column in swaps)
+    drops = np.zeros((d, repeats))
+    for (j, r), row in zip(pairs, values):
+        drops[j, r] = baseline - accuracy(row)
+    mean_drop = [float(row.mean()) for row in drops]
+    std_drop = [float(row.std()) for row in drops]
     return ImportanceReport(tuple(feature_names), tuple(mean_drop),
                             tuple(std_drop), repeats, baseline)
 

@@ -4,6 +4,7 @@ polarity * alpha / sum(alphas), so a row scores its weighted vote."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,15 +24,11 @@ class GradBoostModel(TreeEnsemble):
     converged: bool = True
     schema_fingerprint: str | None = None
 
-    def raw_scores(self, X: np.ndarray) -> np.ndarray:
-        lr = self.spec.hyperparameters["learning_rate"]
-        return self.leaf_sum(X, np.full(len(X), self.base_score), lr)
+    def _leaf_terms(self) -> tuple[float, float]:
+        return self.base_score, self.spec.hyperparameters["learning_rate"]
 
-    def probabilities(self, X: np.ndarray) -> np.ndarray:
-        return sigmoid(self.raw_scores(X))
-
-    def decision_values(self, X: np.ndarray) -> np.ndarray:
-        return self.probabilities(X) - 0.5
+    def _from_leaf_sum(self, F: np.ndarray) -> np.ndarray:
+        return sigmoid(F) - 0.5
 
 
 def train_grad_boosts(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray,
@@ -45,32 +42,37 @@ def train_grad_boosts(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray,
     leaf with the Newton step sum(residual) / sum(p(1-p)) over its rows.
     Round r of every model grows in one build_tree call, level by level,
     each tree rooted at its model's rows of X with its own residual row;
-    F, the residuals and the leaf steps stay per model."""
+    F, p, the residuals and the Hessians are (models, len(X)) matrices,
+    computed whole, of which a model reads only its own rows. The leaf
+    steps sum slices of one gather of every leaf's rows."""
     hp = specs[0].hyperparameters
     lr = hp["learning_rate"]
-    ys = [y[rows].astype(np.float64) for rows in row_sets]
-    # per model, a row of len(X) of which only its own rows are read
-    F, residual, hess = (np.zeros((len(row_sets), len(X))) for _ in range(3))
+    F, Y = np.zeros((len(row_sets), len(X))), np.zeros((len(row_sets), len(X)))
     base_scores = []
-    for Fi, rows, yf in zip(F, row_sets, ys):
-        pbar = min(max(float(np.mean(yf)), 1e-12), 1.0 - 1e-12)
+    for Fi, Yi, rows in zip(F, Y, row_sets):
+        Yi[rows] = y[rows]
+        pbar = min(max(float(np.mean(Yi[rows])), 1e-12), 1.0 - 1e-12)
         base_scores.append(float(np.log(pbar / (1.0 - pbar))))
         Fi[rows] = base_scores[-1]
     trees = [[] for _ in row_sets]
     codes = column_codes(X)
     for _ in range(hp["n_trees"]):
-        for i, (rows, yf) in enumerate(zip(row_sets, ys)):
-            p = sigmoid(F[i, rows])
-            residual[i, rows] = yf - p
-            hess[i, rows] = p * (1.0 - p)
+        p = sigmoid(F)
+        residual, hess = Y - p, p * (1.0 - p)
         grown, leaves = build_tree(X, residual, row_sets, criterion="sse",
                                    max_depth=hp["max_depth"], min_samples_leaf=1,
                                    leaf_rows=True, codes=codes)
+        model = np.repeat(np.arange(len(leaves)), [len(tree_leaves) for tree_leaves in leaves])
+        spans = [rows for tree_leaves in leaves for _, rows in tree_leaves]
+        sizes = [len(rows) for rows in spans]
+        at = model.repeat(sizes), np.concatenate(spans)
+        r, h = residual[at], hess[at]
+        bounds = list(itertools.pairwise([0, *itertools.accumulate(sizes)]))
+        steps = (np.array([r[a:b].sum() for a, b in bounds])
+                 / np.maximum([h[a:b].sum() for a, b in bounds], 1e-12))
+        F[at] += (lr * steps).repeat(sizes)
         for i, (tree, tree_leaves) in enumerate(zip(grown, leaves)):
-            for leaf, rows in tree_leaves:
-                step = float(residual[i, rows].sum() / max(hess[i, rows].sum(), 1e-12))
-                tree.value[leaf] = step
-                F[i, rows] += lr * step
+            tree.value[[leaf for leaf, _ in tree_leaves]] = steps[model == i]
             trees[i].append(tree)
     return [GradBoostModel(spec, F0, model_trees)
             for spec, F0, model_trees in zip(specs, base_scores, trees)]
@@ -83,8 +85,8 @@ class AdaBoostModel(TreeEnsemble):
     converged: bool = True
     schema_fingerprint: str | None = None
 
-    def decision_values(self, X: np.ndarray) -> np.ndarray:
-        return self.leaf_sum(X, np.zeros(len(X)))
+    def _from_leaf_sum(self, F: np.ndarray) -> np.ndarray:
+        return F
 
 
 def train_adaboost(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> AdaBoostModel:

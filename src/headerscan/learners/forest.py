@@ -25,12 +25,9 @@ class RandomForestModel(TreeEnsemble):
         if len(self.tree_seeds) != len(self.trees):
             raise ValueError(f"{len(self.trees)} trees, but {len(self.tree_seeds)} tree seeds")
 
-    def probabilities(self, X: np.ndarray) -> np.ndarray:
-        return self.leaf_sum(X, np.zeros(len(X))) / len(self.trees)
-
-    def decision_values(self, X: np.ndarray) -> np.ndarray:
+    def _from_leaf_sum(self, F: np.ndarray) -> np.ndarray:
         # mean leaf P(anomalous) - 0.5; ties at exactly 0 read anomalous
-        return self.probabilities(X) - 0.5
+        return F / len(self.trees) - 0.5
 
 
 def train_random_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> RandomForestModel:

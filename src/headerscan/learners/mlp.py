@@ -43,16 +43,22 @@ def loss_and_grad(params: dict, X: np.ndarray, y: np.ndarray):
     einsum, so each model gets the bits of its own 2-D call. Kept free
     of training-loop state so the analytic gradient can be checked
     against finite differences directly."""
-    n = X.shape[-2]
-    z1, a1, z2 = _forward(params, X)
+    forward = _forward(params, X)
+    z2 = forward[2]
     loss = np.mean(np.logaddexp(0.0, z2) - y * z2, axis=-1)
-    dz2 = (sigmoid(z2) - y) / n
+    return loss, _grad(params, X, y, forward)
+
+
+def _grad(params: dict, X: np.ndarray, y: np.ndarray, forward=None) -> dict:
+    """loss_and_grad's gradient alone, from its forward pass if given."""
+    z1, a1, z2 = _forward(params, X) if forward is None else forward
+    dz2 = (sigmoid(z2) - y) / X.shape[-2]
     gw2 = (np.swapaxes(a1, -1, -2) @ dz2[..., None])[..., 0]
     gb2 = dz2.sum(axis=-1)
     dz1 = dz2[..., None] * params["w2"][..., None, :] * (z1 > 0.0)
     gW1 = np.swapaxes(X, -1, -2) @ dz1
     gb1 = dz1.sum(axis=-2)
-    return loss, {"W1": gW1, "b1": gb1, "w2": gw2, "b2": gb2}
+    return {"W1": gW1, "b1": gb1, "w2": gw2, "b2": gb2}
 
 
 @dataclass
@@ -85,7 +91,9 @@ def train_mlps(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray,
     gradient test of linear._newton. The models' parameters are
     stacked, and at each batch start the models whose batches have the
     same length take one stacked step: all of them but for an epoch's
-    ragged last batch."""
+    ragged last batch. These steps are planned once, as every epoch
+    has the same; a step gathers its rows of X from a block of the
+    epoch's (models, rows) index matrix and skips the loss."""
     hp = specs[0].hyperparameters
     lr = hp["lr"]
     yf = y.astype(np.float64)
@@ -94,24 +102,27 @@ def train_mlps(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray,
     params = {key: np.array([p[key] for p in inits]) for key in inits[0]}
     shuffles = [rng_for(spec.seed, "mlp", "shuffle") for spec in specs]
     sizes = np.array([len(rows) for rows in row_sets])
+    plan = []
+    for start in range(0, sizes.max(), _BATCH):
+        lengths = np.minimum(sizes - start, _BATCH)
+        for length in np.unique(lengths[lengths > 0]).tolist():
+            group = np.flatnonzero(lengths == length)
+            # a full group's parameters are views: the update writes in place
+            plan.append((slice(start, start + length),
+                         slice(None) if len(group) == len(specs) else group))
+    order = np.zeros((len(specs), sizes.max()), dtype=np.intp)
     for _ in range(_EPOCHS):
-        # each model's rows of X in this epoch's order
-        shuffled = [rows[rng.permutation(len(rows))] for rows, rng in zip(row_sets, shuffles)]
-        for start in range(0, sizes.max(), _BATCH):
-            lengths = np.minimum(sizes - start, _BATCH)
-            for length in np.unique(lengths[lengths > 0]):
-                group = np.flatnonzero(lengths == length)
-                batch = np.stack([shuffled[i][start:start + length] for i in group])
-                if len(group) == len(specs):
-                    group = slice(None)  # views: the update writes in place
-                grads = loss_and_grad({key: v[group] for key, v in params.items()},
-                                      X[batch], yf[batch])[1]
-                for key, v in params.items():
-                    v[group] = v[group] - lr * grads[key]
+        for i, (rows, rng) in enumerate(zip(row_sets, shuffles)):
+            order[i, :len(rows)] = rows[rng.permutation(len(rows))]
+        labels = yf[order]
+        for block, group in plan:
+            grads = _grad({key: v[group] for key, v in params.items()},
+                          X[order[group, block]], labels[group, block])
+            for key, v in params.items():
+                v[group] -= lr * grads[key]
     models = []
     for i, (spec, rows) in enumerate(zip(specs, row_sets)):
         own = {key: v[i].copy() for key, v in params.items()}
-        grads = loss_and_grad(own, X[rows], yf[rows])[1].values()
-        converged = max(float(np.max(np.abs(g))) for g in grads) < _TOL
+        converged = max(float(np.max(np.abs(g))) for g in _grad(own, X[rows], yf[rows]).values()) < _TOL
         models.append(MLPModel(spec, own["W1"], own["b1"], own["w2"], float(own["b2"]), converged))
     return models

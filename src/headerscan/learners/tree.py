@@ -64,6 +64,7 @@ BLOCK_ROWS = 1024  # rows per walk; (tree, row) arrays hold n_trees x this
 SCAN_CELLS = 1 << 15  # split scan cells: 1 per (row, candidate), 4 per (node, candidate, code) bin
 ROOT_ROWS = 1 << 14  # root rows per batch of trees grown together
 WALK_CELLS = 1 << 14  # (row, node) cells up to which a block compares every split
+SWAP_CELLS = 1 << 17  # (row, node) cells of swapped_values' next-node table per block
 
 
 @dataclass
@@ -81,14 +82,23 @@ def column_codes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     holds every column's ranks, and table[j, c] is column j's value of
     code c (NaN past the column's last). Equal values share a code and
     codes rise with the values, so a stable argsort of a column's codes
-    is the stable argsort of its values."""
-    uniques, ranks = zip(*(np.unique(column, return_inverse=True) for column in X.T))
-    table = np.full((X.shape[1], max(map(len, uniques))), np.nan)
-    codes = np.empty(X.shape, dtype=np.min_scalar_type(table.shape[1] - 1))
-    for j, (values, rank) in enumerate(zip(uniques, ranks)):
-        table[j, :len(values)] = values
-        codes[:, j] = rank
-    return codes, table
+    is the stable argsort of its values. Both come from one argsort of
+    X's columns; a code's table value is the last of its values in that
+    sort, so a column with both zeros may keep the other sign than
+    np.unique, which moves no cut: (+0 + b) / 2 and (-0 + b) / 2 have
+    the same bits, as have +0 - 1 and -0 - 1."""
+    n, d = X.shape
+    columns = np.ascontiguousarray(X.T)
+    order = np.argsort(columns, axis=1) + np.arange(0, n * d, n)[:, None]  # into columns.ravel()
+    ordered = np.take(columns, order)
+    new = np.zeros(columns.shape, dtype=bool)  # a value above the one sorted before it
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
+    ranks = new.cumsum(axis=1)
+    table = np.full((d, ranks[:, -1].max() + 1), np.nan)
+    table.ravel()[ranks + np.arange(0, table.size, table.shape[1])[:, None]] = ordered
+    codes = np.empty((d, n), dtype=np.min_scalar_type(table.shape[1] - 1))
+    codes.ravel()[order] = ranks
+    return np.ascontiguousarray(codes.T), table
 
 
 def _runs(sizes, budget: int):
@@ -202,24 +212,25 @@ def _grow(X, codes, targets, roots, rngs, width, *, criterion, max_depth, min_le
              if criterion == "gini" else None)
     levels, ended = [], []  # per level (tree, feature, threshold, value); its leaves' (tree, node, rows)
     while len(tree):
-        if criterion == "sse" or leaf_rows:  # each node's rows
-            ends = np.cumsum(size).tolist()
-            segs = [R[a:b] for a, b in zip([0, *ends], ends)]
+        if criterion == "sse" or leaf_rows:  # each node's segment of R
+            bounds = list(itertools.pairwise([0, *itertools.accumulate(size.tolist())]))
         can = size >= max(2 * min_leaf, 2)
         if max_depth is not None and len(levels) >= max_depth:
             can[:] = False
         if criterion == "gini":
             can &= (total != 0.0) & (total != size)
-        else:
-            ts = [targets[0 if len(targets) == 1 else i][rows] for i, rows in zip(tree.tolist(), segs)]
-            total, square = np.array([t.sum() for t in ts]), np.zeros(len(ts))
-            square[can] = [t @ t for t, c in zip(ts, can.tolist()) if c]
+        else:  # the level's targets, gathered once
+            level_T = labels(R, tree, size)
+            total, square = np.array([level_T[a:b].sum() for a, b in bounds]), np.zeros(len(tree))
+            square[can] = [level_T[a:b] @ level_T[a:b] for (a, b), c in zip(bounds, can.tolist()) if c]
         feature, threshold = np.full(len(tree), LEAF), np.zeros(len(tree))
         nxt = tree[:0], size[:0], R[:0], None
         if can.any():
             op = can.nonzero()[0]
-            lens, rows = size[op], R if len(op) == len(size) else R[can.repeat(size)]
-            T = labels(rows, tree[op], lens)
+            keep = None if len(op) == len(size) else can.repeat(size)
+            lens, rows = size[op], R if keep is None else R[keep]
+            T = (labels(rows, tree[op], lens) if criterion == "gini"
+                 else level_T if keep is None else level_T[keep])
             cands = None
             if rngs is not None:
                 counts = np.bincount(tree[op], minlength=len(roots)).tolist()
@@ -256,7 +267,7 @@ def _grow(X, codes, targets, roots, rngs, width, *, criterion, max_depth, min_le
         levels.append((tree, feature, threshold, total / size))
         if leaf_rows:
             ks = (feature == LEAF).nonzero()[0]
-            ended.append((tree[ks], ks, [segs[k] for k in ks.tolist()]))
+            ended.append((tree[ks], ks, [R[bounds[k][0]:bounds[k][1]] for k in ks.tolist()]))
         tree, size, R, total = nxt
     pos, ends = _preorder(levels, len(roots))
     # every node at once, level after level: below the roots, the inner
@@ -357,23 +368,34 @@ def walk_tables(tree: TreeArrays, roots=(0,)) -> WalkTables:
 
 
 def _walk_splits(tables: WalkTables, block: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Compare every (row, node) once for its next node, offset by the
-    row's place in the flattened table, then move every (tree, row) pair
-    depth times. Trees at most one split deep compare only their roots,
-    each (row, tree) pair once, and step to the root's child."""
+    """Compare every (row, node) once for its next node, then move every
+    (tree, row) pair depth times. Trees at most one split deep compare
+    only their roots, each (row, tree) pair once, and step to the root's
+    child."""
     if tables.depth <= 1:
         if not tables.depth:
             return np.broadcast_to(roots[:, None], (len(roots), len(block)))
         goes_left = np.take(block, tables.feature[roots], axis=1) <= tables.threshold[roots]
         return np.where(goes_left, tables.left[roots], tables.right[roots]).T
+    return _follow(*_next_nodes(tables, block), roots, tables.depth)
+
+
+def _next_nodes(tables: WalkTables, block: np.ndarray):
+    """Each (row, node)'s next node, offset by base[row], the row's place
+    in the flattened table; and base."""
     n = len(tables.feature)
     base = np.arange(0, len(block) * n, n)
-    node = roots[:, None] + base
     # take, not block[:, feature], whose result is column-major
     goes_left = np.take(block, tables.feature, axis=1) <= tables.threshold
     nxt = np.where(goes_left, tables.left, tables.right)
     nxt += base[:, None]
-    for _ in range(tables.depth):
+    return nxt, base
+
+
+def _follow(nxt: np.ndarray, base: np.ndarray, roots: np.ndarray, depth: int) -> np.ndarray:
+    """Each (tree, row) pair's node depth steps along nxt from its root."""
+    node = roots[:, None] + base
+    for _ in range(depth):
         node = np.take(nxt, node)
     return node - base
 
@@ -413,7 +435,8 @@ def leaf_ids(tree: TreeArrays, X: np.ndarray, roots=(0,), tables: WalkTables | N
 class TreeEnsemble:
     """Mixin for a model dataclass with a `trees` list, the one scorer of
     every tree model. The flat arrays and their walk tables are built on
-    first use, after load_bundle's check_tree, and never persisted."""
+    first use, after load_bundle's check_tree, and never persisted. A
+    model's decision values are _from_leaf_sum of its leaf_sum."""
 
     def __post_init__(self):
         # the fewest and most trees of each kind; none holds zero, as
@@ -442,19 +465,57 @@ class TreeEnsemble:
 
     def leaf_sum(self, X: np.ndarray, F: np.ndarray, scale: float = 1.0) -> np.ndarray:
         """F plus scale times each tree's leaf values, in place, added in
-        tree order: per block of rows, np.add.reduce of [F; scale * values]
-        along the tree axis, which adds row after row while a block has
-        two columns or more. A one-row block's column is contiguous and
-        would be summed pairwise, so it gets a zero column beside it."""
+        tree order by _add_leaves per block of rows."""
         flat, roots = self._flat
         for start in range(0, len(X), BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
-            rows = len(F[block])
-            terms = np.zeros((len(roots) + 1, max(rows, 2)))
-            terms[0, :rows] = F[block]
-            terms[1:, :rows] = scale * flat.value[leaf_ids(flat, X[block], roots, self._walk)]
-            F[block] = np.add.reduce(terms, axis=0)[:rows]
+            leaves = flat.value[leaf_ids(flat, X[block], roots, self._walk)]
+            F[block] = _add_leaves(F[block], scale * leaves)
         return F
+
+    def _leaf_terms(self) -> tuple[float, float]:
+        """Every row's F before its leaves are added, and their scale."""
+        return 0.0, 1.0
+
+    def decision_values(self, X: np.ndarray) -> np.ndarray:
+        start, scale = self._leaf_terms()
+        return self._from_leaf_sum(self.leaf_sum(X, np.full(len(X), start), scale))
+
+    def swapped_values(self, X: np.ndarray, swaps: list) -> np.ndarray:
+        """decision_values of X with column j replaced by values, a row
+        per (j, values) of swaps, bit for bit: per block of SWAP_CELLS
+        (row, node) cells, a swap edits X's next-node table only at the
+        splits on j and walks again only the trees that hold one."""
+        flat, roots = self._flat
+        tables, (start, scale), n = self._walk, self._leaf_terms(), len(flat.feature)
+        tree_of = np.repeat(np.arange(len(roots)), np.diff([*roots.tolist(), n]))
+        splits = {j: np.flatnonzero(flat.feature == j) for j in {j for j, _ in swaps}}
+        reading = {j: np.unique(tree_of[nodes]) for j, nodes in splits.items()}
+        out = np.empty((len(swaps), len(X)))
+        step = max(1, SWAP_CELLS // n)
+        for a in range(0, len(X), step):
+            nxt, base = _next_nodes(tables, X[a:a + step])
+            leaves = flat.value[_follow(nxt, base, roots, tables.depth)]
+            for s, (j, values) in enumerate(swaps):
+                nodes, trees = splits[j], reading[j]
+                kept, swapped = nxt[:, nodes], leaves.copy()
+                nxt[:, nodes] = np.where(values[a:a + step, None] <= flat.threshold[nodes],
+                                         flat.left[nodes], flat.right[nodes]) + base[:, None]
+                swapped[trees] = flat.value[_follow(nxt, base, roots[trees], tables.depth)]
+                nxt[:, nodes] = kept
+                out[s, a:a + step] = _add_leaves(np.full(len(base), start), scale * swapped)
+        return self._from_leaf_sum(out)
+
+
+def _add_leaves(F: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """F plus each tree's row of values, in tree order: np.add.reduce of
+    [F; values] along the tree axis, which adds row after row while there
+    are two columns or more. A one-row F's column is contiguous and would
+    be summed pairwise, so it gets a zero column beside it."""
+    rows = len(F)
+    terms = np.zeros((len(values) + 1, max(rows, 2)))
+    terms[0, :rows], terms[1:, :rows] = F, values
+    return np.add.reduce(terms, axis=0)[:rows]
 
 
 @dataclass
@@ -464,8 +525,8 @@ class DecisionTreeModel(TreeEnsemble):
     converged: bool = True
     schema_fingerprint: str | None = None
 
-    def decision_values(self, X: np.ndarray) -> np.ndarray:
-        return self.leaf_sum(X, np.zeros(len(X))) - 0.5
+    def _from_leaf_sum(self, F: np.ndarray) -> np.ndarray:
+        return F - 0.5
 
 
 def train_decision_tree(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> DecisionTreeModel:

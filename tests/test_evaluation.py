@@ -10,6 +10,7 @@ import pytest
 
 import headerscan.evaluation as evaluation
 import headerscan.learners as learners
+import headerscan.learners.tree as tree_module
 from headerscan.corpus import Label
 from headerscan.evaluation import (EvalReport, balance, compute_metrics,
                                    grid_search, kfold_cv, make_scores,
@@ -307,6 +308,34 @@ def test_split_rejects_tiny_class():
         stratified_split(np.array([0, 0, 1, 1]), 1.5, seed=0)
     with pytest.raises(ValueError):
         stratified_split(np.array([0, 0, 0, 0]), 0.5, seed=0)
+
+
+def reference_split(y, test_fraction, seed):
+    """stratified_split as it was, before it refused a class a side."""
+    rng = np.random.default_rng(derive_seed(seed, "split"))
+    test_parts, train_parts = [], []
+    for cls in np.unique(y):
+        idx = np.flatnonzero(y == cls)
+        rng.shuffle(idx)
+        n_test = int(np.floor(len(idx) * test_fraction + 0.5))
+        test_parts.append(idx[:n_test])
+        train_parts.append(idx[n_test:])
+    return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(test_parts))
+
+
+@pytest.mark.parametrize("y,fraction,message", [
+    ([0, 0, 0, 1, 1, 1], 0.1, "class 0 has 3 examples: a test fraction of 0.1 leaves it no test row"),
+    ([0] * 10 + [1, 1], 0.8, "class 1 has 2 examples: a test fraction of 0.8 leaves it no training row")])
+def test_split_refuses_a_class_without_a_side(y, fraction, message):
+    """A split that would leave a class out of one side raises at the
+    split, naming the class, its count and the fraction; a split that
+    gives every class both sides keeps the indices it always had."""
+    with pytest.raises(ValueError) as refused:
+        stratified_split(np.array(y), fraction, seed=0)
+    assert str(refused.value) == message
+    for y, fraction in [([0] * 10 + [1] * 10, 0.2), ([0] * 75 + [1] * 25, 0.1), ([0, 0, 1, 1, 1], 0.5)]:
+        got, want = stratified_split(np.array(y), fraction, 4), reference_split(np.array(y), fraction, 4)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # --- k-fold ---------------------------------------------------------------
@@ -987,9 +1016,12 @@ def reference_permutation_importance(model, X, y, repeats, seed):
                                      ("grad_boost", {"n_trees": 4, "max_depth": 1}),
                                      ("decision_tree", {"max_depth": 2}),
                                      ("adaboost", {"rounds": 4})])
-def test_tree_models_score_only_the_features_they_read(algo, hp):
+def test_tree_models_score_only_the_features_they_read(monkeypatch, algo, hp):
     """A tree model's report is the old loop's, bit for bit, while only
-    the features its trees split on are shuffled and scored."""
+    the features its trees split on are shuffled: decision_values scores
+    the baseline alone, and one swapped_values call every shuffled pair,
+    in (feature, repeat) order. Each pair's values are decision_values
+    on its shuffled matrix, in one block of rows or a block per row."""
     rng = np.random.default_rng(19)
     X = np.round(2 * rng.standard_normal((120, 12)))
     y = (X[:, 0] + X[:, 1] + rng.standard_normal(120) > 0).astype(int)
@@ -997,12 +1029,21 @@ def test_tree_models_score_only_the_features_they_read(algo, hp):
     read = set(np.concatenate([tree.feature for tree in model.trees]).tolist()) - {-1}
     assert 0 < len(read) < 12
     want = reference_permutation_importance(model, X, y, 3, 20)
-    calls, score = [], model.decision_values
+    calls, swaps, score, swapped = [], [], model.decision_values, model.swapped_values
     model.decision_values = lambda M: calls.append(len(M)) or score(M)
+    model.swapped_values = lambda M, s: swaps.append([j for j, _ in s]) or swapped(M, s)
     rep = permutation_importance(model, X, y, repeats=3, seed=20)
     assert (rep.mean_drop, rep.std_drop, rep.baseline_accuracy) == want
-    assert len(calls) == 1 + 3 * len(read)
+    assert calls == [120]
+    assert swaps == [[j for j in sorted(read) for _ in range(3)]]
     assert all(rep.mean_drop[j] == 0.0 for j in range(12) if j not in read)
+    pairs = [(j, X[rng.permutation(120), j]) for j in sorted(read)]
+    for cells in (tree_module.SWAP_CELLS, 1):
+        monkeypatch.setattr(tree_module, "SWAP_CELLS", cells)
+        for (j, column), row in zip(pairs, swapped(X, pairs)):
+            shuffled = X.copy()
+            shuffled[:, j] = column
+            assert row.tobytes() == score(shuffled).tobytes()
 
 
 def test_importance_checks_fingerprint():

@@ -847,7 +847,8 @@ def test_column_codes_sort_as_the_values():
     """Codes are ranks among a column's distinct values: a stable argsort
     of the codes is the stable argsort of the floats, on mixed +-0.0, on
     a one-valued column and on a column of 300 values (uint16 codes), and
-    the table maps each code back to its value."""
+    the table maps each code back to its value. The codes are byte for
+    byte those of np.unique's inverse, column by column."""
     rng = np.random.default_rng(51)
     signed_zeros = rng.choice([-0.0, 0.0, -1.5, 2.0], size=400)
     assert {math.copysign(1.0, v) for v in signed_zeros[signed_zeros == 0.0]} == {-1.0, 1.0}
@@ -857,7 +858,7 @@ def test_column_codes_sort_as_the_values():
     assert len(np.unique(cases[1][:, 0])) > 256
     for X, dtype in zip(cases, (np.uint8, np.uint16)):
         codes, table = tree_module.column_codes(X)
-        assert codes.dtype == dtype and codes.shape == X.shape
+        assert codes.dtype == dtype and codes.shape == X.shape and codes.flags.c_contiguous
         for j, column in enumerate(X.T):
             assert (np.argsort(codes[:, j], kind="stable")
                     == np.argsort(column, kind="stable")).all()
@@ -865,6 +866,7 @@ def test_column_codes_sort_as_the_values():
             assert (table[j, :len(values)] == values).all()
             assert np.isnan(table[j, len(values):]).all()
             assert (table[j, codes[:, j]] == column).all()
+            assert codes[:, j].tobytes() == np.unique(column, return_inverse=True)[1].astype(dtype).tobytes()
 
 
 def reference_binned_split(X, t):
@@ -1082,6 +1084,29 @@ def test_batched_fold_fits_match_the_per_fold_loop(n, k, data, algo, hp):
     for f, (values,) in enumerate(cell):
         got_dv[fold_of == f] = values
     assert got_dv.tobytes() == dv.tobytes()
+    if algo == "grad_boost" and data is outlier_matrix:
+        assert any(len({tree_depth(m.trees[r]) for m in got}) > 1 for r in range(20))
+
+
+@pytest.mark.parametrize("data", [header_matrix, continuous_matrix, outlier_matrix])
+@pytest.mark.parametrize("algo,hp", FOLD_LEARNERS,
+                         ids=[f"{a}-{v}" for a, hp in FOLD_LEARNERS for v in hp.values()])
+def test_batched_fits_match_the_reference_at_uneven_row_set_sizes(data, algo, hp):
+    """Row sets of 33, 40 and 64 rows: at batch start 32 the three MLPs
+    take steps of 1, 8 and 32 rows, one per length, and on the outlier
+    matrix a boosting round's trees end at different depths. Every
+    model is the one its 2-D reference trainer fits alone, byte for
+    byte."""
+    X, y = frozen(data)
+    rng = np.random.default_rng(33)
+    rows = [np.sort(rng.choice(len(X), size, replace=False)) for size in (33, 40, 64)]
+    specs = [L.validate_spec(ModelSpec(algo, hp, derive_seed(8, "fold", f))) for f in range(3)]
+    reference = reference_grad_boost if algo == "grad_boost" else reference_mlp
+    want = [reference(s, X[r], y[r]) for s, r in zip(specs, rows)]
+    got = [m for _, _, m in L.train_grid([specs], X, y, rows)]
+    schema, scaler = tiny_schema_scaler()
+    assert ([bundle_bytes(m, schema, scaler, "spam") for m in got]
+            == [bundle_bytes(m, schema, scaler, "spam") for m in want])
     if algo == "grad_boost" and data is outlier_matrix:
         assert any(len({tree_depth(m.trees[r]) for m in got}) > 1 for r in range(20))
 
