@@ -286,7 +286,8 @@ def permutation_importance(model, X_test, y_test, repeats: int = 10,
                            seed: int = 0,
                            feature_names: list[str] | None = None,
                            fingerprint: str | None = None) -> ImportanceReport:
-    """Mean accuracy drop per feature when only that column is shuffled.
+    """Mean accuracy drop per feature when only that column is shuffled;
+    the verdicts are make_scores', so a one-class value is inlier-positive.
 
     The baseline is scored once; each (feature, repeat) pair draws its
     own generator so results do not depend on evaluation order. A tree
@@ -303,9 +304,10 @@ def permutation_importance(model, X_test, y_test, repeats: int = 10,
     n, d = X_test.shape
     if feature_names is None:
         feature_names = [f"f{j}" for j in range(d)]
+    one_class = model.spec.algorithm == "one_class_svm"
 
     def accuracy(values):
-        return float(np.mean((values >= 0.0) == (y_test == 1)))
+        return float(np.mean(make_scores(values, one_class)[1] == (y_test == 1)))
 
     def swap(j, r):  # feature j, shuffled by its own generator
         rng = np.random.default_rng(derive_seed(seed, "perm", j, r))

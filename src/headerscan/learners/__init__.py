@@ -22,6 +22,8 @@ inverse: >= 0 reads inlier (ham).
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .base import (ALGORITHMS, ConvergenceError, ModelSpec, Score, check_training_inputs,
@@ -44,7 +46,7 @@ __all__ = [
     "train", "train_one_class", "train_grid", "held_out", "train_stack",
     "fit_stack_meta",
     "predict", "predict_one_class", "decision_values", "check_fingerprint",
-    "default_grid", "DEFAULT_GRIDS",
+    "default_grid", "LEARNERS",
     "Bundle", "save_bundle", "load_bundle", "bundle_bytes",
     "model_to_doc", "model_from_doc",
     "LogRegModel", "LinearSVMModel", "DecisionTreeModel", "RandomForestModel",
@@ -52,16 +54,35 @@ __all__ = [
     "MLPModel", "OneClassSVMModel", "StackModel", "KKTAudit", "loss_and_grad",
 ]
 
-# learners fitted one model per spec; grad_boost, the MLP and the
-# one-class SVM fit a grid row or column together in train_grid
-_TRAINERS = {
-    "logreg": train_logreg,
-    "linear_svm": train_linear_svm,
-    "decision_tree": train_decision_tree,
-    "random_forest": train_random_forest,
-    "gaussian_nb": train_gaussian_nb,
-    "knn": train_knn,
-    "adaboost": train_adaboost,
+
+class Learner(NamedTuple):
+    model: type
+    train: Callable | None  # (cell, X, y, row_sets) -> models; one-class: (fold's cells, X)
+    grid: dict | None  # searched when the config does not override
+
+
+def _per_model(train_one):
+    """The cell trainer of a (spec, X, y) trainer: one fit per yield."""
+    return lambda cell, X, y, row_sets: (train_one(spec, _take(X, rows), _take(y, rows))
+                                         for spec, rows in zip(cell, row_sets))
+
+
+# in ALGORITHMS order; stacks train with train_stack, over no grid
+LEARNERS = {
+    "logreg": Learner(LogRegModel, _per_model(train_logreg), {"lam": [1e-4, 1e-3, 1e-2]}),
+    "linear_svm": Learner(LinearSVMModel, _per_model(train_linear_svm), {"C": [0.1, 1.0, 10.0]}),
+    "decision_tree": Learner(DecisionTreeModel, _per_model(train_decision_tree), {}),
+    "random_forest": Learner(RandomForestModel, _per_model(train_random_forest),
+                             {"n_trees": [100], "max_depth": [None, 20]}),
+    "grad_boost": Learner(GradBoostModel, train_grad_boosts,
+                          {"n_trees": [100], "learning_rate": [0.1]}),
+    "gaussian_nb": Learner(GaussianNBModel, _per_model(train_gaussian_nb), {}),
+    "knn": Learner(KNNModel, _per_model(train_knn), {"k": [1, 3, 5, 7]}),
+    "mlp": Learner(MLPModel, train_mlps, {"hidden": [16, 64], "lr": [0.01]}),
+    "adaboost": Learner(AdaBoostModel, _per_model(train_adaboost), {"rounds": [100]}),
+    "stack": Learner(StackModel, None, None),
+    "one_class_svm": Learner(OneClassSVMModel, train_one_class_svms,
+                             {"nu": [0.05, 0.1, 0.2], "gamma": [0.1, 0.5, "auto"]}),
 }
 
 
@@ -87,10 +108,8 @@ def train_grid(specs: list[list[ModelSpec]], X: np.ndarray, y: np.ndarray | None
     share their hyperparameters and row sets are strictly ascending;
     every row set is checked before any model is fitted.
 
-    The one-class SVM fits each fold's cells together, sharing the
-    fold's kernel work, and yields fold by fold, cell by cell. The
-    others yield cell by cell, fold by fold: grad_boost and the MLP fit
-    each cell's folds together, the rest fit one model per yield."""
+    The one-class SVM yields fold by fold, cell by cell, as it fits a
+    fold's cells together; the others yield cell by cell, fold by fold."""
     specs = [[validate_spec(spec) for spec in cell] for cell in specs]
     algorithm = specs[0][0].algorithm
     for cell in specs:
@@ -109,26 +128,16 @@ def train_grid(specs: list[list[ModelSpec]], X: np.ndarray, y: np.ndarray | None
         y = np.asarray(y, dtype=np.int64)
     for rows in row_sets:
         check_training_inputs(_take(X, rows), None if y is None else _take(y, rows))
-    for c, f, model in _fit(specs, X, y, row_sets):
+    fit = LEARNERS[algorithm].train
+    if y is None:
+        models = ((c, f, model) for f, rows in enumerate(row_sets)
+                  for c, model in enumerate(fit([cell[f] for cell in specs], _take(X, rows))))
+    else:
+        models = ((c, f, model) for c, cell in enumerate(specs)
+                  for f, model in enumerate(fit(cell, X, y, row_sets)))
+    for c, f, model in models:
         model.schema_fingerprint = schema_fingerprint
         yield c, f, model
-
-
-def _fit(specs, X, y, row_sets):
-    """train_grid's yields, from inputs it has checked."""
-    if y is None:
-        for f, rows in enumerate(row_sets):
-            models = train_one_class_svms([cell[f] for cell in specs], _take(X, rows))
-            yield from ((c, f, model) for c, model in enumerate(models))
-        return
-    batched = {"grad_boost": train_grad_boosts, "mlp": train_mlps}.get(specs[0][0].algorithm)
-    for c, cell in enumerate(specs):
-        if batched is None:
-            models = (_TRAINERS[spec.algorithm](spec, _take(X, rows), _take(y, rows))
-                      for spec, rows in zip(cell, row_sets))
-        else:
-            models = batched(cell, X, y, row_sets)
-        yield from ((c, f, model) for f, model in enumerate(models))
 
 
 def held_out(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray | None,
@@ -189,24 +198,11 @@ def predict_one_class(model, x: np.ndarray, fingerprint: str | None = None) -> S
     return predict(model, x, fingerprint)
 
 
-DEFAULT_GRIDS: dict[str, dict] = {
-    "logreg": {"lam": [1e-4, 1e-3, 1e-2]},
-    "linear_svm": {"C": [0.1, 1.0, 10.0]},
-    "decision_tree": {},
-    "random_forest": {"n_trees": [100], "max_depth": [None, 20]},
-    "gaussian_nb": {},
-    "knn": {"k": [1, 3, 5, 7]},
-    "mlp": {"hidden": [16, 64], "lr": [0.01]},
-    "grad_boost": {"n_trees": [100], "learning_rate": [0.1]},
-    "adaboost": {"rounds": [100]},
-    "one_class_svm": {"nu": [0.05, 0.1, 0.2], "gamma": [0.1, 0.5, "auto"]},
-}
-
-
 def default_grid(algorithm: str) -> dict:
     """Hyperparameter grid searched when the config does not override.
     The one-class gamma "auto" stands for 1/d; the pipeline resolves it
     once the feature count is known."""
-    if algorithm not in DEFAULT_GRIDS:
+    grid = LEARNERS[algorithm].grid if algorithm in LEARNERS else None
+    if grid is None:
         raise ValueError(f"no default grid for {algorithm}")
-    return {k: list(v) for k, v in DEFAULT_GRIDS[algorithm].items()}
+    return {k: list(v) for k, v in grid.items()}

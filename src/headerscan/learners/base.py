@@ -137,22 +137,20 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
     """Fill hyperparameter defaults and reject out-of-domain values."""
     if spec.algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {spec.algorithm!r}")
-    domains = _HYPER_DOMAINS[spec.algorithm]
-    unknown = set(spec.hyperparameters) - set(domains)
-    if unknown:
-        raise ValueError(f"{spec.algorithm}: unknown hyperparameters {sorted(unknown)}")
-    merged = {name: spec.hyperparameters.get(name, default)
-              for name, (default, _, _) in domains.items()}
-    spec = ModelSpec(spec.algorithm, merged, int(spec.seed))
+    defaults = {name: default for name, (default, _, _) in _HYPER_DOMAINS[spec.algorithm].items()}
+    spec = ModelSpec(spec.algorithm, defaults | spec.hyperparameters, int(spec.seed))
     check_hyperparameters(spec)
     return spec
 
 
 def check_hyperparameters(spec: ModelSpec) -> None:
-    """Raise ValueError unless every hyperparameter of spec's algorithm
-    is present and in its domain; other keys are not looked at."""
-    hp = spec.hyperparameters
-    for name, (_, check, doc) in _HYPER_DOMAINS[spec.algorithm].items():
+    """Raise ValueError unless spec holds every hyperparameter of its
+    algorithm, each in its domain, and no other."""
+    hp, domains = spec.hyperparameters, _HYPER_DOMAINS[spec.algorithm]
+    unknown = set(hp) - set(domains)
+    if unknown:
+        raise ValueError(f"{spec.algorithm}: unknown hyperparameters {sorted(unknown)}")
+    for name, (_, check, doc) in domains.items():
         if name not in hp:
             raise ValueError(f"{spec.algorithm}.{name} is missing")
         if not check(hp[name]):

@@ -9,8 +9,8 @@ fields other than the envelope's and the training diagnostic
 little-endian record (encode_array), a list item by item, a nested
 model as a nested model document, any other dataclass as an object of
 its fields, and a scalar as is. Decoding reverses each rule by the
-field's type annotation; scalars are cast by theirs. Parameter keys a
-class does not declare are ignored.
+field's type annotation; scalars are cast by theirs. A parameter key
+the class does not declare raises ValueError.
 """
 
 from __future__ import annotations
@@ -70,23 +70,10 @@ def decode_array(doc: dict) -> np.ndarray:
 
 
 def _registry() -> dict:
-    from . import (AdaBoostModel, DecisionTreeModel, GaussianNBModel,
-                   GradBoostModel, KNNModel, LinearSVMModel, LogRegModel,
-                   MLPModel, OneClassSVMModel, RandomForestModel, StackModel)
+    """Each algorithm's model class: a view of the learner table."""
+    from . import LEARNERS  # the package imports this module first
 
-    return {
-        "logreg": LogRegModel,
-        "linear_svm": LinearSVMModel,
-        "decision_tree": DecisionTreeModel,
-        "random_forest": RandomForestModel,
-        "grad_boost": GradBoostModel,
-        "gaussian_nb": GaussianNBModel,
-        "knn": KNNModel,
-        "mlp": MLPModel,
-        "adaboost": AdaBoostModel,
-        "stack": StackModel,
-        "one_class_svm": OneClassSVMModel,
-    }
+    return {algorithm: row.model for algorithm, row in LEARNERS.items()}
 
 
 # envelope fields, written outside "parameters", and loss_history,
@@ -121,8 +108,11 @@ def _encode(value):
 
 
 def _decode_fields(cls, doc) -> dict:
-    return {name: _decode(hint, doc[name])
-            for name, hint in _parameter_fields(cls)}
+    fields = _parameter_fields(cls)
+    unknown = set(doc) - {name for name, _ in fields}
+    if unknown:
+        raise ValueError(f"{cls.__name__}: unknown parameters {sorted(unknown)}")
+    return {name: _decode(hint, doc[name]) for name, hint in fields}
 
 
 def _decode(hint, doc):
@@ -155,9 +145,8 @@ def model_to_doc(model) -> dict:
 
 
 def model_from_doc(doc: dict):
-    """Decode a model document; hyperparameters missing from or outside
-    their algorithm's domain raise ValueError. Other keys, such as a
-    removed solver setting, are kept but never read."""
+    """Decode a model document; a hyperparameter missing, unknown or
+    outside its domain raises ValueError."""
     cls = _registry()[doc["algorithm"]]
     spec = ModelSpec(doc["algorithm"], doc["hyperparameters"], int(doc["seed"]))
     check_hyperparameters(spec)

@@ -7,10 +7,10 @@ no children, and a value: P(anomalous) for classification, a real
 prediction for regression, a signed stump weight for AdaBoost.
 
 Every tree model, one decision tree or AdaBoost's 3-node stumps too, is
-a TreeEnsemble scored by one walker, `leaf_ids`: its trees form one flat
-node array, each tree's children offset by its root index. The walker
-has two regimes, chosen per block of rows by the block's size and the
-model's depth. A block of at most WALK_CELLS (row, node) cells, or any
+a TreeEnsemble: its trees form one flat node array, each tree's children
+offset by its root index. Trees are walked from two entry points. The
+scorer, `leaf_ids`, has two regimes, chosen per block of rows by the
+block's size and the model's depth. A block of at most WALK_CELLS (row, node) cells, or any
 block of a model whose trees are at most one split deep, compares every
 split once, which gives each (row, node) its next node, then moves every
 (tree, row) pair along those pointers as many times as the deepest leaf
@@ -20,6 +20,8 @@ step; check_tree's forward children end walks. Both regimes make the
 same x[f] <= t comparisons along each pair's path, so they reach the
 same leaves. An ensemble sums each block's leaves with one sequential
 reduce along the tree axis, in tree order, so no array outgrows a block.
+`TreeEnsemble.swapped_values`, which scores permuted columns, builds the
+first regime's next-node table itself and edits it per swapped column.
 
 One grower, `build_tree`, grows a forest's trees, or one boosting round
 of every fold, one depth level at a time, in batches of whole trees

@@ -47,7 +47,7 @@ from .synthetic import generate_emails, to_records
 
 __all__ = [
     "RunConfig", "Datasets", "DataError",
-    "BINARY_ALGORITHMS", "DISPLAY_NAMES", "SHORT_NAMES", "DEFAULT_STACKS",
+    "BINARY_ALGORITHMS", "REPORT_NAMES", "DEFAULT_STACKS",
     "load_config", "config_to_dict", "load_datasets", "read_ham_spam",
     "read_phishing", "report_to_dict",
     "run_phases", "run_importance",
@@ -55,35 +55,20 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# table row order and display names for the nine binary algorithms
-BINARY_ALGORITHMS = (
-    "logreg", "linear_svm", "grad_boost", "mlp", "gaussian_nb",
-    "random_forest", "decision_tree", "knn", "adaboost",
-)
-
-DISPLAY_NAMES = {
-    "logreg": "Logistic Regression",
-    "linear_svm": "Support Vector Machine",
-    "grad_boost": "Gradient Boosted Regression Trees",
-    "mlp": "Multilayer Perceptron Neural Network",
-    "gaussian_nb": "Naive Bayes (Gaussian)",
-    "random_forest": "Random Forest",
-    "decision_tree": "Decision Tree",
-    "knn": "K-Nearest Neighbors",
-    "adaboost": "AdaBoost (Tree Stumps)",
+# the nine binary algorithms in table row order: report row name, stack short name
+REPORT_NAMES = {
+    "logreg": ("Logistic Regression", "LR"),
+    "linear_svm": ("Support Vector Machine", "SVM"),
+    "grad_boost": ("Gradient Boosted Regression Trees", "GBT"),
+    "mlp": ("Multilayer Perceptron Neural Network", "MLP"),
+    "gaussian_nb": ("Naive Bayes (Gaussian)", "NB"),
+    "random_forest": ("Random Forest", "RF"),
+    "decision_tree": ("Decision Tree", "DT"),
+    "knn": ("K-Nearest Neighbors", "kNN"),
+    "adaboost": ("AdaBoost (Tree Stumps)", "AB"),
 }
-
-SHORT_NAMES = {
-    "logreg": "LR",
-    "linear_svm": "SVM",
-    "grad_boost": "GBT",
-    "mlp": "MLP",
-    "gaussian_nb": "NB",
-    "random_forest": "RF",
-    "decision_tree": "DT",
-    "knn": "kNN",
-    "adaboost": "AB",
-}
+# a tuple, so a config's `a in BINARY_ALGORITHMS` never hashes a JSON list
+BINARY_ALGORITHMS = tuple(REPORT_NAMES)
 
 DEFAULT_STACKS = (
     ("random_forest", "mlp", "knn"),
@@ -580,7 +565,7 @@ def _run_phase(no: int, records, cfg: RunConfig, out_dir: str) -> dict:
     for algo in phase.algorithms:
         # a one-class table has a column per test set, not a row per model
         row_name = (f"Ham and {phase.positive.value.capitalize()}"
-                    if one_class else DISPLAY_NAMES[algo])
+                    if one_class else REPORT_NAMES[algo][0])
         assess(algo, models[algo], values[algo], entry["test"], rows, row_name)
     entry["tables"][style] = _write_table(
         out_dir, f"reports/phase{no}_{style}", render_table(rows, style))
@@ -595,7 +580,7 @@ def _run_phase(no: int, records, cfg: RunConfig, out_dir: str) -> dict:
                                    y, meta, schema.fingerprint)
             dv = model.meta_decision_values(
                 np.column_stack([values[a] for a in combo]))
-            name = ", ".join(SHORT_NAMES[a] for a in combo)
+            name = ", ".join(REPORT_NAMES[a][1] for a in combo)
             assess(name, model, dv, entry["stacking"], stack_rows, name)
         entry["tables"]["stacking"] = _write_table(
             out_dir, f"reports/phase{no}_stacking",

@@ -315,6 +315,10 @@ def test_classify_error_exits(cli_run, tmp_path, capsys):
          lambda d: d["hyperparameters"].update(learning_rate="x")),
         (train_one_class(ModelSpec("one_class_svm", {}, 0), X, fp),
          lambda d: d["hyperparameters"].pop("gamma")),
+        # keys no format-2 bundle holds: accepted, they would go unread
+        (train_one_class(ModelSpec("one_class_svm", {}, 0), X, fp),
+         lambda d: d["hyperparameters"].update(tol=1e-3)),
+        (logreg, lambda d: d["parameters"].update(loss_final=0.25)),
         (stack, lambda d: d["parameters"]["meta"].update(
             schema_fingerprint="deadbeef")),
     ]:

@@ -989,13 +989,15 @@ def test_label_feature_drop_near_half_and_noise_near_zero():
     assert rep.repeats == 20
 
 
-def reference_permutation_importance(model, X, y, repeats, seed):
+def reference_permutation_importance(model, X, y, repeats, seed, one_class=False):
     """(mean drops, std drops, baseline) from the loop that shuffled and
-    scored every (feature, repeat) pair."""
+    scored every (feature, repeat) pair; a one-class value reads
+    anomalous iff it is < 0."""
     n, d = X.shape
 
     def accuracy(mat):
-        return float(np.mean((model.decision_values(mat) >= 0.0) == (y == 1)))
+        values = model.decision_values(mat)
+        return float(np.mean(((values < 0.0) if one_class else (values >= 0.0)) == (y == 1)))
 
     baseline = accuracy(X)
     means, stds = [], []
@@ -1044,6 +1046,25 @@ def test_tree_models_score_only_the_features_they_read(monkeypatch, algo, hp):
             shuffled = X.copy()
             shuffled[:, j] = column
             assert row.tobytes() == score(shuffled).tobytes()
+
+
+def test_one_class_importance_reads_inlier_positive_values():
+    """A one-class model's accuracies take make_scores' verdicts, inlier
+    iff the value is >= 0, as the reference loop does: the baseline is
+    the share of rows the model gets right, not of those it gets wrong."""
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((140, 3))
+    X[100:, 0] += 6.0  # the last 40 rows are anomalous along feature 0
+    y = np.repeat([0, 1], [100, 40])
+    model = learners.train_one_class(ModelSpec("one_class_svm", {"nu": 0.1}, 3), X[:60])
+    X, y = X[60:], y[60:]
+    rep = permutation_importance(model, X, y, repeats=3, seed=20)
+    want = reference_permutation_importance(model, X, y, 3, 20, one_class=True)
+    assert (rep.mean_drop, rep.std_drop, rep.baseline_accuracy) == want
+    assert rep.baseline_accuracy == float(np.mean(
+        make_scores(model.decision_values(X), one_class=True)[1] == (y == 1)))
+    assert rep.baseline_accuracy > 0.8
+    assert rep.mean_drop[0] > max(rep.mean_drop[1:])
 
 
 def test_importance_checks_fingerprint():

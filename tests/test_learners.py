@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import itertools
 import json
 import math
 import pathlib
@@ -26,6 +27,7 @@ from headerscan.learners.bundle import (_parameter_fields, _registry, bundle_byt
                                        save_bundle)
 from headerscan.learners.linear import LogRegModel, sigmoid
 from headerscan.learners.mlp import init_params, loss_and_grad
+from headerscan.learners.neighbors import train_knn
 from headerscan.learners.tree import (BLOCK_ROWS, LEAF, DecisionTreeModel, TreeArrays,
                                      TreeEnsemble, leaf_ids, walk_tables)
 from headerscan.learners.boosting import AdaBoostModel
@@ -1201,11 +1203,15 @@ def test_train_grid_gives_each_spec_its_model_alone(algo):
                 == bundle_bytes(alone, schema, scaler, "spam"))
 
 
+def patch_trainer(monkeypatch, algorithm, train):
+    """Put train in algorithm's row of the learner table."""
+    monkeypatch.setitem(L.LEARNERS, algorithm, L.LEARNERS[algorithm]._replace(train=train))
+
+
 def test_train_grid_fits_a_per_model_learner_one_yield_at_a_time(monkeypatch):
     started = []
-    fit = L._TRAINERS["knn"]
-    monkeypatch.setitem(L._TRAINERS, "knn",
-                        lambda spec, *args: started.append(spec) or fit(spec, *args))
+    patch_trainer(monkeypatch, "knn", L._per_model(
+        lambda spec, *args: started.append(spec) or train_knn(spec, *args)))
     specs, X, y, row_sets = grid_inputs("knn")
     models = L.train_grid(specs, X, y, row_sets)
     assert started == []
@@ -1217,11 +1223,11 @@ def test_train_grid_fits_a_per_model_learner_one_yield_at_a_time(monkeypatch):
 
 def test_train_hands_every_row_over_without_a_copy(monkeypatch):
     seen = []
-    fit, fit_one_class = L._TRAINERS["knn"], L.train_one_class_svms
-    monkeypatch.setitem(L._TRAINERS, "knn",
-                        lambda spec, X, y: seen.append((X, y)) or fit(spec, X, y))
-    monkeypatch.setattr(L, "train_one_class_svms",
-                        lambda specs, X: seen.append((X, None)) or fit_one_class(specs, X))
+    fit_one_class = L.LEARNERS["one_class_svm"].train
+    patch_trainer(monkeypatch, "knn", L._per_model(
+        lambda spec, X, y: seen.append((X, y)) or train_knn(spec, X, y)))
+    patch_trainer(monkeypatch, "one_class_svm",
+                  lambda specs, X: seen.append((X, None)) or fit_one_class(specs, X))
     X, y = two_blobs(seed=25)
     L.train(ModelSpec("knn", {}, 0), X, y)
     L.train_one_class(ModelSpec("one_class_svm", {}, 0), X)
@@ -1243,10 +1249,11 @@ def test_train_grid_checks_every_row_set_before_it_fits(monkeypatch, algo):
         else:
             L.train(specs[0][2], X[rows], y[rows])
     fits = []
-    fit, fit_one_class = L._TRAINERS["knn"], L.train_one_class_svms
-    monkeypatch.setitem(L._TRAINERS, "knn", lambda *args: fits.append(1) or fit(*args))
-    monkeypatch.setattr(L, "train_one_class_svms",
-                        lambda *args: fits.append(1) or fit_one_class(*args))
+    fit_one_class = L.LEARNERS["one_class_svm"].train
+    patch_trainer(monkeypatch, "knn",
+                  L._per_model(lambda *args: fits.append(1) or train_knn(*args)))
+    patch_trainer(monkeypatch, "one_class_svm",
+                  lambda *args: fits.append(1) or fit_one_class(*args))
     with pytest.raises(ValueError) as got:
         next(L.train_grid(specs, X, y, row_sets))
     assert str(got.value) == str(want.value) == "NaN or Inf in training matrix"
@@ -1359,6 +1366,28 @@ def test_validate_fills_defaults_and_rejects_junk():
             L.validate_spec(ModelSpec(algo, junk, 0))
 
 
+def test_learner_table_has_a_row_per_algorithm():
+    """The table's rows are ALGORITHMS in order, the bundle registry is
+    their model classes, and every default grid cell is a valid spec,
+    the one-class gamma "auto" read as 1/d; stacks have no grid."""
+    assert tuple(L.LEARNERS) == L.ALGORITHMS
+    assert _registry() == {algo: row.model for algo, row in L.LEARNERS.items()}
+    assert _registry()["knn"] is L.KNNModel and _registry()["stack"] is L.StackModel
+    for algo, row in L.LEARNERS.items():
+        if algo == "stack":
+            assert row.train is row.grid is None
+            with pytest.raises(ValueError, match="no default grid"):
+                L.default_grid(algo)
+            continue
+        grid = L.default_grid(algo)
+        assert grid == row.grid and all(grid[k] is not row.grid[k] for k in grid)
+        for cell in itertools.product(*grid.values()):
+            hp = {k: 1 / 30 if v == "auto" else v for k, v in zip(grid, cell)}
+            assert L.validate_spec(ModelSpec(algo, hp, 0)).hyperparameters.items() >= hp.items()
+    with pytest.raises(ValueError, match="no default grid"):
+        L.default_grid("quantum")
+
+
 def test_train_rejects_bad_inputs():
     X, y = two_blobs(seed=20)
     with pytest.raises(ValueError):
@@ -1449,9 +1478,9 @@ def check_parameter_keys(doc):
 
 def assert_round_trip(path, m, schema, scaler, X):
     """Bundle m and load it back: same scores, the pinned parameter keys,
-    and identical bytes when saved again, also from a file carrying a
-    parameter key the model does not declare (old linear bundles'
-    loss_final)."""
+    and identical bytes when saved again; a file carrying a parameter key
+    the model does not declare (old linear bundles' loss_final) is
+    refused."""
     save_bundle(path, m, schema, scaler, "spam")
     blob = path.read_bytes()
     loaded = load_bundle(path)
@@ -1463,7 +1492,8 @@ def assert_round_trip(path, m, schema, scaler, X):
     check_parameter_keys(doc)
     doc["parameters"]["loss_final"] = 0.25
     path.write_text(json.dumps(doc))
-    assert bundle_bytes(load_bundle(path).model, schema, scaler, "spam") == blob
+    with pytest.raises(ValueError, match=r"unknown parameters \['loss_final'\]"):
+        load_bundle(path)
     return loaded
 
 
@@ -1495,13 +1525,14 @@ def test_bundle_round_trip_stack(tmp_path):
 
 
 # solver settings that were hyperparameters, with the values every bundle
-# written before they became module constants carries
+# written before they became module constants carries; no format-2
+# bundle holds them, so a file that does is refused
 REMOVED_KEYS = {"mlp": {"epochs": 100, "batch_size": 32},
                 "one_class_svm": {"tol": 1e-3, "max_iter": None}}
 
 
 @pytest.mark.parametrize("algo", sorted(REMOVED_KEYS))
-def test_bundle_with_removed_solver_settings_loads(tmp_path, algo):
+def test_bundle_with_removed_solver_settings_is_refused(tmp_path, algo):
     schema, scaler = tiny_schema_scaler()
     X, y = two_blobs(seed=25, d=len(schema.descriptors))
     spec = ModelSpec(algo, {}, 7)
@@ -1511,12 +1542,11 @@ def test_bundle_with_removed_solver_settings_loads(tmp_path, algo):
         m = L.train_one_class(spec, X, schema_fingerprint=schema.fingerprint)
     doc = json.loads(bundle_bytes(m, schema, scaler, "spam"))
     doc["hyperparameters"].update(REMOVED_KEYS[algo])
-    old = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n"
     path = tmp_path / "old.json"
-    path.write_bytes(old)
-    loaded = load_bundle(path).model
-    assert np.array_equal(loaded.decision_values(X), m.decision_values(X))
-    assert bundle_bytes(loaded, schema, scaler, "spam") == old
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_bundle(path)
+    assert f"unknown hyperparameters {sorted(REMOVED_KEYS[algo])}" in str(err.value)
 
 
 WALKS = [("random_forest", {"n_trees": n, "max_depth": depth, "max_features": mf,
@@ -2034,11 +2064,16 @@ def test_tree_models_hold_the_tree_count_of_their_kind(algo, hp, counts):
                 make([leaf_tree(0.5)] * n)
 
 
-class _LeafIdsCalls(ast.NodeVisitor):
-    """The enclosing (class and function names) of every leaf_ids call."""
+# the tree walk's entry points and steps
+WALK_STEPS = ("leaf_ids", "_walk_splits", "_walk_levels", "_next_nodes", "_follow")
+
+
+class _WalkCalls(ast.NodeVisitor):
+    """The enclosing (class and function names) of every call of a
+    WALK_STEPS function, by name."""
 
     def __init__(self):
-        self.scope, self.found = [], []
+        self.scope, self.found = [], {name: [] for name in WALK_STEPS}
 
     def visit_ClassDef(self, node):
         self.scope.append(node.name)
@@ -2048,23 +2083,33 @@ class _LeafIdsCalls(ast.NodeVisitor):
     visit_FunctionDef = visit_ClassDef
 
     def visit_Call(self, node):
-        if getattr(node.func, "id", getattr(node.func, "attr", None)) == "leaf_ids":
-            self.found.append(tuple(self.scope))
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name in self.found:
+            self.found[name].append(tuple(self.scope))
         self.generic_visit(node)
 
 
-def test_one_walker_scores_every_tree():
+def test_two_walk_entry_points_score_every_tree():
     """Every registered model kind whose parameters hold TreeArrays is a
-    TreeEnsemble, and the package calls leaf_ids in one place only:
-    TreeEnsemble.leaf_sum."""
+    TreeEnsemble, and trees are walked from two entry points only:
+    leaf_ids, called by TreeEnsemble.leaf_sum, in its two regimes
+    (_walk_splits, _walk_levels), and TreeEnsemble.swapped_values, which
+    builds and follows next-node tables itself."""
     for algorithm, cls in _registry().items():
         holds_trees = any(TreeArrays in (hint, *typing.get_args(hint))
                           for _, hint in _parameter_fields(cls))
         assert holds_trees == issubclass(cls, TreeEnsemble), algorithm
-    calls = _LeafIdsCalls()
+    calls = _WalkCalls()
     for path in sorted(pathlib.Path(L.__file__).parents[1].rglob("*.py")):
         calls.visit(ast.parse(path.read_text()))
-    assert calls.found == [("TreeEnsemble", "leaf_sum")]
+    swapped = ("TreeEnsemble", "swapped_values")
+    assert calls.found == {
+        "leaf_ids": [("TreeEnsemble", "leaf_sum")],
+        "_walk_splits": [("leaf_ids",)],
+        "_walk_levels": [("leaf_ids",)],
+        "_next_nodes": [("_walk_splits",), swapped],
+        "_follow": [("_walk_splits",), swapped, swapped],
+    }
 
 
 def test_flat_forest_waits_for_the_tree_check(tmp_path):

@@ -11,8 +11,9 @@ import pytest
 
 from headerscan import corpus, features, headers, pipeline
 from headerscan.corpus import Label
-from headerscan.pipeline import (DEFAULT_STACKS, RunConfig, config_to_dict,
-                                 load_config, load_datasets, run_phases)
+from headerscan.learners import LEARNERS
+from headerscan.pipeline import (BINARY_ALGORITHMS, DEFAULT_STACKS, REPORT_NAMES, RunConfig,
+                                 config_to_dict, load_config, load_datasets, run_phases)
 from headerscan.synthetic import generate_emails, write_labeled_dirs
 
 SMALL_GRIDS = {
@@ -135,6 +136,17 @@ def test_stacking_rows(full_run):
     assert names == ["RF, MLP, kNN", "RF, MLP, SVM", "RF, kNN, SVM",
                      "MLP, kNN, SVM"]
     assert cfg.stacking == DEFAULT_STACKS
+
+
+def test_names_table_rows_are_the_binary_algorithms():
+    """BINARY_ALGORITHMS is the names table's rows, in table row order,
+    as a tuple, and every one of them trains through a learner row."""
+    assert isinstance(BINARY_ALGORITHMS, tuple)
+    assert BINARY_ALGORITHMS == tuple(REPORT_NAMES)
+    assert set(BINARY_ALGORITHMS) == set(LEARNERS) - {"stack", "one_class_svm"}
+    assert all(LEARNERS[algo].train is not None for algo in BINARY_ALGORITHMS)
+    # a JSON list or object is compared, never hashed
+    assert [] not in BINARY_ALGORITHMS and {} not in BINARY_ALGORITHMS
 
 
 def test_stacking_adds_no_base_fits(tmp_path, monkeypatch):
