@@ -6,20 +6,23 @@ metrics come from the confusion matrix pooled across folds; AUC pools
 the per-fold decision values instead, since it is not a function of
 the confusion matrix. Scores are make_scores' (values, verdicts) arrays.
 
-grid_search is the one model-selection loop of all four phases: it
-scores all of a grid's cells on one fold plan, by stratified k-fold CV
-or, for the one-class SVM, by one_class_cv. Either way every fold model
-of the grid comes from one learners.held_out call, which fits the whole
-cells x folds table in one train_grid pass; kfold_cv is the one-cell
+grid_searches is the one model-selection loop of all four phases: it
+scores all of each grid's cells on one fold plan, by stratified k-fold
+CV or, for the one-class SVM, by one_class_cv. The fold models come
+from learners.held_out calls, one per binary cell or one-class fold,
+which run_jobs spreads over the CPUs; kfold_cv is the one-cell
 case of the binary search.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import logging
+import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +34,8 @@ from .learners.tree import TreeEnsemble
 __all__ = [
     "EvalReport", "ImportanceReport", "RenderedTable",
     "make_scores", "compute_metrics", "roc_points",
-    "stratified_split", "kfold_cv", "one_class_cv", "grid_search", "balance",
+    "stratified_split", "kfold_cv", "one_class_cv", "grid_search",
+    "grid_searches", "balance",
     "permutation_importance", "select_top_m", "render_table",
     "render_importance_table",
 ]
@@ -167,11 +171,12 @@ def kfold_cv(spec: ModelSpec, X, y, k: int, seed: int) -> EvalReport:
     """Stratified k-fold CV on the fold plan derived from seed. Per-fold
     model seeds derive from (spec.seed, fold), so evaluation order does
     not matter."""
-    return _kfold_cvs([spec], X, y, k, seed)[0]
+    jobs, finish = _kfold_plan([spec], X, y, k, seed)
+    return finish([job() for job in jobs])[0]
 
 
-def _kfold_cvs(specs: list[ModelSpec], X, y, k: int, seed: int) -> list[EvalReport]:
-    """kfold_cv of every spec, in spec order, from one held_out call."""
+def _kfold_plan(specs: list[ModelSpec], X, y, k: int, seed: int):
+    """(jobs, finish) of kfold_cv for every spec: a job per spec, over all folds."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if k < 2:
@@ -181,18 +186,18 @@ def _kfold_cvs(specs: list[ModelSpec], X, y, k: int, seed: int) -> list[EvalRepo
         raise ValueError(f"each class needs at least k={k} examples")
     fold_of = stratified_fold_ids(y, k, derive_seed(seed, "folds"))
     held = [fold_of == f for f in range(k)]
-    reports = []
-    for cell in held_out(specs, X, y, [np.flatnonzero(~h) for h in held],
-                         [[h] for h in held]):
+    rows, blocks = [np.flatnonzero(~h) for h in held], [[h] for h in held]
+    jobs = [functools.partial(held_out, [spec], X, y, rows, blocks) for spec in specs]
+
+    def report(cell: list) -> EvalReport:  # cell[f][0]: fold f's held-out values
         dv = np.empty(len(y))
         for h, (values,) in zip(held, cell):
             dv[h] = values
         per_fold = tuple(compute_metrics(make_scores(values), y[h])
                          for h, (values,) in zip(held, cell))
         pooled = compute_metrics(make_scores(dv), y)
-        reports.append(dataclasses.replace(pooled, per_fold=per_fold,
-                                           oof_values=tuple(dv.tolist())))
-    return reports
+        return dataclasses.replace(pooled, per_fold=per_fold, oof_values=tuple(dv.tolist()))
+    return jobs, lambda values: [report(cell) for [cell] in values]
 
 
 def one_class_cv(specs: list[ModelSpec], X, y, k: int,
@@ -204,12 +209,17 @@ def one_class_cv(specs: list[ModelSpec], X, y, k: int,
     anomalies (y == 1) form a pool in a seeded order. Fold f trains each
     spec on the other folds' ham with seed derive_seed(spec.seed,
     "fold", f) and scores its own ham plus pool[f::k], both cut to the
-    same length, so every fold is balanced like the final test. The
-    fold models come from one held_out call, whose train_grid pass
-    trains a fold's specs together, so they share the fold's kernel
-    work, and holds one fold's models at a time. With fewer than k
-    anomalies, the folds left without one are neither fitted nor
-    scored."""
+    same length, so every fold is balanced like the final test. A fold's
+    models come from one held_out call, whose train_grid pass trains
+    the fold's specs together, so they share the fold's kernel work.
+    With fewer than k anomalies, the folds left without one are neither
+    fitted nor scored."""
+    jobs, finish = _one_class_plan(specs, X, y, k, seed)
+    return finish([job() for job in jobs])
+
+
+def _one_class_plan(specs: list[ModelSpec], X, y, k: int, seed: int):
+    """(jobs, finish) of one_class_cv: a job per fold, over every spec."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     ham, anomalies = np.flatnonzero(y == 0), np.flatnonzero(y == 1)
@@ -220,23 +230,33 @@ def one_class_cv(specs: list[ModelSpec], X, y, k: int,
                                   derive_seed(seed, "oc-folds"))
     pool = anomalies[rng_for(seed, "oc-valpool").permutation(len(anomalies))]
     # pool[f::k] is empty from f = len(pool) on: such folds are skipped
-    folds = range(min(k, len(pool)))
     held = []
-    for f in folds:
+    for f in range(min(k, len(pool))):
         held_ham, held_anom = ham[fold_of == f], np.sort(pool[f::k])
         m = min(len(held_ham), len(held_anom))
         held.append((held_ham[:m], held_anom[:m]))
-    out = held_out(specs, X, None, [ham[fold_of != f] for f in folds], held)
+    jobs = [functools.partial(held_out, specs, X, None, [ham[fold_of != f]], [blocks],
+                              folds=[f]) for f, blocks in enumerate(held)]
     y_all = np.concatenate([np.repeat([0, 1], len(held_ham)) for held_ham, _ in held])
-    return [compute_metrics(make_scores(np.concatenate([dv for fold in cell for dv in fold]),
-                                        one_class=True), y_all) for cell in out]
+
+    def finish(values: list) -> list[EvalReport]:  # values[f][c][0]: fold f's blocks
+        return [compute_metrics(make_scores(np.concatenate(
+            [dv for fold in values for dv in fold[c][0]]), one_class=True), y_all)
+            for c in range(len(specs))]
+    return jobs, finish
 
 
 def grid_search(algorithm: str, grid: dict, X, y, k: int, seed: int):
-    """Evaluate every Cartesian-product cell, all cells on the one fold
-    plan derived from seed and all cells' fold models fitted in one
-    held_out call: by k-fold CV (each cell's report is its kfold_cv)
-    or, for the one-class SVM, by one_class_cv.
+    """(best spec, [(hyperparameters, report) per cell]) of one grid."""
+    return grid_searches({algorithm: grid}, X, y, k, seed)[algorithm]
+
+
+def grid_searches(grids: dict, X, y, k: int, seed: int) -> dict:
+    """grid_search of each algorithm -> grid of grids, every cell on the
+    fold plan derived from seed: by k-fold CV (a cell's report is its
+    kfold_cv), or by one_class_cv. One run_jobs call runs all held_out
+    jobs: a binary cell over its folds (grad_boost and the MLP fit them
+    in lockstep), or a one-class fold over its cells.
 
     Cells enumerate with the first grid key slowest (dict insertion
     order). Best cell: highest pooled accuracy, then highest F1, then
@@ -245,20 +265,95 @@ def grid_search(algorithm: str, grid: dict, X, y, k: int, seed: int):
     result and two algorithms searched with one seed never share a
     model seed. An empty grid evaluates the single all-defaults cell.
     """
-    keys = list(grid)
-    specs = []
-    for combo in itertools.product(*(grid[key] for key in keys)):
-        hp = dict(zip(keys, combo))
-        specs.append(ModelSpec(algorithm, hp, derive_seed(
-            seed, "cell", algorithm, json.dumps(hp, sort_keys=True, default=str))))
-    if algorithm == "one_class_svm":
-        reports = one_class_cv(specs, X, y, k, seed)
-    else:
-        reports = _kfold_cvs(specs, X, y, k, seed)
-    scored = list(zip(specs, reports))
-    # max keeps the first of equal keys: the earliest cell wins a tie
-    best_spec, _ = max(scored, key=lambda sr: (sr[1].accuracy, sr[1].f1))
-    return best_spec, [(spec.hyperparameters, report) for spec, report in scored]
+    plans = []
+    for algorithm, grid in grids.items():
+        keys = list(grid)
+        specs = [ModelSpec(algorithm, hp, derive_seed(
+            seed, "cell", algorithm, json.dumps(hp, sort_keys=True, default=str)))
+            for hp in (dict(zip(keys, combo))
+                       for combo in itertools.product(*(grid[key] for key in keys)))]
+        plan = _one_class_plan if algorithm == "one_class_svm" else _kfold_plan
+        plans.append((algorithm, specs, *plan(specs, X, y, k, seed)))
+    values = iter(run_jobs([job for *_, jobs, _ in plans for job in jobs]))
+    out = {}
+    for algorithm, specs, jobs, finish in plans:
+        scored = list(zip(specs, finish([next(values) for _ in jobs])))
+        # max keeps the first of equal keys: the earliest cell wins a tie
+        best_spec, _ = max(scored, key=lambda sr: (sr[1].accuracy, sr[1].f1))
+        out[algorithm] = best_spec, [(spec.hyperparameters, report) for spec, report in scored]
+    return out
+
+
+def _processes() -> int:
+    """One per CPU this process may run on if it runs one OS thread and can
+    fork, else 1: beside a live thread (a BLAS pool's, say) a fork is unsafe."""
+    try:
+        one_thread = hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
+        return len(os.sched_getaffinity(0)) if one_thread else 1
+    except (AttributeError, OSError):
+        return 1
+
+
+def run_jobs(jobs: list) -> list:
+    """[job() for job in jobs], or the lowest-index job's exception, the one
+    the serial loop raises. Once a job fails, no job starts."""
+    start, processes = time.perf_counter(), min(_processes(), len(jobs))
+    values = _fan_out(jobs, processes) if processes > 1 else [job() for job in jobs]
+    log.info("grid search: %d jobs, %d processes, %.2f s wall", len(jobs), processes,
+             time.perf_counter() - start)
+    return values
+
+
+def _fan_out(jobs: list, processes: int) -> list:
+    import multiprocessing  # here, so that only a fan-out pays for the import
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    claimed = ctx.Value("q", 0)  # the next job's index; len(jobs) stops the work
+    done, readers, workers = {}, [], []  # done: index -> (raised, value)
+
+    def work(send) -> None:
+        while True:
+            with claimed.get_lock():
+                i = claimed.value
+                claimed.value = min(i + 1, len(jobs))
+            if i == len(jobs):
+                return
+            try:
+                send((i, False, jobs[i]()))
+            except Exception as exc:
+                claimed.value = len(jobs)
+                send((i, True, exc))
+
+    def keep(message) -> None:
+        done[message[0]] = message[1:]
+
+    def drain(timeout) -> None:
+        for reader in wait(readers, timeout):
+            try:
+                keep(reader.recv())
+            except (EOFError, OSError):  # the worker has exited
+                readers.remove(reader)
+
+    try:
+        for _ in range(processes - 1):
+            reader, writer = ctx.Pipe(duplex=False)
+            workers.append(ctx.Process(target=work, args=(writer.send,)))
+            workers[-1].start()
+            writer.close()
+            readers.append(reader)
+        work(lambda message: (keep(message), drain(0)))  # drain between own jobs
+    finally:
+        claimed.value = len(jobs)
+        while readers:
+            drain(None)
+        for worker in workers:
+            worker.join()
+    for i in range(len(jobs)):
+        raised, value = done.setdefault(i, (True, RuntimeError(f"job {i}'s worker exited")))
+        if raised:
+            raise value
+    return [done[i][1] for i in range(len(jobs))]
 
 
 def balance(y, seed: int) -> np.ndarray:

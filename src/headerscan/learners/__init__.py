@@ -6,7 +6,7 @@ and each fold one row set. The table's shape is what a learner may
 share: grad_boost and the MLP fit a cell's folds together, the
 one-class SVM a fold's cells; the other learners fit one model at a
 time. train and train_one_class are its 1 x 1 grids over all rows;
-held_out fits a whole grid's fold models in one call and scores their
+held_out fits a cells x folds table of fold models and scores their
 held-out rows, which is every held-out value there is: the k-fold and
 one-class reports of grid search and the stacks' meta-features.
 train_grid checks every row set before it fits any model and sets
@@ -141,15 +141,15 @@ def train_grid(specs: list[list[ModelSpec]], X: np.ndarray, y: np.ndarray | None
 
 
 def held_out(specs: list[ModelSpec], X: np.ndarray, y: np.ndarray | None,
-             row_sets: list, held: list) -> list:
+             row_sets: list, held: list, folds=None) -> list:
     """Held-out decision values of a grid of one algorithm's cells:
     out[c][f][b] = decision_values(model, X[held[f][b]]) for the model
-    fold_spec(specs[c], f) trained on X[row_sets[f]], y[row_sets[f]],
-    all from one cells x folds train_grid call. Each held block is
-    scored by its own call, as the bits of a row's value may depend on
-    the rows scored with it (BLAS tiling); models are dropped once
-    scored."""
-    grid = [[fold_spec(spec, f) for f in range(len(row_sets))] for spec in specs]
+    fold_spec(specs[c], folds[f]) (folds defaults to 0, 1, ...) trained
+    on X[row_sets[f]], y[row_sets[f]], all from one cells x folds
+    train_grid call. Each held block is scored by its own call, as the
+    bits of a row's value may depend on the rows scored with it (BLAS
+    tiling); models are dropped once scored."""
+    grid = [[fold_spec(spec, f) for f in folds or range(len(row_sets))] for spec in specs]
     out = [[None] * len(row_sets) for _ in specs]
     for c, f, model in train_grid(grid, X, y, row_sets):
         out[c][f] = [decision_values(model, X[rows]) for rows in held[f]]

@@ -53,8 +53,11 @@ class Score:
 
 class ConvergenceError(RuntimeError):
     def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
+        super().__init__(message, residual)  # so a pickled copy keeps both
         self.residual = residual
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (residual {self.residual:.3e})"
 
 
 def derive_seed(seed: int, *tags) -> int:

@@ -31,7 +31,7 @@ from . import __version__
 from .corpus import (CorpusRecord, Label, corpus_digest, load_labeled_dir,
                      load_trec_index)
 from .evaluation import (EvalReport, ImportanceReport, RenderedTable, balance,
-                         compute_metrics, grid_search, make_scores,
+                         compute_metrics, grid_searches, make_scores,
                          permutation_importance, render_importance_table,
                          render_table, roc_points, select_top_m,
                          stratified_split)
@@ -252,6 +252,7 @@ def load_config(path: str, seed: int | None = None,
              "ham_dir+spam_dir, or synthetic")
     _require(("ham_dir" in kwargs) == ("spam_dir" in kwargs),
              "ham_dir and spam_dir must be configured together")
+    _require("trec_root" not in kwargs or "trec_index" in kwargs, "trec_root needs trec_index")
     if "trec_index" in kwargs:
         kwargs.setdefault("trec_root", os.path.dirname(kwargs["trec_index"]))
         _require(os.path.isfile(kwargs["trec_index"]),
@@ -514,7 +515,7 @@ def _phase_grid(cfg: RunConfig, algorithm: str, d: int) -> dict:
 
 def _run_phase(no: int, records, cfg: RunConfig, out_dir: str) -> dict:
     """Run phase no of PHASES on its records and write its artifacts: the
-    shared prefix, a grid search and a refit per algorithm, the balanced
+    shared prefix, the grid searches, a refit per algorithm, the balanced
     test, the report tables, the ROC file and the best model's bundle.
     Returns the phase's manifest entry."""
     phase = PHASES[no]
@@ -524,10 +525,10 @@ def _run_phase(no: int, records, cfg: RunConfig, out_dir: str) -> dict:
     # one fold plan for every algorithm, so the winning cells' held-out
     # columns line up row for row and feed the stacks' meta-learners
     grid_seed = ps if one_class else derive_seed(ps, "grid")
+    searches = grid_searches({algo: _phase_grid(cfg, algo, X.shape[1])
+                              for algo in phase.algorithms}, X, y, cfg.cv_folds, grid_seed)
     entry["grid"], models, oof = {}, {}, {}
-    for algo in phase.algorithms:
-        spec, cells = grid_search(algo, _phase_grid(cfg, algo, X.shape[1]),
-                                  X, y, cfg.cv_folds, grid_seed)
+    for algo, (spec, cells) in searches.items():
         report = next(r for hp, r in cells if hp == spec.hyperparameters)
         entry["grid"][algo] = {
             "best_hyperparameters": spec.hyperparameters,

@@ -1,0 +1,18 @@
+"""Grid jobs run in the test's own process, whatever BLAS thread count
+the environment sets, so a test that counts or records calls sees every
+one. Tests marked fanout keep the real process count, or force their
+own."""
+
+import pytest
+
+from headerscan import evaluation
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "fanout: runs grid jobs on the real process count")
+
+
+@pytest.fixture(autouse=True)
+def grid_jobs_in_one_process(request, monkeypatch):
+    if request.node.get_closest_marker("fanout") is None:
+        monkeypatch.setattr(evaluation, "_processes", lambda: 1)

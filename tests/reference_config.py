@@ -1,6 +1,7 @@
 """pipeline.load_config and its helpers as they were before one table
-stated each config key's domain, copied verbatim. The differential fuzz
-in test_config.py compares today's load_config with this one."""
+stated each config key's domain, copied verbatim but for one rule both
+now keep: trec_root without trec_index is refused. The differential
+fuzz in test_config.py compares today's load_config with this one."""
 
 from __future__ import annotations
 
@@ -95,6 +96,8 @@ def load_config(path: str, seed: int | None = None,
     if kwargs.get("ham_dir") or kwargs.get("spam_dir"):
         _require(kwargs.get("ham_dir") and kwargs.get("spam_dir"),
                  "ham_dir and spam_dir must be configured together")
+    _require(kwargs.get("trec_root") is None or kwargs.get("trec_index") is not None,
+             "trec_root needs trec_index")
     if kwargs.get("trec_index"):
         kwargs.setdefault("trec_root", os.path.dirname(kwargs["trec_index"]))
         _require(os.path.isfile(kwargs["trec_index"]),

@@ -57,8 +57,10 @@ def test_phase_one_artifacts(tmp_path):
     # a member set() cannot hash must not end in a TypeError traceback
     {"stacking": [["knn", {"a": 1}]]},
     {"stacking": [["knn", ["mlp"]]]},
+    # read only beside trec_index: alone it would be accepted and ignored
+    {"trec_root": "."},
 ], ids=["mlp-epochs", "gamma-fast", "k-true", "gamma-infinity",
-        "stacking-object", "stacking-list"])
+        "stacking-object", "stacking-list", "trec-root-alone"])
 def test_run_rejects_a_bad_grid_before_any_output(tmp_path, capsys, bad):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(small_config(tmp_path / "out", **bad)))

@@ -107,6 +107,18 @@ def config_path(tmp_path):
     return tmp_path / "config.json"
 
 
+def test_trec_root_without_trec_index_is_refused(config_path):
+    """Both versions refuse a trec_root that no trec_index would read,
+    though the directory exists; beside trec_index it loads."""
+    for base in BASES[:2]:
+        config_path.write_text(json.dumps(dict(base, trec_root="trec")))
+        for version in (load_config, reference.load_config):
+            with pytest.raises(ValueError, match="trec_root needs trec_index"):
+                version(str(config_path))
+    config_path.write_text(json.dumps(BASES[2]))
+    assert load_config(str(config_path)).trec_root == str(config_path.parent / "trec")
+
+
 def _compare(path, doc, outcomes, seed=None, output_dir=None):
     """Load doc with both versions; they must agree but for NUL paths."""
     path.write_text(json.dumps(doc))

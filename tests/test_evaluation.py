@@ -772,7 +772,10 @@ def test_one_class_grid_matches_the_phase_cell_loop(grid):
     ("knn", {"k": [1, 3]}),
     ("one_class_svm", {"nu": [0.1, 0.2], "gamma": [0.1, 0.5]}),
 ])
-def test_grid_search_fits_a_grid_in_one_train_grid_call(monkeypatch, algorithm, grid):
+def test_grid_search_fits_one_train_grid_table_per_job(monkeypatch, algorithm, grid):
+    """A binary grid's job is a cell, its table that cell over every
+    fold; a one-class grid's job is a fold, its table every cell on that
+    fold. Each fold model keeps its own seed."""
     X, y = one_class_data()
     tables = []
     real_train = learners.train_grid
@@ -784,9 +787,14 @@ def test_grid_search_fits_a_grid_in_one_train_grid_call(monkeypatch, algorithm, 
 
     monkeypatch.setattr(learners, "train_grid", train)
     _, cells = grid_search(algorithm, grid, X, y, 4, seed=3)
-    [table] = tables  # the full cells x folds table
-    assert [[hp for hp, _ in cell] for cell in table] == [[hp] * 4 for hp, _ in cells]
-    assert len({seed for cell in table for _, seed in cell}) == 4 * len(cells)
+    hps = [hp for hp, _ in cells]
+    if algorithm == "one_class_svm":  # a cells x 1 table per fold
+        assert [[[hp for hp, _ in cell] for cell in table] for table in tables] == [
+            [[hp] for hp in hps]] * 4
+    else:  # a 1 x folds table per cell
+        assert [[[hp for hp, _ in cell] for cell in table] for table in tables] == [
+            [[hp] * 4] for hp in hps]
+    assert len({seed for table in tables for cell in table for _, seed in cell}) == 4 * len(cells)
 
 
 @functools.lru_cache(maxsize=None)
@@ -822,10 +830,10 @@ def test_one_class_grid_trains_each_cell_as_the_old_solver(monkeypatch, grid, da
     folds = []  # one list of models, in cell order, per fold
     real_train = learners.train_grid
 
-    def train(*args):
+    def train(*args):  # one call per fold, in fold order
+        folds.append([])
         for c, f, model in real_train(*args):
-            folds.extend([] for _ in range(f + 1 - len(folds)))
-            folds[f].append(model)
+            folds[-1].append(model)
             yield c, f, model
 
     monkeypatch.setattr(learners, "train_grid", train)

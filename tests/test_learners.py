@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import pathlib
+import pickle
 import tracemalloc
 import typing
 from dataclasses import astuple
@@ -1336,6 +1337,17 @@ def test_ocsvm_nonconvergence_raises_with_residual(monkeypatch):
     with pytest.raises(L.ConvergenceError) as err:
         L.train_one_class(ModelSpec("one_class_svm", {"nu": 0.5}, 0), X)
     assert err.value.residual > 0
+    # a forked grid worker hands its failure to the main process pickled
+    copy = pickle.loads(pickle.dumps(err.value))
+    assert type(copy) is L.ConvergenceError
+    assert (str(copy), copy.residual) == (str(err.value), err.value.residual)
+    assert str(copy).startswith("one-class SVM did not reach the KKT tolerance (residual ")
+
+
+def test_convergence_error_round_trips_through_pickle():
+    copy = pickle.loads(pickle.dumps(L.ConvergenceError("x", residual=0.5)))
+    assert type(copy) is L.ConvergenceError
+    assert (str(copy), copy.residual) == ("x (residual 5.000e-01)", 0.5)
 
 
 # --- validation and errors ------------------------------------------------

@@ -309,6 +309,7 @@ def test_load_config_validation(tmp_path):
         lambda d: d.update(seed="7"),
         lambda d: d.update(bogus_key=1),
         lambda d: d.update(trec_index=str(tmp_path / "missing-index")),
+        lambda d: d.update(trec_root=str(tmp_path)),
         lambda d: d.update(synthetic={"n": 100}),
         lambda d: d.update(synthetic={"n": 100, "seed": 1,
                                       "anomaly_fraction": 0.0}),
