@@ -31,12 +31,12 @@ log = logging.getLogger(__name__)
 _PHASES = {"1": [1], "2": [2], "3": [3], "4": [4], "all": None}
 
 
-def _config_flags(sub: argparse.ArgumentParser) -> None:
+def _config_flags(sub: argparse.ArgumentParser, *overrides: str) -> None:
     sub.add_argument("--config", required=True, help="JSON config file")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the config seed")
-    sub.add_argument("--out", default=None,
-                     help="override the config output_dir")
+    if "seed" in overrides:  # only the overrides the command reads
+        sub.add_argument("--seed", type=int, default=None, help="override the config seed")
+    if "out" in overrides:
+        sub.add_argument("--out", default=None, help="override the config output_dir")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("ingest",
                               help="parse the corpora into a CSV cache")
-    _config_flags(sub)
+    _config_flags(sub, "out")
     sub.set_defaults(func=_cmd_ingest)
 
     sub = commands.add_parser("headers-report",
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_headers_report)
 
     sub = commands.add_parser("run", help="run the four-phase pipeline")
-    _config_flags(sub)
+    _config_flags(sub, "seed", "out")
     sub.add_argument("--phase", choices=sorted(_PHASES), default="all")
     sub.set_defaults(func=_cmd_run)
 
@@ -70,13 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("importance",
                               help="permutation importance tables")
-    _config_flags(sub)
+    _config_flags(sub, "seed", "out")
     sub.set_defaults(func=_cmd_importance)
     return parser
 
 
 def _cmd_ingest(args) -> int:
-    cfg = load_config(args.config, args.seed, args.out)
+    cfg = load_config(args.config, output_dir=args.out)
     datasets = load_datasets(cfg)
     fields = top_k_fields(header_frequencies(
         datasets.ham_spam + (datasets.phishing or [])), cfg.k)
@@ -107,7 +107,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_headers_report(args) -> int:
-    cfg = load_config(args.config, args.seed, args.out)
+    cfg = load_config(args.config)
     datasets = load_datasets(cfg, allow_empty=True)
     records = datasets.ham_spam + (datasets.phishing or [])
     stats = header_frequencies(records)

@@ -477,6 +477,13 @@ class HeaderFacts:
     chain_by_then_from: bool
     chain_from_then_by: bool
 
+    def __reduce__(self):  # facts a worker sends share their strings on arrival
+        return _shared_facts, tuple(getattr(self, name) for name in self.__slots__)
+
+
+def _shared_facts(*values) -> HeaderFacts:
+    return HeaderFacts(*(_shared(v) if isinstance(v, str) else v for v in values))
+
 
 def _host_domain(host: str | None) -> str | None:
     if host is None:

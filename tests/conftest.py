@@ -1,18 +1,18 @@
-"""Grid jobs run in the test's own process, whatever BLAS thread count
-the environment sets, so a test that counts or records calls sees every
-one. Tests marked fanout keep the real process count, or force their
-own."""
+"""Grid and load jobs run in the test's own process, whatever BLAS
+thread count the environment sets, so a test that counts or records
+calls sees every one. Tests marked fanout keep the real process count,
+or force their own."""
 
 import pytest
 
-from headerscan import evaluation
+from headerscan import fanout
 
 
 def pytest_configure(config):
-    config.addinivalue_line("markers", "fanout: runs grid jobs on the real process count")
+    config.addinivalue_line("markers", "fanout: runs grid and load jobs on the real process count")
 
 
 @pytest.fixture(autouse=True)
-def grid_jobs_in_one_process(request, monkeypatch):
+def jobs_in_one_process(request, monkeypatch):
     if request.node.get_closest_marker("fanout") is None:
-        monkeypatch.setattr(evaluation, "_processes", lambda: 1)
+        monkeypatch.setattr(fanout, "_processes", lambda: 1)

@@ -468,3 +468,25 @@ def test_usage_errors(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "headerscan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--seed", "1"],
+    ["headers-report", "--seed", "1"],
+    ["headers-report", "--out", "elsewhere"],
+])
+def test_a_flag_the_command_would_ignore_is_a_usage_error(cli_run, capsys, argv):
+    """ingest reads no seed and headers-report neither seed nor output
+    directory, so they refuse the flags rather than accept and drop them."""
+    config_path, _ = cli_run
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", config_path])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
+
+
+def test_ingest_still_takes_out(cli_run, tmp_path, capsys):
+    config_path, _ = cli_run
+    assert main(["ingest", "--config", config_path, "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "cache.csv").is_file()
+    capsys.readouterr()

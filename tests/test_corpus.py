@@ -284,7 +284,7 @@ def reference_corpus_digest(records) -> str:
 def reference_cmd_ingest(args) -> int:
     """cli._cmd_ingest when records kept their parsed header, which it
     read in place of reading each message again."""
-    cfg = cli.load_config(args.config, args.seed, args.out)
+    cfg = cli.load_config(args.config, output_dir=args.out)
     datasets = cli.load_datasets(cfg)
     records = datasets.ham_spam + (datasets.phishing or [])
     fields = cli.top_k_fields(cli.header_frequencies(records), cfg.k)
